@@ -1,19 +1,22 @@
-"""Plane-wave transfer-matrix acoustics for MPP / expansion-chamber absorbers.
+"""Plane-wave four-pole acoustics for MPP / expansion-chamber absorbers.
 
 A sound structure is modelled as a series chain of lumped elements (straight
-pipes, area changes, micro-perforated panels), each contributing a 2x2
-four-pole matrix relating (pressure, volume velocity) at its input to its
-output. The chain is terminated by a rigid wall, which makes the input
-impedance a11/a21 and yields the normal-incidence absorption coefficient
-from the reflection coefficient at the mouth.
+pipes, area changes, micro-perforated panels), each with a 2x2 four-pole
+matrix relating (pressure, volume velocity) at its input to its output. The
+chain is terminated by a rigid wall, which fixes u = 0 there. Absorption
+carries the wall state (p, u) = (1, 0) to the mouth element by element
+(`_mouth_state`); the mouth state is the first column (a11, a21) of the
+chain matrix and gives the reflection coefficient, hence the
+normal-incidence absorption coefficient. The full matrix product is built
+only by `chain_matrix`, in extended precision, for its determinant.
 
 MPP hole impedance follows Maa's classic micro-perforated panel model
 (viscous resistance plus mass reactance with end corrections). Pipes are
 lossless: all dissipation is attributed to the panels.
 
-All quantities are SI. Frequency arguments accept either a scalar (Hz) or a
-numpy array for vectorised evaluation; matrix entries then carry the same
-shape.
+All quantities are SI. Frequency arguments of the impedance and element
+formulas accept either a scalar (Hz) or a numpy array for vectorised
+evaluation; matrix entries then carry the same shape.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ __all__ = [
     "StraightPipe",
     "TransferMatrix",
     "absorption_at",
+    "absorption_coefficients",
     "absorption_spectrum",
     "chain_matrix",
     "circle_area",
@@ -47,13 +51,13 @@ __all__ = [
 
 
 class SingularConfigurationError(ArithmeticError):
-    """Raised when a11 + Z0*a21 vanishes exactly and the reflection
-    coefficient is undefined at that frequency."""
+    """Raised when p + Z0*u at the mouth (a11 + Z0*a21) vanishes exactly
+    and the reflection coefficient is undefined at that frequency."""
 
     def __init__(self, frequency: float):
         self.frequency = frequency
         super().__init__(
-            f"singular configuration: a11 + Z0*a21 = 0 at {frequency} Hz"
+            f"singular configuration: p + Z0*u = 0 at {frequency} Hz"
         )
 
 
@@ -296,12 +300,19 @@ def element_matrix(element: SoundElement, frequency, medium: Medium = AIR) -> Tr
     raise TypeError(f"unknown sound element {element!r}")
 
 
-def _compose(chain: ElementChain, frequency, medium: Medium, dtype) -> TransferMatrix:
-    """Left-to-right product of the chain's element matrices at `dtype`.
+def chain_matrix(chain: ElementChain, frequency, medium: Medium = AIR) -> TransferMatrix:
+    """Product of element matrices, element nearest the source leftmost.
 
-    Area changes carry exact identity matrices and contribute nothing, so
-    they are not multiplied in.
+    Entries of wide-chamber chains reach ~1e6, so the unit-determinant
+    property cancels catastrophically in double precision; the returned
+    matrix is accumulated in extended precision (x86 long double) to keep
+    |det - 1| < 1e-9 across the band. Absorption does not use this product:
+    it propagates the wall state to the mouth in doubles (`_mouth_state`),
+    and the reflection ratio it feeds is well-conditioned, unlike the
+    determinant. Area changes carry exact identity matrices and are not
+    multiplied in.
     """
+    _check_frequency(frequency)
     factors = [
         element_matrix(element, frequency, medium)
         for element in chain.elements
@@ -309,52 +320,85 @@ def _compose(chain: ElementChain, frequency, medium: Medium, dtype) -> TransferM
     ]
     if not factors:
         return TransferMatrix.identity()
+    first = factors[0]
     matrix = TransferMatrix(
-        *(np.asarray(entry, dtype=dtype)
-          for entry in (factors[0].a11, factors[0].a12, factors[0].a21, factors[0].a22))
+        *(np.asarray(entry, dtype=np.clongdouble)
+          for entry in (first.a11, first.a12, first.a21, first.a22))
     )
     for factor in factors[1:]:
         matrix = matrix @ factor
     return matrix
 
 
-def chain_matrix(chain: ElementChain, frequency, medium: Medium = AIR) -> TransferMatrix:
-    """Product of element matrices, element nearest the source leftmost.
+def _mouth_state(
+    chain: ElementChain, frequencies: np.ndarray, medium: Medium, panel_impedances=None
+):
+    """(p, u) at the mouth for (1, 0) at the rigid wall: the first column
+    (a11, a21) of the chain matrix.
 
-    Entries of wide-chamber chains reach ~1e6, so the unit-determinant
-    property cancels catastrophically in double precision; the returned
-    matrix is accumulated in extended precision (x86 long double) to keep
-    |det - 1| < 1e-9 across the band. The absorption path uses the same
-    composition at double precision: the reflection ratio it feeds is
-    well-conditioned, unlike the determinant.
+    The wall state is carried to the mouth element by element, the
+    impedance-translation form of the four-pole method (Munjal, Acoustics of
+    Ducts and Mufflers, 2nd ed., Wiley 2014, ch. 2-3): a pipe costs four
+    multiply-adds, an MPP adds Z*u to p, an area change does nothing.
+    `panel_impedances`, if given, are the normalised Maa impedances of the
+    chain's panels in chain order at `frequencies`.
     """
-    _check_frequency(frequency)
-    return _compose(chain, frequency, medium, np.clongdouble)
+    pipes = [e for e in chain.elements if isinstance(e, StraightPipe)]
+    if panel_impedances is None:
+        panel_impedances = [
+            mpp_normalized_impedance(e.panel, frequencies, medium)
+            for e in chain.elements
+            if isinstance(e, Mpp)
+        ]
+    k = 2.0 * np.pi * frequencies / medium.sound_speed
+    phase = np.multiply.outer([pipe.length for pipe in pipes], k)
+    cos_kl = np.cos(phase)
+    sin_kl = np.sin(phase, out=phase)
+    rho_c = medium.characteristic_impedance
+    p = np.ones(frequencies.shape, dtype=complex)
+    u = np.zeros(frequencies.shape, dtype=complex)
+    pipe_index, panel_index = len(pipes), len(panel_impedances)
+    for element in reversed(chain.elements):
+        if isinstance(element, StraightPipe):
+            pipe_index -= 1
+            z_c = rho_c / element.area
+            c, s = cos_kl[pipe_index], sin_kl[pipe_index]
+            p, u = c * p + (1j * z_c) * s * u, (1j / z_c) * s * p + c * u
+        elif isinstance(element, Mpp):
+            panel_index -= 1
+            z = panel_impedances[panel_index] * (rho_c / element.panel.duct_area)
+            p = p + z * u
+    return p, u
 
 
-def _reflection_coefficient(chain: ElementChain, frequency, medium: Medium):
-    _check_frequency(frequency)
-    matrix = _compose(chain, frequency, medium, np.complex128)
-    z0 = chain.characteristic_impedance(medium)
-    denominator = matrix.a11 + z0 * matrix.a21
-    bad = np.asarray(denominator) == 0
+def absorption_coefficients(
+    chain: ElementChain, frequencies, medium: Medium = AIR, panel_impedances=None
+) -> np.ndarray:
+    """alpha = 1 - |Gamma|^2, clamped to [0, 1], at each of the 1-D array
+    `frequencies`, with Gamma = (p - Z0*u) / (p + Z0*u) from the mouth state.
+
+    Callers evaluating many chains with the same panels on the same
+    frequencies may pass the panels' `panel_impedances` (see _mouth_state)
+    instead of having them recomputed.
+    """
+    frequencies = np.asarray(frequencies, dtype=float)
+    _check_frequency(frequencies)
+    p, u = _mouth_state(chain, frequencies, medium, panel_impedances)
+    z0_u = chain.characteristic_impedance(medium) * u
+    denominator = p + z0_u
+    bad = denominator == 0
     if np.any(bad):
-        freq = np.asarray(frequency, dtype=float)
-        offending = float(freq[bad][0]) if freq.ndim else float(freq)
-        raise SingularConfigurationError(offending)
-    return (matrix.a11 - z0 * matrix.a21) / denominator
+        raise SingularConfigurationError(float(frequencies[bad][0]))
+    gamma = (p - z0_u) / denominator
+    return np.clip(1.0 - np.abs(gamma) ** 2, 0.0, 1.0)
 
 
 def absorption_at(chain: ElementChain, frequency: float, medium: Medium = AIR) -> float:
-    """Normal-incidence absorption coefficient of the rigidly terminated chain.
-
-    alpha = 1 - |Gamma|^2 with Gamma = (a11 - Z0*a21) / (a11 + Z0*a21).
-    The result is clamped to [0, 1]; chains without an MPP are lossless and
-    return essentially zero.
+    """Normal-incidence absorption coefficient of the rigidly terminated
+    chain at one frequency: the one-point case of absorption_coefficients.
+    Chains without an MPP are lossless and return essentially zero.
     """
-    gamma = _reflection_coefficient(chain, frequency, medium)
-    alpha = 1.0 - float(abs(gamma)) ** 2
-    return float(min(1.0, max(0.0, alpha)))
+    return float(absorption_coefficients(chain, [frequency], medium)[0])
 
 
 def absorption_spectrum(
@@ -362,12 +406,11 @@ def absorption_spectrum(
 ) -> AbsorptionSpectrum:
     """Absorption coefficient sampled on a frequency grid.
 
-    Evaluation is vectorised but each grid point is independent; values
-    match absorption_at frequency by frequency.
+    Each grid point is independent; values match absorption_at frequency by
+    frequency.
     """
     frequencies = grid.frequencies()
-    gamma = _reflection_coefficient(chain, frequencies, medium)
-    alphas = np.clip(
-        1.0 - np.abs(gamma).astype(np.float64) ** 2, 0.0, 1.0
+    return AbsorptionSpectrum(
+        frequencies=frequencies,
+        alphas=absorption_coefficients(chain, frequencies, medium),
     )
-    return AbsorptionSpectrum(frequencies=frequencies, alphas=alphas)

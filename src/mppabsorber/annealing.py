@@ -11,13 +11,20 @@ fully deterministic for a given seed.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .acoustics import AIR, Medium, absorption_spectrum
-from .spectrum import DEFAULT_GRID, EffectiveBand, FrequencyGrid, effective_band
+from .acoustics import AIR, Medium, absorption_coefficients, mpp_normalized_impedance
+from .spectrum import (
+    DEFAULT_GRID,
+    AbsorptionSpectrum,
+    EffectiveBand,
+    FrequencyGrid,
+    effective_band,
+)
 from .structure import BOUNDS_MM, DESIGN_FIELDS, DesignVector, MppSet, build_chain
 
 __all__ = [
@@ -89,14 +96,45 @@ class TraceRow:
 
 @dataclass
 class OptimizationResult:
-    """Best-ever design of a run with its band and convergence trace."""
+    """Best-ever design of a run with its spectrum, band and convergence
+    trace."""
 
     best_design: DesignVector
     best_objective: float
+    best_spectrum: AbsorptionSpectrum = field(repr=False, compare=False)
     best_band: EffectiveBand | None
     objective_trace: list[TraceRow] = field(repr=False)
     evaluations: int = 0
     seed: int = 0
+
+
+@functools.lru_cache(maxsize=1)
+def _panel_impedances(mpps: MppSet, medium: Medium, grid: FrequencyGrid):
+    """Grid frequencies and the normalised Maa impedance of each panel on
+    them, all read-only.
+
+    Z/(rho0*c0) does not depend on the duct the panel sits in, so one set
+    serves every design of a run; the duct diameter passed here is a
+    placeholder.
+    """
+    frequencies = grid.frequencies()
+    impedances = tuple(
+        mpp_normalized_impedance(spec.panel(1.0), frequencies, medium) for spec in mpps
+    )
+    for array in (frequencies, *impedances):
+        array.flags.writeable = False
+    return frequencies, impedances
+
+
+def _spectrum(
+    design: DesignVector, mpps: MppSet, medium: Medium, grid: FrequencyGrid
+) -> AbsorptionSpectrum:
+    """Spectrum of a design on the grid, with the run's panel impedances."""
+    frequencies, impedances = _panel_impedances(mpps, medium, grid)
+    alphas = absorption_coefficients(
+        build_chain(design, mpps), frequencies, medium, impedances
+    )
+    return AbsorptionSpectrum(frequencies=frequencies, alphas=alphas)
 
 
 def objective(
@@ -107,8 +145,7 @@ def objective(
     threshold: float = 0.8,
 ) -> float:
     """Width of the longest effective band (Hz); 0.0 when none qualifies."""
-    spectrum = absorption_spectrum(build_chain(design, mpps), grid, medium)
-    band = effective_band(spectrum, threshold)
+    band = effective_band(_spectrum(design, mpps, medium, grid), threshold)
     return band.width if band is not None else 0.0
 
 
@@ -180,10 +217,11 @@ def anneal(
             )
         temperature = schedule.next_temperature(temperature)
 
-    best_spectrum = absorption_spectrum(build_chain(best, mpps), grid, medium)
+    best_spectrum = _spectrum(best, mpps, medium, grid)
     return OptimizationResult(
         best_design=best,
         best_objective=best_objective,
+        best_spectrum=best_spectrum,
         best_band=effective_band(best_spectrum, threshold),
         objective_trace=trace,
         evaluations=evaluations,

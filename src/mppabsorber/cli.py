@@ -129,13 +129,10 @@ def cmd_optimize(args) -> int:
     dump_config(best_config, out_dir / "best_design.json")
     (out_dir / "trace.csv").write_text(trace_csv(result), encoding="utf-8")
 
-    best_spectrum = absorption_spectrum(
-        best_config.structure.chain(), grid, config.medium
-    )
     report = (
         f"seed {schedule.seed}: best objective {result.best_objective:.3f} Hz"
         f" after {result.evaluations} evaluations\n"
-        + band_report(best_spectrum, args.threshold)
+        + band_report(result.best_spectrum, args.threshold)
     )
     (out_dir / "report.txt").write_text(report, encoding="utf-8")
     sys.stdout.write(report)

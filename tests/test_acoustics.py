@@ -25,7 +25,6 @@ from mppabsorber import (
     MppPanel,
     SingularConfigurationError,
     StraightPipe,
-    TransferMatrix,
     absorption_at,
     absorption_spectrum,
     build_chain,
@@ -371,10 +370,11 @@ class TestAbsorption:
         assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_singular_configuration_reported(self, monkeypatch, baseline_chain):
-        # force a11 + Z0*a21 == 0 exactly; unreachable through real geometry
+        # force a mouth state with p + Z0*u == 0 exactly; unreachable through
+        # real geometry
         z0 = baseline_chain.characteristic_impedance()
-        forced = TransferMatrix(-z0 + 0.0j, 0.0j, 1.0 + 0.0j, 0.0j)
-        monkeypatch.setattr(acoustics, "_compose", lambda *a, **k: forced)
+        forced = (np.array([-z0 + 0.0j]), np.array([1.0 + 0.0j]))
+        monkeypatch.setattr(acoustics, "_mouth_state", lambda *a, **k: forced)
         with pytest.raises(SingularConfigurationError) as excinfo:
             absorption_at(baseline_chain, 123.0)
         assert excinfo.value.frequency == 123.0
