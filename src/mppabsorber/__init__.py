@@ -42,7 +42,6 @@ from .spectrum import (
     FrequencyGrid,
     effective_band,
     effective_bands,
-    mean_alpha,
     octave_bands,
 )
 from .structure import (
@@ -55,7 +54,6 @@ from .structure import (
     MppSet,
     MppSpec,
     build_chain,
-    clamp_to_bounds,
     single_chamber_chain,
     validate_bounds,
 )

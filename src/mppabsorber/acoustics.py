@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import AbsorptionSpectrum, FrequencyGrid
+from .spectrum import AbsorptionSpectrum, FrequencyGrid, require_positive
 
 __all__ = [
     "AIR",
@@ -75,14 +75,7 @@ class Medium:
     temperature: float = 20.0         # degC, informational
 
     def __post_init__(self):
-        if self.sound_speed <= 0:
-            raise ValueError(f"sound_speed must be positive, got {self.sound_speed}")
-        if self.density <= 0:
-            raise ValueError(f"density must be positive, got {self.density}")
-        if self.dynamic_viscosity <= 0:
-            raise ValueError(
-                f"dynamic_viscosity must be positive, got {self.dynamic_viscosity}"
-            )
+        require_positive(self, "sound_speed", "density", "dynamic_viscosity")
 
     @property
     def characteristic_impedance(self) -> float:
@@ -112,16 +105,9 @@ class MppPanel:
     duct_diameter: float
 
     def __post_init__(self):
-        if self.thickness <= 0:
-            raise ValueError(f"panel thickness must be positive, got {self.thickness}")
-        if self.aperture <= 0:
-            raise ValueError(f"panel aperture must be positive, got {self.aperture}")
+        require_positive(self, "thickness", "aperture", "duct_diameter")
         if not 0 < self.porosity < 1:
             raise ValueError(f"porosity must be in (0, 1), got {self.porosity}")
-        if self.duct_diameter <= 0:
-            raise ValueError(
-                f"duct_diameter must be positive, got {self.duct_diameter}"
-            )
 
     @property
     def duct_area(self) -> float:
@@ -136,10 +122,7 @@ class StraightPipe:
     diameter: float
 
     def __post_init__(self):
-        if self.length <= 0:
-            raise ValueError(f"pipe length must be positive, got {self.length}")
-        if self.diameter <= 0:
-            raise ValueError(f"pipe diameter must be positive, got {self.diameter}")
+        require_positive(self, "length", "diameter")
 
     @property
     def area(self) -> float:
@@ -210,10 +193,7 @@ class ElementChain:
     def __post_init__(self):
         if len(self.elements) == 0:
             raise ValueError("element chain must not be empty")
-        if self.main_duct_diameter <= 0:
-            raise ValueError(
-                f"main_duct_diameter must be positive, got {self.main_duct_diameter}"
-            )
+        require_positive(self, "main_duct_diameter")
 
     @property
     def main_duct_area(self) -> float:
@@ -225,7 +205,7 @@ class ElementChain:
 
 
 def _check_frequency(frequency):
-    if np.any(np.asarray(frequency) <= 0):
+    if not np.all(np.asarray(frequency) > 0):
         raise ValueError(f"frequency must be positive, got {frequency}")
 
 
@@ -248,9 +228,9 @@ def mpp_normalized_impedance(panel: MppPanel, frequency, medium: Medium = AIR):
     Resistance: viscous losses in the holes plus a surface correction
     proportional to K*d/t. Reactance: the air-plug mass with the classic
     0.85*d/t end correction. The mass-term factor uses (9 + K^2/2)^(-1/2),
-    which decays with K as the boundary layer thins.
+    which decays with K as the boundary layer thins. perforate_constant
+    checks the frequency.
     """
-    _check_frequency(frequency)
     t, d, sigma = panel.thickness, panel.aperture, panel.porosity
     omega = 2.0 * np.pi * frequency
     k_perf = perforate_constant(frequency, d, medium)

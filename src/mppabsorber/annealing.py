@@ -24,6 +24,7 @@ from .spectrum import (
     EffectiveBand,
     FrequencyGrid,
     effective_band,
+    require_positive,
 )
 from .structure import BOUNDS_MM, DESIGN_FIELDS, DesignVector, MppSet, build_chain
 
@@ -62,6 +63,7 @@ class AnnealingSchedule:
     cooling_reading: str = "decrement"
 
     def __post_init__(self):
+        require_positive(self, "initial_temperature", "termination_temperature")
         if not 0 < self.cooling_rate < 1:
             raise ValueError(f"cooling_rate must be in (0, 1), got {self.cooling_rate}")
         if self.termination_temperature > self.initial_temperature:
@@ -70,8 +72,10 @@ class AnnealingSchedule:
             )
         if self.iterations_per_temperature < 1:
             raise ValueError("iterations_per_temperature must be at least 1")
-        if self.step_fraction < 0:
-            raise ValueError(f"step_fraction must be >= 0, got {self.step_fraction}")
+        if not 0 <= self.step_fraction < math.inf:
+            raise ValueError(
+                f"step_fraction must be finite and >= 0, got {self.step_fraction}"
+            )
         if self.cooling_reading not in ("decrement", "multiplier"):
             raise ValueError(
                 f"cooling_reading must be 'decrement' or 'multiplier',"
@@ -163,7 +167,7 @@ def neighbor(
 
 def accept(delta_objective: float, temperature: float, rng: np.random.Generator) -> bool:
     """Metropolis rule: improvements always, others with exp(delta/T)."""
-    if temperature <= 0:
+    if not temperature > 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     if delta_objective >= 0:
         return True

@@ -1,5 +1,15 @@
 """JSON run configuration: structure geometry, medium, grid and schedule.
 
+Each section is the JSON object of a dataclass, keyed by its fields in
+field order: `structure` is a ThreeChamberStructure (`design` a
+DesignVector, `mpps` a list of exactly three MppSpec panels) or, with
+`"type": "single_chamber"`, a SingleChamberStructure; `medium` is a Medium,
+`grid` a FrequencyGrid and `schedule` an AnnealingSchedule. A field with no
+default is required, a missing or null optional field takes its default,
+and an unknown key is an error. Numbers must be finite (no NaN or
+Infinity), and booleans are not numbers. Each dataclass then applies its
+own rules, such as positive lengths.
+
 Files carry lengths in millimetres (matching the engineering tables);
 conversion to SI happens when chains are built. Emitted files re-parse to
 identical values, so an optimization result can be fed straight back into
@@ -8,21 +18,17 @@ the simulate command.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 from .acoustics import AIR, ElementChain, Medium
 from .annealing import AnnealingSchedule
 from .spectrum import DEFAULT_GRID, FrequencyGrid
-from .structure import (
-    DESIGN_FIELDS,
-    DesignVector,
-    MppSet,
-    MppSpec,
-    build_chain,
-    single_chamber_chain,
-)
+from .structure import DesignVector, MppSet, MppSpec, build_chain, single_chamber_chain
 
 __all__ = [
     "ConfigError",
@@ -31,7 +37,6 @@ __all__ = [
     "ThreeChamberStructure",
     "dump_config",
     "load_config",
-    "structure_to_dict",
 ]
 
 
@@ -57,13 +62,7 @@ class SingleChamberStructure:
     mpp: MppSpec
 
     def chain(self) -> ElementChain:
-        return single_chamber_chain(
-            self.mpp,
-            main_diameter_mm=self.d_m,
-            main_length_mm=self.l_m,
-            chamber_diameter_mm=self.d_e,
-            chamber_thickness_mm=self.t_e,
-        )
+        return single_chamber_chain(self.mpp, self.d_m, self.l_m, self.d_e, self.t_e)
 
 
 @dataclass(frozen=True)
@@ -74,153 +73,77 @@ class RunConfig:
     schedule: AnnealingSchedule | None = None
 
 
-def _require(mapping: dict, key: str, context: str):
-    if key not in mapping:
-        raise ConfigError(f"{context}.{key}: missing required field")
-    return mapping[key]
+# The "type" tag of a structure section and the dataclass it selects.
+_STRUCTURE_TYPES = {
+    "three_chamber": ThreeChamberStructure,
+    "single_chamber": SingleChamberStructure,
+}
 
 
-def _number(value, context: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{context}: expected a number, got {value!r}")
-    return float(value)
-
-
-def _parse_mpp(data, context: str) -> MppSpec:
-    if not isinstance(data, dict):
-        raise ConfigError(f"{context}: expected an object with thickness/aperture/porosity")
-    try:
-        return MppSpec(
-            thickness=_number(_require(data, "thickness", context), f"{context}.thickness"),
-            aperture=_number(_require(data, "aperture", context), f"{context}.aperture"),
-            porosity=_number(_require(data, "porosity", context), f"{context}.porosity"),
+def _decode(cls, data, context: str):
+    """`data`, parsed from JSON, as a value of type `cls`: a config dataclass,
+    `X | None`, the structure union, float, int or str. `context` is the
+    dotted path of `data`, used in error messages."""
+    options = [arg for arg in typing.get_args(cls) if arg is not type(None)]
+    if len(options) == 1:  # X | None; a null is taken as absent before here
+        cls = options[0]
+    if cls is float:
+        # NaN fails the comparison; so do infinities and ints beyond the float range
+        if type(data) not in (int, float) or not abs(data) <= sys.float_info.max:
+            raise ConfigError(f"{context}: expected a finite number, got {data!r}")
+        return float(data)
+    if cls in (int, str):
+        if type(data) is not cls:
+            raise ConfigError(f"{context}: expected {cls.__name__}, got {data!r}")
+        return data
+    if cls is MppSet:
+        if not isinstance(data, list) or len(data) != 3:
+            raise ConfigError(f"{context}: expected a list of exactly 3 panels")
+        return MppSet(
+            *(_decode(MppSpec, item, f"{context}[{i}]") for i, item in enumerate(data))
         )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"{context}: {exc}") from exc
-
-
-def _parse_structure(data, context: str = "structure"):
     if not isinstance(data, dict):
         raise ConfigError(f"{context}: expected an object")
-    kind = data.get("type", "three_chamber")
-    if kind == "three_chamber":
-        design_data = _require(data, "design", context)
-        if not isinstance(design_data, dict):
-            raise ConfigError(f"{context}.design: expected an object")
-        unknown = set(design_data) - set(DESIGN_FIELDS)
-        if unknown:
-            raise ConfigError(
-                f"{context}.design.{sorted(unknown)[0]}: unknown design field"
-            )
-        values = {
-            name: _number(
-                _require(design_data, name, f"{context}.design"),
-                f"{context}.design.{name}",
-            )
-            for name in DESIGN_FIELDS
-        }
-        try:
-            design = DesignVector(**values)
-        except ValueError as exc:
-            raise ConfigError(f"{context}.design: {exc}") from exc
-        mpps_data = _require(data, "mpps", context)
-        if not isinstance(mpps_data, list) or len(mpps_data) != 3:
-            raise ConfigError(f"{context}.mpps: expected a list of exactly 3 panels")
-        panels = [
-            _parse_mpp(item, f"{context}.mpps[{i}]") for i, item in enumerate(mpps_data)
-        ]
-        return ThreeChamberStructure(design=design, mpps=MppSet(*panels))
-    if kind == "single_chamber":
-        try:
-            return SingleChamberStructure(
-                d_m=_number(_require(data, "d_m", context), f"{context}.d_m"),
-                l_m=_number(_require(data, "l_m", context), f"{context}.l_m"),
-                d_e=_number(_require(data, "d_e", context), f"{context}.d_e"),
-                t_e=_number(_require(data, "t_e", context), f"{context}.t_e"),
-                mpp=_parse_mpp(_require(data, "mpp", context), f"{context}.mpp"),
-            )
-        except ValueError as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(f"{context}: {exc}") from exc
-    raise ConfigError(f"{context}.type: unknown structure type {kind!r}")
-
-
-def _parse_medium(data, context: str = "medium") -> Medium:
-    if data is None:
-        return AIR
-    if not isinstance(data, dict):
-        raise ConfigError(f"{context}: expected an object")
-    allowed = {"sound_speed", "density", "dynamic_viscosity", "temperature"}
-    unknown = set(data) - allowed
+    if len(options) > 1:  # the structure union
+        data = dict(data)
+        kind = data.pop("type", "three_chamber")
+        cls = _STRUCTURE_TYPES.get(kind) if isinstance(kind, str) else None
+        if cls is None:
+            raise ConfigError(f"{context}.type: unknown structure type {kind!r}")
+    prefix = f"{context}." if context else ""
+    fields = dataclasses.fields(cls)
+    unknown = sorted(set(data) - {field.name for field in fields})
     if unknown:
-        raise ConfigError(f"{context}.{sorted(unknown)[0]}: unknown medium field")
-    values = {key: _number(value, f"{context}.{key}") for key, value in data.items()}
-    try:
-        return Medium(**values)
-    except ValueError as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
-
-
-def _parse_grid(data, context: str = "grid") -> FrequencyGrid:
-    if data is None:
-        return DEFAULT_GRID
-    if not isinstance(data, dict):
-        raise ConfigError(f"{context}: expected an object")
-    unknown = set(data) - {"f_min", "f_max", "step"}
-    if unknown:
-        raise ConfigError(f"{context}.{sorted(unknown)[0]}: unknown grid field")
-    try:
-        return FrequencyGrid(
-            f_min=_number(_require(data, "f_min", context), f"{context}.f_min"),
-            f_max=_number(_require(data, "f_max", context), f"{context}.f_max"),
-            step=_number(_require(data, "step", context), f"{context}.step"),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"{context}: {exc}") from exc
-
-
-def _parse_schedule(data, context: str = "schedule") -> AnnealingSchedule | None:
-    if data is None:
-        return None
-    if not isinstance(data, dict):
-        raise ConfigError(f"{context}: expected an object")
-    defaults = AnnealingSchedule()
-    allowed = {
-        "initial_temperature",
-        "iterations_per_temperature",
-        "cooling_rate",
-        "termination_temperature",
-        "step_fraction",
-        "seed",
-        "cooling_reading",
-    }
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigError(f"{context}.{sorted(unknown)[0]}: unknown schedule field")
+        raise ConfigError(f"{prefix}{unknown[0]}: unknown field")
+    hints = typing.get_type_hints(cls)
     values = {}
-    for key in allowed:
-        if key not in data:
-            continue
-        value = data[key]
-        if key == "cooling_reading":
-            if not isinstance(value, str):
-                raise ConfigError(f"{context}.{key}: expected a string")
-            values[key] = value
-        elif key in ("iterations_per_temperature", "seed"):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{context}.{key}: expected an integer")
-            values[key] = value
-        else:
-            values[key] = _number(value, f"{context}.{key}")
+    for field in fields:
+        if data.get(field.name) is not None:
+            values[field.name] = _decode(
+                hints[field.name], data[field.name], prefix + field.name
+            )
+        elif field.default is dataclasses.MISSING:
+            raise ConfigError(f"{prefix}{field.name}: missing required field")
     try:
-        return AnnealingSchedule(**{**defaults.__dict__, **values})
+        return cls(**values)
     except ValueError as exc:
         raise ConfigError(f"{context}: {exc}") from exc
+
+
+def _encode(value):
+    """JSON form of a config value: the inverse of _decode, None fields
+    left out."""
+    if isinstance(value, MppSet):
+        return [_encode(panel) for panel in value]
+    if not dataclasses.is_dataclass(value):
+        return value
+    # a structure's "type" tag comes first
+    data = {"type": tag for tag, cls in _STRUCTURE_TYPES.items() if type(value) is cls}
+    for field in dataclasses.fields(value):
+        item = getattr(value, field.name)
+        if item is not None:
+            data[field.name] = _encode(item)
+    return data
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -234,76 +157,10 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    unknown = set(raw) - {"structure", "medium", "grid", "schedule"}
-    if unknown:
-        raise ConfigError(f"{sorted(unknown)[0]}: unknown top-level field")
-    return RunConfig(
-        structure=_parse_structure(_require(raw, "structure", path.name)),
-        medium=_parse_medium(raw.get("medium")),
-        grid=_parse_grid(raw.get("grid")),
-        schedule=_parse_schedule(raw.get("schedule")),
-    )
-
-
-def structure_to_dict(structure) -> dict:
-    if isinstance(structure, ThreeChamberStructure):
-        return {
-            "type": "three_chamber",
-            "design": structure.design.as_dict(),
-            "mpps": [
-                {
-                    "thickness": panel.thickness,
-                    "aperture": panel.aperture,
-                    "porosity": panel.porosity,
-                }
-                for panel in structure.mpps
-            ],
-        }
-    if isinstance(structure, SingleChamberStructure):
-        return {
-            "type": "single_chamber",
-            "d_m": structure.d_m,
-            "l_m": structure.l_m,
-            "d_e": structure.d_e,
-            "t_e": structure.t_e,
-            "mpp": {
-                "thickness": structure.mpp.thickness,
-                "aperture": structure.mpp.aperture,
-                "porosity": structure.mpp.porosity,
-            },
-        }
-    raise TypeError(f"unknown structure {structure!r}")
-
-
-def config_to_dict(config: RunConfig) -> dict:
-    data = {
-        "structure": structure_to_dict(config.structure),
-        "medium": {
-            "sound_speed": config.medium.sound_speed,
-            "density": config.medium.density,
-            "dynamic_viscosity": config.medium.dynamic_viscosity,
-            "temperature": config.medium.temperature,
-        },
-        "grid": {
-            "f_min": config.grid.f_min,
-            "f_max": config.grid.f_max,
-            "step": config.grid.step,
-        },
-    }
-    if config.schedule is not None:
-        data["schedule"] = {
-            "initial_temperature": config.schedule.initial_temperature,
-            "iterations_per_temperature": config.schedule.iterations_per_temperature,
-            "cooling_rate": config.schedule.cooling_rate,
-            "termination_temperature": config.schedule.termination_temperature,
-            "step_fraction": config.schedule.step_fraction,
-            "seed": config.schedule.seed,
-            "cooling_reading": config.schedule.cooling_reading,
-        }
-    return data
+    return _decode(RunConfig, raw, "")
 
 
 def dump_config(config: RunConfig, path: str | Path) -> None:
     """Write a configuration that load_config parses back identically."""
-    text = json.dumps(config_to_dict(config), indent=2) + "\n"
+    text = json.dumps(_encode(config), indent=2) + "\n"
     Path(path).write_text(text, encoding="utf-8")

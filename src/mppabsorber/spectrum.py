@@ -15,14 +15,29 @@ import numpy as np
 
 __all__ = [
     "DEFAULT_GRID",
+    "MAX_GRID_POINTS",
     "AbsorptionSpectrum",
     "EffectiveBand",
     "FrequencyGrid",
     "effective_band",
     "effective_bands",
-    "mean_alpha",
     "octave_bands",
+    "require_positive",
 ]
+
+# Largest grid accepted: far above any plane-wave spectrum worth computing
+# (0.01 Hz over 2 kHz is ~2e5 points), well below what exhausts memory.
+MAX_GRID_POINTS = 10**7
+
+
+def require_positive(owner, *names: str) -> None:
+    """Raise ValueError unless each named attribute of `owner` satisfies
+    0 < value < inf; NaN and infinities fail."""
+    for name in names:
+        value = getattr(owner, name)
+        if not 0 < value < math.inf:
+            owner_name = type(owner).__name__
+            raise ValueError(f"{owner_name}.{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -34,21 +49,19 @@ class FrequencyGrid:
     step: float
 
     def __post_init__(self):
-        if not 0 < self.f_min < self.f_max:
+        require_positive(self, "f_min", "f_max", "step")
+        if not self.f_min < self.f_max:
             raise ValueError(
-                f"require 0 < f_min < f_max, got ({self.f_min}, {self.f_max})"
+                f"require f_min < f_max, got ({self.f_min}, {self.f_max})"
             )
-        if self.step <= 0:
-            raise ValueError(f"step must be positive, got {self.step}")
+        # compared as floats: the step count is inf when step << f_max - f_min
+        if (self.f_max - self.f_min) / self.step >= MAX_GRID_POINTS:
+            raise ValueError(f"grid has more than {MAX_GRID_POINTS} points")
 
     def frequencies(self) -> np.ndarray:
         # round-tolerant count so f_max is included when it lands on a step
         n = int(math.floor((self.f_max - self.f_min) / self.step + 1e-9)) + 1
         return self.f_min + self.step * np.arange(n)
-
-    def refined(self, factor: int = 2) -> "FrequencyGrid":
-        """Same span with the step divided by `factor`."""
-        return FrequencyGrid(self.f_min, self.f_max, self.step / factor)
 
 
 # 1 Hz resolution resolves the sub-10 Hz cutoffs of wideband designs; 2 kHz
@@ -93,15 +106,15 @@ class EffectiveBand:
 
 def octave_bands(f_low: float, f_high: float) -> float:
     """Number of octaves spanned: log2(f_high / f_low)."""
-    if f_low <= 0 or f_high <= 0:
-        raise ValueError(f"frequencies must be positive, got ({f_low}, {f_high})")
-    if f_high <= f_low:
-        raise ValueError(f"require f_low < f_high, got ({f_low}, {f_high})")
+    if not 0 < f_low < f_high < math.inf:
+        raise ValueError(f"require 0 < f_low < f_high < inf, got ({f_low}, {f_high})")
     return math.log2(f_high / f_low)
 
 
 def _runs_at_or_above(alphas: np.ndarray, threshold: float) -> list[tuple[int, int]]:
     """Inclusive (start, end) index pairs of maximal runs with alpha >= threshold."""
+    if not 0 < threshold < 1:
+        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     qualifying = alphas >= threshold
     padded = np.concatenate(([False], qualifying, [False]))
     edges = np.flatnonzero(np.diff(padded.astype(np.int8)))
@@ -141,8 +154,6 @@ def effective_bands(
     spectrum: AbsorptionSpectrum, threshold: float = 0.8
 ) -> list[EffectiveBand]:
     """All alpha >= threshold bands in ascending frequency order."""
-    if not 0 < threshold < 1:
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     return [
         _interpolated_band(spectrum, start, end, threshold)
         for start, end in _runs_at_or_above(spectrum.alphas, threshold)
@@ -158,20 +169,8 @@ def effective_band(
     run. Edges are interpolated to alpha == threshold exactly (except at the
     grid boundary, where the grid edge is used).
     """
-    if not 0 < threshold < 1:
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     runs = _runs_at_or_above(spectrum.alphas, threshold)
     if not runs:
         return None
     start, end = max(runs, key=lambda run: (run[1] - run[0], -run[0]))
     return _interpolated_band(spectrum, start, end, threshold)
-
-
-def mean_alpha(spectrum: AbsorptionSpectrum, band: EffectiveBand) -> float:
-    """Arithmetic mean of alpha over grid points inside [f_low, f_high]."""
-    inside = (spectrum.frequencies >= band.f_low) & (spectrum.frequencies <= band.f_high)
-    if not np.any(inside):
-        raise ValueError(
-            f"band ({band.f_low}, {band.f_high}) contains no grid point"
-        )
-    return float(np.mean(spectrum.alphas[inside]))

@@ -9,11 +9,12 @@ chamber) is provided as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .acoustics import AreaChange, ElementChain, Mpp, MppPanel, StraightPipe
+from .spectrum import require_positive
 
 __all__ = [
     "BASELINE_DESIGN",
@@ -25,7 +26,6 @@ __all__ = [
     "MppSet",
     "MppSpec",
     "build_chain",
-    "clamp_to_bounds",
     "OPTIMIZED_DESIGN",
     "single_chamber_chain",
     "validate_bounds",
@@ -76,12 +76,7 @@ class DesignVector:
     l_6: float
 
     def __post_init__(self):
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if value <= 0:
-                raise ValueError(
-                    f"design field {field.name} must be positive, got {value}"
-                )
+        require_positive(self, *DESIGN_FIELDS)
 
     def as_array(self) -> np.ndarray:
         """Values in the canonical DESIGN_FIELDS order."""
@@ -110,12 +105,7 @@ class MppSpec:
     porosity: float
 
     def __post_init__(self):
-        if self.thickness <= 0:
-            raise ValueError(f"mpp thickness must be positive, got {self.thickness}")
-        if self.aperture <= 0:
-            raise ValueError(f"mpp aperture must be positive, got {self.aperture}")
-        if not 0 < self.porosity < 1:
-            raise ValueError(f"mpp porosity must be in (0, 1), got {self.porosity}")
+        self.panel(1.0)  # MppPanel holds the rules for the triple
 
     def panel(self, duct_diameter_mm: float) -> MppPanel:
         """SI panel embedded in a duct of the given diameter (mm)."""
@@ -233,12 +223,3 @@ def validate_bounds(design: DesignVector) -> list[BoundViolation]:
         if not lower <= value <= upper:
             violations.append(BoundViolation(name, value, lower, upper))
     return violations
-
-
-def clamp_to_bounds(design: DesignVector) -> DesignVector:
-    """Design with every field clipped into its box bound."""
-    clamped = {
-        name: min(max(getattr(design, name), lower), upper)
-        for name, (lower, upper) in BOUNDS_MM.items()
-    }
-    return DesignVector(**clamped)

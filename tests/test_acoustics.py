@@ -109,6 +109,8 @@ class TestMedium:
             {"sound_speed": 0.0},
             {"density": -1.0},
             {"dynamic_viscosity": 0.0},
+            {"sound_speed": math.nan},
+            {"density": math.inf},
         ],
     )
     def test_rejects_nonpositive_properties(self, kwargs):
@@ -194,7 +196,7 @@ class TestMppImpedance:
                 complex(r, x), rel=1e-12
             )
 
-    @pytest.mark.parametrize("porosity", [0.0, 1.0, 1.5, -0.1])
+    @pytest.mark.parametrize("porosity", [0.0, 1.0, 1.5, -0.1, math.nan])
     def test_rejects_bad_porosity(self, porosity):
         with pytest.raises(ValueError):
             MppPanel(0.6e-3, 0.2e-3, porosity, 10e-3)
@@ -241,6 +243,8 @@ class TestElementMatrix:
     def test_rejects_nonpositive_frequency(self):
         with pytest.raises(ValueError):
             element_matrix(StraightPipe(0.1, 0.01), 0.0)
+        with pytest.raises(ValueError):
+            element_matrix(StraightPipe(0.1, 0.01), math.nan)
 
 
 class TestChainMatrix:

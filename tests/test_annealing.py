@@ -104,6 +104,8 @@ class TestAccept:
     def test_rejects_nonpositive_temperature(self):
         with pytest.raises(ValueError):
             accept(-1.0, 0.0, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            accept(-1.0, math.nan, np.random.default_rng(0))
 
 
 class TestSchedule:
@@ -128,6 +130,13 @@ class TestSchedule:
             {"iterations_per_temperature": 0},
             {"step_fraction": -0.1},
             {"cooling_reading": "geometric"},
+            {"initial_temperature": -5.0, "termination_temperature": -10.0},
+            {"initial_temperature": math.nan},
+            {"initial_temperature": math.inf},
+            {"termination_temperature": 0.0},
+            {"termination_temperature": math.nan},
+            {"step_fraction": math.inf},
+            {"step_fraction": math.nan},
         ],
     )
     def test_invalid_schedules_rejected(self, kwargs):

@@ -279,6 +279,17 @@ class TestErrors:
         assert code == 1
         assert "l_9" in stderr
 
+    def test_nan_dimension_rejected(self, capsys, tmp_path, config_dir):
+        config = json.loads((config_dir / BASELINE).read_text())
+        config["structure"]["design"]["d_m"] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(config))
+        code, _, stderr = run_cli(
+            capsys, "simulate", "--config", path, "--out", tmp_path / "s.csv"
+        )
+        assert code == 1
+        assert "d_m" in stderr
+
     def test_nonpositive_dimension_rejected(self, capsys, tmp_path, config_dir):
         config = json.loads((config_dir / BASELINE).read_text())
         config["structure"]["design"]["l_2"] = -5.0

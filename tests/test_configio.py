@@ -1,6 +1,8 @@
 """Config serialization: mm-unit JSON files that round-trip bit-exactly."""
 
 import json
+import math
+import re
 
 import pytest
 
@@ -92,6 +94,24 @@ def test_partial_medium_override(tmp_path):
     assert config.medium.sound_speed == 343.0  # default preserved
 
 
+# One field of each section, and values that are not finite floats.
+SECTION_FIELDS = {
+    "structure.design": ("d_m", lambda c: c["structure"]["design"]),
+    "structure.mpps[1]": ("aperture", lambda c: c["structure"]["mpps"][1]),
+    "medium": ("temperature", lambda c: c.setdefault("medium", {})),
+    "grid": ("step", lambda c: c["grid"]),
+    "schedule": ("initial_temperature", lambda c: c["schedule"]),
+}
+NOT_FINITE_NUMBERS = {
+    "nan": math.nan, "inf": math.inf, "huge": 10**400, "true": True, "string": "x",
+}
+
+
+def _setting(section, value):
+    field, locate = SECTION_FIELDS[section]
+    return lambda config: locate(config).__setitem__(field, value)
+
+
 @pytest.mark.parametrize(
     "mutate, fragment",
     [
@@ -103,6 +123,13 @@ def test_partial_medium_override(tmp_path):
         (lambda c: c["schedule"].__setitem__("cooling_reading", "warmup"), "cooling_reading"),
         (lambda c: c["grid"].__setitem__("step", -1.0), "grid"),
         (lambda c: c.__setitem__("extras", {}), "extras"),
+        *(
+            pytest.param(
+                _setting(section, value), re.escape(f"{section}."), id=f"{label}-{section}",
+            )
+            for section in SECTION_FIELDS
+            for label, value in NOT_FINITE_NUMBERS.items()
+        ),
     ],
 )
 def test_malformed_configs_name_the_field(tmp_path, mutate, fragment):
@@ -124,3 +151,13 @@ def test_malformed_configs_name_the_field(tmp_path, mutate, fragment):
     path.write_text(json.dumps(config))
     with pytest.raises(ConfigError, match=fragment):
         load_config(path)
+
+
+@pytest.mark.parametrize(
+    "name", ["single_chamber", "three_chamber_baseline", "three_chamber_optimized"]
+)
+def test_dump_of_load_is_a_fixed_point(tmp_path, config_dir, name):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    dump_config(load_config(config_dir / f"{name}.json"), first)
+    dump_config(load_config(first), second)
+    assert second.read_bytes() == first.read_bytes()

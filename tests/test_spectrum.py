@@ -1,20 +1,30 @@
 """Band extraction, octave measure and grid behaviour."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from mppabsorber import (
     AbsorptionSpectrum,
+    AnnealingSchedule,
+    AreaChange,
+    BASELINE_DESIGN,
     DEFAULT_GRID,
+    DesignVector,
+    ElementChain,
     FrequencyGrid,
+    Medium,
+    MppPanel,
+    MppSpec,
+    StraightPipe,
     absorption_spectrum,
     effective_band,
     effective_bands,
-    mean_alpha,
     octave_bands,
 )
+from mppabsorber.spectrum import MAX_GRID_POINTS, require_positive
 
 
 def spectrum_of(freqs, alphas):
@@ -37,10 +47,55 @@ class TestFrequencyGrid:
     def test_endpoint_excluded_when_off_step(self):
         assert FrequencyGrid(10.0, 11.2, 0.5).frequencies().tolist() == [10.0, 10.5, 11.0]
 
-    @pytest.mark.parametrize("args", [(0.0, 100.0, 1.0), (50.0, 50.0, 1.0), (10.0, 5.0, 1.0), (1.0, 10.0, 0.0)])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (0.0, 100.0, 1.0), (50.0, 50.0, 1.0), (10.0, 5.0, 1.0), (1.0, 10.0, 0.0),
+            (1.0, math.inf, 1.0), (math.nan, 10.0, 1.0), (1.0, math.nan, 1.0),
+            (1.0, 10.0, math.nan), (1.0, 2000.0, 5e-324),
+        ],
+    )
     def test_invalid_grids_rejected(self, args):
         with pytest.raises(ValueError):
             FrequencyGrid(*args)
+
+    def test_point_count_capped(self):
+        # construction alone checks the count; no array is built here
+        FrequencyGrid(1.0, float(MAX_GRID_POINTS), 1.0)  # exactly at the cap
+        with pytest.raises(ValueError, match="points"):
+            FrequencyGrid(1.0, 1.0 + MAX_GRID_POINTS, 1.0)
+        with pytest.raises(ValueError, match="points"):
+            FrequencyGrid(1.0, 2000.0, 1e-5)
+
+
+class TestRequirePositive:
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_refuses_non_positive_and_non_finite(self, value):
+        owner = SimpleNamespace(a=1.0, b=value)
+        with pytest.raises(ValueError, match="b must be finite and positive"):
+            require_positive(owner, "a", "b")
+
+    def test_accepts_finite_positive(self):
+        require_positive(SimpleNamespace(a=5e-324, b=1.7e308, c=3), "a", "b", "c")
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda v: Medium(density=v),
+            lambda v: MppPanel(0.6e-3, 0.2e-3, 0.025, v),
+            lambda v: StraightPipe(v, 0.01),
+            lambda v: ElementChain((AreaChange(),), v),
+            lambda v: DesignVector(**{**BASELINE_DESIGN.as_dict(), "l_4": v}),
+            lambda v: MppSpec(0.6, v, 0.025),
+            lambda v: FrequencyGrid(1.0, 2000.0, v),
+            lambda v: AnnealingSchedule(termination_temperature=v),
+        ],
+        ids=["medium", "panel", "pipe", "chain", "design", "mpp", "grid", "schedule"],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_every_validated_dataclass_refuses_non_finite(self, build, value):
+        with pytest.raises(ValueError, match="finite and positive"):
+            build(value)
 
 
 class TestSpectrumInvariants:
@@ -109,6 +164,9 @@ class TestEffectiveBand:
         with pytest.raises(ValueError):
             effective_band(spectrum, threshold)
 
+    def test_band_mean_at_least_threshold(self, baseline_spectrum):
+        assert effective_band(baseline_spectrum).mean_alpha >= 0.8
+
     def test_all_bands_listed_ascending(self, single_spectrum):
         bands = effective_bands(single_spectrum)
         assert len(bands) == 2
@@ -117,7 +175,8 @@ class TestEffectiveBand:
     def test_grid_refinement_moves_edges_less_than_coarse_step(self, baseline_chain):
         coarse_grid = FrequencyGrid(1.0, 2000.0, 2.0)
         coarse = effective_band(absorption_spectrum(baseline_chain, coarse_grid))
-        fine = effective_band(absorption_spectrum(baseline_chain, coarse_grid.refined()))
+        fine_grid = FrequencyGrid(1.0, 2000.0, 1.0)
+        fine = effective_band(absorption_spectrum(baseline_chain, fine_grid))
         assert abs(coarse.f_low - fine.f_low) < coarse_grid.step
         assert abs(coarse.f_high - fine.f_high) < coarse_grid.step
 
@@ -145,26 +204,13 @@ class TestOctaveBands:
                 octave_bands(a, c), abs=1e-12
             )
 
-    @pytest.mark.parametrize("args", [(0.0, 10.0), (-1.0, 10.0), (10.0, 10.0), (20.0, 10.0)])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (0.0, 10.0), (-1.0, 10.0), (10.0, 10.0), (20.0, 10.0),
+            (math.nan, 10.0), (1.0, math.inf),
+        ],
+    )
     def test_invalid_inputs_rejected(self, args):
         with pytest.raises(ValueError):
             octave_bands(*args)
-
-
-class TestMeanAlpha:
-    def test_constant_spectrum(self):
-        spectrum = spectrum_of([10, 20, 30], [0.9, 0.9, 0.9])
-        band = effective_band(spectrum)
-        assert mean_alpha(spectrum, band) == pytest.approx(0.9)
-
-    def test_band_mean_at_least_threshold(self, baseline_spectrum):
-        band = effective_band(baseline_spectrum)
-        assert mean_alpha(baseline_spectrum, band) >= 0.8
-        assert band.mean_alpha == pytest.approx(mean_alpha(baseline_spectrum, band))
-
-    def test_empty_intersection_rejected(self):
-        spectrum = spectrum_of([10, 20, 30], [0.9, 0.9, 0.9])
-        band = effective_band(spectrum)
-        shifted = spectrum_of([100, 200], [0.5, 0.5])
-        with pytest.raises(ValueError):
-            mean_alpha(shifted, band)

@@ -13,7 +13,6 @@ from mppabsorber import (
     MppSpec,
     StraightPipe,
     build_chain,
-    clamp_to_bounds,
     single_chamber_chain,
     validate_bounds,
 )
@@ -108,13 +107,6 @@ class TestBounds:
     def test_optimized_design_touches_a_bound(self):
         # l_3 sits exactly on its lower bound and must not be flagged
         assert OPTIMIZED_DESIGN.l_3 == BOUNDS_MM["l_3"][0]
-
-    def test_clamp_brings_design_inside(self):
-        clamped = clamp_to_bounds(BASELINE_DESIGN)
-        assert validate_bounds(clamped) == []
-        assert clamped.l_1 == 80.0
-        assert clamped.l_1p == 10.0
-        assert clamped.d_m == BASELINE_DESIGN.d_m  # untouched when inside
 
 
 class TestDesignVectorArray:
