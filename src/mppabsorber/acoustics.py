@@ -10,6 +10,12 @@ chain matrix and gives the reflection coefficient, hence the
 normal-incidence absorption coefficient. The full matrix product is built
 only by `chain_matrix`, in extended precision, for its determinant.
 
+The absorption solver takes its frequencies as an arithmetic progression
+(start, step, count): a grid's f_min, step and point count, or one
+frequency with count 1. The pipes' cos/sin tables then come from angle
+addition (`_phase_trig`), about 2*sqrt(count) trig calls per pipe instead
+of count.
+
 MPP hole impedance follows Maa's classic micro-perforated panel model
 (viscous resistance plus mass reactance with end corrections). Pipes are
 lossless: all dissipation is attributed to the panels.
@@ -44,6 +50,7 @@ __all__ = [
     "absorption_spectrum",
     "chain_matrix",
     "circle_area",
+    "cut_on_frequency",
     "element_matrix",
     "mpp_normalized_impedance",
     "perforate_constant",
@@ -204,6 +211,17 @@ class ElementChain:
         return medium.characteristic_impedance / self.main_duct_area
 
 
+def cut_on_frequency(chain: ElementChain, medium: Medium = AIR) -> float:
+    """First cross-mode cut-on of the chain's widest duct (Hz),
+    1.8412*c0/(pi*D_max), where 1.8412 is the first zero of J1'. Above it
+    the (1,1) mode propagates and the plane-wave model no longer holds."""
+    widest = max(
+        [chain.main_duct_diameter]
+        + [e.diameter for e in chain.elements if isinstance(e, StraightPipe)]
+    )
+    return 1.8412 * medium.sound_speed / (math.pi * widest)
+
+
 def _check_frequency(frequency):
     if not np.all(np.asarray(frequency) > 0):
         raise ValueError(f"frequency must be positive, got {frequency}")
@@ -310,75 +328,121 @@ def chain_matrix(chain: ElementChain, frequency, medium: Medium = AIR) -> Transf
     return matrix
 
 
+def _phase_trig(lengths, start: float, step: float, count: int, sound_speed: float):
+    """cos and sin of the pipe phases l*k at the frequencies start + n*step,
+    n < count, as two (len(lengths), count) arrays.
+
+    Two-level angle addition: with block = isqrt(count) and n = q*block + r,
+    only the fine angles l*k(start + r*step) and the coarse angles
+    l*k(q*block*step) go through cos/sin. Batched over pipes,
+    [cos_c, -sin_c] @ [cos_f; sin_f] and [sin_c, cos_c] @ [cos_f; sin_f]
+    form the tables; one stacked matmul would put a 2000-point grid's output
+    over glibc's 128 KiB mmap threshold. The q = 0 coarse angle is exactly 0,
+    so the first block (the whole table when count == 1) is direct cos/sin
+    bit for bit; elsewhere the error is a few ulp of the angle.
+    """
+    n_pipes = len(lengths)
+    block = math.isqrt(count)
+    rows = -(-count // block)
+    fine = np.multiply.outer(
+        lengths, 2.0 * np.pi * (start + step * np.arange(block)) / sound_speed
+    )
+    coarse = np.multiply.outer(
+        lengths, 2.0 * np.pi * (step * (block * np.arange(rows))) / sound_speed
+    )
+    rotation = np.empty((n_pipes, 2 * rows, 2))
+    cos_c, sin_c = rotation[:, :rows, 0], rotation[:, rows:, 0]
+    np.cos(coarse, out=cos_c)
+    np.sin(coarse, out=sin_c)
+    np.negative(sin_c, out=rotation[:, :rows, 1])
+    rotation[:, rows:, 1] = cos_c
+    fine_trig = np.empty((n_pipes, 2, block))
+    np.cos(fine, out=fine_trig[:, 0])
+    np.sin(fine, out=fine_trig[:, 1])
+    cos = (rotation[:, :rows] @ fine_trig).reshape(n_pipes, rows * block)[:, :count]
+    sin = (rotation[:, rows:] @ fine_trig).reshape(n_pipes, rows * block)[:, :count]
+    return cos, sin
+
+
 def _mouth_state(
-    chain: ElementChain, frequencies: np.ndarray, medium: Medium, panel_impedances=None
+    chain: ElementChain, start, step, count, medium: Medium, panel_impedances=None
 ):
     """(p, u) at the mouth for (1, 0) at the rigid wall: the first column
-    (a11, a21) of the chain matrix.
+    (a11, a21) of the chain matrix, at the frequencies start + n*step, n < count.
 
     The wall state is carried to the mouth element by element, the
     impedance-translation form of the four-pole method (Munjal, Acoustics of
     Ducts and Mufflers, 2nd ed., Wiley 2014, ch. 2-3): a pipe costs four
-    multiply-adds, an MPP adds Z*u to p, an area change does nothing.
+    multiply-adds, an MPP adds Z*u to p, an area change does nothing. The
+    pipes' cos/sin come from angle-addition tables (`_phase_trig`). Up to the
+    first MPP from the wall the chain is lossless: p stays real and u = j*v,
+    so that segment runs in real arithmetic. On a 2000-point grid every
+    temporary stays under glibc's 128 KiB mmap threshold; larger ones are
+    mapped and unmapped per call and fault in fresh pages every time.
     `panel_impedances`, if given, are the normalised Maa impedances of the
-    chain's panels in chain order at `frequencies`.
+    chain's panels in chain order at those frequencies.
     """
     pipes = [e for e in chain.elements if isinstance(e, StraightPipe)]
     if panel_impedances is None:
+        frequencies = start + step * np.arange(count)
         panel_impedances = [
             mpp_normalized_impedance(e.panel, frequencies, medium)
             for e in chain.elements
             if isinstance(e, Mpp)
         ]
-    k = 2.0 * np.pi * frequencies / medium.sound_speed
-    phase = np.multiply.outer([pipe.length for pipe in pipes], k)
-    cos_kl = np.cos(phase)
-    sin_kl = np.sin(phase, out=phase)
+    cos_kl, sin_kl = _phase_trig(
+        [pipe.length for pipe in pipes], start, step, count, medium.sound_speed
+    )
     rho_c = medium.characteristic_impedance
-    p = np.ones(frequencies.shape, dtype=complex)
-    u = np.zeros(frequencies.shape, dtype=complex)
+    p, v, u = np.ones(count), np.zeros(count), None
     pipe_index, panel_index = len(pipes), len(panel_impedances)
     for element in reversed(chain.elements):
         if isinstance(element, StraightPipe):
             pipe_index -= 1
             z_c = rho_c / element.area
             c, s = cos_kl[pipe_index], sin_kl[pipe_index]
-            p, u = c * p + (1j * z_c) * s * u, (1j / z_c) * s * p + c * u
+            if u is None:
+                p, v = c * p - (z_c * s) * v, ((1.0 / z_c) * s) * p + c * v
+            else:
+                p, u = c * p + (1j * z_c) * s * u, (1j / z_c) * s * p + c * u
         elif isinstance(element, Mpp):
+            if u is None:
+                u = 1j * v
             panel_index -= 1
             z = panel_impedances[panel_index] * (rho_c / element.panel.duct_area)
             p = p + z * u
-    return p, u
+    return p, (1j * v if u is None else u)
 
 
 def absorption_coefficients(
-    chain: ElementChain, frequencies, medium: Medium = AIR, panel_impedances=None
+    chain: ElementChain, start, step, count, medium: Medium = AIR, panel_impedances=None
 ) -> np.ndarray:
-    """alpha = 1 - |Gamma|^2, clamped to [0, 1], at each of the 1-D array
-    `frequencies`, with Gamma = (p - Z0*u) / (p + Z0*u) from the mouth state.
+    """alpha = 1 - |Gamma|^2, clamped to [0, 1], at the `count` frequencies
+    start + n*step (a grid's f_min, step and point count), with
+    Gamma = (p - Z0*u) / (p + Z0*u) from the mouth state.
 
     Callers evaluating many chains with the same panels on the same
     frequencies may pass the panels' `panel_impedances` (see _mouth_state)
     instead of having them recomputed.
     """
-    frequencies = np.asarray(frequencies, dtype=float)
-    _check_frequency(frequencies)
-    p, u = _mouth_state(chain, frequencies, medium, panel_impedances)
+    _check_frequency(start)
+    p, u = _mouth_state(chain, start, step, count, medium, panel_impedances)
     z0_u = chain.characteristic_impedance(medium) * u
     denominator = p + z0_u
     bad = denominator == 0
     if np.any(bad):
-        raise SingularConfigurationError(float(frequencies[bad][0]))
+        raise SingularConfigurationError(float(start + step * np.flatnonzero(bad)[0]))
     gamma = (p - z0_u) / denominator
     return np.clip(1.0 - np.abs(gamma) ** 2, 0.0, 1.0)
 
 
 def absorption_at(chain: ElementChain, frequency: float, medium: Medium = AIR) -> float:
     """Normal-incidence absorption coefficient of the rigidly terminated
-    chain at one frequency: the one-point case of absorption_coefficients.
-    Chains without an MPP are lossless and return essentially zero.
+    chain at one frequency: the one-point case of absorption_coefficients,
+    whose phase table is then direct cos/sin. Chains without an MPP are
+    lossless and return essentially zero.
     """
-    return float(absorption_coefficients(chain, [frequency], medium)[0])
+    return float(absorption_coefficients(chain, frequency, 1.0, 1, medium)[0])
 
 
 def absorption_spectrum(
@@ -392,5 +456,7 @@ def absorption_spectrum(
     frequencies = grid.frequencies()
     return AbsorptionSpectrum(
         frequencies=frequencies,
-        alphas=absorption_coefficients(chain, frequencies, medium),
+        alphas=absorption_coefficients(
+            chain, grid.f_min, grid.step, frequencies.size, medium
+        ),
     )

@@ -24,6 +24,7 @@ from .spectrum import (
     EffectiveBand,
     FrequencyGrid,
     effective_band,
+    longest_band,
     require_positive,
 )
 from .structure import BOUNDS_MM, DESIGN_FIELDS, DesignVector, MppSet, build_chain
@@ -130,15 +131,15 @@ def _panel_impedances(mpps: MppSet, medium: Medium, grid: FrequencyGrid):
     return frequencies, impedances
 
 
-def _spectrum(
-    design: DesignVector, mpps: MppSet, medium: Medium, grid: FrequencyGrid
-) -> AbsorptionSpectrum:
-    """Spectrum of a design on the grid, with the run's panel impedances."""
+def _alphas(design: DesignVector, mpps: MppSet, medium: Medium, grid: FrequencyGrid):
+    """Grid frequencies and the design's alphas on them, with the run's panel
+    impedances."""
     frequencies, impedances = _panel_impedances(mpps, medium, grid)
     alphas = absorption_coefficients(
-        build_chain(design, mpps), frequencies, medium, impedances
+        build_chain(design, mpps), grid.f_min, grid.step, frequencies.size, medium,
+        impedances,
     )
-    return AbsorptionSpectrum(frequencies=frequencies, alphas=alphas)
+    return frequencies, alphas
 
 
 def objective(
@@ -148,8 +149,12 @@ def objective(
     grid: FrequencyGrid = DEFAULT_GRID,
     threshold: float = 0.8,
 ) -> float:
-    """Width of the longest effective band (Hz); 0.0 when none qualifies."""
-    band = effective_band(_spectrum(design, mpps, medium, grid), threshold)
+    """Width of the longest effective band (Hz); 0.0 when none qualifies.
+
+    Equal to effective_band(absorption_spectrum(...)).width, without wrapping
+    and re-validating the arrays as an AbsorptionSpectrum.
+    """
+    band = longest_band(*_alphas(design, mpps, medium, grid), threshold)
     return band.width if band is not None else 0.0
 
 
@@ -221,7 +226,7 @@ def anneal(
             )
         temperature = schedule.next_temperature(temperature)
 
-    best_spectrum = _spectrum(best, mpps, medium, grid)
+    best_spectrum = AbsorptionSpectrum(*_alphas(best, mpps, medium, grid))
     return OptimizationResult(
         best_design=best,
         best_objective=best_objective,

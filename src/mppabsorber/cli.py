@@ -8,7 +8,10 @@ compare    print the bands of two structures side by side with the octave
            ratio
 
 All outputs are plain UTF-8 text; repeated runs with identical inputs and
-seed produce byte-identical files.
+seed produce byte-identical files. simulate and optimize write one warning
+to stderr when the grid's f_max lies above the first cross-mode cut-on of
+the widest duct (for optimize, the widest the bounds allow), where the
+plane-wave model stops holding.
 """
 
 from __future__ import annotations
@@ -26,13 +29,14 @@ from .configio import (
     dump_config,
     load_config,
 )
-from .acoustics import absorption_spectrum
+from .acoustics import ElementChain, Medium, absorption_spectrum, cut_on_frequency
 from .spectrum import (
     AbsorptionSpectrum,
     FrequencyGrid,
     effective_band,
     effective_bands,
 )
+from .structure import BOUNDS_MM, DesignVector, build_chain
 
 
 def _apply_grid_overrides(grid: FrequencyGrid, args) -> FrequencyGrid:
@@ -40,6 +44,18 @@ def _apply_grid_overrides(grid: FrequencyGrid, args) -> FrequencyGrid:
     f_max = args.fmax if args.fmax is not None else grid.f_max
     step = args.step if args.step is not None else grid.step
     return FrequencyGrid(f_min=f_min, f_max=f_max, step=step)
+
+
+def _warn_above_cut_on(chain: ElementChain, grid: FrequencyGrid, medium: Medium) -> None:
+    """One stderr line when the grid reaches past the plane-wave limit."""
+    cut_on = cut_on_frequency(chain, medium)
+    if grid.f_max > cut_on:
+        print(
+            f"warning: f_max {grid.f_max:g} Hz is above the first cross-mode cut-on"
+            f" of the widest duct, {cut_on:.0f} Hz; the plane-wave model does not"
+            " hold there",
+            file=sys.stderr,
+        )
 
 
 def band_report(spectrum: AbsorptionSpectrum, threshold: float) -> str:
@@ -83,7 +99,9 @@ def trace_csv(result: OptimizationResult) -> str:
 def cmd_simulate(args) -> int:
     config = load_config(args.config)
     grid = _apply_grid_overrides(config.grid, args)
-    spectrum = absorption_spectrum(config.structure.chain(), grid, config.medium)
+    chain = config.structure.chain()
+    _warn_above_cut_on(chain, grid, config.medium)
+    spectrum = absorption_spectrum(chain, grid, config.medium)
     Path(args.out).write_text(spectrum_csv(spectrum), encoding="utf-8")
     sys.stdout.write(band_report(spectrum, args.threshold))
     return 0
@@ -106,9 +124,15 @@ def cmd_optimize(args) -> int:
         schedule = dataclasses.replace(schedule, seed=args.seed)
     if args.cooling_reading is not None:
         schedule = dataclasses.replace(schedule, cooling_reading=args.cooling_reading)
+    # the search can widen every duct up to its upper bound
+    design = config.structure.design
+    widest = DesignVector(
+        **{name: max(value, BOUNDS_MM[name][1]) for name, value in design.as_dict().items()}
+    )
+    _warn_above_cut_on(build_chain(widest, config.structure.mpps), grid, config.medium)
 
     result = anneal(
-        config.structure.design,
+        design,
         config.structure.mpps,
         config.medium,
         grid,

@@ -21,6 +21,7 @@ __all__ = [
     "FrequencyGrid",
     "effective_band",
     "effective_bands",
+    "longest_band",
     "octave_bands",
     "require_positive",
 ]
@@ -122,9 +123,8 @@ def _runs_at_or_above(alphas: np.ndarray, threshold: float) -> list[tuple[int, i
 
 
 def _interpolated_band(
-    spectrum: AbsorptionSpectrum, start: int, end: int, threshold: float
+    freqs: np.ndarray, alphas: np.ndarray, start: int, end: int, threshold: float
 ) -> EffectiveBand:
-    freqs, alphas = spectrum.frequencies, spectrum.alphas
     if start > 0:
         # crossing point where the linear segment reaches the threshold
         f_low = freqs[start - 1] + (threshold - alphas[start - 1]) / (
@@ -154,23 +154,34 @@ def effective_bands(
     spectrum: AbsorptionSpectrum, threshold: float = 0.8
 ) -> list[EffectiveBand]:
     """All alpha >= threshold bands in ascending frequency order."""
+    freqs, alphas = spectrum.frequencies, spectrum.alphas
     return [
-        _interpolated_band(spectrum, start, end, threshold)
-        for start, end in _runs_at_or_above(spectrum.alphas, threshold)
+        _interpolated_band(freqs, alphas, start, end, threshold)
+        for start, end in _runs_at_or_above(alphas, threshold)
     ]
 
 
-def effective_band(
-    spectrum: AbsorptionSpectrum, threshold: float = 0.8
+def longest_band(
+    frequencies: np.ndarray, alphas: np.ndarray, threshold: float = 0.8
 ) -> EffectiveBand | None:
-    """The longest effective band, or None if no grid point qualifies.
+    """The longest effective band of the parallel arrays of a spectrum, or
+    None if no point qualifies: effective_band without the AbsorptionSpectrum
+    wrapper, for callers whose arrays are valid by construction.
 
     Band length is counted in grid points; ties go to the lower-frequency
     run. Edges are interpolated to alpha == threshold exactly (except at the
     grid boundary, where the grid edge is used).
     """
-    runs = _runs_at_or_above(spectrum.alphas, threshold)
+    runs = _runs_at_or_above(alphas, threshold)
     if not runs:
         return None
     start, end = max(runs, key=lambda run: (run[1] - run[0], -run[0]))
-    return _interpolated_band(spectrum, start, end, threshold)
+    return _interpolated_band(frequencies, alphas, start, end, threshold)
+
+
+def effective_band(
+    spectrum: AbsorptionSpectrum, threshold: float = 0.8
+) -> EffectiveBand | None:
+    """The longest effective band, or None if no grid point qualifies (see
+    longest_band)."""
+    return longest_band(spectrum.frequencies, spectrum.alphas, threshold)

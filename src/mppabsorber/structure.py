@@ -105,7 +105,10 @@ class MppSpec:
     porosity: float
 
     def __post_init__(self):
-        self.panel(1.0)  # MppPanel holds the rules for the triple
+        # checked here so an error names the value in mm; MppPanel keeps the
+        # porosity rule
+        require_positive(self, "thickness", "aperture")
+        self.panel(1.0)
 
     def panel(self, duct_diameter_mm: float) -> MppPanel:
         """SI panel embedded in a duct of the given diameter (mm)."""

@@ -129,6 +129,52 @@ class TestSimulate:
         assert [f for f, _ in rows] == [100.0 + 10.0 * i for i in range(11)]
 
 
+class TestPlaneWaveLimit:
+    """simulate and optimize warn once on stderr when f_max passes the first
+    cross-mode cut-on, 1.8412*c0/(pi*D_max), and still succeed."""
+
+    def test_simulate_warns_above_cut_on(self, capsys, tmp_path, config_dir):
+        code, stdout, stderr = run_cli(
+            capsys, "simulate", "--config", config_dir / OPTIMIZED,
+            "--out", tmp_path / "spec.csv", "--fmax", 8000,
+        )
+        assert code == 0
+        # the widest duct of the optimized design is its 97.8 mm chamber
+        assert stderr.count("\n") == 1
+        assert "cut-on" in stderr and "2055 Hz" in stderr
+        assert "warning" not in stdout
+        assert len(read_csv_rows(tmp_path / "spec.csv")) == 8000
+
+    def test_optimize_warns_for_the_widest_reachable_duct(
+        self, capsys, tmp_path, small_optimize_config
+    ):
+        # the baseline's ducts are at most 60 mm, but the search may widen d_6 to 100 mm
+        code, _, stderr = run_cli(
+            capsys, "optimize", "--config", small_optimize_config,
+            "--out", tmp_path / "run", "--fmax", 8000,
+        )
+        assert code == 0
+        assert stderr.count("\n") == 1
+        assert "cut-on" in stderr and "2010 Hz" in stderr
+
+    @pytest.mark.parametrize("name", [BASELINE, OPTIMIZED, SINGLE])
+    def test_bundled_configs_stay_silent(self, capsys, tmp_path, config_dir, name):
+        code, _, stderr = run_cli(
+            capsys, "simulate", "--config", config_dir / name, "--out", tmp_path / "spec.csv"
+        )
+        assert code == 0
+        assert stderr == ""
+
+    def test_optimize_at_the_default_grid_stays_silent(
+        self, capsys, tmp_path, small_optimize_config
+    ):
+        code, _, stderr = run_cli(
+            capsys, "optimize", "--config", small_optimize_config, "--out", tmp_path / "run"
+        )
+        assert code == 0
+        assert stderr == ""
+
+
 class TestCompare:
     def test_baseline_vs_optimized_ratio(self, capsys, config_dir):
         code, stdout, _ = run_cli(

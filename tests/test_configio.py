@@ -123,6 +123,22 @@ def _setting(section, value):
         (lambda c: c["schedule"].__setitem__("cooling_reading", "warmup"), "cooling_reading"),
         (lambda c: c["grid"].__setitem__("step", -1.0), "grid"),
         (lambda c: c.__setitem__("extras", {}), "extras"),
+        # panel dimensions are reported in the file's millimetres, not in SI
+        pytest.param(
+            lambda c: c["structure"]["mpps"][0].__setitem__("thickness", -0.6),
+            re.escape("structure.mpps[0]: MppSpec.thickness must be finite and positive, got -0.6"),
+            id="negative-thickness-mm",
+        ),
+        pytest.param(
+            lambda c: c["structure"]["mpps"][2].__setitem__("aperture", 0),
+            re.escape("structure.mpps[2]: MppSpec.aperture must be finite and positive, got 0.0"),
+            id="zero-aperture-mm",
+        ),
+        pytest.param(
+            lambda c: c["structure"]["mpps"][1].__setitem__("porosity", 1.5),
+            re.escape("structure.mpps[1]: porosity must be in (0, 1), got 1.5"),
+            id="porosity-above-one",
+        ),
         *(
             pytest.param(
                 _setting(section, value), re.escape(f"{section}."), id=f"{label}-{section}",
