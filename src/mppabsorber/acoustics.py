@@ -14,7 +14,9 @@ The absorption solver takes its frequencies as an arithmetic progression
 (start, step, count): a grid's f_min, step and point count, or one
 frequency with count 1. The pipes' cos/sin tables then come from angle
 addition (`_phase_trig`), about 2*sqrt(count) trig calls per pipe instead
-of count.
+of count. The solver takes a long progression in blocks of whole table rows
+of about _BLOCK_POINTS points, bit for bit as in one piece, so that its
+temporaries stay small and are reused instead of faulted in afresh.
 
 MPP hole impedance follows Maa's classic micro-perforated panel model
 (viscous resistance plus mass reactance with end corrections). Pipes are
@@ -28,11 +30,12 @@ evaluation; matrix entries then carry the same shape.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import AbsorptionSpectrum, FrequencyGrid, require_positive
+from .spectrum import AbsorptionSpectrum, FrequencyGrid, check_positive, require_positive
 
 __all__ = [
     "AIR",
@@ -328,47 +331,78 @@ def chain_matrix(chain: ElementChain, frequency, medium: Medium = AIR) -> Transf
     return matrix
 
 
-def _phase_trig(lengths, start: float, step: float, count: int, sound_speed: float):
+# Most points one solver block evaluates (up to a table row more). Whole-grid
+# temporaries of a 0.01 Hz grid (~2e5 points, 3.2 MB as complex) are mapped
+# and unmapped per call and fault in fresh pages every time; a block's are
+# reused from the heap. 8192 measured fastest; 16k-point blocks fault again.
+_BLOCK_POINTS = 8192
+
+
+def _table_shape(count: int) -> tuple[int, int]:
+    """(block, rows) of the phase table of `count` points: point
+    n = q*block + r has row q < rows and column r < block = isqrt(count)."""
+    block = math.isqrt(count)
+    return block, -(-count // block)
+
+
+def _phase_trig(
+    lengths, start: float, step: float, count: int, sound_speed: float, rows=None
+):
     """cos and sin of the pipe phases l*k at the frequencies start + n*step,
-    n < count, as two (len(lengths), count) arrays.
+    n < count, as two (len(lengths), points) arrays over the table rows in
+    `rows` (a range; all of them when None), the points
+    rows.start*block <= n < min(rows.stop*block, count).
 
     Two-level angle addition: with block = isqrt(count) and n = q*block + r,
     only the fine angles l*k(start + r*step) and the coarse angles
     l*k(q*block*step) go through cos/sin. Batched over pipes,
     [cos_c, -sin_c] @ [cos_f; sin_f] and [sin_c, cos_c] @ [cos_f; sin_f]
-    form the tables; one stacked matmul would put a 2000-point grid's output
-    over glibc's 128 KiB mmap threshold. The q = 0 coarse angle is exactly 0,
-    so the first block (the whole table when count == 1) is direct cos/sin
-    bit for bit; elsewhere the error is a few ulp of the angle.
+    form the tables. absorption_coefficients asks for at most about
+    _BLOCK_POINTS points at a time, whole rows, so the tables stay
+    block-sized. Each entry depends only on its row's coarse and its
+    column's fine angle, so a row range equals those rows of the full table
+    bit for bit; numpy takes a one-row product through gemv, whose rounding
+    differs from gemm's, so a lone row of a longer table is computed along
+    with a neighbour. The q = 0 coarse angle is exactly 0, so the first row
+    (the whole table when count == 1) is direct cos/sin bit for bit;
+    elsewhere the error is a few ulp of the angle.
     """
     n_pipes = len(lengths)
-    block = math.isqrt(count)
-    rows = -(-count // block)
+    block, n_rows = _table_shape(count)
+    rows = range(n_rows) if rows is None else rows
+    first, stop = rows.start, rows.stop
+    if stop - first == 1 < n_rows:
+        first = min(first, n_rows - 2)
+        stop = first + 2
+    n = stop - first
     fine = np.multiply.outer(
         lengths, 2.0 * np.pi * (start + step * np.arange(block)) / sound_speed
     )
     coarse = np.multiply.outer(
-        lengths, 2.0 * np.pi * (step * (block * np.arange(rows))) / sound_speed
+        lengths, 2.0 * np.pi * (step * (block * np.arange(first, stop))) / sound_speed
     )
-    rotation = np.empty((n_pipes, 2 * rows, 2))
-    cos_c, sin_c = rotation[:, :rows, 0], rotation[:, rows:, 0]
+    rotation = np.empty((n_pipes, 2 * n, 2))
+    cos_c, sin_c = rotation[:, :n, 0], rotation[:, n:, 0]
     np.cos(coarse, out=cos_c)
     np.sin(coarse, out=sin_c)
-    np.negative(sin_c, out=rotation[:, :rows, 1])
-    rotation[:, rows:, 1] = cos_c
+    np.negative(sin_c, out=rotation[:, :n, 1])
+    rotation[:, n:, 1] = cos_c
     fine_trig = np.empty((n_pipes, 2, block))
     np.cos(fine, out=fine_trig[:, 0])
     np.sin(fine, out=fine_trig[:, 1])
-    cos = (rotation[:, :rows] @ fine_trig).reshape(n_pipes, rows * block)[:, :count]
-    sin = (rotation[:, rows:] @ fine_trig).reshape(n_pipes, rows * block)[:, :count]
+    lo = (rows.start - first) * block
+    hi = min(rows.stop * block, count) - first * block
+    cos = (rotation[:, :n] @ fine_trig).reshape(n_pipes, n * block)[:, lo:hi]
+    sin = (rotation[:, n:] @ fine_trig).reshape(n_pipes, n * block)[:, lo:hi]
     return cos, sin
 
 
 def _mouth_state(
-    chain: ElementChain, start, step, count, medium: Medium, panel_impedances=None
+    chain: ElementChain, start, step, count, medium: Medium, panel_impedances, rows
 ):
     """(p, u) at the mouth for (1, 0) at the rigid wall: the first column
-    (a11, a21) of the chain matrix, at the frequencies start + n*step, n < count.
+    (a11, a21) of the chain matrix, at the frequencies start + n*step of the
+    phase-table rows `rows` of a `count`-point progression (see _phase_trig).
 
     The wall state is carried to the mouth element by element, the
     impedance-translation form of the four-pole method (Munjal, Acoustics of
@@ -376,25 +410,19 @@ def _mouth_state(
     multiply-adds, an MPP adds Z*u to p, an area change does nothing. The
     pipes' cos/sin come from angle-addition tables (`_phase_trig`). Up to the
     first MPP from the wall the chain is lossless: p stays real and u = j*v,
-    so that segment runs in real arithmetic. On a 2000-point grid every
-    temporary stays under glibc's 128 KiB mmap threshold; larger ones are
-    mapped and unmapped per call and fault in fresh pages every time.
-    `panel_impedances`, if given, are the normalised Maa impedances of the
-    chain's panels in chain order at those frequencies.
+    so that segment runs in real arithmetic. absorption_coefficients calls
+    this once per block of at most about _BLOCK_POINTS points, whole table
+    rows each, so its temporaries stay small enough to be reused from the
+    heap. `panel_impedances` are the normalised Maa impedances of the
+    chain's panels in chain order at the same frequencies.
     """
     pipes = [e for e in chain.elements if isinstance(e, StraightPipe)]
-    if panel_impedances is None:
-        frequencies = start + step * np.arange(count)
-        panel_impedances = [
-            mpp_normalized_impedance(e.panel, frequencies, medium)
-            for e in chain.elements
-            if isinstance(e, Mpp)
-        ]
     cos_kl, sin_kl = _phase_trig(
-        [pipe.length for pipe in pipes], start, step, count, medium.sound_speed
+        [pipe.length for pipe in pipes], start, step, count, medium.sound_speed, rows
     )
     rho_c = medium.characteristic_impedance
-    p, v, u = np.ones(count), np.zeros(count), None
+    points = cos_kl.shape[1]
+    p, v, u = np.ones(points), np.zeros(points), None
     pipe_index, panel_index = len(pipes), len(panel_impedances)
     for element in reversed(chain.elements):
         if isinstance(element, StraightPipe):
@@ -419,21 +447,52 @@ def absorption_coefficients(
 ) -> np.ndarray:
     """alpha = 1 - |Gamma|^2, clamped to [0, 1], at the `count` frequencies
     start + n*step (a grid's f_min, step and point count), with
-    Gamma = (p - Z0*u) / (p + Z0*u) from the mouth state.
+    Gamma = (p - Z0*u) / (p + Z0*u) from the mouth state. A count that is not
+    an integer >= 1, a start that is not finite and positive, or (for more
+    than one point) such a step raises ValueError naming the argument.
 
-    Callers evaluating many chains with the same panels on the same
-    frequencies may pass the panels' `panel_impedances` (see _mouth_state)
-    instead of having them recomputed.
+    The progression is solved in blocks of ceil(_BLOCK_POINTS / isqrt(count))
+    whole phase-table rows, one block when count <= _BLOCK_POINTS; tables,
+    panel impedances and alphas are bit for bit those of one block. Callers
+    evaluating many chains with the same panels on the same frequencies may
+    pass the panels' normalised impedances at all `count` frequencies, in
+    chain order, as `panel_impedances` instead of having them recomputed.
     """
-    _check_frequency(start)
-    p, u = _mouth_state(chain, start, step, count, medium, panel_impedances)
-    z0_u = chain.characteristic_impedance(medium) * u
-    denominator = p + z0_u
-    bad = denominator == 0
-    if np.any(bad):
-        raise SingularConfigurationError(float(start + step * np.flatnonzero(bad)[0]))
-    gamma = (p - z0_u) / denominator
-    return np.clip(1.0 - np.abs(gamma) ** 2, 0.0, 1.0)
+    if not isinstance(count, numbers.Integral) or count < 1:
+        raise ValueError(f"count must be an integer >= 1, got {count!r}")
+    check_positive(start, "start")
+    if count > 1:
+        check_positive(step, "step")
+    block, n_rows = _table_shape(count)
+    rows_per_block = -(-_BLOCK_POINTS // block)
+    z0 = chain.characteristic_impedance(medium)
+    # The blocks' alphas are joined at the end, and one block's are returned
+    # as they are: an output array allocated before the temporaries took
+    # annealing's 2000-point evaluations from 16 to 81 page faults each.
+    alphas = []
+    for first in range(0, n_rows, rows_per_block):
+        rows = range(first, min(first + rows_per_block, n_rows))
+        lo, hi = first * block, min(rows.stop * block, count)
+        if panel_impedances is None:
+            frequencies = start + step * np.arange(lo, hi)
+            impedances = [
+                mpp_normalized_impedance(e.panel, frequencies, medium)
+                for e in chain.elements
+                if isinstance(e, Mpp)
+            ]
+        else:
+            impedances = [z[lo:hi] for z in panel_impedances]
+        p, u = _mouth_state(chain, start, step, count, medium, impedances, rows)
+        z0_u = z0 * u
+        denominator = p + z0_u
+        bad = denominator == 0
+        if np.any(bad):
+            raise SingularConfigurationError(
+                float(start + step * (lo + np.flatnonzero(bad)[0]))
+            )
+        gamma = (p - z0_u) / denominator
+        alphas.append(np.clip(1.0 - np.abs(gamma) ** 2, 0.0, 1.0))
+    return alphas[0] if len(alphas) == 1 else np.concatenate(alphas)
 
 
 def absorption_at(chain: ElementChain, frequency: float, medium: Medium = AIR) -> float:

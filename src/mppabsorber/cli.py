@@ -79,21 +79,49 @@ def band_report(spectrum: AbsorptionSpectrum, threshold: float) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Rows per %-operation of _csv: a chunk's values and text stay near 100 KiB.
+_CSV_CHUNK_ROWS = 4096
+
+
+def _csv(header: str, row_format: str, columns) -> str:
+    """CSV text: the header line, then one `row_format` line per row of the
+    equal-length `columns` (lists of Python numbers). Each chunk of rows
+    goes through one %-format of the repeated row format; %-formatting
+    spells a value as format() with the same spec does, so the text is what
+    a per-row f-string gives, at a fraction of the cost."""
+    width = len(columns)
+    values = [None] * (width * len(columns[0]))
+    for j, column in enumerate(columns):
+        values[j::width] = column
+    line = row_format + "\n"
+    step = width * _CSV_CHUNK_ROWS
+    parts = [header + "\n"]
+    for first in range(0, len(values), step):
+        chunk = values[first:first + step]
+        parts.append(line * (len(chunk) // width) % tuple(chunk))
+    return "".join(parts)
+
+
 def spectrum_csv(spectrum: AbsorptionSpectrum) -> str:
-    lines = ["frequency_hz,alpha"]
-    lines += [
-        f"{f:.6g},{a:.6g}" for f, a in zip(spectrum.frequencies, spectrum.alphas)
-    ]
-    return "\n".join(lines) + "\n"
+    return _csv(
+        "frequency_hz,alpha",
+        "%.6g,%.6g",
+        (spectrum.frequencies.tolist(), spectrum.alphas.tolist()),
+    )
 
 
 def trace_csv(result: OptimizationResult) -> str:
-    lines = ["temperature,iteration,current,best"]
-    lines += [
-        f"{row.temperature:.6g},{row.iteration},{row.current:.6g},{row.best:.6g}"
-        for row in result.objective_trace
-    ]
-    return "\n".join(lines) + "\n"
+    trace = result.objective_trace
+    return _csv(
+        "temperature,iteration,current,best",
+        "%.6g,%d,%.6g,%.6g",
+        (
+            [row.temperature for row in trace],
+            [row.iteration for row in trace],
+            [row.current for row in trace],
+            [row.best for row in trace],
+        ),
+    )
 
 
 def cmd_simulate(args) -> int:

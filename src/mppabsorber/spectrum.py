@@ -19,6 +19,7 @@ __all__ = [
     "AbsorptionSpectrum",
     "EffectiveBand",
     "FrequencyGrid",
+    "check_positive",
     "effective_band",
     "effective_bands",
     "longest_band",
@@ -31,14 +32,22 @@ __all__ = [
 MAX_GRID_POINTS = 10**7
 
 
+def check_positive(value, *label: str) -> None:
+    """Raise ValueError unless 0 < value < inf, naming the value by the
+    parts of `label` joined with dots; NaN and infinities fail."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{'.'.join(label)} must be finite and positive, got {value}")
+
+
 def require_positive(owner, *names: str) -> None:
-    """Raise ValueError unless each named attribute of `owner` satisfies
-    0 < value < inf; NaN and infinities fail."""
+    """check_positive on each named attribute of `owner`, labelled
+    Owner.name."""
     for name in names:
         value = getattr(owner, name)
+        # tested inline first: this runs for every field of every design and
+        # chain element the annealer builds
         if not 0 < value < math.inf:
-            owner_name = type(owner).__name__
-            raise ValueError(f"{owner_name}.{name} must be finite and positive, got {value}")
+            check_positive(value, type(owner).__name__, name)
 
 
 @dataclass(frozen=True)

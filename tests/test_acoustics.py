@@ -34,6 +34,7 @@ from mppabsorber import (
     perforate_constant,
 )
 from mppabsorber import acoustics
+from mppabsorber.acoustics import absorption_coefficients
 from mppabsorber.spectrum import FrequencyGrid
 
 # Frozen oracle values (independent scalar evaluation, air at 20 degC).
@@ -383,3 +384,46 @@ class TestAbsorption:
             absorption_at(baseline_chain, 123.0)
         assert excinfo.value.frequency == 123.0
         assert "123" in str(excinfo.value)
+
+    def test_zero_count_rejected(self, baseline_chain):
+        # used to fail with ZeroDivisionError inside the phase tables
+        with pytest.raises(ValueError, match="count must be an integer >= 1, got 0"):
+            absorption_coefficients(baseline_chain, 100.0, 1.0, 0)
+
+    def test_negative_step_rejected_without_an_mpp(self):
+        # used to return alphas at negative frequencies: nothing on this
+        # chain's path checks a frequency
+        chain = ElementChain((StraightPipe(0.1, 0.05),), 0.05)
+        with pytest.raises(ValueError, match="step must be finite and positive, got -1"):
+            absorption_coefficients(chain, 100.0, -1.0, 200)
+
+    def test_bad_progression_message_names_the_argument_not_the_grid(self, baseline_chain):
+        # used to print every frequency of the grid from the panel impedance
+        with pytest.raises(ValueError) as excinfo:
+            absorption_coefficients(baseline_chain, 100.0, -1.0, 2000)
+        assert str(excinfo.value) == "step must be finite and positive, got -1.0"
+
+    @pytest.mark.parametrize(
+        "start, step, count, argument",
+        [
+            (0.0, 1.0, 10, "start"),
+            (-5.0, 1.0, 1, "start"),
+            (math.nan, 1.0, 10, "start"),
+            (math.inf, 1.0, 10, "start"),
+            (1.0, 0.0, 10, "step"),
+            (1.0, math.nan, 10, "step"),
+            (1.0, math.inf, 10, "step"),
+            (1.0, 1.0, -3, "count"),
+            (1.0, 1.0, 2.0, "count"),
+            (1.0, 1.0, None, "count"),
+        ],
+    )
+    def test_every_bad_progression_names_its_argument(
+        self, baseline_chain, start, step, count, argument
+    ):
+        with pytest.raises(ValueError, match=f"^{argument} must be"):
+            absorption_coefficients(baseline_chain, start, step, count)
+
+    def test_step_of_a_single_point_is_not_used(self, baseline_chain):
+        one = absorption_coefficients(baseline_chain, 500.0, 0.0, 1)
+        assert one.tolist() == [absorption_at(baseline_chain, 500.0)]

@@ -2,10 +2,14 @@
 
 import json
 import re
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from mppabsorber.cli import main
+from mppabsorber import AbsorptionSpectrum, FrequencyGrid, absorption_spectrum, load_config
+from mppabsorber.annealing import TraceRow
+from mppabsorber.cli import main, spectrum_csv, trace_csv
 
 BASELINE = "three_chamber_baseline.json"
 OPTIMIZED = "three_chamber_optimized.json"
@@ -28,6 +32,23 @@ def read_csv_rows(path):
     lines = path.read_text().splitlines()
     assert lines[0] == "frequency_hz,alpha"
     return [tuple(float(x) for x in line.split(",")) for line in lines[1:]]
+
+
+def per_row_spectrum_csv(spectrum):
+    """The CSV as one f-string per row: the reference the chunked formatter
+    must reproduce byte for byte."""
+    lines = ["frequency_hz,alpha"]
+    lines += [f"{f:.6g},{a:.6g}" for f, a in zip(spectrum.frequencies, spectrum.alphas)]
+    return "\n".join(lines) + "\n"
+
+
+def per_row_trace_csv(result):
+    lines = ["temperature,iteration,current,best"]
+    lines += [
+        f"{row.temperature:.6g},{row.iteration},{row.current:.6g},{row.best:.6g}"
+        for row in result.objective_trace
+    ]
+    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture
@@ -116,6 +137,37 @@ class TestSimulate:
         run_cli(capsys, "simulate", "--config", config_dir / BASELINE, "--out", out_a)
         run_cli(capsys, "simulate", "--config", config_dir / BASELINE, "--out", out_b)
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    @pytest.mark.parametrize("name", [BASELINE, OPTIMIZED, SINGLE])
+    def test_csv_equals_per_row_formatting_on_the_fine_grid(self, config_dir, name):
+        config = load_config(config_dir / name)
+        grid = FrequencyGrid(config.grid.f_min, config.grid.f_max, 0.01)
+        spectrum = absorption_spectrum(config.structure.chain(), grid, config.medium)
+        assert spectrum_csv(spectrum) == per_row_spectrum_csv(spectrum)
+
+    @pytest.mark.parametrize(
+        "frequencies, alphas",
+        [
+            # rounding ties, subnormals, exponent switches and float noise
+            (
+                [5e-324, 1e-300, 9.9999995e-5, 0.1 + 0.2, 1.0, 99999.95, 1e5,
+                 999999.5, 1e6, 123456789.0, 1.5e17],
+                [0.0, 1.0, 5e-324, 1e-300, 0.1 + 0.2, 9.9999995e-5, 0.9999995,
+                 0.5, 1 / 3, 0.8, 0.99999949999],
+            ),
+            ([1000.0], [0.5]),  # one point
+        ],
+        ids=["edge-values", "one-point"],
+    )
+    def test_csv_equals_per_row_formatting_on_edge_values(self, frequencies, alphas):
+        spectrum = AbsorptionSpectrum(np.array(frequencies), np.array(alphas))
+        assert spectrum_csv(spectrum) == per_row_spectrum_csv(spectrum)
+
+    def test_csv_spans_several_chunks(self):
+        # 10,001 rows: two full 4096-row chunks and a partial one
+        frequencies = 1.0 + 0.37 * np.arange(10_001)
+        spectrum = AbsorptionSpectrum(frequencies, np.sin(frequencies) ** 2)
+        assert spectrum_csv(spectrum) == per_row_spectrum_csv(spectrum)
 
     def test_grid_override_flags(self, tmp_path, capsys, config_dir):
         out = tmp_path / "spec.csv"
@@ -250,6 +302,16 @@ class TestOptimize:
             assert code == 0
         for name in ("best_design.json", "trace.csv", "report.txt"):
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+    @pytest.mark.parametrize("rows", [0, 1, 9000])
+    def test_trace_csv_equals_per_row_formatting(self, rows):
+        rng = np.random.default_rng(rows)
+        trace = [
+            TraceRow(float(t), i + 1, float(c), float(b))
+            for i, (t, c, b) in enumerate(rng.lognormal(0.0, 8.0, (rows, 3)))
+        ]
+        result = SimpleNamespace(objective_trace=trace)
+        assert trace_csv(result) == per_row_trace_csv(result)
 
     def test_seed_flag_overrides_config(self, capsys, tmp_path, small_optimize_config):
         out_dir = tmp_path / "seeded"

@@ -3,6 +3,7 @@ product and against direct trig, its angle-addition phase tables, and the
 annealer's objective against the public spectrum path."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from mppabsorber import (
     Mpp,
     MppSet,
     MppSpec,
+    SingularConfigurationError,
     StraightPipe,
     absorption_at,
     absorption_spectrum,
@@ -30,11 +32,13 @@ from mppabsorber import (
     build_chain,
     effective_band,
     element_matrix,
+    load_config,
     mpp_normalized_impedance,
     objective,
     single_chamber_chain,
 )
-from mppabsorber.acoustics import _phase_trig
+from mppabsorber import acoustics
+from mppabsorber.acoustics import _phase_trig, absorption_coefficients
 
 MPP_RANGES = ((0.2, 1.0), (0.1, 0.8), (0.005, 0.05))  # thickness, aperture (mm), porosity
 SINGLE_RANGES = ((5.0, 11.0), (60.0, 120.0), (40.0, 100.0), (4.0, 40.0))  # mm
@@ -145,6 +149,85 @@ def test_phase_tables_match_direct_trig(lengths, progression):
     if count == 1:
         assert np.array_equal(cos_kl, np.cos(phase))
         assert np.array_equal(sin_kl, np.sin(phase))
+
+
+# Counts the solver takes in one (8192, 8193), two (12,345) and three
+# blocks, the last one partial: of one row (16,411) or more.
+BLOCKED_COUNTS = SPECIAL_COUNTS + (8192, 8193, 12_345, 16_411, 20_000, 24_001)
+
+
+@st.composite
+def row_ranges(draw):
+    """(count, rows): a progression length and a range of its phase-table
+    rows, single rows and the whole table included."""
+    count = draw(st.one_of(st.sampled_from(BLOCKED_COUNTS), st.integers(1, 25_000)))
+    n_rows = -(-count // math.isqrt(count))
+    first = draw(st.integers(0, n_rows - 1))
+    stop = draw(st.one_of(st.just(first + 1), st.just(n_rows), st.integers(first + 1, n_rows)))
+    return count, range(first, stop)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    lengths=st.lists(st.floats(1e-3, 0.15), min_size=1, max_size=8),
+    start=st.floats(1.0, 50.0),
+    step=st.floats(1e-3, 0.05),
+    table=row_ranges(),
+)
+def test_phase_table_rows_equal_full_table_bit_for_bit(lengths, start, step, table):
+    count, rows = table
+    block = math.isqrt(count)
+    lo, hi = rows.start * block, min(rows.stop * block, count)
+    full_cos, full_sin = _phase_trig(lengths, start, step, count, AIR.sound_speed)
+    cos_kl, sin_kl = _phase_trig(lengths, start, step, count, AIR.sound_speed, rows)
+    assert np.array_equal(cos_kl, full_cos[:, lo:hi])
+    assert np.array_equal(sin_kl, full_sin[:, lo:hi])
+
+
+@pytest.mark.parametrize(
+    "name", ["three_chamber_baseline", "three_chamber_optimized", "single_chamber"]
+)
+def test_blocked_solve_equals_one_block_bit_for_bit(monkeypatch, config_dir, name):
+    config = load_config(config_dir / f"{name}.json")
+    chain, medium = config.structure.chain(), config.medium
+    grid = FrequencyGrid(config.grid.f_min, config.grid.f_max, 0.01)
+    count = grid.frequencies().size
+    progression = (grid.f_min, grid.step, count, medium)
+    impedances = [
+        mpp_normalized_impedance(e.panel, grid.frequencies(), medium)
+        for e in chain.elements
+        if isinstance(e, Mpp)
+    ]
+    assert count > 20 * acoustics._BLOCK_POINTS
+    blocked = absorption_coefficients(chain, *progression)
+    blocked_cached = absorption_coefficients(chain, *progression, impedances)
+    monkeypatch.setattr(acoustics, "_BLOCK_POINTS", count + 1)
+    reference = absorption_coefficients(chain, *progression)
+    assert np.array_equal(blocked, reference)
+    assert np.array_equal(blocked_cached, reference)
+
+
+def test_singular_configuration_in_a_later_block_reports_its_frequency(
+    monkeypatch, baseline_chain
+):
+    start, step, count = 1.0, 0.01, 30_000
+    block = math.isqrt(count)
+    target = 20_000  # the third block
+    assert target >= 2 * acoustics._BLOCK_POINTS
+    z0 = baseline_chain.characteristic_impedance()
+    solve = acoustics._mouth_state
+
+    def forced(chain, start, step, count, medium, panel_impedances, rows):
+        p, u = solve(chain, start, step, count, medium, panel_impedances, rows)
+        index = target - rows.start * block
+        if 0 <= index < p.size:
+            p[index] = -z0 * u[index]  # p + Z0*u == 0 exactly
+        return p, u
+
+    monkeypatch.setattr(acoustics, "_mouth_state", forced)
+    with pytest.raises(SingularConfigurationError) as excinfo:
+        absorption_coefficients(baseline_chain, start, step, count)
+    assert excinfo.value.frequency == start + step * target
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
