@@ -7,8 +7,9 @@ chain is terminated by a rigid wall, which fixes u = 0 there. Absorption
 carries the wall state (p, u) = (1, 0) to the mouth element by element
 (`_mouth_state`); the mouth state is the first column (a11, a21) of the
 chain matrix and gives the reflection coefficient, hence the
-normal-incidence absorption coefficient. The full matrix product is built
-only by `chain_matrix`, in extended precision, for its determinant.
+normal-incidence absorption coefficient. `chain_matrix` builds the whole
+matrix for its determinant by the same walk, carrying both wall states
+(1, 0) and (0, 1), its two columns, in extended precision.
 
 The absorption solver takes its frequencies as an arithmetic progression
 (start, step, count): a grid's f_min, step and point count, or one
@@ -176,14 +177,6 @@ class TransferMatrix:
     def identity(cls) -> "TransferMatrix":
         return cls(1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
 
-    def __matmul__(self, other: "TransferMatrix") -> "TransferMatrix":
-        return TransferMatrix(
-            self.a11 * other.a11 + self.a12 * other.a21,
-            self.a11 * other.a12 + self.a12 * other.a22,
-            self.a21 * other.a11 + self.a22 * other.a21,
-            self.a21 * other.a12 + self.a22 * other.a22,
-        )
-
     def det(self) -> complex | np.ndarray:
         return self.a11 * self.a22 - self.a12 * self.a21
 
@@ -226,8 +219,9 @@ def cut_on_frequency(chain: ElementChain, medium: Medium = AIR) -> float:
 
 
 def _check_frequency(frequency):
-    if not np.all(np.asarray(frequency) > 0):
-        raise ValueError(f"frequency must be positive, got {frequency}")
+    values = np.asarray(frequency, dtype=float)
+    if not np.all((values > 0) & (values < math.inf)):
+        raise ValueError(f"frequency must be finite and positive, got {frequency}")
 
 
 def perforate_constant(frequency, aperture: float, medium: Medium = AIR):
@@ -267,6 +261,23 @@ def mpp_normalized_impedance(panel: MppPanel, frequency, medium: Medium = AIR):
     return resistance + 1j * reactance
 
 
+def _pipe_terms(pipe: StraightPipe, frequency, medium: Medium):
+    """cos(kl), Zc*sin(kl) and sin(kl)/Zc of a lossless pipe in doubles, with
+    k = omega/c0 and Zc = rho0*c0/S: the real parts of its four-pole
+    entries."""
+    kl = 2.0 * np.pi * np.asarray(frequency, dtype=float) / medium.sound_speed * pipe.length
+    z_c = medium.characteristic_impedance / pipe.area
+    sin_kl = np.sin(kl)
+    return np.cos(kl), z_c * sin_kl, sin_kl * (1.0 / z_c)
+
+
+def _panel_impedance(panel: MppPanel, frequency, medium: Medium):
+    """Series impedance (rho0*c0/S') * Z_mpp of a panel (Pa*s/m^3)."""
+    return mpp_normalized_impedance(panel, frequency, medium) * (
+        medium.characteristic_impedance / panel.duct_area
+    )
+
+
 def element_matrix(element: SoundElement, frequency, medium: Medium = AIR) -> TransferMatrix:
     """Four-pole matrix of a single element at the given frequency.
 
@@ -279,56 +290,93 @@ def element_matrix(element: SoundElement, frequency, medium: Medium = AIR) -> Tr
     if isinstance(element, AreaChange):
         return TransferMatrix.identity()
     if isinstance(element, StraightPipe):
-        k = 2.0 * np.pi * np.asarray(frequency, dtype=float) / medium.sound_speed
-        z_c = medium.characteristic_impedance / element.area
-        kl = k * element.length
-        cos_kl = np.cos(kl)
-        sin_kl = np.sin(kl)
-        return TransferMatrix(
-            cos_kl + 0.0j,
-            1j * z_c * sin_kl,
-            1j * sin_kl / z_c,
-            cos_kl + 0.0j,
-        )
+        cos_kl, zc_sin, sin_zc = _pipe_terms(element, frequency, medium)
+        return TransferMatrix(cos_kl + 0.0j, 1j * zc_sin, 1j * sin_zc, cos_kl + 0.0j)
     if isinstance(element, Mpp):
-        panel = element.panel
-        z = mpp_normalized_impedance(panel, frequency, medium) * (
-            medium.characteristic_impedance / panel.duct_area
-        )
+        z = _panel_impedance(element.panel, frequency, medium)
         zero = np.zeros_like(z)
         one = zero + 1.0
         return TransferMatrix(one, z, zero, one)
     raise TypeError(f"unknown sound element {element!r}")
 
 
-def chain_matrix(chain: ElementChain, frequency, medium: Medium = AIR) -> TransferMatrix:
-    """Product of element matrices, element nearest the source leftmost.
+def _imaginary(values):
+    """j*values as np.clongdouble for real doubles `values`: written into a
+    zeroed array, about twice as fast as casting j*values."""
+    out = np.zeros(np.shape(values), np.clongdouble)
+    out.imag = values
+    return out
 
-    Entries of wide-chamber chains reach ~1e6, so the unit-determinant
-    property cancels catastrophically in double precision; the returned
-    matrix is accumulated in extended precision (x86 long double) to keep
-    |det - 1| < 1e-9 across the band. Absorption does not use this product:
-    it propagates the wall state to the mouth in doubles (`_mouth_state`),
-    and the reflection ratio it feeds is well-conditioned, unlike the
-    determinant. Area changes carry exact identity matrices and are not
-    multiplied in.
+
+def _rotate(a, b, c, s_ab, s_ba) -> None:
+    """(a, b) <- (c*a + s_ab*b, c*b + s_ba*a) in place, column by column: a
+    pipe's update of chain_matrix's states. In place and per column, the
+    temporaries stay a column long and are reused from the heap instead of
+    growing it."""
+    for a, b in zip(a, b):
+        t = s_ab * b
+        b *= c
+        b += s_ba * a
+        a *= c
+        a += t
+
+
+def _complex_columns(x, y, points: int):
+    """(p1, p2) and (u1, u2) of chain_matrix's wall segment, whose real parts
+    are x = (p1, p2/j) and y = (-u1/j, u2), with x = y = None at the wall."""
+    p, u = np.zeros((2, 2, points), np.clongdouble)
+    if x is None:
+        p[0] = u[1] = 1.0
+    else:
+        p.real[0], p.imag[1] = x
+        u.imag[0], u.real[1] = -y[0], y[1]
+    return p, u
+
+
+def chain_matrix(chain: ElementChain, frequency, medium: Medium = AIR) -> TransferMatrix:
+    """Four-pole matrix of the chain, element nearest the source leftmost,
+    with entries in extended precision (np.clongdouble).
+
+    Its columns (a11, a21) and (a12, a22) are the mouth states of the wall
+    states (p, u) = (1, 0) and (0, 1), carried from the rigid wall to the
+    mouth element by element as in `_mouth_state`: a pipe updates both
+    columns, an MPP adds z*u to p, an area change does nothing. Up to the
+    first MPP from the wall the chain is lossless and each column keeps a
+    fixed phase, with p1, u1/j, p2/j and u2 real, so that segment runs in
+    real np.longdouble. Each element's cos, Zc*sin, sin/Zc and z are
+    computed in doubles and cast to extended precision once, and no product
+    mixes precisions. Entries of wide-chamber chains reach ~1e6, so the unit
+    determinant cancels catastrophically in doubles; on x86, where long
+    double has a 64-bit mantissa, the walk keeps |det - 1| < 1e-9 across
+    the band. Absorption does not use this matrix.
     """
     _check_frequency(frequency)
-    factors = [
-        element_matrix(element, frequency, medium)
-        for element in chain.elements
-        if not isinstance(element, AreaChange)
-    ]
-    if not factors:
-        return TransferMatrix.identity()
-    first = factors[0]
-    matrix = TransferMatrix(
-        *(np.asarray(entry, dtype=np.clongdouble)
-          for entry in (first.a11, first.a12, first.a21, first.a22))
-    )
-    for factor in factors[1:]:
-        matrix = matrix @ factor
-    return matrix
+    shape = np.shape(frequency)
+    frequency = np.reshape(frequency, -1)  # a scalar's states are columns too
+    # wall segment: x = (p1, p2/j) and y = (-u1/j, u2); None is the wall itself
+    x = y = None
+    p = u = None  # from the first MPP on: (p1, p2) and (u1, u2)
+    for element in reversed(chain.elements):
+        if isinstance(element, StraightPipe):
+            c, zs, sz = _pipe_terms(element, frequency, medium)
+            if p is not None:
+                _rotate(p, u, c.astype(np.clongdouble), _imaginary(zs), _imaginary(sz))
+                continue
+            c, zs, sz = (t.astype(np.longdouble) for t in (c, zs, -sz))
+            if x is None:
+                x, y = np.stack((c, zs)), np.stack((sz, c))
+            else:
+                _rotate(x, y, c, zs, sz)
+        elif isinstance(element, Mpp):
+            if p is None:
+                p, u = _complex_columns(x, y, frequency.size)
+            z = _panel_impedance(element.panel, frequency, medium).astype(np.clongdouble)
+            for p_column, u_column in zip(p, u):
+                p_column += z * u_column
+    if p is None:
+        p, u = _complex_columns(x, y, frequency.size)
+    # [()] turns a scalar frequency's 0-d entries into scalars
+    return TransferMatrix(*(entry.reshape(shape)[()] for entry in (p[0], p[1], u[0], u[1])))
 
 
 # Most points one solver block evaluates (up to a table row more). Whole-grid

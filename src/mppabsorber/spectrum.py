@@ -149,7 +149,7 @@ def _interpolated_band(
         f_high = freqs[-1]
     f_low = float(f_low)
     f_high = float(f_high)
-    octaves = math.log2(f_high / f_low) if f_high > f_low else 0.0
+    octaves = octave_bands(f_low, f_high) if f_high > f_low else 0.0
     return EffectiveBand(
         f_low=f_low,
         f_high=f_high,

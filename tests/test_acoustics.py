@@ -12,17 +12,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mppabsorber import (
     AIR,
     AreaChange,
     BASELINE_DESIGN,
+    BOUNDS_MM,
     DEFAULT_GRID,
     DEFAULT_MPPS,
+    DesignVector,
     ElementChain,
     Medium,
     Mpp,
     MppPanel,
+    MppSet,
+    MppSpec,
     SingularConfigurationError,
     StraightPipe,
     absorption_at,
@@ -36,6 +42,8 @@ from mppabsorber import (
 from mppabsorber import acoustics
 from mppabsorber.acoustics import absorption_coefficients
 from mppabsorber.spectrum import FrequencyGrid
+
+from four_pole import four_pole_product
 
 # Frozen oracle values (independent scalar evaluation, air at 20 degC).
 K_AT_500HZ_02MM = 1.4456025058533009
@@ -248,6 +256,29 @@ class TestElementMatrix:
             element_matrix(StraightPipe(0.1, 0.01), math.nan)
 
 
+FREQUENCY_ENTRY_POINTS = {
+    "chain_matrix": lambda f: chain_matrix(
+        ElementChain((Mpp(MPP1), StraightPipe(0.1, 0.01)), 0.01), f
+    ),
+    "element_matrix": lambda f: element_matrix(StraightPipe(0.1, 0.01), f),
+    "perforate_constant": lambda f: perforate_constant(f, 0.2e-3),
+    "mpp_normalized_impedance": lambda f: mpp_normalized_impedance(MPP1, f),
+}
+
+
+@pytest.mark.filterwarnings("error")  # refused before any arithmetic warns
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("entry_point", sorted(FREQUENCY_ENTRY_POINTS))
+def test_non_finite_frequency_rejected(entry_point, value):
+    # infinities used to pass the check and come back as NaN with a
+    # RuntimeWarning
+    call = FREQUENCY_ENTRY_POINTS[entry_point]
+    with pytest.raises(ValueError, match="frequency must be finite and positive"):
+        call(value)
+    with pytest.raises(ValueError, match="frequency must be finite and positive"):
+        call(np.array([100.0, value, 200.0]))
+
+
 class TestChainMatrix:
     def test_singleton_chain(self):
         pipe = StraightPipe(0.1, 0.01)
@@ -292,6 +323,61 @@ class TestChainMatrix:
         det = chain_matrix(baseline_chain, DEFAULT_GRID.frequencies()).det()
         assert np.max(np.abs(det - 1.0)) < 1e-9
 
+    @pytest.mark.parametrize("element", [StraightPipe(0.1, 0.01), Mpp(MPP1)])
+    @pytest.mark.parametrize("frequency", [300.0, np.array([1.0, 300.0, 1999.5])])
+    def test_singleton_chain_equals_element_matrix(self, element, frequency):
+        a = chain_matrix(ElementChain((element,), 0.01), frequency)
+        b = element_matrix(element, frequency)
+        for entry_a, entry_b in zip((a.a11, a.a12, a.a21, a.a22), (b.a11, b.a12, b.a21, b.a22)):
+            assert np.shape(entry_a) == np.shape(frequency)
+            assert np.array_equal(entry_a, entry_b)
+
+
+# Panel ranges of the random designs (thickness, aperture in m; porosity).
+PANEL_RANGES = ((0.2e-3, 1.0e-3), (0.1e-3, 0.8e-3), (0.005, 0.05))
+
+panels = st.builds(
+    MppPanel, *(st.floats(lo, hi) for lo, hi in PANEL_RANGES), st.floats(5e-3, 0.02)
+)
+elements = st.one_of(
+    st.builds(StraightPipe, st.floats(1e-3, 0.15), st.floats(5e-3, 0.1)),
+    st.just(AreaChange()),
+    st.builds(Mpp, panels),
+)
+frequencies = st.one_of(
+    st.floats(1.0, 2000.0),
+    st.lists(st.floats(1.0, 2000.0), min_size=1, max_size=40).map(np.array),
+)
+WALL_MPP = ElementChain((StraightPipe(0.05, 0.01), StraightPipe(0.02, 0.06), Mpp(MPP3)), 0.01)
+ADJACENT_MPPS = ElementChain(
+    (StraightPipe(0.05, 0.01), Mpp(MPP1), Mpp(MPP3), StraightPipe(0.03, 0.06)), 0.01
+)
+MPPS_ONLY = ElementChain((Mpp(MPP1), Mpp(MPP3), Mpp(MPP1)), 0.01)
+AREA_CHANGES_ONLY = ElementChain((AreaChange(), AreaChange()), 0.01)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    chain=st.lists(elements, min_size=1, max_size=10).map(lambda e: ElementChain(tuple(e), 0.01)),
+    frequency=frequencies,
+)
+@example(chain=WALL_MPP, frequency=np.array([1.0, 437.5, 2000.0]))
+@example(chain=ADJACENT_MPPS, frequency=np.full((3, 4), 500.0))
+@example(chain=ADJACENT_MPPS, frequency=811.0)
+@example(chain=MPPS_ONLY, frequency=np.array([3.0, 1500.0]))
+@example(chain=MPPS_ONLY, frequency=20.0)
+@example(chain=AREA_CHANGES_ONLY, frequency=np.array([5.0, 50.0]))
+@example(chain=AREA_CHANGES_ONLY, frequency=50.0)
+def test_chain_matrix_equals_four_pole_product(chain, frequency):
+    """The wall walk against the extended-precision product of the element
+    matrices, source first, for any mix of pipes, area changes and panels."""
+    walked = chain_matrix(chain, frequency)
+    reference = four_pole_product(chain, frequency, np.clongdouble)
+    for entry, expected in zip((walked.a11, walked.a12, walked.a21, walked.a22), reference):
+        assert np.asarray(entry).dtype == np.clongdouble
+        assert np.shape(entry) == np.shape(frequency)
+        assert np.all(np.abs(entry - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
+
 
 class TestAbsorption:
     def test_mpp_free_chain_is_lossless(self):
@@ -317,6 +403,29 @@ class TestAbsorption:
             alpha = 1.0 - np.abs(gamma) ** 2
             assert np.all(alpha >= -1e-12)
             assert np.all(alpha <= 1.0 + 1e-12)
+
+    def test_alpha_of_chain_matrix_equals_absorption(
+        self, baseline_chain, optimized_chain, single_chain
+    ):
+        # the first column of chain_matrix is the mouth state the absorption
+        # solver computes; both walks must give the same alphas
+        rng = np.random.default_rng(71)
+        chains = [baseline_chain, optimized_chain, single_chain]
+        for _ in range(12):
+            design = DesignVector(**{k: rng.uniform(lo, hi) for k, (lo, hi) in BOUNDS_MM.items()})
+            specs = [
+                MppSpec(rng.uniform(0.2, 1.0), rng.uniform(0.1, 0.8), rng.uniform(0.005, 0.05))
+                for _ in range(3)
+            ]
+            chains.append(build_chain(design, MppSet(*specs)))
+        frequencies = DEFAULT_GRID.frequencies()
+        for chain in chains:
+            z0 = chain.characteristic_impedance()
+            m = chain_matrix(chain, frequencies)
+            gamma = (m.a11 - z0 * m.a21) / (m.a11 + z0 * m.a21)
+            alpha = np.clip(1.0 - np.abs(gamma) ** 2, 0.0, 1.0).astype(float)
+            solved = absorption_coefficients(chain, frequencies[0], 1.0, frequencies.size)
+            assert np.max(np.abs(alpha - solved)) <= 1e-12
 
     def test_clamped_output_range(self, baseline_spectrum):
         assert np.all(baseline_spectrum.alphas >= 0.0)

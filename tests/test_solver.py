@@ -18,7 +18,6 @@ from mppabsorber import (
     DEFAULT_GRID,
     DEFAULT_MPPS,
     OPTIMIZED_DESIGN,
-    AreaChange,
     DesignVector,
     FrequencyGrid,
     Mpp,
@@ -31,7 +30,6 @@ from mppabsorber import (
     anneal,
     build_chain,
     effective_band,
-    element_matrix,
     load_config,
     mpp_normalized_impedance,
     objective,
@@ -39,6 +37,8 @@ from mppabsorber import (
 )
 from mppabsorber import acoustics
 from mppabsorber.acoustics import _phase_trig, absorption_coefficients
+
+from four_pole import four_pole_product
 
 MPP_RANGES = ((0.2, 1.0), (0.1, 0.8), (0.005, 0.05))  # thickness, aperture (mm), porosity
 SINGLE_RANGES = ((5.0, 11.0), (60.0, 120.0), (40.0, 100.0), (4.0, 40.0))  # mm
@@ -55,14 +55,9 @@ def random_spec(rng):
 def four_pole_alphas(chain, frequencies):
     """alpha from the complex128 product of the element matrices, source
     first, with Gamma = (a11 - Z0*a21) / (a11 + Z0*a21)."""
-    matrices = [
-        element_matrix(e, frequencies) for e in chain.elements if not isinstance(e, AreaChange)
-    ]
-    product = matrices[0]
-    for matrix in matrices[1:]:
-        product = product @ matrix
+    a11, _, a21, _ = four_pole_product(chain, frequencies)
     z0 = chain.characteristic_impedance(AIR)
-    gamma = (product.a11 - z0 * product.a21) / (product.a11 + z0 * product.a21)
+    gamma = (a11 - z0 * a21) / (a11 + z0 * a21)
     return np.clip(1.0 - np.abs(gamma) ** 2, 0.0, 1.0)
 
 
