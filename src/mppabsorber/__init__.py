@@ -1,61 +1,21 @@
 """Transfer-matrix simulation and bandwidth optimization of multi-chamber
-micro-perforated-panel sound absorbers."""
+micro-perforated-panel sound absorbers.
 
-from .acoustics import (
-    AIR,
-    AreaChange,
-    ElementChain,
-    Medium,
-    Mpp,
-    MppPanel,
-    SingularConfigurationError,
-    StraightPipe,
-    TransferMatrix,
-    absorption_at,
-    absorption_spectrum,
-    chain_matrix,
-    element_matrix,
-    mpp_normalized_impedance,
-    perforate_constant,
-)
-from .annealing import (
-    AnnealingSchedule,
-    OptimizationResult,
-    accept,
-    anneal,
-    anneal_multi,
-    neighbor,
-    objective,
-)
-from .configio import (
-    ConfigError,
-    RunConfig,
-    SingleChamberStructure,
-    ThreeChamberStructure,
-    dump_config,
-    load_config,
-)
-from .spectrum import (
-    DEFAULT_GRID,
-    AbsorptionSpectrum,
-    EffectiveBand,
-    FrequencyGrid,
-    effective_band,
-    effective_bands,
-    octave_bands,
-)
-from .structure import (
-    BASELINE_DESIGN,
-    BOUNDS_MM,
-    DEFAULT_MPPS,
-    OPTIMIZED_DESIGN,
-    BoundViolation,
-    DesignVector,
-    MppSet,
-    MppSpec,
-    build_chain,
-    single_chamber_chain,
-    validate_bounds,
-)
+The package exports the `__all__` of each of its modules."""
+
+from . import acoustics, annealing, configio, spectrum, structure
+from .acoustics import *  # noqa: F403
+from .annealing import *  # noqa: F403
+from .configio import *  # noqa: F403
+from .spectrum import *  # noqa: F403
+from .structure import *  # noqa: F403
+
+__all__ = [
+    *acoustics.__all__,
+    *annealing.__all__,
+    *configio.__all__,
+    *spectrum.__all__,
+    *structure.__all__,
+]
 
 __version__ = "0.1.0"

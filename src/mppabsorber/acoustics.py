@@ -16,8 +16,10 @@ The absorption solver takes its frequencies as an arithmetic progression
 frequency with count 1. The pipes' cos/sin tables then come from angle
 addition (`_phase_trig`), about 2*sqrt(count) trig calls per pipe instead
 of count. The solver takes a long progression in blocks of whole table rows
-of about _BLOCK_POINTS points, bit for bit as in one piece, so that its
-temporaries stay small and are reused instead of faulted in afresh.
+of about _BLOCK_POINTS points, bit for bit as in one piece. Each thread
+solves its blocks in one workspace of buffers sized to a block
+(`_Workspace`), kept while the block shape repeats, so that the solve
+itself allocates no block-sized array but the alphas it returns.
 
 MPP hole impedance follows Maa's classic micro-perforated panel model
 (viscous resistance plus mass reactance with end corrections). Pipes are
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -379,10 +382,9 @@ def chain_matrix(chain: ElementChain, frequency, medium: Medium = AIR) -> Transf
     return TransferMatrix(*(entry.reshape(shape)[()] for entry in (p[0], p[1], u[0], u[1])))
 
 
-# Most points one solver block evaluates (up to a table row more). Whole-grid
-# temporaries of a 0.01 Hz grid (~2e5 points, 3.2 MB as complex) are mapped
-# and unmapped per call and fault in fresh pages every time; a block's are
-# reused from the heap. 8192 measured fastest; 16k-point blocks fault again.
+# Most points one solver block evaluates (up to a table row more), which
+# sizes a thread's workspace: about 360 bytes per point for a three-chamber
+# chain. On 0.01 Hz grids 8192 solved as fast as 16384, with half the memory.
 _BLOCK_POINTS = 8192
 
 
@@ -393,56 +395,114 @@ def _table_shape(count: int) -> tuple[int, int]:
     return block, -(-count // block)
 
 
+def _table_rows(count: int, rows) -> tuple[int, range, int]:
+    """(block, rows, points): the table block of a `count`-point
+    progression, the table rows `rows` (a range; all of them when None) and
+    the number of points in those rows."""
+    block, n_rows = _table_shape(count)
+    rows = range(n_rows) if rows is None else rows
+    return block, rows, min(rows.stop * block, count) - rows.start * block
+
+
+class _Workspace:
+    """Buffers of one solver block: `n_pipes` pipes, `rows` phase-table rows
+    of `block` columns and `points` frequencies. The solver writes every
+    buffer before it reads it, except the zero halves of `factors`."""
+
+    def __init__(self, n_pipes: int, rows: int, block: int, points: int):
+        self.key = (n_pipes, rows, block, points)
+        self.fine = np.empty((n_pipes, block))
+        self.coarse = np.empty((n_pipes, rows))
+        self.rotation = np.empty((n_pipes, 2 * rows, 2))
+        self.fine_trig = np.empty((n_pipes, 2, block))
+        self.angles = None  # (start, step, first row, c0) of fine_k and coarse_k
+        self.fine_k = np.empty(block)
+        self.coarse_k = np.empty(rows)
+        self.table = np.empty((n_pipes, 2 * rows, block))  # per pipe: cos rows, sin rows
+        self.real = np.empty((4, points))  # wall segment: p, v, two products
+        self.complex = np.empty((5, points), complex)  # p, u, next p, next u, a product
+        # a pipe's c + 0j, 0 + j*(Zc*s) and 0 + j*(s/Zc); the zero halves stay zero
+        self.factors = np.zeros((3, points), complex)
+        self.reflection = np.empty((3, points), complex)  # Z0*u, p + Z0*u, Gamma
+        self.magnitude = np.empty(points)
+
+    def complex_state(self, at_wall: bool):
+        """(p + 0j, j*v) in the first two complex rows, from the wall
+        segment's real p and v, or (1, 0) at the wall: where the walk leaves
+        real arithmetic."""
+        p, v = self.real[:2]
+        p_complex, u, scratch = self.complex[:3]
+        if at_wall:
+            p_complex.fill(1.0)
+            u.fill(0.0)
+            return p_complex, u
+        np.copyto(p_complex, p)
+        np.copyto(scratch, v)
+        return p_complex, np.multiply(1j, scratch, out=u)
+
+
+_local = threading.local()
+
+
+def _workspace(n_pipes: int, count: int, rows) -> _Workspace:
+    """This thread's workspace for the block of table rows `rows` of a
+    `count`-point progression on a chain of `n_pipes` pipes, kept while the
+    shape repeats."""
+    block, rows, points = _table_rows(count, rows)
+    key = (n_pipes, len(rows), block, points)
+    workspace = getattr(_local, "workspace", None)
+    if workspace is None or workspace.key != key:
+        workspace = _local.workspace = _Workspace(*key)
+    return workspace
+
+
 def _phase_trig(
-    lengths, start: float, step: float, count: int, sound_speed: float, rows=None
+    lengths, start: float, step: float, count: int, sound_speed: float, rows=None,
+    workspace=None,
 ):
     """cos and sin of the pipe phases l*k at the frequencies start + n*step,
     n < count, as two (len(lengths), points) arrays over the table rows in
     `rows` (a range; all of them when None), the points
-    rows.start*block <= n < min(rows.stop*block, count).
+    rows.start*block <= n < min(rows.stop*block, count). They are views into
+    `workspace` (the thread's, from _workspace); without one, into buffers
+    of their own.
 
     Two-level angle addition: with block = isqrt(count) and n = q*block + r,
     only the fine angles l*k(start + r*step) and the coarse angles
-    l*k(q*block*step) go through cos/sin. Batched over pipes,
-    [cos_c, -sin_c] @ [cos_f; sin_f] and [sin_c, cos_c] @ [cos_f; sin_f]
-    form the tables. absorption_coefficients asks for at most about
-    _BLOCK_POINTS points at a time, whole rows, so the tables stay
-    block-sized. Each entry depends only on its row's coarse and its
-    column's fine angle, so a row range equals those rows of the full table
-    bit for bit; numpy takes a one-row product through gemv, whose rounding
-    differs from gemm's, so a lone row of a longer table is computed along
-    with a neighbour. The q = 0 coarse angle is exactly 0, so the first row
+    l*k(q*block*step) go through cos/sin. Batched over pipes, one product
+    [[cos_c, -sin_c], [sin_c, cos_c]] @ [cos_f; sin_f] forms both tables.
+    Each entry depends only on its row's coarse and its column's fine angle,
+    so a row range equals those rows of the full table bit for bit; even one
+    row is a two-row product (its cos and sin), never a one-row one, which
+    numpy takes through gemv and rounds differently. The q = 0 coarse angle is exactly 0, so the first row
     (the whole table when count == 1) is direct cos/sin bit for bit;
-    elsewhere the error is a few ulp of the angle.
+    elsewhere the error is a few ulp of the angle. The workspace keeps the
+    wavenumbers k of the last progression, which do not depend on the pipes.
     """
+    lengths = np.asarray(lengths, dtype=float)
     n_pipes = len(lengths)
-    block, n_rows = _table_shape(count)
-    rows = range(n_rows) if rows is None else rows
-    first, stop = rows.start, rows.stop
-    if stop - first == 1 < n_rows:
-        first = min(first, n_rows - 2)
-        stop = first + 2
-    n = stop - first
-    fine = np.multiply.outer(
-        lengths, 2.0 * np.pi * (start + step * np.arange(block)) / sound_speed
-    )
-    coarse = np.multiply.outer(
-        lengths, 2.0 * np.pi * (step * (block * np.arange(first, stop))) / sound_speed
-    )
-    rotation = np.empty((n_pipes, 2 * n, 2))
+    block, rows, points = _table_rows(count, rows)
+    n, first, stop = len(rows), rows.start, rows.stop
+    ws = _Workspace(n_pipes, n, block, points) if workspace is None else workspace
+    if ws.angles != (start, step, first, sound_speed):
+        ws.fine_k[:] = 2.0 * np.pi * (start + step * np.arange(block)) / sound_speed
+        ws.coarse_k[:] = 2.0 * np.pi * (step * (block * np.arange(first, stop))) / sound_speed
+        ws.angles = (start, step, first, sound_speed)
+    np.multiply.outer(lengths, ws.fine_k, out=ws.fine)
+    np.multiply.outer(lengths, ws.coarse_k, out=ws.coarse)
+    rotation = ws.rotation
     cos_c, sin_c = rotation[:, :n, 0], rotation[:, n:, 0]
-    np.cos(coarse, out=cos_c)
-    np.sin(coarse, out=sin_c)
+    np.cos(ws.coarse, out=cos_c)
+    np.sin(ws.coarse, out=sin_c)
     np.negative(sin_c, out=rotation[:, :n, 1])
     rotation[:, n:, 1] = cos_c
-    fine_trig = np.empty((n_pipes, 2, block))
-    np.cos(fine, out=fine_trig[:, 0])
-    np.sin(fine, out=fine_trig[:, 1])
-    lo = (rows.start - first) * block
-    hi = min(rows.stop * block, count) - first * block
-    cos = (rotation[:, :n] @ fine_trig).reshape(n_pipes, n * block)[:, lo:hi]
-    sin = (rotation[:, n:] @ fine_trig).reshape(n_pipes, n * block)[:, lo:hi]
-    return cos, sin
+    np.cos(ws.fine, out=ws.fine_trig[:, 0])
+    np.sin(ws.fine, out=ws.fine_trig[:, 1])
+    np.matmul(rotation, ws.fine_trig, out=ws.table)
+    cos, sin = ws.table[:, :n], ws.table[:, n:]
+    return (
+        cos.reshape(n_pipes, n * block)[:, :points], sin.reshape(n_pipes, n * block)[:, :points]
+    )
 
 
 def _mouth_state(
@@ -451,6 +511,7 @@ def _mouth_state(
     """(p, u) at the mouth for (1, 0) at the rigid wall: the first column
     (a11, a21) of the chain matrix, at the frequencies start + n*step of the
     phase-table rows `rows` of a `count`-point progression (see _phase_trig).
+    Both are buffers of the thread's workspace, valid until its next solve.
 
     The wall state is carried to the mouth element by element, the
     impedance-translation form of the four-pole method (Munjal, Acoustics of
@@ -458,36 +519,75 @@ def _mouth_state(
     multiply-adds, an MPP adds Z*u to p, an area change does nothing. The
     pipes' cos/sin come from angle-addition tables (`_phase_trig`). Up to the
     first MPP from the wall the chain is lossless: p stays real and u = j*v,
-    so that segment runs in real arithmetic. absorption_coefficients calls
-    this once per block of at most about _BLOCK_POINTS points, whole table
-    rows each, so its temporaries stay small enough to be reused from the
-    heap. `panel_impedances` are the normalised Maa impedances of the
-    chain's panels in chain order at the same frequencies.
+    so that segment runs in real arithmetic. `panel_impedances` are the
+    normalised Maa impedances of the chain's panels in chain order at the
+    same frequencies.
+
+    Every step works in place in the workspace and rounds as the plain
+    expressions c*p - (Zc*s)*v and ((1/Zc)*s)*p + c*v (real segment), and
+    c*p + ((j*Zc)*s)*u and ((j/Zc)*s)*p + c*u (complex segment) do, so the
+    alphas are bit for bit theirs. Two shortcuts drop only exact zero terms,
+    which can change the sign of a zero but no value: the first pipe from
+    the wall takes (1, 0) to (c, (1/Zc)*s), and the real c and imaginary
+    (j*Zc)*s and (j/Zc)*s are written into one half of complex buffers whose
+    other half stays zero. A complex product never writes into one of its
+    own operands: numpy takes another inner loop for that, which can round
+    differently.
     """
     pipes = [e for e in chain.elements if isinstance(e, StraightPipe)]
+    ws = _workspace(len(pipes), count, rows)
     cos_kl, sin_kl = _phase_trig(
-        [pipe.length for pipe in pipes], start, step, count, medium.sound_speed, rows
+        [pipe.length for pipe in pipes], start, step, count, medium.sound_speed, rows, ws
     )
     rho_c = medium.characteristic_impedance
-    points = cos_kl.shape[1]
-    p, v, u = np.ones(points), np.zeros(points), None
+    # looked up once for the ~70 calls of a three-chamber walk; out positional
+    multiply, add, subtract = np.multiply, np.add, np.subtract
+    p, v, t, w = ws.real  # the wall segment's p and v = u/j, two products
+    at_wall = True  # (p, v) = (1, 0), not yet written
+    _, _, p_next, u_next, product = ws.complex
+    c_complex, zs, sz = ws.factors
+    u = None
     pipe_index, panel_index = len(pipes), len(panel_impedances)
     for element in reversed(chain.elements):
         if isinstance(element, StraightPipe):
             pipe_index -= 1
             z_c = rho_c / element.area
             c, s = cos_kl[pipe_index], sin_kl[pipe_index]
-            if u is None:
-                p, v = c * p - (z_c * s) * v, ((1.0 / z_c) * s) * p + c * v
+            if at_wall:
+                # c*1 - (z_c*s)*0 and ((1/z_c)*s)*1 + c*0
+                np.copyto(p, c)
+                multiply(1.0 / z_c, s, v)
+                at_wall = False
+            elif u is None:
+                multiply(z_c, s, t)
+                multiply(t, v, t)
+                multiply(1.0 / z_c, s, w)
+                multiply(w, p, w)
+                multiply(p, c, p)
+                subtract(p, t, p)  # c*p - (z_c*s)*v
+                multiply(v, c, v)
+                add(v, w, v)  # ((1/z_c)*s)*p + c*v
             else:
-                p, u = c * p + (1j * z_c) * s * u, (1j / z_c) * s * p + c * u
+                # (1j*z_c)*s and (1j/z_c)*s have a zero real part
+                np.copyto(c_complex.real, c)
+                multiply(z_c, s, zs.imag)
+                multiply(1.0 / z_c, s, sz.imag)
+                multiply(c_complex, p, p_next)
+                multiply(zs, u, u_next)
+                add(p_next, u_next, p_next)  # c*p + (1j*z_c)*s*u
+                multiply(sz, p, u_next)
+                multiply(c_complex, u, product)
+                add(u_next, product, u_next)  # (1j/z_c)*s*p + c*u
+                p, u, p_next, u_next = p_next, u_next, p, u
         elif isinstance(element, Mpp):
             if u is None:
-                u = 1j * v
+                p, u = ws.complex_state(at_wall)
+                at_wall = False
             panel_index -= 1
-            z = panel_impedances[panel_index] * (rho_c / element.panel.duct_area)
-            p = p + z * u
-    return p, (1j * v if u is None else u)
+            multiply(panel_impedances[panel_index], rho_c / element.panel.duct_area, product)
+            multiply(product, u, u_next)
+            add(p, u_next, p)  # p + z*u
+    return ws.complex_state(at_wall) if u is None else (p, u)
 
 
 def absorption_coefficients(
@@ -501,10 +601,15 @@ def absorption_coefficients(
 
     The progression is solved in blocks of ceil(_BLOCK_POINTS / isqrt(count))
     whole phase-table rows, one block when count <= _BLOCK_POINTS; tables,
-    panel impedances and alphas are bit for bit those of one block. Callers
-    evaluating many chains with the same panels on the same frequencies may
-    pass the panels' normalised impedances at all `count` frequencies, in
-    chain order, as `panel_impedances` instead of having them recomputed.
+    panel impedances and alphas are bit for bit those of one block. Each
+    block is solved in the calling thread's workspace (_Workspace), reused by
+    every block and call of the same shape, so the solver holds one block
+    per thread. The alphas are a fresh array the caller owns; apart from
+    them, a repeated solve given `panel_impedances` allocates no block-sized
+    array. Callers evaluating many chains with the same panels on the same
+    frequencies may pass the panels' normalised impedances at all `count`
+    frequencies, in chain order, as `panel_impedances` instead of having
+    them recomputed.
     """
     if not isinstance(count, numbers.Integral) or count < 1:
         raise ValueError(f"count must be an integer >= 1, got {count!r}")
@@ -514,10 +619,8 @@ def absorption_coefficients(
     block, n_rows = _table_shape(count)
     rows_per_block = -(-_BLOCK_POINTS // block)
     z0 = chain.characteristic_impedance(medium)
-    # The blocks' alphas are joined at the end, and one block's are returned
-    # as they are: an output array allocated before the temporaries took
-    # annealing's 2000-point evaluations from 16 to 81 page faults each.
-    alphas = []
+    n_pipes = sum(isinstance(e, StraightPipe) for e in chain.elements)
+    alphas = np.empty(count)
     for first in range(0, n_rows, rows_per_block):
         rows = range(first, min(first + rows_per_block, n_rows))
         lo, hi = first * block, min(rows.stop * block, count)
@@ -531,16 +634,21 @@ def absorption_coefficients(
         else:
             impedances = [z[lo:hi] for z in panel_impedances]
         p, u = _mouth_state(chain, start, step, count, medium, impedances, rows)
-        z0_u = z0 * u
-        denominator = p + z0_u
-        bad = denominator == 0
-        if np.any(bad):
-            raise SingularConfigurationError(
-                float(start + step * (lo + np.flatnonzero(bad)[0]))
-            )
-        gamma = (p - z0_u) / denominator
-        alphas.append(np.clip(1.0 - np.abs(gamma) ** 2, 0.0, 1.0))
-    return alphas[0] if len(alphas) == 1 else np.concatenate(alphas)
+        ws = _workspace(n_pipes, count, rows)
+        z0_u, denominator, gamma = ws.reflection
+        magnitude = ws.magnitude
+        np.multiply(z0, u, out=z0_u)
+        np.add(p, z0_u, out=denominator)
+        if not denominator.all():
+            bad = np.flatnonzero(denominator == 0)[0]
+            raise SingularConfigurationError(float(start + step * (lo + bad)))
+        np.subtract(p, z0_u, out=z0_u)
+        np.divide(z0_u, denominator, out=gamma)
+        np.abs(gamma, out=magnitude)
+        np.square(magnitude, out=magnitude)  # what |gamma| ** 2 computes
+        np.subtract(1.0, magnitude, out=magnitude)
+        np.clip(magnitude, 0.0, 1.0, out=alphas[lo:hi])
+    return alphas
 
 
 def absorption_at(chain: ElementChain, frequency: float, medium: Medium = AIR) -> float:

@@ -204,6 +204,8 @@ def cmd_compare(args) -> int:
     band_a, band_b = bands
     if band_a is None or band_b is None:
         sys.stdout.write("octave ratio (B/A): undefined (no effective band)\n")
+    elif band_a.octaves == 0:
+        sys.stdout.write("octave ratio (B/A): undefined (zero-octave band)\n")
     else:
         sys.stdout.write(f"octave ratio (B/A): {band_b.octaves / band_a.octaves:.3f}\n")
     return 0

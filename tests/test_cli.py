@@ -260,6 +260,17 @@ class TestCompare:
         assert "none" in stdout
         assert "octave ratio (B/A): undefined" in stdout
 
+    def test_zero_octave_band_reports_undefined(self, capsys, config_dir):
+        # a one-point grid: both bands are that point, 0 octaves wide; used to
+        # raise ZeroDivisionError after printing both reports
+        code, stdout, _ = run_cli(
+            capsys, "compare", config_dir / BASELINE, config_dir / OPTIMIZED,
+            "--fmin", 500, "--fmax", 501, "--step", 5,
+        )
+        assert code == 0
+        assert stdout.count("effective band") == 2
+        assert stdout.endswith("octave ratio (B/A): undefined (zero-octave band)\n")
+
 
 class TestOptimize:
     def test_outputs_and_round_trip(self, capsys, tmp_path, small_optimize_config):

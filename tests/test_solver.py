@@ -4,6 +4,9 @@ annealer's objective against the public spectrum path."""
 
 import dataclasses
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,6 +178,7 @@ def test_phase_table_rows_equal_full_table_bit_for_bit(lengths, start, step, tab
     lo, hi = rows.start * block, min(rows.stop * block, count)
     full_cos, full_sin = _phase_trig(lengths, start, step, count, AIR.sound_speed)
     cos_kl, sin_kl = _phase_trig(lengths, start, step, count, AIR.sound_speed, rows)
+    assert not np.shares_memory(cos_kl, full_cos)
     assert np.array_equal(cos_kl, full_cos[:, lo:hi])
     assert np.array_equal(sin_kl, full_sin[:, lo:hi])
 
@@ -299,3 +303,64 @@ def test_objective_does_not_reuse_other_panels():
         assert widths == [uncached(design, DEFAULT_MPPS), uncached(design, other),
                           uncached(design, DEFAULT_MPPS)]
         assert widths[0] != widths[1]
+
+
+@pytest.mark.parametrize(
+    "grid, limit", [(DEFAULT_GRID, 64 * 1024), (FrequencyGrid(1.0, 4000.0, 1.0), 128 * 1024)]
+)
+def test_repeated_objective_allocates_little(grid, limit):
+    # The first call sizes the thread's solver workspace and the run's panel
+    # impedances; a later call on the same grid reuses both and allocates
+    # little more than the alphas it returns (16 and 32 KiB here).
+    # tracemalloc sees numpy's array data.
+    objective(BASELINE_DESIGN, DEFAULT_MPPS, grid=grid)
+    tracemalloc.start()
+    try:
+        objective(OPTIMIZED_DESIGN, DEFAULT_MPPS, grid=grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit
+
+
+@pytest.mark.parametrize("count", [2000, 30_000])  # one block and four
+def test_alphas_outlive_the_workspace(baseline_chain, optimized_chain, count):
+    alphas = absorption_coefficients(baseline_chain, 1.0, 0.05, count)
+    kept = alphas.copy()
+    buffers = vars(acoustics._local.workspace).values()
+    assert not any(np.shares_memory(alphas, b) for b in buffers if isinstance(b, np.ndarray))
+    # a chain of the same shape reuses the same buffers
+    other = absorption_coefficients(optimized_chain, 1.0, 0.05, count)
+    assert np.array_equal(alphas, kept)
+    assert not np.array_equal(other, kept)
+
+
+def test_threads_solve_concurrently_as_in_series():
+    # chains of different shapes, one block and several, each solved by two
+    # threads at once; a workspace shared between threads garbles alphas
+    chains = list(random_chains(909, n_three=2, n_single=1))
+    jobs = [(chain, count) for chain in chains for count in (2000, 20_000)]
+    serial = [absorption_coefficients(chain, 1.0, 0.09, count) for chain, count in jobs]
+    results = {}
+
+    def solve(worker):
+        chain, count = jobs[worker % len(jobs)]
+        results[worker] = [
+            absorption_coefficients(chain, 1.0, 0.09, count) for _ in range(4)
+        ]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=solve, args=(w,)) for w in range(2 * len(jobs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(results) == list(range(2 * len(jobs)))
+    for worker, alphas in results.items():
+        for a in alphas:
+            assert np.array_equal(a, serial[worker % len(jobs)])
