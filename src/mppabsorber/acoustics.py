@@ -3,13 +3,13 @@
 A sound structure is modelled as a series chain of lumped elements (straight
 pipes, area changes, micro-perforated panels), each with a 2x2 four-pole
 matrix relating (pressure, volume velocity) at its input to its output. The
-chain is terminated by a rigid wall, which fixes u = 0 there. Absorption
-carries the wall state (p, u) = (1, 0) to the mouth element by element
-(`_mouth_state`); the mouth state is the first column (a11, a21) of the
-chain matrix and gives the reflection coefficient, hence the
-normal-incidence absorption coefficient. `chain_matrix` builds the whole
-matrix for its determinant by the same walk, carrying both wall states
-(1, 0) and (0, 1), its two columns, in extended precision.
+chain is terminated by a rigid wall. One walk (`_walk`) carries wall states
+(p, u) from the wall to the mouth element by element, in the precision of
+the buffers it is given. Absorption carries (1, 0) in doubles: its mouth
+state is the first column (a11, a21) of the chain matrix and gives the
+reflection coefficient, hence the normal-incidence absorption coefficient.
+`chain_matrix` carries (0, 1) as well, for the whole matrix and its
+determinant, in extended precision.
 
 The absorption solver takes its frequencies as an arithmetic progression
 (start, step, count): a grid's f_min, step and point count, or one
@@ -25,8 +25,8 @@ MPP hole impedance follows Maa's classic micro-perforated panel model
 (viscous resistance plus mass reactance with end corrections). Pipes are
 lossless: all dissipation is attributed to the panels.
 
-All quantities are SI. Frequency arguments of the impedance and element
-formulas accept either a scalar (Hz) or a numpy array for vectorised
+All quantities are SI. Frequency arguments of the impedance formulas and
+chain_matrix accept either a scalar (Hz) or a numpy array for vectorised
 evaluation; matrix entries then carry the same shape.
 """
 
@@ -58,7 +58,6 @@ __all__ = [
     "chain_matrix",
     "circle_area",
     "cut_on_frequency",
-    "element_matrix",
     "mpp_normalized_impedance",
     "perforate_constant",
 ]
@@ -176,10 +175,6 @@ class TransferMatrix:
     a21: complex | np.ndarray
     a22: complex | np.ndarray
 
-    @classmethod
-    def identity(cls) -> "TransferMatrix":
-        return cls(1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
-
     def det(self) -> complex | np.ndarray:
         return self.a11 * self.a22 - self.a12 * self.a21
 
@@ -221,12 +216,6 @@ def cut_on_frequency(chain: ElementChain, medium: Medium = AIR) -> float:
     return 1.8412 * medium.sound_speed / (math.pi * widest)
 
 
-def _check_frequency(frequency):
-    values = np.asarray(frequency, dtype=float)
-    if not np.all((values > 0) & (values < math.inf)):
-        raise ValueError(f"frequency must be finite and positive, got {frequency}")
-
-
 def perforate_constant(frequency, aperture: float, medium: Medium = AIR):
     """Perforate constant K = d * sqrt(omega * rho0 / (4 * eta)).
 
@@ -235,7 +224,7 @@ def perforate_constant(frequency, aperture: float, medium: Medium = AIR):
     hole impedance. Dimensionless, increasing in both frequency and
     aperture.
     """
-    _check_frequency(frequency)
+    check_positive(frequency, "frequency")
     omega = 2.0 * np.pi * frequency
     return aperture * np.sqrt(omega * medium.density / (4.0 * medium.dynamic_viscosity))
 
@@ -264,76 +253,141 @@ def mpp_normalized_impedance(panel: MppPanel, frequency, medium: Medium = AIR):
     return resistance + 1j * reactance
 
 
-def _pipe_terms(pipe: StraightPipe, frequency, medium: Medium):
-    """cos(kl), Zc*sin(kl) and sin(kl)/Zc of a lossless pipe in doubles, with
-    k = omega/c0 and Zc = rho0*c0/S: the real parts of its four-pole
-    entries."""
-    kl = 2.0 * np.pi * np.asarray(frequency, dtype=float) / medium.sound_speed * pipe.length
-    z_c = medium.characteristic_impedance / pipe.area
-    sin_kl = np.sin(kl)
-    return np.cos(kl), z_c * sin_kl, sin_kl * (1.0 / z_c)
+def _impedances(chain: ElementChain, frequencies, medium: Medium) -> list:
+    """Normalised Maa impedances of the chain's panels, in chain order."""
+    return [
+        mpp_normalized_impedance(e.panel, frequencies, medium)
+        for e in chain.elements
+        if isinstance(e, Mpp)
+    ]
 
 
-def _panel_impedance(panel: MppPanel, frequency, medium: Medium):
-    """Series impedance (rho0*c0/S') * Z_mpp of a panel (Pa*s/m^3)."""
-    return mpp_normalized_impedance(panel, frequency, medium) * (
-        medium.characteristic_impedance / panel.duct_area
-    )
+class _Walk:
+    """Buffers of a walk of `columns` wall states at `points` frequencies,
+    in the real floating type `dtype` and its complex type. The walk writes
+    every buffer before it reads it, except the zero halves of `factors`."""
+
+    def __init__(self, columns: int, points: int, dtype):
+        self.key = (columns, points, dtype)
+        self.real = np.empty((columns, 4, points), dtype)  # per column p, v = u/j, two products
+        self.complex = np.empty((columns, 4, points), np.result_type(dtype, 1j))
+        # a pipe's c + 0j, 0 + j*(Zc*s) and 0 + j*(s/Zc), and a product; the zero halves stay zero
+        self.factors = np.zeros((4, points), self.complex.dtype)
+        # per column: real p, v and two products; complex p, u, next p and next u
+        self.real_columns = [tuple(column) for column in self.real]
+        self.complex_columns = [tuple(column) for column in self.complex]
+
+    def complex_states(self, at_wall: bool) -> list[list]:
+        """Per column [p, u, next p, next u] from the real p and v, or from the
+        wall states when `at_wall`: where the walk leaves real arithmetic.
+        The first column's state is (p, j*v), the second's (-j*p, v)."""
+        if at_wall:
+            self.real[:, :2] = np.eye(2)[: len(self.real), :, None]  # (1, 0), (0, 1)
+        (p, v, _, _), (p_complex, u, _, _) = self.real_columns[0], self.complex_columns[0]
+        p_complex.real, p_complex.imag, u.real, u.imag = p, 0.0, 0.0, v
+        for (p, v, _, _), (p_complex, u, _, _) in zip(
+            self.real_columns[1:], self.complex_columns[1:]
+        ):
+            p_complex.real, p_complex.imag, u.real, u.imag = 0.0, -p, v, 0.0
+        return [list(column) for column in self.complex_columns]
 
 
-def element_matrix(element: SoundElement, frequency, medium: Medium = AIR) -> TransferMatrix:
-    """Four-pole matrix of a single element at the given frequency.
+_local = threading.local()
 
-    Straight pipe: [[cos(kl), j*Zc*sin(kl)], [j*sin(kl)/Zc, cos(kl)]] with
-    k = omega/c0 (lossless) and Zc = rho0*c0/S. Area change: identity.
-    MPP: series impedance (rho0*c0/S') * Z_mpp in the upper-right slot.
-    All three have unit determinant.
+
+def _kept(name: str, kind, *key):
+    """This thread's buffers `name`, a `kind(*key)` kept while the key
+    repeats."""
+    buffers = getattr(_local, name, None)
+    if buffers is None or buffers.key != key:
+        buffers = kind(*key)
+        setattr(_local, name, buffers)
+    return buffers
+
+
+def _walk(chain: ElementChain, cos_kl, sin_kl, panel_impedances, medium: Medium, walk: _Walk):
+    """Mouth states [p, u] of the wall states (p, u) = (1, 0) and, in a
+    two-column `walk`, (0, 1), at the frequencies where the chain's pipes
+    have phases of cos `cos_kl` and sin `sin_kl` and its panels the
+    normalised Maa impedances `panel_impedances` (a row each, in chain
+    order, in doubles). The walk computes in the precision of `walk`'s
+    buffers; products of doubles widen when they are written there. The
+    mouth states are buffers of `walk`, valid until its next walk.
+
+    The wall states are carried to the mouth element by element, the
+    impedance-translation form of the four-pole method (Munjal, Acoustics of
+    Ducts and Mufflers, 2nd ed., Wiley 2014, ch. 2-3): a pipe costs four
+    multiply-adds per column, an MPP adds Z*u to p, an area change does
+    nothing. Up to the first MPP from the wall the chain is lossless and
+    each column keeps a fixed phase, so that segment runs in real
+    arithmetic on (p, v) = (p, u/j) for the first column and (j*p, u) for
+    the second, from (1, 0) and (0, 1).
+
+    Every step works in place and rounds as the plain expressions
+    c*p - (Zc*s)*v and ((1/Zc)*s)*p + c*v (real segment), and
+    c*p + ((j*Zc)*s)*u and ((j/Zc)*s)*p + c*u (complex segment) do. The real
+    c and imaginary (j*Zc)*s and (j/Zc)*s are written into one half of
+    complex buffers whose other half stays zero, which can change the sign
+    of a zero but no value. Each column's state is 1-D, and a complex
+    product never writes into one of its own operands: numpy takes other
+    inner loops for either, which can round differently.
     """
-    _check_frequency(frequency)
-    if isinstance(element, AreaChange):
-        return TransferMatrix.identity()
-    if isinstance(element, StraightPipe):
-        cos_kl, zc_sin, sin_zc = _pipe_terms(element, frequency, medium)
-        return TransferMatrix(cos_kl + 0.0j, 1j * zc_sin, 1j * sin_zc, cos_kl + 0.0j)
-    if isinstance(element, Mpp):
-        z = _panel_impedance(element.panel, frequency, medium)
-        zero = np.zeros_like(z)
-        one = zero + 1.0
-        return TransferMatrix(one, z, zero, one)
-    raise TypeError(f"unknown sound element {element!r}")
-
-
-def _imaginary(values):
-    """j*values as np.clongdouble for real doubles `values`: written into a
-    zeroed array, about twice as fast as casting j*values."""
-    out = np.zeros(np.shape(values), np.clongdouble)
-    out.imag = values
-    return out
-
-
-def _rotate(a, b, c, s_ab, s_ba) -> None:
-    """(a, b) <- (c*a + s_ab*b, c*b + s_ba*a) in place, column by column: a
-    pipe's update of chain_matrix's states. In place and per column, the
-    temporaries stay a column long and are reused from the heap instead of
-    growing it."""
-    for a, b in zip(a, b):
-        t = s_ab * b
-        b *= c
-        b += s_ba * a
-        a *= c
-        a += t
-
-
-def _complex_columns(x, y, points: int):
-    """(p1, p2) and (u1, u2) of chain_matrix's wall segment, whose real parts
-    are x = (p1, p2/j) and y = (-u1/j, u2), with x = y = None at the wall."""
-    p, u = np.zeros((2, 2, points), np.clongdouble)
-    if x is None:
-        p[0] = u[1] = 1.0
-    else:
-        p.real[0], p.imag[1] = x
-        u.imag[0], u.real[1] = -y[0], y[1]
-    return p, u
+    rho_c = medium.characteristic_impedance
+    # looked up once for the ~70 calls of a three-chamber walk; out positional
+    multiply, add, subtract = np.multiply, np.add, np.subtract
+    c_complex, zs, sz, product = walk.factors
+    cos_kl = np.asarray(cos_kl, walk.real.dtype)  # exact; the real segment mixes no precisions
+    at_wall = True  # the real states (p, v) = (1, 0) and (0, 1), not yet written
+    states = None  # from the first MPP on: complex_states
+    pipe_index, panel_index = len(cos_kl), len(panel_impedances)
+    for element in reversed(chain.elements):
+        if isinstance(element, StraightPipe):
+            pipe_index -= 1
+            z_c = rho_c / element.area
+            c, s = cos_kl[pipe_index], sin_kl[pipe_index]
+            if states is not None:
+                np.copyto(c_complex.real, c)
+                multiply(z_c, s, zs.imag)
+                multiply(1.0 / z_c, s, sz.imag)
+                for state in states:
+                    p, u, p_next, u_next = state
+                    multiply(c_complex, p, p_next)
+                    multiply(zs, u, u_next)
+                    add(p_next, u_next, p_next)  # c*p + (1j*z_c)*s*u
+                    multiply(sz, p, u_next)
+                    multiply(c_complex, u, product)
+                    add(u_next, product, u_next)  # (1j/z_c)*s*p + c*u
+                    state[:] = p_next, u_next, p, u
+            elif at_wall:
+                # the pipe's columns: (c, (1/z_c)*s) and (-z_c*s, c)
+                p, v, _, _ = walk.real_columns[0]
+                np.copyto(p, c)
+                multiply(1.0 / z_c, s, v)
+                for p, v, _, _ in walk.real_columns[1:]:
+                    multiply(-z_c, s, p)
+                    np.copyto(v, c)
+                at_wall = False
+            else:
+                # Zc*s and s/Zc, in the last column's products, which it forms last
+                zs_real, sz_real = walk.real_columns[-1][2:]
+                multiply(z_c, s, zs_real)
+                multiply(1.0 / z_c, s, sz_real)
+                for p, v, t, w in walk.real_columns:
+                    multiply(zs_real, v, t)
+                    multiply(sz_real, p, w)
+                    multiply(p, c, p)
+                    subtract(p, t, p)  # c*p - (z_c*s)*v
+                    multiply(v, c, v)
+                    add(v, w, v)  # ((1/z_c)*s)*p + c*v
+        elif isinstance(element, Mpp):
+            if states is None:
+                states = walk.complex_states(at_wall)
+            panel_index -= 1
+            multiply(panel_impedances[panel_index], rho_c / element.panel.duct_area, product)
+            for p, u, _, u_next in states:
+                multiply(product, u, u_next)
+                add(p, u_next, p)  # p + z*u
+    return [state[:2] for state in states or walk.complex_states(at_wall)]
 
 
 def chain_matrix(chain: ElementChain, frequency, medium: Medium = AIR) -> TransferMatrix:
@@ -342,44 +396,26 @@ def chain_matrix(chain: ElementChain, frequency, medium: Medium = AIR) -> Transf
 
     Its columns (a11, a21) and (a12, a22) are the mouth states of the wall
     states (p, u) = (1, 0) and (0, 1), carried from the rigid wall to the
-    mouth element by element as in `_mouth_state`: a pipe updates both
-    columns, an MPP adds z*u to p, an area change does nothing. Up to the
-    first MPP from the wall the chain is lossless and each column keeps a
-    fixed phase, with p1, u1/j, p2/j and u2 real, so that segment runs in
-    real np.longdouble. Each element's cos, Zc*sin, sin/Zc and z are
-    computed in doubles and cast to extended precision once, and no product
-    mixes precisions. Entries of wide-chamber chains reach ~1e6, so the unit
-    determinant cancels catastrophically in doubles; on x86, where long
-    double has a 64-bit mantissa, the walk keeps |det - 1| < 1e-9 across
-    the band. Absorption does not use this matrix.
+    mouth by the walk absorption uses (`_walk`), here in np.longdouble
+    buffers kept per thread. The pipes' cos and sin are direct, and each
+    element's terms are computed in doubles and widen exactly when written.
+    Entries of wide-chamber chains reach ~1e6, so the unit determinant
+    cancels catastrophically in doubles; on x86, where long double has a
+    64-bit mantissa, the walk keeps |det - 1| < 1e-9 across the band. The
+    entries are arrays of their own (scalars for a scalar frequency).
     """
-    _check_frequency(frequency)
+    check_positive(frequency, "frequency")
     shape = np.shape(frequency)
     frequency = np.reshape(frequency, -1)  # a scalar's states are columns too
-    # wall segment: x = (p1, p2/j) and y = (-u1/j, u2); None is the wall itself
-    x = y = None
-    p = u = None  # from the first MPP on: (p1, p2) and (u1, u2)
-    for element in reversed(chain.elements):
-        if isinstance(element, StraightPipe):
-            c, zs, sz = _pipe_terms(element, frequency, medium)
-            if p is not None:
-                _rotate(p, u, c.astype(np.clongdouble), _imaginary(zs), _imaginary(sz))
-                continue
-            c, zs, sz = (t.astype(np.longdouble) for t in (c, zs, -sz))
-            if x is None:
-                x, y = np.stack((c, zs)), np.stack((sz, c))
-            else:
-                _rotate(x, y, c, zs, sz)
-        elif isinstance(element, Mpp):
-            if p is None:
-                p, u = _complex_columns(x, y, frequency.size)
-            z = _panel_impedance(element.panel, frequency, medium).astype(np.clongdouble)
-            for p_column, u_column in zip(p, u):
-                p_column += z * u_column
-    if p is None:
-        p, u = _complex_columns(x, y, frequency.size)
-    # [()] turns a scalar frequency's 0-d entries into scalars
-    return TransferMatrix(*(entry.reshape(shape)[()] for entry in (p[0], p[1], u[0], u[1])))
+    lengths = [e.length for e in chain.elements if isinstance(e, StraightPipe)]
+    kl = np.multiply.outer(lengths, 2.0 * np.pi * frequency / medium.sound_speed)
+    walk = _kept("chain_walk", _Walk, 2, frequency.size, np.longdouble)
+    (a11, a21), (a12, a22) = _walk(
+        chain, np.cos(kl), np.sin(kl), _impedances(chain, frequency, medium), medium, walk
+    )
+    # copies, not views of the walk's buffers; [()] turns a scalar
+    # frequency's 0-d entries into scalars
+    return TransferMatrix(*(e.reshape(shape).copy()[()] for e in (a11, a12, a21, a22)))
 
 
 # Most points one solver block evaluates (up to a table row more), which
@@ -404,12 +440,14 @@ def _table_rows(count: int, rows) -> tuple[int, range, int]:
     return block, rows, min(rows.stop * block, count) - rows.start * block
 
 
-class _Workspace:
+class _Workspace(_Walk):
     """Buffers of one solver block: `n_pipes` pipes, `rows` phase-table rows
-    of `block` columns and `points` frequencies. The solver writes every
-    buffer before it reads it, except the zero halves of `factors`."""
+    of `block` columns and `points` frequencies, with those of its
+    one-column walk in doubles. The solver writes every buffer before it
+    reads it, except the zero halves of `factors`."""
 
     def __init__(self, n_pipes: int, rows: int, block: int, points: int):
+        super().__init__(1, points, np.float64)
         self.key = (n_pipes, rows, block, points)
         self.fine = np.empty((n_pipes, block))
         self.coarse = np.empty((n_pipes, rows))
@@ -419,29 +457,8 @@ class _Workspace:
         self.fine_k = np.empty(block)
         self.coarse_k = np.empty(rows)
         self.table = np.empty((n_pipes, 2 * rows, block))  # per pipe: cos rows, sin rows
-        self.real = np.empty((4, points))  # wall segment: p, v, two products
-        self.complex = np.empty((5, points), complex)  # p, u, next p, next u, a product
-        # a pipe's c + 0j, 0 + j*(Zc*s) and 0 + j*(s/Zc); the zero halves stay zero
-        self.factors = np.zeros((3, points), complex)
         self.reflection = np.empty((3, points), complex)  # Z0*u, p + Z0*u, Gamma
         self.magnitude = np.empty(points)
-
-    def complex_state(self, at_wall: bool):
-        """(p + 0j, j*v) in the first two complex rows, from the wall
-        segment's real p and v, or (1, 0) at the wall: where the walk leaves
-        real arithmetic."""
-        p, v = self.real[:2]
-        p_complex, u, scratch = self.complex[:3]
-        if at_wall:
-            p_complex.fill(1.0)
-            u.fill(0.0)
-            return p_complex, u
-        np.copyto(p_complex, p)
-        np.copyto(scratch, v)
-        return p_complex, np.multiply(1j, scratch, out=u)
-
-
-_local = threading.local()
 
 
 def _workspace(n_pipes: int, count: int, rows) -> _Workspace:
@@ -449,11 +466,7 @@ def _workspace(n_pipes: int, count: int, rows) -> _Workspace:
     `count`-point progression on a chain of `n_pipes` pipes, kept while the
     shape repeats."""
     block, rows, points = _table_rows(count, rows)
-    key = (n_pipes, len(rows), block, points)
-    workspace = getattr(_local, "workspace", None)
-    if workspace is None or workspace.key != key:
-        workspace = _local.workspace = _Workspace(*key)
-    return workspace
+    return _kept("workspace", _Workspace, n_pipes, len(rows), block, points)
 
 
 def _phase_trig(
@@ -505,91 +518,6 @@ def _phase_trig(
     )
 
 
-def _mouth_state(
-    chain: ElementChain, start, step, count, medium: Medium, panel_impedances, rows
-):
-    """(p, u) at the mouth for (1, 0) at the rigid wall: the first column
-    (a11, a21) of the chain matrix, at the frequencies start + n*step of the
-    phase-table rows `rows` of a `count`-point progression (see _phase_trig).
-    Both are buffers of the thread's workspace, valid until its next solve.
-
-    The wall state is carried to the mouth element by element, the
-    impedance-translation form of the four-pole method (Munjal, Acoustics of
-    Ducts and Mufflers, 2nd ed., Wiley 2014, ch. 2-3): a pipe costs four
-    multiply-adds, an MPP adds Z*u to p, an area change does nothing. The
-    pipes' cos/sin come from angle-addition tables (`_phase_trig`). Up to the
-    first MPP from the wall the chain is lossless: p stays real and u = j*v,
-    so that segment runs in real arithmetic. `panel_impedances` are the
-    normalised Maa impedances of the chain's panels in chain order at the
-    same frequencies.
-
-    Every step works in place in the workspace and rounds as the plain
-    expressions c*p - (Zc*s)*v and ((1/Zc)*s)*p + c*v (real segment), and
-    c*p + ((j*Zc)*s)*u and ((j/Zc)*s)*p + c*u (complex segment) do, so the
-    alphas are bit for bit theirs. Two shortcuts drop only exact zero terms,
-    which can change the sign of a zero but no value: the first pipe from
-    the wall takes (1, 0) to (c, (1/Zc)*s), and the real c and imaginary
-    (j*Zc)*s and (j/Zc)*s are written into one half of complex buffers whose
-    other half stays zero. A complex product never writes into one of its
-    own operands: numpy takes another inner loop for that, which can round
-    differently.
-    """
-    pipes = [e for e in chain.elements if isinstance(e, StraightPipe)]
-    ws = _workspace(len(pipes), count, rows)
-    cos_kl, sin_kl = _phase_trig(
-        [pipe.length for pipe in pipes], start, step, count, medium.sound_speed, rows, ws
-    )
-    rho_c = medium.characteristic_impedance
-    # looked up once for the ~70 calls of a three-chamber walk; out positional
-    multiply, add, subtract = np.multiply, np.add, np.subtract
-    p, v, t, w = ws.real  # the wall segment's p and v = u/j, two products
-    at_wall = True  # (p, v) = (1, 0), not yet written
-    _, _, p_next, u_next, product = ws.complex
-    c_complex, zs, sz = ws.factors
-    u = None
-    pipe_index, panel_index = len(pipes), len(panel_impedances)
-    for element in reversed(chain.elements):
-        if isinstance(element, StraightPipe):
-            pipe_index -= 1
-            z_c = rho_c / element.area
-            c, s = cos_kl[pipe_index], sin_kl[pipe_index]
-            if at_wall:
-                # c*1 - (z_c*s)*0 and ((1/z_c)*s)*1 + c*0
-                np.copyto(p, c)
-                multiply(1.0 / z_c, s, v)
-                at_wall = False
-            elif u is None:
-                multiply(z_c, s, t)
-                multiply(t, v, t)
-                multiply(1.0 / z_c, s, w)
-                multiply(w, p, w)
-                multiply(p, c, p)
-                subtract(p, t, p)  # c*p - (z_c*s)*v
-                multiply(v, c, v)
-                add(v, w, v)  # ((1/z_c)*s)*p + c*v
-            else:
-                # (1j*z_c)*s and (1j/z_c)*s have a zero real part
-                np.copyto(c_complex.real, c)
-                multiply(z_c, s, zs.imag)
-                multiply(1.0 / z_c, s, sz.imag)
-                multiply(c_complex, p, p_next)
-                multiply(zs, u, u_next)
-                add(p_next, u_next, p_next)  # c*p + (1j*z_c)*s*u
-                multiply(sz, p, u_next)
-                multiply(c_complex, u, product)
-                add(u_next, product, u_next)  # (1j/z_c)*s*p + c*u
-                p, u, p_next, u_next = p_next, u_next, p, u
-        elif isinstance(element, Mpp):
-            if u is None:
-                p, u = ws.complex_state(at_wall)
-                at_wall = False
-            panel_index -= 1
-            multiply(panel_impedances[panel_index], rho_c / element.panel.duct_area, product)
-            multiply(product, u, u_next)
-            add(p, u_next, p)  # p + z*u
-    return ws.complex_state(at_wall) if u is None else (p, u)
-
-
 def absorption_coefficients(
     chain: ElementChain, start, step, count, medium: Medium = AIR, panel_impedances=None
 ) -> np.ndarray:
@@ -619,22 +547,18 @@ def absorption_coefficients(
     block, n_rows = _table_shape(count)
     rows_per_block = -(-_BLOCK_POINTS // block)
     z0 = chain.characteristic_impedance(medium)
-    n_pipes = sum(isinstance(e, StraightPipe) for e in chain.elements)
+    lengths = [e.length for e in chain.elements if isinstance(e, StraightPipe)]
     alphas = np.empty(count)
     for first in range(0, n_rows, rows_per_block):
         rows = range(first, min(first + rows_per_block, n_rows))
         lo, hi = first * block, min(rows.stop * block, count)
         if panel_impedances is None:
-            frequencies = start + step * np.arange(lo, hi)
-            impedances = [
-                mpp_normalized_impedance(e.panel, frequencies, medium)
-                for e in chain.elements
-                if isinstance(e, Mpp)
-            ]
+            impedances = _impedances(chain, start + step * np.arange(lo, hi), medium)
         else:
             impedances = [z[lo:hi] for z in panel_impedances]
-        p, u = _mouth_state(chain, start, step, count, medium, impedances, rows)
-        ws = _workspace(n_pipes, count, rows)
+        ws = _workspace(len(lengths), count, rows)
+        cos_kl, sin_kl = _phase_trig(lengths, start, step, count, medium.sound_speed, rows, ws)
+        [(p, u)] = _walk(chain, cos_kl, sin_kl, impedances, medium, ws)
         z0_u, denominator, gamma = ws.reflection
         magnitude = ws.magnitude
         np.multiply(z0, u, out=z0_u)
@@ -665,8 +589,8 @@ def absorption_spectrum(
 ) -> AbsorptionSpectrum:
     """Absorption coefficient sampled on a frequency grid.
 
-    Each grid point is independent; values match absorption_at frequency by
-    frequency.
+    Each grid point is independent; values agree with absorption_at within
+    a few ulp, as the phase tables are not direct cos/sin.
     """
     frequencies = grid.frequencies()
     return AbsorptionSpectrum(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,6 +72,10 @@ class AnnealingSchedule:
             raise ValueError(
                 "termination_temperature must not exceed initial_temperature"
             )
+        for name in ("iterations_per_temperature", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.iterations_per_temperature < 1:
             raise ValueError("iterations_per_temperature must be at least 1")
         if not 0 <= self.step_fraction < math.inf:

@@ -33,9 +33,15 @@ MAX_GRID_POINTS = 10**7
 
 
 def check_positive(value, *label: str) -> None:
-    """Raise ValueError unless 0 < value < inf, naming the value by the
-    parts of `label` joined with dots; NaN and infinities fail."""
-    if not 0 < value < math.inf:
+    """Raise ValueError unless 0 < value < inf, for a number or for every
+    element of an array, naming the value by the parts of `label` joined
+    with dots; NaN and infinities fail."""
+    if np.ndim(value) == 0:
+        ok = 0 < value < math.inf
+    else:
+        values = np.asarray(value, dtype=float)
+        ok = np.all((values > 0) & (values < math.inf))
+    if not ok:
         raise ValueError(f"{'.'.join(label)} must be finite and positive, got {value}")
 
 
@@ -92,9 +98,10 @@ class AbsorptionSpectrum:
         alphas = np.asarray(self.alphas, dtype=float)
         if freqs.shape != alphas.shape or freqs.ndim != 1 or freqs.size == 0:
             raise ValueError("frequencies and alphas must be equal-length 1-D arrays")
+        check_positive(freqs, "AbsorptionSpectrum", "frequencies")
         if not np.all(np.diff(freqs) > 0):
             raise ValueError("frequencies must be strictly increasing")
-        if np.any(alphas < 0.0) or np.any(alphas > 1.0):
+        if not np.all((alphas >= 0.0) & (alphas <= 1.0)):  # NaN fails too
             raise ValueError("alpha values must lie in [0, 1]")
         object.__setattr__(self, "frequencies", freqs)
         object.__setattr__(self, "alphas", alphas)

@@ -1,11 +1,33 @@
-"""Reference four-pole product for the tests: the chain's element matrices
-multiplied as 2x2 matrices, element nearest the source leftmost, in the
-precision asked for. `chain_matrix` and the absorption solver walk the
-chain instead; this is the textbook product they are checked against."""
+"""Reference four-pole product for the tests: the chain's element matrices,
+from the textbook formulas, multiplied as 2x2 matrices, element nearest the
+source leftmost, in the precision asked for. `chain_matrix` and the
+absorption solver walk the chain instead; this is the product they are
+checked against, and it shares no code with the walk."""
 
 import numpy as np
 
-from mppabsorber import AreaChange, element_matrix
+from mppabsorber import AIR, AreaChange, StraightPipe, mpp_normalized_impedance
+
+
+def element_entries(element, frequency, medium=AIR):
+    """(a11, a12, a21, a22) of one element's four-pole matrix at
+    `frequency`. Straight pipe: [[cos(kl), j*Zc*sin(kl)], [j*sin(kl)/Zc,
+    cos(kl)]] with k = omega/c0 (lossless) and Zc = rho0*c0/S. Area change:
+    identity. MPP: series impedance (rho0*c0/S') * Z_mpp in the upper-right
+    slot. All three have unit determinant."""
+    one = np.ones(np.shape(frequency), complex)
+    zero = np.zeros(np.shape(frequency), complex)
+    if isinstance(element, AreaChange):
+        return one, zero, zero, one
+    if isinstance(element, StraightPipe):
+        kl = 2.0 * np.pi * np.asarray(frequency, dtype=float) / medium.sound_speed * element.length
+        z_c = medium.characteristic_impedance / element.area
+        cos_kl, sin_kl = np.cos(kl), np.sin(kl)
+        return cos_kl + 0.0j, 1j * (z_c * sin_kl), 1j * (sin_kl * (1.0 / z_c)), cos_kl + 0.0j
+    z = mpp_normalized_impedance(element.panel, frequency, medium) * (
+        medium.characteristic_impedance / element.panel.duct_area
+    )
+    return one, z, zero, one
 
 
 def matrix_product(a, b):
@@ -27,8 +49,7 @@ def four_pole_product(chain, frequency, dtype=complex):
     for element in chain.elements:
         if isinstance(element, AreaChange):
             continue
-        m = element_matrix(element, frequency)
-        factor = tuple(np.asarray(entry, dtype) for entry in (m.a11, m.a12, m.a21, m.a22))
+        factor = tuple(np.asarray(entry, dtype) for entry in element_entries(element, frequency))
         product = factor if product is None else matrix_product(product, factor)
     if product is None:
         one, zero = np.ones(np.shape(frequency), dtype), np.zeros(np.shape(frequency), dtype)

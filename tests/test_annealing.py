@@ -143,6 +143,18 @@ class TestSchedule:
         with pytest.raises(ValueError):
             AnnealingSchedule(**kwargs)
 
+    @pytest.mark.parametrize("field", ["iterations_per_temperature", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
+    def test_non_integer_counts_rejected(self, field, value):
+        # iterations_per_temperature=2.5 used to be accepted, and anneal died
+        # with TypeError after its first evaluation; True passed as 1
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            AnnealingSchedule(**{field: value})
+
+    def test_any_integral_count_accepted(self):
+        schedule = AnnealingSchedule(iterations_per_temperature=np.int64(3), seed=np.uint8(7))
+        assert (schedule.iterations_per_temperature, schedule.seed) == (3, 7)
+
 
 class TestAnneal:
     def test_termination_equal_initial_runs_zero_moves(self):

@@ -32,6 +32,7 @@ from mppabsorber import (
     absorption_spectrum,
     anneal,
     build_chain,
+    chain_matrix,
     effective_band,
     load_config,
     mpp_normalized_impedance,
@@ -214,19 +215,30 @@ def test_singular_configuration_in_a_later_block_reports_its_frequency(
     target = 20_000  # the third block
     assert target >= 2 * acoustics._BLOCK_POINTS
     z0 = baseline_chain.characteristic_impedance()
-    solve = acoustics._mouth_state
+    walk = acoustics._walk
+    blocks = []  # the first point and the size of each block walked
 
-    def forced(chain, start, step, count, medium, panel_impedances, rows):
-        p, u = solve(chain, start, step, count, medium, panel_impedances, rows)
-        index = target - rows.start * block
+    panel = baseline_chain.elements[0].panel
+
+    def forced(chain, cos_kl, sin_kl, panel_impedances, medium, workspace):
+        [(p, u)] = walk(chain, cos_kl, sin_kl, panel_impedances, medium, workspace)
+        first = sum(blocks[-1]) if blocks else 0
+        blocks.append((first, p.size))
+        index = target - first
         if 0 <= index < p.size:
+            # the block's point `index` is the target frequency
+            z = mpp_normalized_impedance(panel, start + step * target)
+            assert panel_impedances[0][index] == pytest.approx(z, rel=1e-12)
             p[index] = -z0 * u[index]  # p + Z0*u == 0 exactly
-        return p, u
+        return [(p, u)]
 
-    monkeypatch.setattr(acoustics, "_mouth_state", forced)
+    monkeypatch.setattr(acoustics, "_walk", forced)
     with pytest.raises(SingularConfigurationError) as excinfo:
         absorption_coefficients(baseline_chain, start, step, count)
     assert excinfo.value.frequency == start + step * target
+    # the blocks are whole table rows, and the target sits in the third
+    assert [first % block for first, _ in blocks] == [0, 0, 0]
+    assert blocks[2][0] <= target < sum(blocks[2])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -333,6 +345,24 @@ def test_alphas_outlive_the_workspace(baseline_chain, optimized_chain, count):
     other = absorption_coefficients(optimized_chain, 1.0, 0.05, count)
     assert np.array_equal(alphas, kept)
     assert not np.array_equal(other, kept)
+
+
+def test_chain_matrix_entries_outlive_the_walk(baseline_chain, optimized_chain):
+    frequencies = DEFAULT_GRID.frequencies()
+    matrix = chain_matrix(baseline_chain, frequencies)
+    entries = (matrix.a11, matrix.a12, matrix.a21, matrix.a22)
+    kept = [entry.copy() for entry in entries]
+    buffers = vars(acoustics._local.chain_walk).values()
+    assert not any(
+        np.shares_memory(entry, b)
+        for entry in entries
+        for b in buffers
+        if isinstance(b, np.ndarray)
+    )
+    # a chain of the same size reuses the same buffers
+    other = chain_matrix(optimized_chain, frequencies)
+    assert all(np.array_equal(entry, k) for entry, k in zip(entries, kept))
+    assert not np.array_equal(other.a11, kept[0])
 
 
 def test_threads_solve_concurrently_as_in_series():

@@ -111,6 +111,20 @@ class TestSpectrumInvariants:
         with pytest.raises(ValueError):
             spectrum_of([1, 2, 3], [0.5, 0.5])
 
+    @pytest.mark.parametrize(
+        "frequencies", [[1, 2, math.inf], [0, 1, 2], [-2, -1, 3], [1, 2, math.nan]]
+    )
+    def test_rejects_non_finite_and_non_positive_frequencies(self, frequencies):
+        # [1, 2, inf] used to pass and fail later in octave_bands
+        with pytest.raises(ValueError, match="frequencies must be finite and positive"):
+            spectrum_of(frequencies, [0.9, 0.9, 0.9])
+
+    @pytest.mark.parametrize("alpha", [math.nan, -math.inf, math.inf, -0.1])
+    def test_rejects_nan_and_out_of_range_alphas(self, alpha):
+        # a NaN alpha used to pass and make band_report print "f_high nan Hz"
+        with pytest.raises(ValueError, match=r"alpha values must lie in \[0, 1\]"):
+            spectrum_of([1, 2, 3], [0.9, alpha, 0.9])
+
 
 class TestEffectiveBand:
     def test_threshold_crossing_with_interpolated_edges(self):
