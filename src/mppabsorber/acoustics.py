@@ -18,8 +18,9 @@ addition (`_phase_trig`), about 2*sqrt(count) trig calls per pipe instead
 of count. The solver takes a long progression in blocks of whole table rows
 of about _BLOCK_POINTS points, bit for bit as in one piece. Each thread
 solves its blocks in one workspace of buffers sized to a block
-(`_Workspace`), kept while the block shape repeats, so that the solve
-itself allocates no block-sized array but the alphas it returns.
+(`_Workspace`), kept while the block shape repeats, with the last chain's
+panel impedances, so that a repeated solve allocates no block-sized array
+but the alphas it returns.
 
 MPP hole impedance follows Maa's classic micro-perforated panel model
 (viscous resistance plus mass reactance with end corrections). Pipes are
@@ -253,15 +254,6 @@ def mpp_normalized_impedance(panel: MppPanel, frequency, medium: Medium = AIR):
     return resistance + 1j * reactance
 
 
-def _impedances(chain: ElementChain, frequencies, medium: Medium) -> list:
-    """Normalised Maa impedances of the chain's panels, in chain order."""
-    return [
-        mpp_normalized_impedance(e.panel, frequencies, medium)
-        for e in chain.elements
-        if isinstance(e, Mpp)
-    ]
-
-
 class _Walk:
     """Buffers of a walk of `columns` wall states at `points` frequencies,
     in the real floating type `dtype` and its complex type. The walk writes
@@ -409,10 +401,13 @@ def chain_matrix(chain: ElementChain, frequency, medium: Medium = AIR) -> Transf
     frequency = np.reshape(frequency, -1)  # a scalar's states are columns too
     lengths = [e.length for e in chain.elements if isinstance(e, StraightPipe)]
     kl = np.multiply.outer(lengths, 2.0 * np.pi * frequency / medium.sound_speed)
+    impedances = [
+        mpp_normalized_impedance(e.panel, frequency, medium)
+        for e in chain.elements
+        if isinstance(e, Mpp)
+    ]
     walk = _kept("chain_walk", _Walk, 2, frequency.size, np.longdouble)
-    (a11, a21), (a12, a22) = _walk(
-        chain, np.cos(kl), np.sin(kl), _impedances(chain, frequency, medium), medium, walk
-    )
+    (a11, a21), (a12, a22) = _walk(chain, np.cos(kl), np.sin(kl), impedances, medium, walk)
     # copies, not views of the walk's buffers; [()] turns a scalar
     # frequency's 0-d entries into scalars
     return TransferMatrix(*(e.reshape(shape).copy()[()] for e in (a11, a12, a21, a22)))
@@ -444,7 +439,8 @@ class _Workspace(_Walk):
     """Buffers of one solver block: `n_pipes` pipes, `rows` phase-table rows
     of `block` columns and `points` frequencies, with those of its
     one-column walk in doubles. The solver writes every buffer before it
-    reads it, except the zero halves of `factors`."""
+    reads it, except the zero halves of `factors`. Between calls it keeps
+    the wavenumbers and panel impedances of its last block (`progression`)."""
 
     def __init__(self, n_pipes: int, rows: int, block: int, points: int):
         super().__init__(1, points, np.float64)
@@ -453,7 +449,8 @@ class _Workspace(_Walk):
         self.coarse = np.empty((n_pipes, rows))
         self.rotation = np.empty((n_pipes, 2 * rows, 2))
         self.fine_trig = np.empty((n_pipes, 2, block))
-        self.angles = None  # (start, step, first row, c0) of fine_k and coarse_k
+        self.progression = None  # (start, step, first row, medium) of fine_k, coarse_k, impedances
+        self.impedances = {}  # (thickness, aperture, porosity) -> normalised impedance
         self.fine_k = np.empty(block)
         self.coarse_k = np.empty(rows)
         self.table = np.empty((n_pipes, 2 * rows, block))  # per pipe: cos rows, sin rows
@@ -470,15 +467,13 @@ def _workspace(n_pipes: int, count: int, rows) -> _Workspace:
 
 
 def _phase_trig(
-    lengths, start: float, step: float, count: int, sound_speed: float, rows=None,
-    workspace=None,
+    lengths, start: float, step: float, count: int, medium: Medium, rows, ws: _Workspace
 ):
     """cos and sin of the pipe phases l*k at the frequencies start + n*step,
     n < count, as two (len(lengths), points) arrays over the table rows in
     `rows` (a range; all of them when None), the points
     rows.start*block <= n < min(rows.stop*block, count). They are views into
-    `workspace` (the thread's, from _workspace); without one, into buffers
-    of their own.
+    the workspace `ws`, sized to those rows (_workspace).
 
     Two-level angle addition: with block = isqrt(count) and n = q*block + r,
     only the fine angles l*k(start + r*step) and the coarse angles
@@ -490,17 +485,19 @@ def _phase_trig(
     numpy takes through gemv and rounds differently. The q = 0 coarse angle is exactly 0, so the first row
     (the whole table when count == 1) is direct cos/sin bit for bit;
     elsewhere the error is a few ulp of the angle. The workspace keeps the
-    wavenumbers k of the last progression, which do not depend on the pipes.
+    wavenumbers k, which do not depend on the pipes, while its
+    `progression` (start, step, first row, medium) repeats; a new one also
+    empties the panel impedances kept for the old one.
     """
     lengths = np.asarray(lengths, dtype=float)
     n_pipes = len(lengths)
     block, rows, points = _table_rows(count, rows)
     n, first, stop = len(rows), rows.start, rows.stop
-    ws = _Workspace(n_pipes, n, block, points) if workspace is None else workspace
-    if ws.angles != (start, step, first, sound_speed):
-        ws.fine_k[:] = 2.0 * np.pi * (start + step * np.arange(block)) / sound_speed
-        ws.coarse_k[:] = 2.0 * np.pi * (step * (block * np.arange(first, stop))) / sound_speed
-        ws.angles = (start, step, first, sound_speed)
+    if ws.progression != (start, step, first, medium):
+        ws.fine_k[:] = 2.0 * np.pi * (start + step * np.arange(block)) / medium.sound_speed
+        ws.coarse_k[:] = 2.0 * np.pi * (step * (block * np.arange(first, stop))) / medium.sound_speed
+        ws.impedances = {}
+        ws.progression = (start, step, first, medium)
     np.multiply.outer(lengths, ws.fine_k, out=ws.fine)
     np.multiply.outer(lengths, ws.coarse_k, out=ws.coarse)
     rotation = ws.rotation
@@ -519,7 +516,7 @@ def _phase_trig(
 
 
 def absorption_coefficients(
-    chain: ElementChain, start, step, count, medium: Medium = AIR, panel_impedances=None
+    chain: ElementChain, start, step, count, medium: Medium = AIR
 ) -> np.ndarray:
     """alpha = 1 - |Gamma|^2, clamped to [0, 1], at the `count` frequencies
     start + n*step (a grid's f_min, step and point count), with
@@ -532,12 +529,13 @@ def absorption_coefficients(
     panel impedances and alphas are bit for bit those of one block. Each
     block is solved in the calling thread's workspace (_Workspace), reused by
     every block and call of the same shape, so the solver holds one block
-    per thread. The alphas are a fresh array the caller owns; apart from
-    them, a repeated solve given `panel_impedances` allocates no block-sized
-    array. Callers evaluating many chains with the same panels on the same
-    frequencies may pass the panels' normalised impedances at all `count`
-    frequencies, in chain order, as `panel_impedances` instead of having
-    them recomputed.
+    per thread. The workspace also keeps the normalised impedances of the
+    last chain's panels, by (thickness, aperture, porosity), for its last
+    block and medium; a call on the same ones, such as each evaluation of an
+    annealing run, computes only the panels it has not seen. The Maa
+    impedance reads no duct, so kept and recomputed values are equal. The
+    alphas are a fresh array the caller owns; apart from them, a repeated
+    solve of the same panels allocates no block-sized array.
     """
     if not isinstance(count, numbers.Integral) or count < 1:
         raise ValueError(f"count must be an integer >= 1, got {count!r}")
@@ -548,16 +546,21 @@ def absorption_coefficients(
     rows_per_block = -(-_BLOCK_POINTS // block)
     z0 = chain.characteristic_impedance(medium)
     lengths = [e.length for e in chain.elements if isinstance(e, StraightPipe)]
+    panels = [e.panel for e in chain.elements if isinstance(e, Mpp)]
+    keys = [(panel.thickness, panel.aperture, panel.porosity) for panel in panels]
     alphas = np.empty(count)
     for first in range(0, n_rows, rows_per_block):
         rows = range(first, min(first + rows_per_block, n_rows))
         lo, hi = first * block, min(rows.stop * block, count)
-        if panel_impedances is None:
-            impedances = _impedances(chain, start + step * np.arange(lo, hi), medium)
-        else:
-            impedances = [z[lo:hi] for z in panel_impedances]
         ws = _workspace(len(lengths), count, rows)
-        cos_kl, sin_kl = _phase_trig(lengths, start, step, count, medium.sound_speed, rows, ws)
+        cos_kl, sin_kl = _phase_trig(lengths, start, step, count, medium, rows, ws)
+        kept = ws.impedances  # emptied by _phase_trig on a new block or medium
+        ws.impedances = {
+            key: kept[key] if key in kept
+            else mpp_normalized_impedance(panel, start + step * np.arange(lo, hi), medium)
+            for key, panel in dict(zip(keys, panels)).items()
+        }
+        impedances = [ws.impedances[key] for key in keys]
         [(p, u)] = _walk(chain, cos_kl, sin_kl, impedances, medium, ws)
         z0_u, denominator, gamma = ws.reflection
         magnitude = ws.magnitude

@@ -11,14 +11,13 @@ fully deterministic for a given seed.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .acoustics import AIR, Medium, absorption_coefficients, mpp_normalized_impedance
+from .acoustics import AIR, Medium, absorption_coefficients, absorption_spectrum
 from .spectrum import (
     DEFAULT_GRID,
     AbsorptionSpectrum,
@@ -118,35 +117,6 @@ class OptimizationResult:
     seed: int = 0
 
 
-@functools.lru_cache(maxsize=1)
-def _panel_impedances(mpps: MppSet, medium: Medium, grid: FrequencyGrid):
-    """Grid frequencies and the normalised Maa impedance of each panel on
-    them, all read-only.
-
-    Z/(rho0*c0) does not depend on the duct the panel sits in, so one set
-    serves every design of a run; the duct diameter passed here is a
-    placeholder.
-    """
-    frequencies = grid.frequencies()
-    impedances = tuple(
-        mpp_normalized_impedance(spec.panel(1.0), frequencies, medium) for spec in mpps
-    )
-    for array in (frequencies, *impedances):
-        array.flags.writeable = False
-    return frequencies, impedances
-
-
-def _alphas(design: DesignVector, mpps: MppSet, medium: Medium, grid: FrequencyGrid):
-    """Grid frequencies and the design's alphas on them, with the run's panel
-    impedances."""
-    frequencies, impedances = _panel_impedances(mpps, medium, grid)
-    alphas = absorption_coefficients(
-        build_chain(design, mpps), grid.f_min, grid.step, frequencies.size, medium,
-        impedances,
-    )
-    return frequencies, alphas
-
-
 def objective(
     design: DesignVector,
     mpps: MppSet,
@@ -157,9 +127,14 @@ def objective(
     """Width of the longest effective band (Hz); 0.0 when none qualifies.
 
     Equal to effective_band(absorption_spectrum(...)).width, without wrapping
-    and re-validating the arrays as an AbsorptionSpectrum.
+    and re-validating the arrays as an AbsorptionSpectrum. The solver keeps
+    the panels' impedances between calls on the same grid and medium.
     """
-    band = longest_band(*_alphas(design, mpps, medium, grid), threshold)
+    frequencies = grid.frequencies()
+    alphas = absorption_coefficients(
+        build_chain(design, mpps), grid.f_min, grid.step, frequencies.size, medium
+    )
+    band = longest_band(frequencies, alphas, threshold)
     return band.width if band is not None else 0.0
 
 
@@ -231,7 +206,7 @@ def anneal(
             )
         temperature = schedule.next_temperature(temperature)
 
-    best_spectrum = AbsorptionSpectrum(*_alphas(best, mpps, medium, grid))
+    best_spectrum = absorption_spectrum(build_chain(best, mpps), grid, medium)
     return OptimizationResult(
         best_design=best,
         best_objective=best_objective,

@@ -130,8 +130,9 @@ def cmd_simulate(args) -> int:
     chain = config.structure.chain()
     _warn_above_cut_on(chain, grid, config.medium)
     spectrum = absorption_spectrum(chain, grid, config.medium)
+    report = band_report(spectrum, args.threshold)  # checks the threshold before any write
     Path(args.out).write_text(spectrum_csv(spectrum), encoding="utf-8")
-    sys.stdout.write(band_report(spectrum, args.threshold))
+    sys.stdout.write(report)
     return 0
 
 

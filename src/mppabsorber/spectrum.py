@@ -134,7 +134,7 @@ def _runs_at_or_above(alphas: np.ndarray, threshold: float) -> list[tuple[int, i
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     qualifying = alphas >= threshold
     padded = np.concatenate(([False], qualifying, [False]))
-    edges = np.flatnonzero(np.diff(padded.astype(np.int8)))
+    edges = np.flatnonzero(np.diff(padded))  # True where neighbours differ
     return [(int(s), int(e) - 1) for s, e in zip(edges[::2], edges[1::2])]
 
 

@@ -419,3 +419,15 @@ class TestErrors:
         )
         assert code == 1
         assert "l_2" in stderr
+
+    @pytest.mark.parametrize("threshold", ["1.5", "nan"])
+    def test_bad_threshold_writes_no_csv(self, capsys, tmp_path, config_dir, threshold):
+        out = tmp_path / "t.csv"
+        code, stdout, stderr = run_cli(
+            capsys, "simulate", "--config", config_dir / SINGLE, "--out", out,
+            "--threshold", threshold,
+        )
+        assert code == 1
+        assert stderr.startswith("error: threshold")
+        assert stdout == ""
+        assert not out.exists()

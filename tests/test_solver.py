@@ -23,6 +23,7 @@ from mppabsorber import (
     OPTIMIZED_DESIGN,
     DesignVector,
     FrequencyGrid,
+    Medium,
     Mpp,
     MppSet,
     MppSpec,
@@ -40,7 +41,7 @@ from mppabsorber import (
     single_chamber_chain,
 )
 from mppabsorber import acoustics
-from mppabsorber.acoustics import _phase_trig, absorption_coefficients
+from mppabsorber.acoustics import _phase_trig, _table_rows, _Workspace, absorption_coefficients
 
 from four_pole import four_pole_product
 
@@ -54,6 +55,13 @@ def uniform(rng, ranges):
 
 def random_spec(rng):
     return MppSpec(*uniform(rng, MPP_RANGES))
+
+
+def own_workspace(n_pipes, count, rows=None):
+    """A solver workspace for the table rows `rows` of a `count`-point
+    progression, not the thread's."""
+    block, rows, points = _table_rows(count, rows)
+    return _Workspace(n_pipes, len(rows), block, points)
 
 
 def four_pole_alphas(chain, frequencies):
@@ -139,7 +147,8 @@ def progressions(draw):
 def test_phase_tables_match_direct_trig(lengths, progression):
     # the table's error is a few ulp of the angle l*k, at most ~5.5 rad here
     start, step, count = progression
-    cos_kl, sin_kl = _phase_trig(lengths, start, step, count, AIR.sound_speed)
+    ws = own_workspace(len(lengths), count)
+    cos_kl, sin_kl = _phase_trig(lengths, start, step, count, AIR, None, ws)
     k = 2.0 * np.pi * (start + step * np.arange(count)) / AIR.sound_speed
     phase = np.multiply.outer(lengths, k)
     assert cos_kl.shape == sin_kl.shape == phase.shape
@@ -177,8 +186,10 @@ def test_phase_table_rows_equal_full_table_bit_for_bit(lengths, start, step, tab
     count, rows = table
     block = math.isqrt(count)
     lo, hi = rows.start * block, min(rows.stop * block, count)
-    full_cos, full_sin = _phase_trig(lengths, start, step, count, AIR.sound_speed)
-    cos_kl, sin_kl = _phase_trig(lengths, start, step, count, AIR.sound_speed, rows)
+    full = own_workspace(len(lengths), count)
+    full_cos, full_sin = _phase_trig(lengths, start, step, count, AIR, None, full)
+    part = own_workspace(len(lengths), count, rows)
+    cos_kl, sin_kl = _phase_trig(lengths, start, step, count, AIR, rows, part)
     assert not np.shares_memory(cos_kl, full_cos)
     assert np.array_equal(cos_kl, full_cos[:, lo:hi])
     assert np.array_equal(sin_kl, full_sin[:, lo:hi])
@@ -193,18 +204,15 @@ def test_blocked_solve_equals_one_block_bit_for_bit(monkeypatch, config_dir, nam
     grid = FrequencyGrid(config.grid.f_min, config.grid.f_max, 0.01)
     count = grid.frequencies().size
     progression = (grid.f_min, grid.step, count, medium)
-    impedances = [
-        mpp_normalized_impedance(e.panel, grid.frequencies(), medium)
-        for e in chain.elements
-        if isinstance(e, Mpp)
-    ]
     assert count > 20 * acoustics._BLOCK_POINTS
     blocked = absorption_coefficients(chain, *progression)
-    blocked_cached = absorption_coefficients(chain, *progression, impedances)
+    # the second solve starts on the last block, whose panel impedances the
+    # workspace kept
+    blocked_again = absorption_coefficients(chain, *progression)
     monkeypatch.setattr(acoustics, "_BLOCK_POINTS", count + 1)
     reference = absorption_coefficients(chain, *progression)
     assert np.array_equal(blocked, reference)
-    assert np.array_equal(blocked_cached, reference)
+    assert np.array_equal(blocked_again, reference)
 
 
 def test_singular_configuration_in_a_later_block_reports_its_frequency(
@@ -305,25 +313,51 @@ def test_anneal_best_objective_is_objective_of_best_design():
 
 
 def test_objective_does_not_reuse_other_panels():
+    # The solver keeps the last chain's panel impedances for the last block
+    # and medium. Each call below changes one thing the kept values depend
+    # on, against the call before it.
+    def uncached(design, mpps, medium=AIR, grid=DEFAULT_GRID):
+        spectrum = absorption_spectrum(build_chain(design, mpps), grid, medium)
+        return effective_band(spectrum).width
+
     other = dataclasses.replace(DEFAULT_MPPS, mpp3=MppSpec(thickness=0.5, aperture=0.3, porosity=0.01))
-
-    def uncached(design, mpps):
-        return effective_band(absorption_spectrum(build_chain(design, mpps), DEFAULT_GRID)).width
-
+    porous = dataclasses.replace(
+        DEFAULT_MPPS, mpp1=dataclasses.replace(DEFAULT_MPPS.mpp1, porosity=0.02)
+    )
+    dense = Medium(density=1.3)
+    shifted = FrequencyGrid(DEFAULT_GRID.f_min + 0.5, DEFAULT_GRID.f_max + 0.5, DEFAULT_GRID.step)
+    assert shifted.frequencies().size == DEFAULT_GRID.frequencies().size
     for design in (BASELINE_DESIGN, OPTIMIZED_DESIGN):
-        widths = [objective(design, mpps) for mpps in (DEFAULT_MPPS, other, DEFAULT_MPPS)]
-        assert widths == [uncached(design, DEFAULT_MPPS), uncached(design, other),
-                          uncached(design, DEFAULT_MPPS)]
+        cases = [
+            (DEFAULT_MPPS, AIR, DEFAULT_GRID),
+            (other, AIR, DEFAULT_GRID),
+            (DEFAULT_MPPS, AIR, DEFAULT_GRID),
+            (porous, AIR, DEFAULT_GRID),  # differs only in a porosity
+            (DEFAULT_MPPS, dense, DEFAULT_GRID),
+            (DEFAULT_MPPS, AIR, shifted),  # same point count, another f_min
+            (DEFAULT_MPPS, AIR, DEFAULT_GRID),
+        ]
+        widths = [objective(design, mpps, medium, grid) for mpps, medium, grid in cases]
+        assert widths == [uncached(design, *case) for case in cases]
+        # each change moves the width, so impedances kept from the call
+        # before would show
         assert widths[0] != widths[1]
+        assert len({widths[0], widths[3], widths[4], widths[5]}) == 4
+        # a one-point solve at the grid's f_min has the grid's start, step,
+        # first row and medium, but rebuilds the thread's workspace
+        assert objective(design, porous) == widths[3]
+        absorption_at(build_chain(design, DEFAULT_MPPS), DEFAULT_GRID.f_min)
+        assert objective(design, DEFAULT_MPPS) == widths[0]
 
 
 @pytest.mark.parametrize(
     "grid, limit", [(DEFAULT_GRID, 64 * 1024), (FrequencyGrid(1.0, 4000.0, 1.0), 128 * 1024)]
 )
 def test_repeated_objective_allocates_little(grid, limit):
-    # The first call sizes the thread's solver workspace and the run's panel
-    # impedances; a later call on the same grid reuses both and allocates
-    # little more than the alphas it returns (16 and 32 KiB here).
+    # The first call sizes the thread's solver workspace and computes the
+    # panel impedances it keeps; a later call on the same grid reuses both
+    # and allocates little more than the alphas it returns and the grid's
+    # frequencies with their two temporaries (16 and 32 KiB each here).
     # tracemalloc sees numpy's array data.
     objective(BASELINE_DESIGN, DEFAULT_MPPS, grid=grid)
     tracemalloc.start()
