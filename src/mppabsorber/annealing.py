@@ -127,14 +127,15 @@ def objective(
     """Width of the longest effective band (Hz); 0.0 when none qualifies.
 
     Equal to effective_band(absorption_spectrum(...)).width, without wrapping
-    and re-validating the arrays as an AbsorptionSpectrum. The solver keeps
-    the panels' impedances between calls on the same grid and medium.
+    and re-validating the arrays as an AbsorptionSpectrum and without the
+    grid's frequency array: the band reads only its edge frequencies. The
+    solver keeps the panels' impedances between calls on the same grid and
+    medium.
     """
-    frequencies = grid.frequencies()
     alphas = absorption_coefficients(
-        build_chain(design, mpps), grid.f_min, grid.step, frequencies.size, medium
+        build_chain(design, mpps), grid.f_min, grid.step, grid.size, medium
     )
-    band = longest_band(frequencies, alphas, threshold)
+    band = longest_band(grid.frequency, alphas, threshold)
     return band.width if band is not None else 0.0
 
 

@@ -21,6 +21,8 @@ import dataclasses
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .annealing import AnnealingSchedule, OptimizationResult, anneal
 from .configio import (
     ConfigError,
@@ -79,34 +81,133 @@ def band_report(spectrum: AbsorptionSpectrum, threshold: float) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Rows per %-operation of _csv: a chunk's values and text stay near 100 KiB.
-_CSV_CHUNK_ROWS = 4096
+# Rows per chunk of _csv: a chunk's slots and temporaries stay near 1 MiB.
+_CSV_CHUNK_ROWS = 8192
+_POW10 = 10.0 ** np.arange(10)  # each one a double exactly
+
+
+def _words(texts) -> np.ndarray:
+    """One uint64 per 8-character text: its characters as little-endian bytes."""
+    return np.frombuffer("".join(texts).encode("ascii"), "<u8")
+
+
+# A value's text is picked from a 16-byte slot of two words:
+#   S 0 . 0 0 0 d0 . | d1 . d2 . d3 . d4 d5
+# S is the separator before the value (the row's leading newline or a comma),
+# "0.000" the lead of exponents -4 to -1, d0-d5 the six-digit mantissa, and
+# each other "." the point after d0-d3 for exponents 0 to 3.
+_LEAD = _words(f"\0" f"0.000{i}." for i in range(10))
+_MIDDLE = _words(f"{i // 10}.{i % 10}.\0\0\0\0" for i in range(100))  # d1 d2
+_LOW = _words(f"\0\0\0\0{i // 100}.{i // 10 % 10}{i % 10}" for i in range(1000))  # d3-d5
+# index of the last nonzero mantissa digit in d1 d2 or in d3-d5; -1 if none
+_MIDDLE_LAST = np.select([np.arange(100) % d > 0 for d in (10, 100)], [2, 1], -1)
+_LOW_LAST = np.select([np.arange(1000) % d > 0 for d in (10, 100, 1000)], [5, 4, 3], -1)
+
+
+def _keep_words():
+    """The bytes of a slot that a value's text keeps, as two words indexed by
+    (exponent + 4) * 6 + the index of the last digit shown."""
+    e, last = np.meshgrid(np.arange(-4, 6), np.arange(6), indexing="ij")
+    keep = [last >= 0, e < 0, e < 0, e <= -4, e <= -3, e <= -2]  # S, "0.000"
+    for j in range(6):
+        keep.append(last >= j)
+        if j < 4:
+            keep.append((e == j) & (last > j))
+    words = np.stack(keep, axis=-1).reshape(-1, 16).view("<u8")
+    return words[:, 0].copy(), words[:, 1].copy()
+
+
+_KEEP_FIRST, _KEEP_SECOND = _keep_words()
+
+
+def _mantissa(x: np.ndarray):
+    """(m, e, fallback): each value rounded to m * 10**(e - 5), m an integer
+    in [1e5, 1e6) as a float (0 for zero), and where the slot cannot spell
+    it (see _csv). m and e are 0 on fallback rows."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0, negatives, NaN
+        e = np.floor(np.log10(x))
+    fixed = (e >= -4) & (e <= 5)
+    fallback = ~fixed & ((x != 0) | np.signbit(x))
+    e[~fixed] = 0
+    y = np.where(fixed, x, 0.0) * _POW10[(5 - e).astype(np.intp)]
+    m = np.rint(y)
+    fallback |= y - np.floor(y) == 0.5
+    fallback |= fixed & ((y < 1e5) | (y >= 1e6))  # log10 off by one
+    carry = m == 1e6
+    m[carry] = 1e5
+    e += carry
+    fallback |= (e == 4) | (e > 5)
+    e[fallback] = 0
+    m[fallback] = 0
+    return m, e.astype(np.intp), fallback
+
+
+def _slots(m: np.ndarray, e: np.ndarray):
+    """The slot's two text words, without S, and its two keep words."""
+    lead = np.floor(m / 1e5)
+    rest = m - lead * 1e5
+    middle = np.floor(rest / 1e3)
+    low = (rest - middle * 1e3).astype(np.intp)
+    lead, middle = lead.astype(np.intp), middle.astype(np.intp)
+    last = np.maximum(np.maximum(_MIDDLE_LAST[middle], _LOW_LAST[low]), np.maximum(e, 0))
+    code = (e + 4) * 6 + last
+    return _LEAD[lead], _MIDDLE[middle] | _LOW[low], _KEEP_FIRST[code], _KEEP_SECOND[code]
 
 
 def _csv(header: str, row_format: str, columns) -> str:
     """CSV text: the header line, then one `row_format` line per row of the
-    equal-length `columns` (lists of Python numbers). Each chunk of rows
-    goes through one %-format of the repeated row format; %-formatting
-    spells a value as format() with the same spec does, so the text is what
-    a per-row f-string gives, at a fraction of the cost."""
-    width = len(columns)
-    values = [None] * (width * len(columns[0]))
-    for j, column in enumerate(columns):
-        values[j::width] = column
-    line = row_format + "\n"
-    step = width * _CSV_CHUNK_ROWS
-    parts = [header + "\n"]
-    for first in range(0, len(values), step):
-        chunk = values[first:first + step]
-        parts.append(line * (len(chunk) // width) % tuple(chunk))
+    equal-length `columns`. Each field of `row_format` is "%.6g", or "%d"
+    for a column of integers, which below 1e6 spell the same under both.
+    The text is what a per-row f-string gives, byte for byte.
+
+    Chunks of rows are formatted by numpy: each value is rounded to a
+    six-digit integer mantissa m = rint(x * 10**(5 - e)), with e from
+    log10, and its text is picked from a fixed 16-byte slot. 10**k is exact
+    for k <= 9, so x * 10**k is rounded once, and n + 0.5 is a double: the
+    rounding can land a value on a tie but never carry it across one. So m
+    is the correctly rounded mantissa unless the product is exactly n + 0.5.
+    These rows go to Python's % operator instead and are spliced back:
+    - a product that is exactly n + 0.5, a true tie or not;
+    - a product below 1e5 or from 1e6 up, where log10 was off by one;
+    - exponents outside -4 to 5 after rounding (exponent notation, or an
+      integer of 1e6 or more), and exponent 4, whose point the slot lacks;
+    - negative values, -0.0, NaN and infinities.
+    """
+    arrays = [np.asarray(column) for column in columns]
+    line = "\n" + row_format
+    parts = [header]
+    for first in range(0, arrays[0].size, _CSV_CHUNK_ROWS):
+        chunk = [array[first:first + _CSV_CHUNK_ROWS] for array in arrays]
+        text = np.empty((chunk[0].size, 2 * len(chunk)), np.uint64)
+        keep = np.empty_like(text)
+        fallback = np.zeros(chunk[0].size, bool)
+        for j, values in enumerate(chunk):
+            m, e, fallback_j = _mantissa(values.astype(np.float64))
+            fallback |= fallback_j
+            head, tail, keep[:, 2 * j], keep[:, 2 * j + 1] = _slots(m, e)
+            text[:, 2 * j] = head | ord("\n" if j == 0 else ",")
+            text[:, 2 * j + 1] = tail
+        fallback_rows = np.flatnonzero(fallback)
+        keep[fallback_rows] = 0
+        kept = np.compress(keep.view(bool).ravel(), text.view(np.uint8).ravel())
+        kept = kept.tobytes().decode("ascii")
+        if fallback_rows.size:
+            ends = np.cumsum(keep.view(np.uint8).reshape(len(keep), -1).sum(axis=1))
+            pieces, start = [], 0
+            for row in fallback_rows.tolist():
+                end = int(ends[row])
+                pieces += [kept[start:end], line % tuple(values[row] for values in chunk)]
+                start = end
+            pieces.append(kept[start:])
+            kept = "".join(pieces)
+        parts.append(kept)
+    parts.append("\n")
     return "".join(parts)
 
 
 def spectrum_csv(spectrum: AbsorptionSpectrum) -> str:
     return _csv(
-        "frequency_hz,alpha",
-        "%.6g,%.6g",
-        (spectrum.frequencies.tolist(), spectrum.alphas.tolist()),
+        "frequency_hz,alpha", "%.6g,%.6g", (spectrum.frequencies, spectrum.alphas)
     )
 
 

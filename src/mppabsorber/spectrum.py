@@ -9,6 +9,7 @@ neighbour, so reported cutoffs are finer than the grid step.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,10 +75,17 @@ class FrequencyGrid:
         if (self.f_max - self.f_min) / self.step >= MAX_GRID_POINTS:
             raise ValueError(f"grid has more than {MAX_GRID_POINTS} points")
 
-    def frequencies(self) -> np.ndarray:
+    @property
+    def size(self) -> int:
         # round-tolerant count so f_max is included when it lands on a step
-        n = int(math.floor((self.f_max - self.f_min) / self.step + 1e-9)) + 1
-        return self.f_min + self.step * np.arange(n)
+        return int(math.floor((self.f_max - self.f_min) / self.step + 1e-9)) + 1
+
+    def frequency(self, i: int) -> float:
+        """Point i of the grid, bit for bit frequencies()[i]."""
+        return self.f_min + self.step * i
+
+    def frequencies(self) -> np.ndarray:
+        return self.f_min + self.step * np.arange(self.size)
 
 
 # 1 Hz resolution resolves the sub-10 Hz cutoffs of wideband designs; 2 kHz
@@ -139,21 +147,25 @@ def _runs_at_or_above(alphas: np.ndarray, threshold: float) -> list[tuple[int, i
 
 
 def _interpolated_band(
-    freqs: np.ndarray, alphas: np.ndarray, start: int, end: int, threshold: float
+    frequency: Callable[[int], float],
+    alphas: np.ndarray,
+    start: int,
+    end: int,
+    threshold: float,
 ) -> EffectiveBand:
     if start > 0:
         # crossing point where the linear segment reaches the threshold
-        f_low = freqs[start - 1] + (threshold - alphas[start - 1]) / (
+        f_low = frequency(start - 1) + (threshold - alphas[start - 1]) / (
             alphas[start] - alphas[start - 1]
-        ) * (freqs[start] - freqs[start - 1])
+        ) * (frequency(start) - frequency(start - 1))
     else:
-        f_low = freqs[0]
-    if end < len(freqs) - 1:
-        f_high = freqs[end] + (alphas[end] - threshold) / (
+        f_low = frequency(0)
+    if end < len(alphas) - 1:
+        f_high = frequency(end) + (alphas[end] - threshold) / (
             alphas[end] - alphas[end + 1]
-        ) * (freqs[end + 1] - freqs[end])
+        ) * (frequency(end + 1) - frequency(end))
     else:
-        f_high = freqs[-1]
+        f_high = frequency(len(alphas) - 1)
     f_low = float(f_low)
     f_high = float(f_high)
     octaves = octave_bands(f_low, f_high) if f_high > f_low else 0.0
@@ -170,19 +182,20 @@ def effective_bands(
     spectrum: AbsorptionSpectrum, threshold: float = 0.8
 ) -> list[EffectiveBand]:
     """All alpha >= threshold bands in ascending frequency order."""
-    freqs, alphas = spectrum.frequencies, spectrum.alphas
+    frequency, alphas = spectrum.frequencies.__getitem__, spectrum.alphas
     return [
-        _interpolated_band(freqs, alphas, start, end, threshold)
+        _interpolated_band(frequency, alphas, start, end, threshold)
         for start, end in _runs_at_or_above(alphas, threshold)
     ]
 
 
 def longest_band(
-    frequencies: np.ndarray, alphas: np.ndarray, threshold: float = 0.8
+    frequency: Callable[[int], float], alphas: np.ndarray, threshold: float = 0.8
 ) -> EffectiveBand | None:
-    """The longest effective band of the parallel arrays of a spectrum, or
-    None if no point qualifies: effective_band without the AbsorptionSpectrum
-    wrapper, for callers whose arrays are valid by construction.
+    """The longest effective band of a spectrum's alphas, or None if no point
+    qualifies: effective_band without the AbsorptionSpectrum wrapper, for
+    callers whose arrays are valid by construction. frequency(i) is the
+    frequency of point i; only the band edges and their neighbours are read.
 
     Band length is counted in grid points; ties go to the lower-frequency
     run. Edges are interpolated to alpha == threshold exactly (except at the
@@ -192,7 +205,7 @@ def longest_band(
     if not runs:
         return None
     start, end = max(runs, key=lambda run: (run[1] - run[0], -run[0]))
-    return _interpolated_band(frequencies, alphas, start, end, threshold)
+    return _interpolated_band(frequency, alphas, start, end, threshold)
 
 
 def effective_band(
@@ -200,4 +213,4 @@ def effective_band(
 ) -> EffectiveBand | None:
     """The longest effective band, or None if no grid point qualifies (see
     longest_band)."""
-    return longest_band(spectrum.frequencies, spectrum.alphas, threshold)
+    return longest_band(spectrum.frequencies.__getitem__, spectrum.alphas, threshold)

@@ -1,6 +1,7 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from mppabsorber import (
     BASELINE_DESIGN,
@@ -14,6 +15,11 @@ from mppabsorber import (
 )
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+# Every property test draws the same examples on every run and has no
+# deadline; each test sets only its example count.
+settings.register_profile("mppabsorber", derandomize=True, deadline=None)
+settings.load_profile("mppabsorber")
 
 
 @pytest.fixture(scope="session")

@@ -363,7 +363,7 @@ MPPS_ONLY = ElementChain((Mpp(MPP1), Mpp(MPP3), Mpp(MPP1)), 0.01)
 AREA_CHANGES_ONLY = ElementChain((AreaChange(), AreaChange()), 0.01)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(
     chain=st.lists(elements, min_size=1, max_size=10).map(lambda e: ElementChain(tuple(e), 0.01)),
     frequency=frequencies,

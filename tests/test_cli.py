@@ -6,10 +6,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mppabsorber import AbsorptionSpectrum, FrequencyGrid, absorption_spectrum, load_config
 from mppabsorber.annealing import TraceRow
-from mppabsorber.cli import main, spectrum_csv, trace_csv
+from mppabsorber.cli import _CSV_CHUNK_ROWS, main, spectrum_csv, trace_csv
 
 BASELINE = "three_chamber_baseline.json"
 OPTIMIZED = "three_chamber_optimized.json"
@@ -49,6 +51,43 @@ def per_row_trace_csv(result):
         for row in result.objective_trace
     ]
     return "\n".join(lines) + "\n"
+
+
+def with_ulp_neighbours(values):
+    """Each value with the doubles just below and just above it."""
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([np.nextafter(values, 0.0), values, np.nextafter(values, np.inf)])
+
+
+# Ties at the sixth digit: binary-exact ones (123456.5) and decimal ones that
+# no double spells exactly, on either side of the rounding.
+TIES = [0.0001234565, 0.1234565, 1.000005, 1234.565, 99999.95, 123456.5, 123457.5, 999999.5]
+POWERS_OF_TEN = 10.0 ** np.arange(-5, 8)
+EDGE_FREQUENCIES = np.unique(np.concatenate([
+    [5e-324, 1e-300, 9.9999995e-5, 0.1 + 0.2, 123456789.0, 1.5e17],
+    with_ulp_neighbours(TIES),
+    with_ulp_neighbours(POWERS_OF_TEN),
+]))
+EDGE_ALPHAS = np.concatenate([
+    [0.0, -0.0, 5e-324, 1e-300, 0.1 + 0.2, 9.9999995e-5, 0.9999995, 0.5, 1 / 3, 0.8,
+     0.99999949999],
+    with_ulp_neighbours(TIES[:2]),
+    with_ulp_neighbours(POWERS_OF_TEN[:5]),
+    [1.0, np.nextafter(1.0, 0.0)],
+])
+
+
+def tie(mantissa, exponent, side):
+    """A value on or next to the tie mantissa + 0.5 at the sixth digit."""
+    value = (mantissa + 0.5) * 10.0**exponent
+    return float(np.nextafter(value, side * np.inf)) if side else value
+
+
+non_negative_floats = st.one_of(
+    st.floats(min_value=0.0),  # subnormals, huge values and inf included
+    st.builds(tie, st.integers(100_000, 999_999), st.integers(-10, 1), st.sampled_from([-1, 0, 1])),
+    st.sampled_from(EDGE_FREQUENCIES.tolist()),
+)
 
 
 @pytest.fixture
@@ -148,13 +187,9 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "frequencies, alphas",
         [
-            # rounding ties, subnormals, exponent switches and float noise
-            (
-                [5e-324, 1e-300, 9.9999995e-5, 0.1 + 0.2, 1.0, 99999.95, 1e5,
-                 999999.5, 1e6, 123456789.0, 1.5e17],
-                [0.0, 1.0, 5e-324, 1e-300, 0.1 + 0.2, 9.9999995e-5, 0.9999995,
-                 0.5, 1 / 3, 0.8, 0.99999949999],
-            ),
+            # rounding ties and their neighbours, powers of ten and their
+            # neighbours, -0.0, subnormals, exponent switches and float noise
+            (EDGE_FREQUENCIES, np.resize(EDGE_ALPHAS, EDGE_FREQUENCIES.size)),
             ([1000.0], [0.5]),  # one point
         ],
         ids=["edge-values", "one-point"],
@@ -163,11 +198,36 @@ class TestSimulate:
         spectrum = AbsorptionSpectrum(np.array(frequencies), np.array(alphas))
         assert spectrum_csv(spectrum) == per_row_spectrum_csv(spectrum)
 
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(non_negative_floats, non_negative_floats), max_size=40))
+    def test_csv_equals_per_row_formatting_on_any_non_negative_values(self, rows):
+        spectrum = SimpleNamespace(
+            frequencies=np.array([f for f, _ in rows], dtype=float),
+            alphas=np.array([a for _, a in rows], dtype=float),
+        )
+        assert spectrum_csv(spectrum) == per_row_spectrum_csv(spectrum)
+
     def test_csv_spans_several_chunks(self):
-        # 10,001 rows: two full 4096-row chunks and a partial one
-        frequencies = 1.0 + 0.37 * np.arange(10_001)
+        # two full chunks and a partial one
+        frequencies = 1.0 + 0.37 * np.arange(2 * _CSV_CHUNK_ROWS + 1817)
         spectrum = AbsorptionSpectrum(frequencies, np.sin(frequencies) ** 2)
         assert spectrum_csv(spectrum) == per_row_spectrum_csv(spectrum)
+
+    def test_csv_splices_fallback_rows_anywhere_in_a_chunk(self):
+        # Rows in exponent notation take Python's % operator and are spliced
+        # back into the chunk's numpy text: at a chunk's first and last row,
+        # in runs of consecutive rows, over a whole chunk, and last in the file.
+        chunk = _CSV_CHUNK_ROWS
+        frequencies = 1.0 + 0.37 * np.arange(3 * chunk + 7)
+        alphas = np.full(frequencies.size, 0.5)
+        back = [0, 1, 2, 500, 501, 502, 503, chunk - 1, 2 * chunk, 3 * chunk - 1, 3 * chunk + 6]
+        alphas[back] = 1e-7 * (1.0 + np.arange(len(back)))
+        alphas[chunk:2 * chunk] = 3e-9
+        frequencies[[1000, 1001]] = [2e7, 3e7]  # either column sends its row back
+        spectrum = SimpleNamespace(frequencies=frequencies, alphas=alphas)
+        text = spectrum_csv(spectrum)
+        assert text == per_row_spectrum_csv(spectrum)
+        assert text.count("e-") == len(back) + chunk
 
     def test_grid_override_flags(self, tmp_path, capsys, config_dir):
         out = tmp_path / "spec.csv"
@@ -321,6 +381,12 @@ class TestOptimize:
             TraceRow(float(t), i + 1, float(c), float(b))
             for i, (t, c, b) in enumerate(rng.lognormal(0.0, 8.0, (rows, 3)))
         ]
+        result = SimpleNamespace(objective_trace=trace)
+        assert trace_csv(result) == per_row_trace_csv(result)
+
+    def test_trace_csv_iterations_past_six_digits(self):
+        iterations = [0, 9, 10, 99_999, 100_000, 999_999, 1_000_000, 12_345_678]
+        trace = [TraceRow(0.5 / (i + 1), i, 1e3 + i, 1e3 + i) for i in iterations]
         result = SimpleNamespace(objective_trace=trace)
         assert trace_csv(result) == per_row_trace_csv(result)
 
