@@ -1,40 +1,19 @@
 """Plane-wave four-pole acoustics for MPP / expansion-chamber absorbers.
 
-A sound structure is modelled as a series chain of lumped elements (straight
-pipes, area changes, micro-perforated panels), each with a 2x2 four-pole
-matrix relating (pressure, volume velocity) at its input to its output. The
-chain is terminated by a rigid wall. One walk (`_walk`) carries wall states
-(p, u) from the wall to the mouth element by element, in the precision of
-the buffers it is given. Absorption carries (1, 0) in doubles: its mouth
-state is the first column (a11, a21) of the chain matrix and gives the
-reflection coefficient, hence the normal-incidence absorption coefficient.
-`chain_matrix` carries (0, 1) as well, for the whole matrix and its
-determinant, in extended precision.
-
-The absorption solver takes its frequencies as an arithmetic progression
-(start, step, count): a grid's f_min, step and point count, or one
-frequency with count 1. The pipes' cos/sin tables then come from angle
-addition (`_phase_trig`), about 2*sqrt(count) trig calls per pipe instead
-of count. The solver takes a long progression in blocks of whole table rows
-of about _BLOCK_POINTS points, bit for bit as in one piece. Each thread
-solves its blocks in one workspace of buffers sized to a block
-(`_Workspace`), kept while the block shape repeats, with the last chain's
-panel impedances, so that a repeated solve allocates no block-sized array
-but the alphas it returns.
-
-MPP hole impedance follows Maa's classic micro-perforated panel model
-(viscous resistance plus mass reactance with end corrections). Pipes are
-lossless: all dissipation is attributed to the panels.
-
-All quantities are SI. Frequency arguments of the impedance formulas and
-chain_matrix accept either a scalar (Hz) or a numpy array for vectorised
-evaluation; matrix entries then carry the same shape.
+A structure is a series chain of pipes, area changes and micro-perforated
+panels, sound source first, ended by a rigid wall. One walk (`_walk`)
+carries wall states (p, u) to the mouth: (1, 0) in doubles for absorption,
+and (0, 1) as well in extended precision for `chain_matrix`. The absorption
+solver takes a FrequencyGrid, forms the pipes' cos/sin by angle addition
+(`_phase_trig`) and solves long grids in blocks of table rows, in a
+workspace per thread (`_Workspace`). MPP impedance follows Maa's model;
+pipes are lossless. Quantities are SI; the impedance formulas and
+chain_matrix take a frequency (Hz) as a scalar or an array.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import threading
 from dataclasses import dataclass
 
@@ -77,11 +56,8 @@ class SingularConfigurationError(ArithmeticError):
 
 @dataclass(frozen=True)
 class Medium:
-    """Ambient fluid properties entering every impedance formula.
-
-    Defaults are air at 20 degC. `temperature` is informational only; it is
-    never used in a formula.
-    """
+    """Ambient fluid of every impedance formula; the defaults are air at
+    20 degC. `temperature` is informational and enters no formula."""
 
     sound_speed: float = 343.0        # m/s
     density: float = 1.204            # kg/m^3
@@ -107,11 +83,8 @@ def circle_area(diameter: float) -> float:
 
 @dataclass(frozen=True)
 class MppPanel:
-    """Micro-perforated panel embedded in a duct.
-
-    thickness, aperture (hole diameter) and duct_diameter in metres;
-    porosity is the open-area fraction of the panel.
-    """
+    """Micro-perforated panel in a duct: thickness, aperture (hole
+    diameter) and duct_diameter in metres, porosity the open-area fraction."""
 
     thickness: float
     aperture: float
@@ -145,11 +118,8 @@ class StraightPipe:
 
 @dataclass(frozen=True)
 class AreaChange:
-    """Abrupt expansion or contraction between duct sections.
-
-    Under the plane-wave lumped model both transitions carry the identity
-    matrix; the variant exists so chains read like the physical layout.
-    """
+    """Abrupt expansion or contraction between ducts: the identity under the
+    plane-wave lumped model, kept so chains read like the physical layout."""
 
 
 @dataclass(frozen=True)
@@ -164,12 +134,9 @@ SoundElement = StraightPipe | AreaChange | Mpp
 
 @dataclass(frozen=True)
 class TransferMatrix:
-    """Four-pole matrix: (P, U)_in = A @ (P, U)_out.
-
-    a11 and a22 are dimensionless, a12 is in Pa*s/m^3 and a21 in
-    m^3/(Pa*s). Entries may be complex scalars or complex numpy arrays of
-    a common shape (one matrix per frequency).
-    """
+    """Four-pole matrix, (P, U)_in = A @ (P, U)_out: a11 and a22
+    dimensionless, a12 in Pa*s/m^3, a21 in m^3/(Pa*s). Entries are complex
+    scalars or arrays of a common shape, one matrix per frequency."""
 
     a11: complex | np.ndarray
     a12: complex | np.ndarray
@@ -182,12 +149,9 @@ class TransferMatrix:
 
 @dataclass(frozen=True)
 class ElementChain:
-    """Ordered series of elements, sound source first, rigid wall last.
-
-    main_duct_diameter (m) is the diameter of the main pipe at the mouth; it
-    sets the characteristic impedance the reflection coefficient is referred
-    to.
-    """
+    """Elements in series, sound source first, rigid wall last. The main
+    duct at the mouth (main_duct_diameter, m) sets the characteristic
+    impedance of the reflection coefficient."""
 
     elements: tuple[SoundElement, ...]
     main_duct_diameter: float
@@ -218,26 +182,19 @@ def cut_on_frequency(chain: ElementChain, medium: Medium = AIR) -> float:
 
 
 def perforate_constant(frequency, aperture: float, medium: Medium = AIR):
-    """Perforate constant K = d * sqrt(omega * rho0 / (4 * eta)).
-
-    K is the ratio of hole radius to viscous boundary-layer thickness; it
-    governs the transition between Poiseuille and Helmholtz regimes of the
-    hole impedance. Dimensionless, increasing in both frequency and
-    aperture.
-    """
+    """Perforate constant K = d * sqrt(omega * rho0 / (4 * eta)), the ratio
+    of hole radius to viscous boundary-layer thickness: it sets where the
+    hole impedance turns from Poiseuille to Helmholtz behaviour."""
     check_positive(frequency, "frequency")
     omega = 2.0 * np.pi * frequency
     return aperture * np.sqrt(omega * medium.density / (4.0 * medium.dynamic_viscosity))
 
 
 def mpp_normalized_impedance(panel: MppPanel, frequency, medium: Medium = AIR):
-    """Maa impedance of an MPP, normalised by rho0*c0 (dimensionless).
-
-    Resistance: viscous losses in the holes plus a surface correction
-    proportional to K*d/t. Reactance: the air-plug mass with the classic
-    0.85*d/t end correction. The mass-term factor uses (9 + K^2/2)^(-1/2),
-    which decays with K as the boundary layer thins. perforate_constant
-    checks the frequency.
+    """Maa impedance of an MPP, normalised by rho0*c0. Resistance: viscous
+    losses in the holes plus a surface correction in K*d/t. Reactance: the
+    air plug's mass, with the 0.85*d/t end correction and the factor
+    (9 + K^2/2)^(-1/2). perforate_constant checks the frequency.
     """
     t, d, sigma = panel.thickness, panel.aperture, panel.porosity
     omega = 2.0 * np.pi * frequency
@@ -298,31 +255,18 @@ def _kept(name: str, kind, *key):
 
 
 def _walk(chain: ElementChain, cos_kl, sin_kl, panel_impedances, medium: Medium, walk: _Walk):
-    """Mouth states [p, u] of the wall states (p, u) = (1, 0) and, in a
-    two-column `walk`, (0, 1), at the frequencies where the chain's pipes
-    have phases of cos `cos_kl` and sin `sin_kl` and its panels the
-    normalised Maa impedances `panel_impedances` (a row each, in chain
-    order, in doubles). The walk computes in the precision of `walk`'s
-    buffers; products of doubles widen when they are written there. The
-    mouth states are buffers of `walk`, valid until its next walk.
+    """Mouth states [p, u] of the wall states (1, 0) and, in a two-column
+    `walk`, (0, 1), given the pipes' phase cos `cos_kl` and sin `sin_kl` and
+    the panels' normalised impedances (rows in chain order, in doubles):
+    views of `walk`'s buffers, in their precision, until its next walk.
 
-    The wall states are carried to the mouth element by element, the
-    impedance-translation form of the four-pole method (Munjal, Acoustics of
-    Ducts and Mufflers, 2nd ed., Wiley 2014, ch. 2-3): a pipe costs four
-    multiply-adds per column, an MPP adds Z*u to p, an area change does
-    nothing. Up to the first MPP from the wall the chain is lossless and
-    each column keeps a fixed phase, so that segment runs in real
-    arithmetic on (p, v) = (p, u/j) for the first column and (j*p, u) for
-    the second, from (1, 0) and (0, 1).
-
-    Every step works in place and rounds as the plain expressions
-    c*p - (Zc*s)*v and ((1/Zc)*s)*p + c*v (real segment), and
-    c*p + ((j*Zc)*s)*u and ((j/Zc)*s)*p + c*u (complex segment) do. The real
-    c and imaginary (j*Zc)*s and (j/Zc)*s are written into one half of
-    complex buffers whose other half stays zero, which can change the sign
-    of a zero but no value. Each column's state is 1-D, and a complex
-    product never writes into one of its own operands: numpy takes other
-    inner loops for either, which can round differently.
+    A pipe costs four multiply-adds per column and an MPP adds Z*u to p
+    (Munjal, Acoustics of Ducts and Mufflers, 2nd ed., ch. 2-3). Up to the
+    first MPP the walk is real, on (p, u/j) and (j*p, u). Each step works in
+    place and rounds as c*p - (Zc*s)*v, ((1/Zc)*s)*p + c*v, c*p +
+    ((j*Zc)*s)*u and ((j/Zc)*s)*p + c*u do: a complex factor has one half
+    written and the other zero, states are 1-D, and no complex product
+    writes into its own operand, as numpy's loops for those round otherwise.
     """
     rho_c = medium.characteristic_impedance
     # looked up once for the ~70 calls of a three-chamber walk; out positional
@@ -383,18 +327,13 @@ def _walk(chain: ElementChain, cos_kl, sin_kl, panel_impedances, medium: Medium,
 
 
 def chain_matrix(chain: ElementChain, frequency, medium: Medium = AIR) -> TransferMatrix:
-    """Four-pole matrix of the chain, element nearest the source leftmost,
-    with entries in extended precision (np.clongdouble).
-
-    Its columns (a11, a21) and (a12, a22) are the mouth states of the wall
-    states (p, u) = (1, 0) and (0, 1), carried from the rigid wall to the
-    mouth by the walk absorption uses (`_walk`), here in np.longdouble
-    buffers kept per thread. The pipes' cos and sin are direct, and each
-    element's terms are computed in doubles and widen exactly when written.
-    Entries of wide-chamber chains reach ~1e6, so the unit determinant
-    cancels catastrophically in doubles; on x86, where long double has a
-    64-bit mantissa, the walk keeps |det - 1| < 1e-9 across the band. The
-    entries are arrays of their own (scalars for a scalar frequency).
+    """Four-pole matrix of the chain, source side leftmost, in extended
+    precision (np.clongdouble): the mouth states of the wall states (1, 0)
+    and (0, 1), walked in np.longdouble buffers kept per thread, with direct
+    cos and sin. Entries reach ~1e6, so the unit determinant cancels in
+    doubles; on x86, whose long double has a 64-bit mantissa, |det - 1|
+    stays below 1e-9. The entries are arrays of their own (scalars for a
+    scalar frequency).
     """
     check_positive(frequency, "frequency")
     shape = np.shape(frequency)
@@ -419,28 +358,10 @@ def chain_matrix(chain: ElementChain, frequency, medium: Medium = AIR) -> Transf
 _BLOCK_POINTS = 8192
 
 
-def _table_shape(count: int) -> tuple[int, int]:
-    """(block, rows) of the phase table of `count` points: point
-    n = q*block + r has row q < rows and column r < block = isqrt(count)."""
-    block = math.isqrt(count)
-    return block, -(-count // block)
-
-
-def _table_rows(count: int, rows) -> tuple[int, range, int]:
-    """(block, rows, points): the table block of a `count`-point
-    progression, the table rows `rows` (a range; all of them when None) and
-    the number of points in those rows."""
-    block, n_rows = _table_shape(count)
-    rows = range(n_rows) if rows is None else rows
-    return block, rows, min(rows.stop * block, count) - rows.start * block
-
-
 class _Workspace(_Walk):
-    """Buffers of one solver block: `n_pipes` pipes, `rows` phase-table rows
-    of `block` columns and `points` frequencies, with those of its
-    one-column walk in doubles. The solver writes every buffer before it
-    reads it, except the zero halves of `factors`. Between calls it keeps
-    the wavenumbers and panel impedances of its last block (`progression`)."""
+    """Buffers of one solver block, `n_pipes` pipes by `rows` table rows of
+    `block` columns (`points` frequencies), and of its walk in doubles.
+    Between calls it keeps its block's wavenumbers and panel impedances."""
 
     def __init__(self, n_pipes: int, rows: int, block: int, points: int):
         super().__init__(1, points, np.float64)
@@ -449,7 +370,7 @@ class _Workspace(_Walk):
         self.coarse = np.empty((n_pipes, rows))
         self.rotation = np.empty((n_pipes, 2 * rows, 2))
         self.fine_trig = np.empty((n_pipes, 2, block))
-        self.progression = None  # (start, step, first row, medium) of fine_k, coarse_k, impedances
+        self.block_of = None  # (grid, first row, medium) of fine_k, coarse_k and impedances
         self.impedances = {}  # (thickness, aperture, porosity) -> normalised impedance
         self.fine_k = np.empty(block)
         self.coarse_k = np.empty(rows)
@@ -457,47 +378,34 @@ class _Workspace(_Walk):
         self.reflection = np.empty((3, points), complex)  # Z0*u, p + Z0*u, Gamma
         self.magnitude = np.empty(points)
 
+    def set_block(self, grid: FrequencyGrid, first: int, medium: Medium) -> None:
+        """Set the workspace to the block of `grid` whose table rows start
+        at `first`: its wavenumbers, and no kept panel impedances unless
+        (grid, first, medium) is the last block's."""
+        if self.block_of == (grid, first, medium):
+            return
+        _, rows, block, _ = self.key
+        self.fine_k[:] = 2.0 * np.pi * grid.frequency(np.arange(block)) / medium.sound_speed
+        coarse = block * np.arange(first, first + rows)  # the first point of each row
+        self.coarse_k[:] = 2.0 * np.pi * (grid.step * coarse) / medium.sound_speed
+        self.impedances = {}
+        self.block_of = (grid, first, medium)
 
-def _workspace(n_pipes: int, count: int, rows) -> _Workspace:
-    """This thread's workspace for the block of table rows `rows` of a
-    `count`-point progression on a chain of `n_pipes` pipes, kept while the
-    shape repeats."""
-    block, rows, points = _table_rows(count, rows)
-    return _kept("workspace", _Workspace, n_pipes, len(rows), block, points)
 
+def _phase_trig(lengths, ws: _Workspace):
+    """cos and sin of the pipe phases l*k over the block `ws` is set to, as
+    two (len(lengths), points) views into `ws`.
 
-def _phase_trig(
-    lengths, start: float, step: float, count: int, medium: Medium, rows, ws: _Workspace
-):
-    """cos and sin of the pipe phases l*k at the frequencies start + n*step,
-    n < count, as two (len(lengths), points) arrays over the table rows in
-    `rows` (a range; all of them when None), the points
-    rows.start*block <= n < min(rows.stop*block, count). They are views into
-    the workspace `ws`, sized to those rows (_workspace).
-
-    Two-level angle addition: with block = isqrt(count) and n = q*block + r,
-    only the fine angles l*k(start + r*step) and the coarse angles
-    l*k(q*block*step) go through cos/sin. Batched over pipes, one product
-    [[cos_c, -sin_c], [sin_c, cos_c]] @ [cos_f; sin_f] forms both tables.
-    Each entry depends only on its row's coarse and its column's fine angle,
-    so a row range equals those rows of the full table bit for bit; even one
-    row is a two-row product (its cos and sin), never a one-row one, which
-    numpy takes through gemv and rounds differently. The q = 0 coarse angle is exactly 0, so the first row
-    (the whole table when count == 1) is direct cos/sin bit for bit;
-    elsewhere the error is a few ulp of the angle. The workspace keeps the
-    wavenumbers k, which do not depend on the pipes, while its
-    `progression` (start, step, first row, medium) repeats; a new one also
-    empties the panel impedances kept for the old one.
+    Point n = q*block + r has the angle l*k(f_min + r*step) +
+    l*k(q*block*step). Only these fine and coarse angles go through cos/sin,
+    and one batched product [[cos_c, -sin_c], [sin_c, cos_c]] @ [cos_f; sin_f]
+    forms both tables. An entry depends only on its row's and its column's
+    angles, so a block equals those rows of the whole table bit for bit. Even
+    one row is a two-row product, never gemv, which rounds differently. Row
+    0's coarse angle is 0, so that row is direct cos/sin bit for bit.
     """
     lengths = np.asarray(lengths, dtype=float)
-    n_pipes = len(lengths)
-    block, rows, points = _table_rows(count, rows)
-    n, first, stop = len(rows), rows.start, rows.stop
-    if ws.progression != (start, step, first, medium):
-        ws.fine_k[:] = 2.0 * np.pi * (start + step * np.arange(block)) / medium.sound_speed
-        ws.coarse_k[:] = 2.0 * np.pi * (step * (block * np.arange(first, stop))) / medium.sound_speed
-        ws.impedances = {}
-        ws.progression = (start, step, first, medium)
+    n_pipes, n, block, points = ws.key
     np.multiply.outer(lengths, ws.fine_k, out=ws.fine)
     np.multiply.outer(lengths, ws.coarse_k, out=ws.coarse)
     rotation = ws.rotation
@@ -509,40 +417,26 @@ def _phase_trig(
     np.cos(ws.fine, out=ws.fine_trig[:, 0])
     np.sin(ws.fine, out=ws.fine_trig[:, 1])
     np.matmul(rotation, ws.fine_trig, out=ws.table)
-    cos, sin = ws.table[:, :n], ws.table[:, n:]
-    return (
-        cos.reshape(n_pipes, n * block)[:, :points], sin.reshape(n_pipes, n * block)[:, :points]
-    )
+    table = ws.table.reshape(n_pipes, 2, n * block)  # a view: cos rows, then sin rows
+    return table[:, 0, :points], table[:, 1, :points]
 
 
 def absorption_coefficients(
-    chain: ElementChain, start, step, count, medium: Medium = AIR
+    chain: ElementChain, grid: FrequencyGrid, medium: Medium = AIR
 ) -> np.ndarray:
-    """alpha = 1 - |Gamma|^2, clamped to [0, 1], at the `count` frequencies
-    start + n*step (a grid's f_min, step and point count), with
-    Gamma = (p - Z0*u) / (p + Z0*u) from the mouth state. A count that is not
-    an integer >= 1, a start that is not finite and positive, or (for more
-    than one point) such a step raises ValueError naming the argument.
+    """alpha = 1 - |Gamma|^2, clamped to [0, 1], at the points of `grid`,
+    with Gamma = (p - Z0*u) / (p + Z0*u) from the mouth state.
 
-    The progression is solved in blocks of ceil(_BLOCK_POINTS / isqrt(count))
-    whole phase-table rows, one block when count <= _BLOCK_POINTS; tables,
-    panel impedances and alphas are bit for bit those of one block. Each
-    block is solved in the calling thread's workspace (_Workspace), reused by
-    every block and call of the same shape, so the solver holds one block
-    per thread. The workspace also keeps the normalised impedances of the
-    last chain's panels, by (thickness, aperture, porosity), for its last
-    block and medium; a call on the same ones, such as each evaluation of an
-    annealing run, computes only the panels it has not seen. The Maa
-    impedance reads no duct, so kept and recomputed values are equal. The
-    alphas are a fresh array the caller owns; apart from them, a repeated
-    solve of the same panels allocates no block-sized array.
+    A grid of n points is solved in blocks of ceil(_BLOCK_POINTS / isqrt(n))
+    whole table rows, bit for bit as in one block, in the calling thread's
+    workspace. It keeps the panel impedances by (thickness, aperture,
+    porosity), all the Maa impedance reads, while grid, block and medium
+    repeat. A repeated solve, such as each annealing evaluation, computes
+    only new panels and allocates no block-sized array but the alphas.
     """
-    if not isinstance(count, numbers.Integral) or count < 1:
-        raise ValueError(f"count must be an integer >= 1, got {count!r}")
-    check_positive(start, "start")
-    if count > 1:
-        check_positive(step, "step")
-    block, n_rows = _table_shape(count)
+    count = grid.size
+    block = math.isqrt(count)
+    n_rows = -(-count // block)
     rows_per_block = -(-_BLOCK_POINTS // block)
     z0 = chain.characteristic_impedance(medium)
     lengths = [e.length for e in chain.elements if isinstance(e, StraightPipe)]
@@ -550,14 +444,15 @@ def absorption_coefficients(
     keys = [(panel.thickness, panel.aperture, panel.porosity) for panel in panels]
     alphas = np.empty(count)
     for first in range(0, n_rows, rows_per_block):
-        rows = range(first, min(first + rows_per_block, n_rows))
-        lo, hi = first * block, min(rows.stop * block, count)
-        ws = _workspace(len(lengths), count, rows)
-        cos_kl, sin_kl = _phase_trig(lengths, start, step, count, medium, rows, ws)
-        kept = ws.impedances  # emptied by _phase_trig on a new block or medium
+        stop = min(first + rows_per_block, n_rows)
+        lo, hi = first * block, min(stop * block, count)
+        ws = _kept("workspace", _Workspace, len(lengths), stop - first, block, hi - lo)
+        ws.set_block(grid, first, medium)
+        cos_kl, sin_kl = _phase_trig(lengths, ws)
+        kept = ws.impedances
         ws.impedances = {
             key: kept[key] if key in kept
-            else mpp_normalized_impedance(panel, start + step * np.arange(lo, hi), medium)
+            else mpp_normalized_impedance(panel, grid.frequency(np.arange(lo, hi)), medium)
             for key, panel in dict(zip(keys, panels)).items()
         }
         impedances = [ws.impedances[key] for key in keys]
@@ -568,7 +463,7 @@ def absorption_coefficients(
         np.add(p, z0_u, out=denominator)
         if not denominator.all():
             bad = np.flatnonzero(denominator == 0)[0]
-            raise SingularConfigurationError(float(start + step * (lo + bad)))
+            raise SingularConfigurationError(float(grid.frequency(lo + bad)))
         np.subtract(p, z0_u, out=z0_u)
         np.divide(z0_u, denominator, out=gamma)
         np.abs(gamma, out=magnitude)
@@ -579,26 +474,21 @@ def absorption_coefficients(
 
 
 def absorption_at(chain: ElementChain, frequency: float, medium: Medium = AIR) -> float:
-    """Normal-incidence absorption coefficient of the rigidly terminated
-    chain at one frequency: the one-point case of absorption_coefficients,
-    whose phase table is then direct cos/sin. Chains without an MPP are
-    lossless and return essentially zero.
+    """Normal-incidence absorption coefficient of the chain at one
+    frequency: the solve of the one-point grid at `frequency`, whose phase
+    table is direct cos/sin. Chains without an MPP return essentially zero.
     """
-    return float(absorption_coefficients(chain, frequency, 1.0, 1, medium)[0])
+    check_positive(frequency, "frequency")
+    grid = FrequencyGrid(frequency, 2.0 * frequency, 2.0 * frequency)
+    return float(absorption_coefficients(chain, grid, medium)[0])
 
 
 def absorption_spectrum(
     chain: ElementChain, grid: FrequencyGrid, medium: Medium = AIR
 ) -> AbsorptionSpectrum:
-    """Absorption coefficient sampled on a frequency grid.
-
-    Each grid point is independent; values agree with absorption_at within
-    a few ulp, as the phase tables are not direct cos/sin.
-    """
-    frequencies = grid.frequencies()
+    """Absorption coefficient sampled on a frequency grid. Values agree with
+    absorption_at within a few ulp, as the phase tables are not direct
+    cos/sin."""
     return AbsorptionSpectrum(
-        frequencies=frequencies,
-        alphas=absorption_coefficients(
-            chain, grid.f_min, grid.step, frequencies.size, medium
-        ),
+        frequencies=grid.frequencies(), alphas=absorption_coefficients(chain, grid, medium)
     )

@@ -43,6 +43,8 @@ __all__ = [
 _LOWER = np.array([BOUNDS_MM[name][0] for name in DESIGN_FIELDS])
 _UPPER = np.array([BOUNDS_MM[name][1] for name in DESIGN_FIELDS])
 _RANGE = _UPPER - _LOWER
+# Most temperature levels a schedule may take; the default takes 83.
+_MAX_LEVELS = 10**6
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,9 @@ class AnnealingSchedule:
     Temperature is a bare number compared against objective deltas in Hz.
     cooling_rate is read as a per-level decrement by default
     (T <- (1 - rate) * T); set cooling_reading="multiplier" for the
-    alternative T <- rate * T.
+    alternative T <- rate * T. A rate that would take more than 10**6
+    levels to cool from initial_temperature to termination_temperature is
+    refused.
     """
 
     initial_temperature: float = 100.0
@@ -85,6 +89,15 @@ class AnnealingSchedule:
             raise ValueError(
                 f"cooling_reading must be 'decrement' or 'multiplier',"
                 f" got {self.cooling_reading!r}"
+            )
+        # a schedule must cool: 1 - rate rounds to 1 for rates up to 2**-54
+        factor = self.next_temperature(1.0)
+        span = math.log(self.termination_temperature) - math.log(self.initial_temperature)
+        if factor == 1.0 or span / math.log(factor) > _MAX_LEVELS:
+            raise ValueError(
+                f"cooling_rate {self.cooling_rate} gives the per-level factor {factor!r},"
+                f" more than {_MAX_LEVELS} levels from initial_temperature to"
+                " termination_temperature"
             )
 
     def next_temperature(self, temperature: float) -> float:
@@ -132,9 +145,7 @@ def objective(
     solver keeps the panels' impedances between calls on the same grid and
     medium.
     """
-    alphas = absorption_coefficients(
-        build_chain(design, mpps), grid.f_min, grid.step, grid.size, medium
-    )
+    alphas = absorption_coefficients(build_chain(design, mpps), grid, medium)
     band = longest_band(grid.frequency, alphas, threshold)
     return band.width if band is not None else 0.0
 

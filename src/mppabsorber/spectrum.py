@@ -80,12 +80,13 @@ class FrequencyGrid:
         # round-tolerant count so f_max is included when it lands on a step
         return int(math.floor((self.f_max - self.f_min) / self.step + 1e-9)) + 1
 
-    def frequency(self, i: int) -> float:
-        """Point i of the grid, bit for bit frequencies()[i]."""
+    def frequency(self, i):
+        """Point i of the grid, for an int or an array of indices: the one
+        spelling of the progression, so every caller gets the same bits."""
         return self.f_min + self.step * i
 
     def frequencies(self) -> np.ndarray:
-        return self.f_min + self.step * np.arange(self.size)
+        return self.frequency(np.arange(self.size))
 
 
 # 1 Hz resolution resolves the sub-10 Hz cutoffs of wideband designs; 2 kHz

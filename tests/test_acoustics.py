@@ -431,7 +431,7 @@ class TestAbsorption:
             m = chain_matrix(chain, frequencies)
             gamma = (m.a11 - z0 * m.a21) / (m.a11 + z0 * m.a21)
             alpha = np.clip(1.0 - np.abs(gamma) ** 2, 0.0, 1.0).astype(float)
-            solved = absorption_coefficients(chain, frequencies[0], 1.0, frequencies.size)
+            solved = absorption_coefficients(chain, DEFAULT_GRID)
             assert np.max(np.abs(alpha - solved)) <= 1e-12
 
     def test_clamped_output_range(self, baseline_spectrum):
@@ -501,45 +501,39 @@ class TestAbsorption:
         assert excinfo.value.frequency == 123.0
         assert "123" in str(excinfo.value)
 
-    def test_zero_count_rejected(self, baseline_chain):
-        # used to fail with ZeroDivisionError inside the phase tables
-        with pytest.raises(ValueError, match="count must be an integer >= 1, got 0"):
-            absorption_coefficients(baseline_chain, 100.0, 1.0, 0)
-
     def test_negative_step_rejected_without_an_mpp(self):
         # used to return alphas at negative frequencies: nothing on this
-        # chain's path checks a frequency
+        # chain's path checks a frequency. A step now reaches the solver only
+        # in a FrequencyGrid, which checks it.
         chain = ElementChain((StraightPipe(0.1, 0.05),), 0.05)
         with pytest.raises(ValueError, match="step must be finite and positive, got -1"):
-            absorption_coefficients(chain, 100.0, -1.0, 200)
+            absorption_spectrum(chain, FrequencyGrid(100.0, 300.0, -1.0))
+
+    @pytest.mark.parametrize("frequency", [0.0, -5.0, math.nan, math.inf])
+    def test_absorption_at_refuses_a_bad_frequency_without_an_mpp(self, frequency):
+        # nothing else on this chain's path checks a frequency: before the
+        # check, a negative one gave alphas at negative frequencies
+        chain = ElementChain((StraightPipe(0.1, 0.05),), 0.05)
+        with pytest.raises(ValueError) as excinfo:
+            absorption_at(chain, frequency)
+        assert str(excinfo.value) == f"frequency must be finite and positive, got {frequency}"
 
     def test_bad_progression_message_names_the_argument_not_the_grid(self, baseline_chain):
-        # used to print every frequency of the grid from the panel impedance
+        # used to print every frequency of the grid from the panel impedance;
+        # a progression reaches the solver only as a FrequencyGrid, or as
+        # absorption_at's frequency
         with pytest.raises(ValueError) as excinfo:
-            absorption_coefficients(baseline_chain, 100.0, -1.0, 2000)
-        assert str(excinfo.value) == "step must be finite and positive, got -1.0"
-
-    @pytest.mark.parametrize(
-        "start, step, count, argument",
-        [
-            (0.0, 1.0, 10, "start"),
-            (-5.0, 1.0, 1, "start"),
-            (math.nan, 1.0, 10, "start"),
-            (math.inf, 1.0, 10, "start"),
-            (1.0, 0.0, 10, "step"),
-            (1.0, math.nan, 10, "step"),
-            (1.0, math.inf, 10, "step"),
-            (1.0, 1.0, -3, "count"),
-            (1.0, 1.0, 2.0, "count"),
-            (1.0, 1.0, None, "count"),
-        ],
-    )
-    def test_every_bad_progression_names_its_argument(
-        self, baseline_chain, start, step, count, argument
-    ):
-        with pytest.raises(ValueError, match=f"^{argument} must be"):
-            absorption_coefficients(baseline_chain, start, step, count)
+            absorption_spectrum(baseline_chain, FrequencyGrid(100.0, 2000.0, -1.0))
+        assert str(excinfo.value) == "FrequencyGrid.step must be finite and positive, got -1.0"
+        with pytest.raises(ValueError) as excinfo:
+            absorption_at(baseline_chain, -1.0)
+        assert str(excinfo.value) == "frequency must be finite and positive, got -1.0"
 
     def test_step_of_a_single_point_is_not_used(self, baseline_chain):
-        one = absorption_coefficients(baseline_chain, 500.0, 0.0, 1)
-        assert one.tolist() == [absorption_at(baseline_chain, 500.0)]
+        # absorption_at solves the grid (f, 2f, 2f); another step gives the
+        # same bits
+        for frequency in (1.0, 123.456, 500.0, 1999.9):
+            grid = FrequencyGrid(frequency, frequency + 0.5, 1.0)
+            assert grid.size == 1
+            one = absorption_coefficients(baseline_chain, grid)
+            assert one.tolist() == [absorption_at(baseline_chain, frequency)]

@@ -143,6 +143,31 @@ class TestSchedule:
         with pytest.raises(ValueError):
             AnnealingSchedule(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"cooling_rate": 1e-17},  # 1 - rate rounds to 1: the temperature never falls
+            {"cooling_rate": 2e-16},  # a factor of 1 - 2**-52, below 1
+            {"cooling_rate": 1e-6},  # about 1.8e7 levels
+            {"cooling_rate": 1 - 1e-6, "cooling_reading": "multiplier"},
+            # about 1.4e7 levels over this span; 1.8e5 over the default one
+            {"cooling_rate": 1e-4, "initial_temperature": 1e300, "termination_temperature": 1e-300},
+        ],
+    )
+    def test_schedules_that_barely_cool_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="^cooling_rate .* more than 1000000 levels"):
+            AnnealingSchedule(**kwargs)
+
+    def test_slow_schedule_within_the_level_cap_accepted(self):
+        # about 9e5 levels from 100 to 1e-6, each one a factor below 1
+        schedule = AnnealingSchedule(cooling_rate=2.05e-5)
+        levels, t = 0, schedule.initial_temperature
+        while t > schedule.termination_temperature:
+            levels += 1
+            t = schedule.next_temperature(t)
+        assert 8e5 < levels <= 10**6
+        AnnealingSchedule(cooling_rate=1e-4)
+
     @pytest.mark.parametrize("field", ["iterations_per_temperature", "seed"])
     @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
     def test_non_integer_counts_rejected(self, field, value):

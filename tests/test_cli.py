@@ -497,3 +497,17 @@ class TestErrors:
         assert stderr.startswith("error: threshold")
         assert stdout == ""
         assert not out.exists()
+
+    def test_schedule_that_never_cools_is_refused(self, capsys, tmp_path, config_dir):
+        # 1 - 1e-17 == 1.0: optimize used to run until it was killed
+        config = json.loads((config_dir / BASELINE).read_text())
+        config["schedule"]["cooling_rate"] = 1e-17
+        path = tmp_path / "never_cools.json"
+        path.write_text(json.dumps(config))
+        out_dir = tmp_path / "run"
+        code, stdout, stderr = run_cli(capsys, "optimize", "--config", path, "--out", out_dir)
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert "cooling_rate" in stderr
+        assert not out_dir.exists()

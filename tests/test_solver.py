@@ -41,7 +41,7 @@ from mppabsorber import (
     single_chamber_chain,
 )
 from mppabsorber import acoustics
-from mppabsorber.acoustics import _phase_trig, _table_rows, _Workspace, absorption_coefficients
+from mppabsorber.acoustics import _phase_trig, _Workspace, absorption_coefficients
 
 from four_pole import four_pole_product
 
@@ -57,11 +57,22 @@ def random_spec(rng):
     return MppSpec(*uniform(rng, MPP_RANGES))
 
 
-def own_workspace(n_pipes, count, rows=None):
-    """A solver workspace for the table rows `rows` of a `count`-point
-    progression, not the thread's."""
-    block, rows, points = _table_rows(count, rows)
-    return _Workspace(n_pipes, len(rows), block, points)
+def grid_of(start, step, count):
+    """The `count`-point grid start, start + step, ..."""
+    grid = FrequencyGrid(start, start + step * (count - 0.5), step)
+    assert grid.size == count
+    return grid
+
+
+def own_workspace(n_pipes, grid, rows=None):
+    """A solver workspace, not the thread's, set to the table rows `rows` of
+    `grid` (all of them when None)."""
+    block = math.isqrt(grid.size)
+    rows = range(-(-grid.size // block)) if rows is None else rows
+    points = min(rows.stop * block, grid.size) - rows.start * block
+    ws = _Workspace(n_pipes, len(rows), block, points)
+    ws.set_block(grid, rows.start, AIR)
+    return ws
 
 
 def four_pole_alphas(chain, frequencies):
@@ -147,8 +158,7 @@ def progressions(draw):
 def test_phase_tables_match_direct_trig(lengths, progression):
     # the table's error is a few ulp of the angle l*k, at most ~5.5 rad here
     start, step, count = progression
-    ws = own_workspace(len(lengths), count)
-    cos_kl, sin_kl = _phase_trig(lengths, start, step, count, AIR, None, ws)
+    cos_kl, sin_kl = _phase_trig(lengths, own_workspace(len(lengths), grid_of(start, step, count)))
     k = 2.0 * np.pi * (start + step * np.arange(count)) / AIR.sound_speed
     phase = np.multiply.outer(lengths, k)
     assert cos_kl.shape == sin_kl.shape == phase.shape
@@ -186,13 +196,36 @@ def test_phase_table_rows_equal_full_table_bit_for_bit(lengths, start, step, tab
     count, rows = table
     block = math.isqrt(count)
     lo, hi = rows.start * block, min(rows.stop * block, count)
-    full = own_workspace(len(lengths), count)
-    full_cos, full_sin = _phase_trig(lengths, start, step, count, AIR, None, full)
-    part = own_workspace(len(lengths), count, rows)
-    cos_kl, sin_kl = _phase_trig(lengths, start, step, count, AIR, rows, part)
+    grid = grid_of(start, step, count)
+    full_cos, full_sin = _phase_trig(lengths, own_workspace(len(lengths), grid))
+    cos_kl, sin_kl = _phase_trig(lengths, own_workspace(len(lengths), grid, rows))
     assert not np.shares_memory(cos_kl, full_cos)
     assert np.array_equal(cos_kl, full_cos[:, lo:hi])
     assert np.array_equal(sin_kl, full_sin[:, lo:hi])
+
+
+def test_workspace_keeps_its_block_while_grid_first_row_and_medium_repeat():
+    # the one rule for when the kept wavenumbers and panel impedances are
+    # stale: any change of grid, first table row or medium
+    grid = grid_of(1.0, 0.05, 2000)
+    ws = own_workspace(3, grid)
+    wavenumbers = ws.fine_k.copy(), ws.coarse_k.copy()
+    ws.impedances = kept = {"panel": None}
+    ws.set_block(FrequencyGrid(grid.f_min, grid.f_max, grid.step), 0, AIR)  # an equal grid
+    assert ws.impedances is kept
+    for block_of in [
+        (grid_of(1.5, 0.05, 2000), 0, AIR),
+        (grid_of(1.0, 0.06, 2000), 0, AIR),
+        (FrequencyGrid(grid.f_min, grid.f_max + 0.01, grid.step), 0, AIR),
+        (grid, 1, AIR),
+        (grid, 0, Medium(density=1.3)),
+    ]:
+        ws.set_block(*block_of)
+        assert ws.impedances == {}
+        ws.set_block(grid, 0, AIR)
+        assert np.array_equal(ws.fine_k, wavenumbers[0])
+        assert np.array_equal(ws.coarse_k, wavenumbers[1])
+        ws.impedances = {"panel": None}
 
 
 @pytest.mark.parametrize(
@@ -202,15 +235,13 @@ def test_blocked_solve_equals_one_block_bit_for_bit(monkeypatch, config_dir, nam
     config = load_config(config_dir / f"{name}.json")
     chain, medium = config.structure.chain(), config.medium
     grid = FrequencyGrid(config.grid.f_min, config.grid.f_max, 0.01)
-    count = grid.frequencies().size
-    progression = (grid.f_min, grid.step, count, medium)
-    assert count > 20 * acoustics._BLOCK_POINTS
-    blocked = absorption_coefficients(chain, *progression)
+    assert grid.size > 20 * acoustics._BLOCK_POINTS
+    blocked = absorption_coefficients(chain, grid, medium)
     # the second solve starts on the last block, whose panel impedances the
     # workspace kept
-    blocked_again = absorption_coefficients(chain, *progression)
-    monkeypatch.setattr(acoustics, "_BLOCK_POINTS", count + 1)
-    reference = absorption_coefficients(chain, *progression)
+    blocked_again = absorption_coefficients(chain, grid, medium)
+    monkeypatch.setattr(acoustics, "_BLOCK_POINTS", grid.size + 1)
+    reference = absorption_coefficients(chain, grid, medium)
     assert np.array_equal(blocked, reference)
     assert np.array_equal(blocked_again, reference)
 
@@ -242,7 +273,7 @@ def test_singular_configuration_in_a_later_block_reports_its_frequency(
 
     monkeypatch.setattr(acoustics, "_walk", forced)
     with pytest.raises(SingularConfigurationError) as excinfo:
-        absorption_coefficients(baseline_chain, start, step, count)
+        absorption_coefficients(baseline_chain, grid_of(start, step, count))
     assert excinfo.value.frequency == start + step * target
     # the blocks are whole table rows, and the target sits in the third
     assert [first % block for first, _ in blocks] == [0, 0, 0]
@@ -343,8 +374,8 @@ def test_objective_does_not_reuse_other_panels():
         # before would show
         assert widths[0] != widths[1]
         assert len({widths[0], widths[3], widths[4], widths[5]}) == 4
-        # a one-point solve at the grid's f_min has the grid's start, step,
-        # first row and medium, but rebuilds the thread's workspace
+        # a one-point solve at the grid's f_min rebuilds the thread's
+        # workspace
         assert objective(design, porous) == widths[3]
         absorption_at(build_chain(design, DEFAULT_MPPS), DEFAULT_GRID.f_min)
         assert objective(design, DEFAULT_MPPS) == widths[0]
@@ -371,12 +402,13 @@ def test_repeated_objective_allocates_little(grid, limit):
 
 @pytest.mark.parametrize("count", [2000, 30_000])  # one block and four
 def test_alphas_outlive_the_workspace(baseline_chain, optimized_chain, count):
-    alphas = absorption_coefficients(baseline_chain, 1.0, 0.05, count)
+    grid = grid_of(1.0, 0.05, count)
+    alphas = absorption_coefficients(baseline_chain, grid)
     kept = alphas.copy()
     buffers = vars(acoustics._local.workspace).values()
     assert not any(np.shares_memory(alphas, b) for b in buffers if isinstance(b, np.ndarray))
     # a chain of the same shape reuses the same buffers
-    other = absorption_coefficients(optimized_chain, 1.0, 0.05, count)
+    other = absorption_coefficients(optimized_chain, grid)
     assert np.array_equal(alphas, kept)
     assert not np.array_equal(other, kept)
 
@@ -403,15 +435,13 @@ def test_threads_solve_concurrently_as_in_series():
     # chains of different shapes, one block and several, each solved by two
     # threads at once; a workspace shared between threads garbles alphas
     chains = list(random_chains(909, n_three=2, n_single=1))
-    jobs = [(chain, count) for chain in chains for count in (2000, 20_000)]
-    serial = [absorption_coefficients(chain, 1.0, 0.09, count) for chain, count in jobs]
+    jobs = [(chain, grid_of(1.0, 0.09, count)) for chain in chains for count in (2000, 20_000)]
+    serial = [absorption_coefficients(chain, grid) for chain, grid in jobs]
     results = {}
 
     def solve(worker):
-        chain, count = jobs[worker % len(jobs)]
-        results[worker] = [
-            absorption_coefficients(chain, 1.0, 0.09, count) for _ in range(4)
-        ]
+        chain, grid = jobs[worker % len(jobs)]
+        results[worker] = [absorption_coefficients(chain, grid) for _ in range(4)]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

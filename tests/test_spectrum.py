@@ -52,12 +52,25 @@ class TestFrequencyGrid:
         [
             (0.0, 100.0, 1.0), (50.0, 50.0, 1.0), (10.0, 5.0, 1.0), (1.0, 10.0, 0.0),
             (1.0, math.inf, 1.0), (math.nan, 10.0, 1.0), (1.0, math.nan, 1.0),
-            (1.0, 10.0, math.nan), (1.0, 2000.0, 5e-324),
+            (1.0, 10.0, math.nan), (1.0, 2000.0, 5e-324), (1.0, 10.0, -1.0),
         ],
     )
     def test_invalid_grids_rejected(self, args):
         with pytest.raises(ValueError):
             FrequencyGrid(*args)
+
+    @pytest.mark.parametrize(
+        "grid", [DEFAULT_GRID, FrequencyGrid(3.0, 1999.5, 0.7), FrequencyGrid(1.0, 2000.0, 0.0137)]
+    )
+    def test_frequency_of_an_index_or_indices_is_the_grid_point(self, grid):
+        frequencies = grid.frequencies()
+        assert frequencies.size == grid.size
+        indices = np.arange(grid.size)
+        assert np.array_equal(grid.frequency(indices), frequencies)
+        assert np.array_equal(grid.frequency(indices[::-7]), frequencies[::-7])
+        assert [grid.frequency(i) for i in (0, 1, grid.size - 1)] == [
+            frequencies[0], frequencies[1], frequencies[-1]
+        ]
 
     def test_point_count_capped(self):
         # construction alone checks the count; no array is built here
