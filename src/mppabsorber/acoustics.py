@@ -26,7 +26,6 @@ __all__ = [
     "AreaChange",
     "ElementChain",
     "Medium",
-    "Mpp",
     "MppPanel",
     "SingularConfigurationError",
     "SoundElement",
@@ -83,8 +82,8 @@ def circle_area(diameter: float) -> float:
 
 @dataclass(frozen=True)
 class MppPanel:
-    """Micro-perforated panel in a duct: thickness, aperture (hole
-    diameter) and duct_diameter in metres, porosity the open-area fraction."""
+    """Micro-perforated panel in a duct, a chain element: thickness, aperture
+    (hole diameter) and duct_diameter in metres, porosity the open-area fraction."""
 
     thickness: float
     aperture: float
@@ -122,14 +121,7 @@ class AreaChange:
     plane-wave lumped model, kept so chains read like the physical layout."""
 
 
-@dataclass(frozen=True)
-class Mpp:
-    """A micro-perforated panel element."""
-
-    panel: MppPanel
-
-
-SoundElement = StraightPipe | AreaChange | Mpp
+SoundElement = StraightPipe | AreaChange | MppPanel
 
 
 @dataclass(frozen=True)
@@ -159,6 +151,13 @@ class ElementChain:
     def __post_init__(self):
         if len(self.elements) == 0:
             raise ValueError("element chain must not be empty")
+        for index, element in enumerate(self.elements):
+            if not isinstance(element, SoundElement):
+                *kinds, last = (kind.__name__ for kind in SoundElement.__args__)
+                raise ValueError(
+                    f"elements[{index}] must be a {', '.join(kinds)} or {last},"
+                    f" got {type(element).__name__}"
+                )
         require_positive(self, "main_duct_diameter")
 
     @property
@@ -315,11 +314,11 @@ def _walk(chain: ElementChain, cos_kl, sin_kl, panel_impedances, medium: Medium,
                     subtract(p, t, p)  # c*p - (z_c*s)*v
                     multiply(v, c, v)
                     add(v, w, v)  # ((1/z_c)*s)*p + c*v
-        elif isinstance(element, Mpp):
+        elif isinstance(element, MppPanel):
             if states is None:
                 states = walk.complex_states(at_wall)
             panel_index -= 1
-            multiply(panel_impedances[panel_index], rho_c / element.panel.duct_area, product)
+            multiply(panel_impedances[panel_index], rho_c / element.duct_area, product)
             for p, u, _, u_next in states:
                 multiply(product, u, u_next)
                 add(p, u_next, p)  # p + z*u
@@ -341,9 +340,9 @@ def chain_matrix(chain: ElementChain, frequency, medium: Medium = AIR) -> Transf
     lengths = [e.length for e in chain.elements if isinstance(e, StraightPipe)]
     kl = np.multiply.outer(lengths, 2.0 * np.pi * frequency / medium.sound_speed)
     impedances = [
-        mpp_normalized_impedance(e.panel, frequency, medium)
+        mpp_normalized_impedance(e, frequency, medium)
         for e in chain.elements
-        if isinstance(e, Mpp)
+        if isinstance(e, MppPanel)
     ]
     walk = _kept("chain_walk", _Walk, 2, frequency.size, np.longdouble)
     (a11, a21), (a12, a22) = _walk(chain, np.cos(kl), np.sin(kl), impedances, medium, walk)
@@ -440,7 +439,7 @@ def absorption_coefficients(
     rows_per_block = -(-_BLOCK_POINTS // block)
     z0 = chain.characteristic_impedance(medium)
     lengths = [e.length for e in chain.elements if isinstance(e, StraightPipe)]
-    panels = [e.panel for e in chain.elements if isinstance(e, Mpp)]
+    panels = [e for e in chain.elements if isinstance(e, MppPanel)]
     keys = [(panel.thickness, panel.aperture, panel.porosity) for panel in panels]
     alphas = np.empty(count)
     for first in range(0, n_rows, rows_per_block):

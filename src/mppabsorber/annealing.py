@@ -81,6 +81,8 @@ class AnnealingSchedule:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.iterations_per_temperature < 1:
             raise ValueError("iterations_per_temperature must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 0 <= self.step_fraction < math.inf:
             raise ValueError(
                 f"step_fraction must be finite and >= 0, got {self.step_fraction}"

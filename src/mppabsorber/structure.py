@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acoustics import AreaChange, ElementChain, Mpp, MppPanel, StraightPipe
+from .acoustics import AreaChange, ElementChain, MppPanel, StraightPipe
 from .spectrum import require_positive
 
 __all__ = [
@@ -163,15 +163,15 @@ def build_chain(design: DesignVector, mpps: MppSet) -> ElementChain:
     """
     d = design
     elements: tuple = (
-        Mpp(mpps.mpp1.panel(d.d_m)),
+        mpps.mpp1.panel(d.d_m),
         StraightPipe(d.l_1 * MM, d.d_m * MM),
-        Mpp(mpps.mpp2.panel(d.d_m)),
+        mpps.mpp2.panel(d.d_m),
         StraightPipe(d.l_1p * MM, d.d_m * MM),
         AreaChange(),
         StraightPipe(d.l_2 * MM, d.d_2 * MM),
         AreaChange(),
         StraightPipe(d.l_3 * MM, d.d_m * MM),
-        Mpp(mpps.mpp3.panel(d.d_m)),
+        mpps.mpp3.panel(d.d_m),
         StraightPipe(d.l_3p * MM, d.d_m * MM),
         AreaChange(),
         StraightPipe(d.l_4 * MM, d.d_4 * MM),
@@ -194,7 +194,7 @@ def single_chamber_chain(
     expansion chamber against the rigid wall. Defaults match the reference
     single-chamber absorber."""
     elements: tuple = (
-        Mpp(mpp.panel(main_diameter_mm)),
+        mpp.panel(main_diameter_mm),
         StraightPipe(main_length_mm * MM, main_diameter_mm * MM),
         AreaChange(),
         StraightPipe(chamber_thickness_mm * MM, chamber_diameter_mm * MM),

@@ -24,8 +24,8 @@ def element_entries(element, frequency, medium=AIR):
         z_c = medium.characteristic_impedance / element.area
         cos_kl, sin_kl = np.cos(kl), np.sin(kl)
         return cos_kl + 0.0j, 1j * (z_c * sin_kl), 1j * (sin_kl * (1.0 / z_c)), cos_kl + 0.0j
-    z = mpp_normalized_impedance(element.panel, frequency, medium) * (
-        medium.characteristic_impedance / element.panel.duct_area
+    z = mpp_normalized_impedance(element, frequency, medium) * (
+        medium.characteristic_impedance / element.duct_area
     )
     return one, z, zero, one
 

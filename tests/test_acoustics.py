@@ -25,7 +25,6 @@ from mppabsorber import (
     DesignVector,
     ElementChain,
     Medium,
-    Mpp,
     MppPanel,
     MppSet,
     MppSpec,
@@ -234,7 +233,7 @@ class TestElementMatrix:
         assert complex(m.a21) == pytest.approx(1j / z_c, rel=1e-12)
 
     def test_mpp_matrix_form(self):
-        m = one_element_matrix(Mpp(MPP3), 500.0)
+        m = one_element_matrix(MPP3, 500.0)
         assert m.a11 == 1.0 and m.a22 == 1.0 and m.a21 == 0.0
         expected = MPP3_Z_AT_500HZ * AIR.characteristic_impedance / MPP3.duct_area
         assert complex(m.a12) == pytest.approx(expected, rel=1e-12)
@@ -245,8 +244,8 @@ class TestElementMatrix:
             AreaChange(),
             StraightPipe(0.05, 0.01),
             StraightPipe(0.3, 0.08),
-            Mpp(MPP1),
-            Mpp(MPP3),
+            MPP1,
+            MPP3,
         ]
         for element in elements:
             for f in rng.uniform(1.0, 2000.0, 20):
@@ -262,7 +261,7 @@ class TestElementMatrix:
 
 FREQUENCY_ENTRY_POINTS = {
     "chain_matrix": lambda f: chain_matrix(
-        ElementChain((Mpp(MPP1), StraightPipe(0.1, 0.01)), 0.01), f
+        ElementChain((MPP1, StraightPipe(0.1, 0.01)), 0.01), f
     ),
     "perforate_constant": lambda f: perforate_constant(f, 0.2e-3),
     "mpp_normalized_impedance": lambda f: mpp_normalized_impedance(MPP1, f),
@@ -325,11 +324,32 @@ class TestChainMatrix:
         with pytest.raises(ValueError):
             ElementChain((), main_duct_diameter=0.01)
 
+    @pytest.mark.parametrize(
+        "element",
+        [
+            MppSpec(0.6, 0.2, 0.025),
+            "pipe",
+            None,
+            ElementChain((StraightPipe(0.1, 0.01),), 0.01),
+            (StraightPipe(0.1, 0.01),),
+        ],
+        ids=lambda element: type(element).__name__,
+    )
+    def test_anything_but_an_element_rejected(self, element):
+        # the walk skips what it does not know: an MppSpec among pipes used
+        # to give alpha 0 and the pipes' matrix alone
+        with pytest.raises(ValueError) as excinfo:
+            ElementChain((StraightPipe(0.1, 0.01), element), 0.01)
+        assert str(excinfo.value) == (
+            "elements[1] must be a StraightPipe, AreaChange or MppPanel,"
+            f" got {type(element).__name__}"
+        )
+
     def test_chain_determinant_across_grid(self, baseline_chain):
         det = chain_matrix(baseline_chain, DEFAULT_GRID.frequencies()).det()
         assert np.max(np.abs(det - 1.0)) < 1e-9
 
-    @pytest.mark.parametrize("element", [StraightPipe(0.1, 0.01), Mpp(MPP1)])
+    @pytest.mark.parametrize("element", [StraightPipe(0.1, 0.01), MPP1])
     @pytest.mark.parametrize("frequency", [300.0, np.array([1.0, 300.0, 1999.5])])
     def test_singleton_chain_equals_element_matrix(self, element, frequency):
         # the walk's one-element chain against the textbook element formulas
@@ -340,27 +360,31 @@ class TestChainMatrix:
             assert np.array_equal(entry_a, entry_b)
 
 
-# Panel ranges of the random designs (thickness, aperture in m; porosity).
-PANEL_RANGES = ((0.2e-3, 1.0e-3), (0.1e-3, 0.8e-3), (0.005, 0.05))
+# Panel ranges of the random designs (thickness, aperture in mm; porosity).
+MPP_RANGES = ((0.2, 1.0), (0.1, 0.8), (0.005, 0.05))
 
-panels = st.builds(
-    MppPanel, *(st.floats(lo, hi) for lo, hi in PANEL_RANGES), st.floats(5e-3, 0.02)
-)
+specs = st.builds(MppSpec, *(st.floats(lo, hi) for lo, hi in MPP_RANGES))
+panels = st.builds(MppSpec.panel, specs, st.floats(5.0, 20.0))
 elements = st.one_of(
     st.builds(StraightPipe, st.floats(1e-3, 0.15), st.floats(5e-3, 0.1)),
     st.just(AreaChange()),
-    st.builds(Mpp, panels),
+    panels,
 )
 frequencies = st.one_of(
     st.floats(1.0, 2000.0),
     st.lists(st.floats(1.0, 2000.0), min_size=1, max_size=40).map(np.array),
 )
-WALL_MPP = ElementChain((StraightPipe(0.05, 0.01), StraightPipe(0.02, 0.06), Mpp(MPP3)), 0.01)
+WALL_MPP = ElementChain((StraightPipe(0.05, 0.01), StraightPipe(0.02, 0.06), MPP3), 0.01)
 ADJACENT_MPPS = ElementChain(
-    (StraightPipe(0.05, 0.01), Mpp(MPP1), Mpp(MPP3), StraightPipe(0.03, 0.06)), 0.01
+    (StraightPipe(0.05, 0.01), MPP1, MPP3, StraightPipe(0.03, 0.06)), 0.01
 )
-MPPS_ONLY = ElementChain((Mpp(MPP1), Mpp(MPP3), Mpp(MPP1)), 0.01)
+MPPS_ONLY = ElementChain((MPP1, MPP3, MPP1), 0.01)
 AREA_CHANGES_ONLY = ElementChain((AreaChange(), AreaChange()), 0.01)
+three_chamber_chains = st.builds(
+    build_chain,
+    st.builds(DesignVector, **{name: st.floats(lo, hi) for name, (lo, hi) in BOUNDS_MM.items()}),
+    st.builds(MppSet, specs, specs, specs),
+)
 
 
 @settings(max_examples=200)
@@ -384,6 +408,36 @@ def test_chain_matrix_equals_four_pole_product(chain, frequency):
         assert np.asarray(entry).dtype == np.clongdouble
         assert np.shape(entry) == np.shape(frequency)
         assert np.all(np.abs(entry - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
+
+
+@settings(max_examples=100)
+@given(chain=three_chamber_chains, frequency=frequencies)
+def test_reversed_chain_swaps_the_diagonal(chain, frequency):
+    """Reciprocity: every element has a11 = a22, so the chain reversed has
+    a11 and a22 swapped and a12 and a21 kept."""
+    forward = chain_matrix(chain, frequency)
+    reverse = chain_matrix(ElementChain(chain.elements[::-1], chain.main_duct_diameter), frequency)
+    for entry, expected in (
+        (reverse.a11, forward.a22),
+        (reverse.a12, forward.a12),
+        (reverse.a21, forward.a21),
+        (reverse.a22, forward.a11),
+    ):
+        assert np.all(np.abs(entry - expected) <= 1e-12 * np.abs(expected))
+
+
+@settings(max_examples=50)
+@given(
+    chain=three_chamber_chains,
+    grid=st.builds(FrequencyGrid, st.floats(1.0, 10.0), st.just(2000.0), st.floats(0.5, 2.0)),
+)
+def test_chain_without_its_panels_is_lossless(chain, grid):
+    """Pipes and area changes dissipate nothing: with its panels removed, a
+    chain absorbs alpha <= 1e-12 at every grid point."""
+    pipes = ElementChain(
+        tuple(e for e in chain.elements if not isinstance(e, MppPanel)), chain.main_duct_diameter
+    )
+    assert absorption_coefficients(pipes, grid).max() <= 1e-12
 
 
 class TestAbsorption:

@@ -137,6 +137,7 @@ class TestSchedule:
             {"termination_temperature": math.nan},
             {"step_fraction": math.inf},
             {"step_fraction": math.nan},
+            {"seed": -1},
         ],
     )
     def test_invalid_schedules_rejected(self, kwargs):

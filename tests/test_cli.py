@@ -498,6 +498,24 @@ class TestErrors:
         assert stdout == ""
         assert not out.exists()
 
+    def test_negative_seed_is_refused_by_name(self, capsys, tmp_path, config_dir):
+        # used to fail in numpy's default_rng ("expected non-negative
+        # integer"), after the cut-on check, and a config seed of -1 loaded
+        config = json.loads((config_dir / BASELINE).read_text())
+        config["schedule"]["seed"] = -1
+        path = tmp_path / "negative_seed.json"
+        path.write_text(json.dumps(config))
+        out_dir = tmp_path / "run"
+        for argv, message in (
+            (("--config", config_dir / BASELINE, "--seed", "-1"), "error: seed must be non-negative"),
+            (("--config", path), "error: schedule: seed must be non-negative"),
+        ):
+            code, stdout, stderr = run_cli(capsys, "optimize", *argv, "--out", out_dir)
+            assert code == 1
+            assert stdout == ""
+            assert stderr.startswith(message) and stderr.count("\n") == 1
+            assert not out_dir.exists()
+
     def test_schedule_that_never_cools_is_refused(self, capsys, tmp_path, config_dir):
         # 1 - 1e-17 == 1.0: optimize used to run until it was killed
         config = json.loads((config_dir / BASELINE).read_text())

@@ -24,7 +24,7 @@ from mppabsorber import (
     DesignVector,
     FrequencyGrid,
     Medium,
-    Mpp,
+    MppPanel,
     MppSet,
     MppSpec,
     SingularConfigurationError,
@@ -98,10 +98,8 @@ def direct_trig_alpha(chain, frequency):
             z_c = rho_c / element.area
             c, s = np.cos(element.length * k), np.sin(element.length * k)
             p, u = c * p + (1j * z_c) * s * u, (1j / z_c) * s * p + c * u
-        elif isinstance(element, Mpp):
-            z = mpp_normalized_impedance(element.panel, frequencies, AIR) * (
-                rho_c / element.panel.duct_area
-            )
+        elif isinstance(element, MppPanel):
+            z = mpp_normalized_impedance(element, frequencies, AIR) * (rho_c / element.duct_area)
             p = p + z * u
     z0_u = chain.characteristic_impedance(AIR) * u
     gamma = (p - z0_u) / (p + z0_u)
@@ -257,7 +255,7 @@ def test_singular_configuration_in_a_later_block_reports_its_frequency(
     walk = acoustics._walk
     blocks = []  # the first point and the size of each block walked
 
-    panel = baseline_chain.elements[0].panel
+    panel = baseline_chain.elements[0]
 
     def forced(chain, cos_kl, sin_kl, panel_impedances, medium, workspace):
         [(p, u)] = walk(chain, cos_kl, sin_kl, panel_impedances, medium, workspace)

@@ -9,7 +9,7 @@ from mppabsorber import (
     OPTIMIZED_DESIGN,
     AreaChange,
     DesignVector,
-    Mpp,
+    MppPanel,
     MppSpec,
     StraightPipe,
     build_chain,
@@ -25,19 +25,19 @@ class TestBuildChain:
         chain = build_chain(BASELINE_DESIGN, DEFAULT_MPPS)
         assert len(chain.elements) == 16
         counts = {
-            Mpp: sum(isinstance(e, Mpp) for e in chain.elements),
+            MppPanel: sum(isinstance(e, MppPanel) for e in chain.elements),
             AreaChange: sum(isinstance(e, AreaChange) for e in chain.elements),
             StraightPipe: sum(isinstance(e, StraightPipe) for e in chain.elements),
         }
-        assert counts == {Mpp: 3, AreaChange: 5, StraightPipe: 8}
+        assert counts == {MppPanel: 3, AreaChange: 5, StraightPipe: 8}
 
     def test_element_type_pattern(self):
         chain = build_chain(BASELINE_DESIGN, DEFAULT_MPPS)
         pattern = [type(e).__name__ for e in chain.elements]
         assert pattern == [
-            "Mpp", "StraightPipe", "Mpp", "StraightPipe",
+            "MppPanel", "StraightPipe", "MppPanel", "StraightPipe",
             "AreaChange", "StraightPipe", "AreaChange", "StraightPipe",
-            "Mpp", "StraightPipe", "AreaChange", "StraightPipe",
+            "MppPanel", "StraightPipe", "AreaChange", "StraightPipe",
             "AreaChange", "StraightPipe", "AreaChange", "StraightPipe",
         ]
 
@@ -62,7 +62,7 @@ class TestBuildChain:
 
     def test_panels_embedded_in_main_duct(self):
         chain = build_chain(OPTIMIZED_DESIGN, DEFAULT_MPPS)
-        panels = [e.panel for e in chain.elements if isinstance(e, Mpp)]
+        panels = [e for e in chain.elements if isinstance(e, MppPanel)]
         assert len(panels) == 3
         for panel, spec in zip(panels, DEFAULT_MPPS):
             assert panel.duct_diameter == pytest.approx(OPTIMIZED_DESIGN.d_m * MM)
@@ -80,7 +80,7 @@ class TestBuildChain:
     def test_single_chamber_layout(self):
         chain = single_chamber_chain(MppSpec(0.6, 0.2, 0.025))
         pattern = [type(e).__name__ for e in chain.elements]
-        assert pattern == ["Mpp", "StraightPipe", "AreaChange", "StraightPipe"]
+        assert pattern == ["MppPanel", "StraightPipe", "AreaChange", "StraightPipe"]
         main, chamber = [e for e in chain.elements if isinstance(e, StraightPipe)]
         assert (main.length, main.diameter) == pytest.approx((0.1, 0.01))
         assert (chamber.length, chamber.diameter) == pytest.approx((0.01, 0.06))
