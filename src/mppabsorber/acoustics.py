@@ -172,10 +172,12 @@ class ElementChain:
 def cut_on_frequency(chain: ElementChain, medium: Medium = AIR) -> float:
     """First cross-mode cut-on of the chain's widest duct (Hz),
     1.8412*c0/(pi*D_max), where 1.8412 is the first zero of J1'. Above it
-    the (1,1) mode propagates and the plane-wave model no longer holds."""
+    the (1,1) mode propagates and the plane-wave model no longer holds. The
+    ducts are the main duct, every pipe and every panel's duct."""
     widest = max(
         [chain.main_duct_diameter]
         + [e.diameter for e in chain.elements if isinstance(e, StraightPipe)]
+        + [e.duct_diameter for e in chain.elements if isinstance(e, MppPanel)]
     )
     return 1.8412 * medium.sound_speed / (math.pi * widest)
 
@@ -488,6 +490,4 @@ def absorption_spectrum(
     """Absorption coefficient sampled on a frequency grid. Values agree with
     absorption_at within a few ulp, as the phase tables are not direct
     cos/sin."""
-    return AbsorptionSpectrum(
-        frequencies=grid.frequencies(), alphas=absorption_coefficients(chain, grid, medium)
-    )
+    return AbsorptionSpectrum(grid, absorption_coefficients(chain, grid, medium))

@@ -17,14 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .acoustics import AIR, Medium, absorption_coefficients, absorption_spectrum
+from .acoustics import AIR, Medium, absorption_spectrum
 from .spectrum import (
     DEFAULT_GRID,
     AbsorptionSpectrum,
     EffectiveBand,
     FrequencyGrid,
     effective_band,
-    longest_band,
     require_positive,
 )
 from .structure import BOUNDS_MM, DESIGN_FIELDS, DesignVector, MppSet, build_chain
@@ -139,16 +138,9 @@ def objective(
     grid: FrequencyGrid = DEFAULT_GRID,
     threshold: float = 0.8,
 ) -> float:
-    """Width of the longest effective band (Hz); 0.0 when none qualifies.
-
-    Equal to effective_band(absorption_spectrum(...)).width, without wrapping
-    and re-validating the arrays as an AbsorptionSpectrum and without the
-    grid's frequency array: the band reads only its edge frequencies. The
-    solver keeps the panels' impedances between calls on the same grid and
-    medium.
-    """
-    alphas = absorption_coefficients(build_chain(design, mpps), grid, medium)
-    band = longest_band(grid.frequency, alphas, threshold)
+    """Width of the longest effective band (Hz) of the design's spectrum on
+    `grid`; 0.0 when no grid point qualifies."""
+    band = effective_band(absorption_spectrum(build_chain(design, mpps), grid, medium), threshold)
     return band.width if band is not None else 0.0
 
 

@@ -1,15 +1,15 @@
-"""Absorption spectra and effective-band extraction.
+"""Absorption spectra on uniform frequency grids, and their effective bands.
 
-The effective absorption band is the longest contiguous frequency interval
-with alpha >= threshold (0.8 by default). Band edges are refined by linear
-interpolation between the boundary grid point and its sub-threshold
-neighbour, so reported cutoffs are finer than the grid step.
+The effective absorption band is the longest contiguous run of grid points
+with alpha >= threshold (0.8 by default); ties go to the lower-frequency
+run. Its edges are interpolated linearly to alpha == threshold between the
+run's end point and its sub-threshold neighbour, or are the grid's own
+edges where the run touches them.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +23,6 @@ __all__ = [
     "check_positive",
     "effective_band",
     "effective_bands",
-    "longest_band",
     "octave_bands",
     "require_positive",
 ]
@@ -97,26 +96,30 @@ DEFAULT_GRID = FrequencyGrid(1.0, 2000.0, 1.0)
 
 @dataclass(frozen=True, eq=False)
 class AbsorptionSpectrum:
-    """Parallel arrays of frequency (Hz, strictly increasing) and alpha."""
+    """Alpha in [0, 1] at each point of a frequency grid."""
 
-    frequencies: np.ndarray
+    grid: FrequencyGrid
     alphas: np.ndarray
 
     def __post_init__(self):
-        freqs = np.asarray(self.frequencies, dtype=float)
+        if not isinstance(self.grid, FrequencyGrid):
+            raise ValueError(f"grid must be a FrequencyGrid, got {type(self.grid).__name__}")
         alphas = np.asarray(self.alphas, dtype=float)
-        if freqs.shape != alphas.shape or freqs.ndim != 1 or freqs.size == 0:
-            raise ValueError("frequencies and alphas must be equal-length 1-D arrays")
-        check_positive(freqs, "AbsorptionSpectrum", "frequencies")
-        if not np.all(np.diff(freqs) > 0):
-            raise ValueError("frequencies must be strictly increasing")
-        if not np.all((alphas >= 0.0) & (alphas <= 1.0)):  # NaN fails too
+        if alphas.shape != (self.grid.size,):
+            raise ValueError(
+                f"alphas must have shape ({self.grid.size},), one per grid point,"
+                f" got {alphas.shape}"
+            )
+        if not (alphas.min() >= 0.0 and alphas.max() <= 1.0):  # NaN fails too
             raise ValueError("alpha values must lie in [0, 1]")
-        object.__setattr__(self, "frequencies", freqs)
         object.__setattr__(self, "alphas", alphas)
 
+    @property
+    def frequencies(self) -> np.ndarray:
+        return self.grid.frequencies()
+
     def __len__(self) -> int:
-        return self.frequencies.size
+        return self.grid.size
 
 
 @dataclass(frozen=True)
@@ -137,23 +140,24 @@ def octave_bands(f_low: float, f_high: float) -> float:
     return math.log2(f_high / f_low)
 
 
-def _runs_at_or_above(alphas: np.ndarray, threshold: float) -> list[tuple[int, int]]:
-    """Inclusive (start, end) index pairs of maximal runs with alpha >= threshold."""
+# the False on either side of a run mask, so every run has two edges
+_EDGE = np.zeros(1, bool)
+
+
+def _runs(alphas: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """Start and inclusive end indices of the maximal runs with alpha >=
+    threshold, in ascending order."""
     if not 0 < threshold < 1:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    qualifying = alphas >= threshold
-    padded = np.concatenate(([False], qualifying, [False]))
-    edges = np.flatnonzero(np.diff(padded))  # True where neighbours differ
-    return [(int(s), int(e) - 1) for s, e in zip(edges[::2], edges[1::2])]
+    padded = np.concatenate((_EDGE, alphas >= threshold, _EDGE))
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
+    return edges[::2], edges[1::2] - 1
 
 
 def _interpolated_band(
-    frequency: Callable[[int], float],
-    alphas: np.ndarray,
-    start: int,
-    end: int,
-    threshold: float,
+    grid: FrequencyGrid, alphas: np.ndarray, start: int, end: int, threshold: float
 ) -> EffectiveBand:
+    frequency, last = grid.frequency, grid.size - 1
     if start > 0:
         # crossing point where the linear segment reaches the threshold
         f_low = frequency(start - 1) + (threshold - alphas[start - 1]) / (
@@ -161,12 +165,12 @@ def _interpolated_band(
         ) * (frequency(start) - frequency(start - 1))
     else:
         f_low = frequency(0)
-    if end < len(alphas) - 1:
+    if end < last:
         f_high = frequency(end) + (alphas[end] - threshold) / (
             alphas[end] - alphas[end + 1]
         ) * (frequency(end + 1) - frequency(end))
     else:
-        f_high = frequency(len(alphas) - 1)
+        f_high = frequency(last)
     f_low = float(f_low)
     f_high = float(f_high)
     octaves = octave_bands(f_low, f_high) if f_high > f_low else 0.0
@@ -183,35 +187,22 @@ def effective_bands(
     spectrum: AbsorptionSpectrum, threshold: float = 0.8
 ) -> list[EffectiveBand]:
     """All alpha >= threshold bands in ascending frequency order."""
-    frequency, alphas = spectrum.frequencies.__getitem__, spectrum.alphas
+    starts, ends = _runs(spectrum.alphas, threshold)
     return [
-        _interpolated_band(frequency, alphas, start, end, threshold)
-        for start, end in _runs_at_or_above(alphas, threshold)
+        _interpolated_band(spectrum.grid, spectrum.alphas, int(start), int(end), threshold)
+        for start, end in zip(starts, ends)
     ]
-
-
-def longest_band(
-    frequency: Callable[[int], float], alphas: np.ndarray, threshold: float = 0.8
-) -> EffectiveBand | None:
-    """The longest effective band of a spectrum's alphas, or None if no point
-    qualifies: effective_band without the AbsorptionSpectrum wrapper, for
-    callers whose arrays are valid by construction. frequency(i) is the
-    frequency of point i; only the band edges and their neighbours are read.
-
-    Band length is counted in grid points; ties go to the lower-frequency
-    run. Edges are interpolated to alpha == threshold exactly (except at the
-    grid boundary, where the grid edge is used).
-    """
-    runs = _runs_at_or_above(alphas, threshold)
-    if not runs:
-        return None
-    start, end = max(runs, key=lambda run: (run[1] - run[0], -run[0]))
-    return _interpolated_band(frequency, alphas, start, end, threshold)
 
 
 def effective_band(
     spectrum: AbsorptionSpectrum, threshold: float = 0.8
 ) -> EffectiveBand | None:
-    """The longest effective band, or None if no grid point qualifies (see
-    longest_band)."""
-    return longest_band(spectrum.frequencies.__getitem__, spectrum.alphas, threshold)
+    """The longest alpha >= threshold band, or None if no grid point
+    qualifies. Length counts grid points; ties go to the lower frequency."""
+    starts, ends = _runs(spectrum.alphas, threshold)
+    if starts.size == 0:
+        return None
+    longest = np.argmax(ends - starts)  # the first of equals
+    return _interpolated_band(
+        spectrum.grid, spectrum.alphas, int(starts[longest]), int(ends[longest]), threshold
+    )

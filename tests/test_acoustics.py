@@ -34,6 +34,7 @@ from mppabsorber import (
     absorption_spectrum,
     build_chain,
     chain_matrix,
+    cut_on_frequency,
     mpp_normalized_impedance,
     perforate_constant,
 )
@@ -123,6 +124,18 @@ class TestMedium:
     def test_rejects_nonpositive_properties(self, kwargs):
         with pytest.raises(ValueError):
             Medium(**kwargs)
+
+
+class TestCutOn:
+    def test_a_panel_duct_wider_than_every_pipe_sets_the_cut_on(self):
+        # 1.8412 * 343 / (pi * 0.2 m); the widest pipe alone would give 20,102 Hz
+        chain = ElementChain((MppPanel(0.6e-3, 0.2e-3, 0.025, 0.2), StraightPipe(0.1, 0.01)), 0.01)
+        assert cut_on_frequency(chain) == pytest.approx(1005.1, abs=0.1)
+
+    def test_widest_of_main_duct_and_pipes(self):
+        pipes = (StraightPipe(0.1, 0.05), AreaChange(), StraightPipe(0.1, 0.08))
+        assert cut_on_frequency(ElementChain(pipes, 0.02)) == 1.8412 * 343.0 / (math.pi * 0.08)
+        assert cut_on_frequency(ElementChain(pipes, 0.1)) == 1.8412 * 343.0 / (math.pi * 0.1)
 
 
 class TestPerforateConstant:

@@ -12,6 +12,7 @@ from mppabsorber import (
     BOUNDS_MM,
     DEFAULT_MPPS,
     OPTIMIZED_DESIGN,
+    FrequencyGrid,
     accept,
     anneal,
     anneal_multi,
@@ -48,6 +49,14 @@ class TestObjective:
     def test_infeasible_design_scores_zero(self):
         # the baseline never reaches alpha = 0.95, so that threshold is infeasible
         assert objective(BASELINE_DESIGN, DEFAULT_MPPS, threshold=0.95) == 0.0
+
+    def test_nan_alphas_are_refused_not_scored_zero(self):
+        # at such frequencies the solver overflows to NaN alphas, which the
+        # spectrum refuses rather than score as a design without a band
+        grid = FrequencyGrid(1e306, 1e307, 1e305)
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match=r"alpha values must lie in \[0, 1\]"):
+                objective(BASELINE_DESIGN, DEFAULT_MPPS, grid=grid)
 
 
 class TestNeighbor:

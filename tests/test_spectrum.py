@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mppabsorber import (
     AbsorptionSpectrum,
@@ -27,8 +29,10 @@ from mppabsorber import (
 from mppabsorber.spectrum import MAX_GRID_POINTS, require_positive
 
 
-def spectrum_of(freqs, alphas):
-    return AbsorptionSpectrum(np.asarray(freqs, float), np.asarray(alphas, float))
+def spectrum_of(f_min, step, alphas):
+    """`alphas` on the grid f_min, f_min + step, ..., one point each."""
+    grid = FrequencyGrid(f_min, f_min + step * (len(alphas) - 0.5), step)
+    return AbsorptionSpectrum(grid, np.asarray(alphas, float))
 
 
 class TestFrequencyGrid:
@@ -112,38 +116,42 @@ class TestRequirePositive:
 
 
 class TestSpectrumInvariants:
-    def test_rejects_unsorted_frequencies(self):
-        with pytest.raises(ValueError):
-            spectrum_of([100, 50], [0.5, 0.5])
+    def test_frequencies_and_length_come_from_the_grid(self):
+        grid = FrequencyGrid(3.0, 1999.5, 0.7)
+        spectrum = AbsorptionSpectrum(grid, np.full(grid.size, 0.5))
+        assert np.array_equal(spectrum.frequencies, grid.frequencies())
+        assert len(spectrum) == grid.size
+
+    def test_rejects_a_frequency_array_as_the_grid(self):
+        # an ndarray has a .size too
+        with pytest.raises(ValueError, match="grid must be a FrequencyGrid, got ndarray"):
+            AbsorptionSpectrum(np.array([1.0, 2.0, 3.0]), np.full(3, 0.5))
 
     def test_rejects_alpha_outside_unit_interval(self):
         with pytest.raises(ValueError):
-            spectrum_of([1, 2], [0.5, 1.5])
+            spectrum_of(1, 1, [0.5, 1.5])
 
     def test_rejects_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            spectrum_of([1, 2, 3], [0.5, 0.5])
+        with pytest.raises(ValueError, match=r"alphas must have shape \(3,\), one per grid point"):
+            AbsorptionSpectrum(FrequencyGrid(1.0, 3.0, 1.0), [0.5, 0.5])
 
     @pytest.mark.parametrize(
-        "frequencies", [[1, 2, math.inf], [0, 1, 2], [-2, -1, 3], [1, 2, math.nan]]
+        "alphas", [[0.5] * 4, [[0.5, 0.5, 0.5]], 0.5], ids=["too-many", "2-d", "scalar"]
     )
-    def test_rejects_non_finite_and_non_positive_frequencies(self, frequencies):
-        # [1, 2, inf] used to pass and fail later in octave_bands
-        with pytest.raises(ValueError, match="frequencies must be finite and positive"):
-            spectrum_of(frequencies, [0.9, 0.9, 0.9])
+    def test_rejects_alphas_not_one_per_grid_point(self, alphas):
+        with pytest.raises(ValueError, match=r"alphas must have shape \(3,\)"):
+            AbsorptionSpectrum(FrequencyGrid(1.0, 3.0, 1.0), alphas)
 
     @pytest.mark.parametrize("alpha", [math.nan, -math.inf, math.inf, -0.1])
     def test_rejects_nan_and_out_of_range_alphas(self, alpha):
         # a NaN alpha used to pass and make band_report print "f_high nan Hz"
         with pytest.raises(ValueError, match=r"alpha values must lie in \[0, 1\]"):
-            spectrum_of([1, 2, 3], [0.9, alpha, 0.9])
+            spectrum_of(1, 1, [0.9, alpha, 0.9])
 
 
 class TestEffectiveBand:
     def test_threshold_crossing_with_interpolated_edges(self):
-        spectrum = spectrum_of(
-            [100, 200, 300, 400, 500], [0.5, 0.85, 0.9, 0.82, 0.7]
-        )
+        spectrum = spectrum_of(100, 100, [0.5, 0.85, 0.9, 0.82, 0.7])
         band = effective_band(spectrum)
         # linear crossings: 100 + 0.3/0.35*100 and 400 + 0.02/0.12*100
         assert band.f_low == pytest.approx(100 + 0.3 / 0.35 * 100, rel=1e-12)
@@ -154,40 +162,34 @@ class TestEffectiveBand:
         assert band.mean_alpha == pytest.approx((0.85 + 0.9 + 0.82) / 3)
 
     def test_no_qualifying_point_returns_none(self):
-        assert effective_band(spectrum_of([1, 2, 3], [0.0, 0.0, 0.0])) is None
+        assert effective_band(spectrum_of(1, 1, [0.0, 0.0, 0.0])) is None
 
     def test_entire_spectrum_above_threshold(self):
-        spectrum = spectrum_of([10, 20, 30], [0.9, 0.95, 0.85])
+        spectrum = spectrum_of(10, 10, [0.9, 0.95, 0.85])
         band = effective_band(spectrum)
         assert (band.f_low, band.f_high) == (10.0, 30.0)
         assert band.octaves == pytest.approx(math.log2(3.0))
 
     def test_tie_broken_toward_lower_frequency(self):
-        spectrum = spectrum_of(
-            [10, 20, 30, 40, 50, 60, 70],
-            [0.9, 0.9, 0.1, 0.1, 0.9, 0.9, 0.1],
-        )
+        spectrum = spectrum_of(10, 10, [0.9, 0.9, 0.1, 0.1, 0.9, 0.9, 0.1])
         band = effective_band(spectrum)
         assert band.f_low == 10.0
         assert band.f_high < 30.0
 
     def test_longer_run_wins(self):
-        spectrum = spectrum_of(
-            [10, 20, 30, 40, 50, 60, 70],
-            [0.9, 0.1, 0.85, 0.9, 0.95, 0.1, 0.9],
-        )
+        spectrum = spectrum_of(10, 10, [0.9, 0.1, 0.85, 0.9, 0.95, 0.1, 0.9])
         band = effective_band(spectrum)
         assert 20 < band.f_low < 30
         assert 50 < band.f_high < 60
 
     def test_custom_threshold(self):
-        spectrum = spectrum_of([10, 20, 30], [0.5, 0.96, 0.5])
+        spectrum = spectrum_of(10, 10, [0.5, 0.96, 0.5])
         assert effective_band(spectrum, threshold=0.95) is not None
         assert effective_band(spectrum, threshold=0.97) is None
 
     @pytest.mark.parametrize("threshold", [0.0, 1.0, -0.5, 2.0])
     def test_invalid_threshold_rejected(self, threshold):
-        spectrum = spectrum_of([10, 20], [0.9, 0.9])
+        spectrum = spectrum_of(10, 10, [0.9, 0.9])
         with pytest.raises(ValueError):
             effective_band(spectrum, threshold)
 
@@ -206,6 +208,70 @@ class TestEffectiveBand:
         fine = effective_band(absorption_spectrum(baseline_chain, fine_grid))
         assert abs(coarse.f_low - fine.f_low) < coarse_grid.step
         assert abs(coarse.f_high - fine.f_high) < coarse_grid.step
+
+
+def runs_by_scan(alphas, threshold):
+    """(start, end) of each maximal run with alpha >= threshold, found one
+    point at a time."""
+    runs, start = [], None
+    for i, alpha in enumerate(alphas):
+        if alpha >= threshold and start is None:
+            start = i
+        elif alpha < threshold and start is not None:
+            runs.append((start, i - 1))
+            start = None
+    if start is not None:
+        runs.append((start, len(alphas) - 1))
+    return runs
+
+
+@st.composite
+def small_spectra(draw):
+    """Up to 12 points on a random grid. Alphas come mostly from a few values
+    at and around the thresholds, so ties, runs at either grid edge and
+    spectra without a run are all common."""
+    alphas = draw(
+        st.lists(
+            st.one_of(st.sampled_from([0.0, 0.5, 0.8, 0.9, 1.0]), st.floats(0.0, 1.0)),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    return spectrum_of(draw(st.floats(1.0, 1000.0)), draw(st.floats(0.01, 100.0)), alphas)
+
+
+@settings(max_examples=300)
+@given(spectrum=small_spectra(), threshold=st.sampled_from([0.8, 0.5, 0.95]))
+@example(spectrum=spectrum_of(10, 10, [0.9, 0.1, 0.9]), threshold=0.8)  # a tie, at both edges
+@example(spectrum=spectrum_of(10, 10, [0.1, 0.9, 0.9, 0.1]), threshold=0.8)
+@example(spectrum=spectrum_of(10, 10, [0.1, 0.5, 0.1]), threshold=0.8)  # no run
+def test_longest_band_is_the_first_longest_run_of_a_scan(spectrum, threshold):
+    alphas, frequencies = spectrum.alphas, spectrum.frequencies
+    runs = runs_by_scan(alphas, threshold)
+    bands = effective_bands(spectrum, threshold)
+    assert len(bands) == len(runs)
+    slack = 1e-12 * frequencies[-1]  # the interpolation rounds
+    for band, (start, end) in zip(bands, runs):
+        if start == 0:
+            assert band.f_low == frequencies[0]
+        else:
+            assert frequencies[start - 1] - slack <= band.f_low <= frequencies[start] + slack
+            assert np.interp(band.f_low, frequencies, alphas) == pytest.approx(threshold, abs=1e-9)
+        if end == len(alphas) - 1:
+            assert band.f_high == frequencies[-1]
+        else:
+            assert frequencies[end] - slack <= band.f_high <= frequencies[end + 1] + slack
+            assert np.interp(band.f_high, frequencies, alphas) == pytest.approx(threshold, abs=1e-9)
+        assert band.mean_alpha == pytest.approx(np.mean(alphas[start : end + 1]), rel=1e-12)
+    longest = None
+    for run in runs:
+        if longest is None or run[1] - run[0] > longest[1] - longest[0]:
+            longest = run
+    band = effective_band(spectrum, threshold)
+    if longest is None:
+        assert band is None
+    else:
+        assert band == bands[runs.index(longest)]
 
 
 class TestOctaveBands:
