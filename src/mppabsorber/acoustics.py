@@ -32,7 +32,6 @@ __all__ = [
     "StraightPipe",
     "TransferMatrix",
     "absorption_at",
-    "absorption_coefficients",
     "absorption_spectrum",
     "chain_matrix",
     "circle_area",
@@ -422,11 +421,13 @@ def _phase_trig(lengths, ws: _Workspace):
     return table[:, 0, :points], table[:, 1, :points]
 
 
-def absorption_coefficients(
+def absorption_spectrum(
     chain: ElementChain, grid: FrequencyGrid, medium: Medium = AIR
-) -> np.ndarray:
+) -> AbsorptionSpectrum:
     """alpha = 1 - |Gamma|^2, clamped to [0, 1], at the points of `grid`,
-    with Gamma = (p - Z0*u) / (p + Z0*u) from the mouth state.
+    with Gamma = (p - Z0*u) / (p + Z0*u) from the mouth state. Values agree
+    with absorption_at within a few ulp, as the phase tables are not direct
+    cos/sin.
 
     A grid of n points is solved in blocks of ceil(_BLOCK_POINTS / isqrt(n))
     whole table rows, bit for bit as in one block, in the calling thread's
@@ -471,23 +472,15 @@ def absorption_coefficients(
         np.square(magnitude, out=magnitude)  # what |gamma| ** 2 computes
         np.subtract(1.0, magnitude, out=magnitude)
         np.clip(magnitude, 0.0, 1.0, out=alphas[lo:hi])
-    return alphas
+    return AbsorptionSpectrum(grid, alphas)
 
 
 def absorption_at(chain: ElementChain, frequency: float, medium: Medium = AIR) -> float:
     """Normal-incidence absorption coefficient of the chain at one
     frequency: the solve of the one-point grid at `frequency`, whose phase
     table is direct cos/sin. Chains without an MPP return essentially zero.
+    A NaN alpha fails the spectrum's check with a ValueError.
     """
     check_positive(frequency, "frequency")
     grid = FrequencyGrid(frequency, 2.0 * frequency, 2.0 * frequency)
-    return float(absorption_coefficients(chain, grid, medium)[0])
-
-
-def absorption_spectrum(
-    chain: ElementChain, grid: FrequencyGrid, medium: Medium = AIR
-) -> AbsorptionSpectrum:
-    """Absorption coefficient sampled on a frequency grid. Values agree with
-    absorption_at within a few ulp, as the phase tables are not direct
-    cos/sin."""
-    return AbsorptionSpectrum(grid, absorption_coefficients(chain, grid, medium))
+    return float(absorption_spectrum(chain, grid, medium).alphas[0])

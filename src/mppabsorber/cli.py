@@ -8,10 +8,10 @@ compare    print the bands of two structures side by side with the octave
            ratio
 
 All outputs are plain UTF-8 text; repeated runs with identical inputs and
-seed produce byte-identical files. simulate and optimize write one warning
-to stderr when the grid's f_max lies above the first cross-mode cut-on of
-the widest duct (for optimize, the widest the bounds allow), where the
-plane-wave model stops holding.
+seed produce byte-identical files. Each command writes one warning to
+stderr per structure whose widest duct (for optimize, the widest the
+bounds allow) has its first cross-mode cut-on below the grid's f_max,
+where the plane-wave model stops holding.
 """
 
 from __future__ import annotations
@@ -58,6 +58,16 @@ def _warn_above_cut_on(chain: ElementChain, grid: FrequencyGrid, medium: Medium)
             " hold there",
             file=sys.stderr,
         )
+
+
+def _solve(path, args) -> AbsorptionSpectrum:
+    """The spectrum of the config at `path` on its grid with the command's
+    overrides, after the cut-on warning."""
+    config = load_config(path)
+    grid = _apply_grid_overrides(config.grid, args)
+    chain = config.structure.chain()
+    _warn_above_cut_on(chain, grid, config.medium)
+    return absorption_spectrum(chain, grid, config.medium)
 
 
 def band_report(spectrum: AbsorptionSpectrum, threshold: float) -> str:
@@ -226,11 +236,7 @@ def trace_csv(result: OptimizationResult) -> str:
 
 
 def cmd_simulate(args) -> int:
-    config = load_config(args.config)
-    grid = _apply_grid_overrides(config.grid, args)
-    chain = config.structure.chain()
-    _warn_above_cut_on(chain, grid, config.medium)
-    spectrum = absorption_spectrum(chain, grid, config.medium)
+    spectrum = _solve(args.config, args)
     report = band_report(spectrum, args.threshold)  # checks the threshold before any write
     Path(args.out).write_text(spectrum_csv(spectrum), encoding="utf-8")
     sys.stdout.write(report)
@@ -252,8 +258,6 @@ def cmd_optimize(args) -> int:
         schedule = AnnealingSchedule()
     if args.seed is not None:
         schedule = dataclasses.replace(schedule, seed=args.seed)
-    if args.cooling_reading is not None:
-        schedule = dataclasses.replace(schedule, cooling_reading=args.cooling_reading)
     # the search can widen every duct up to its upper bound
     design = config.structure.design
     widest = DesignVector(
@@ -297,9 +301,7 @@ def cmd_compare(args) -> int:
     reports = []
     bands = []
     for label, path in (("A", args.config_a), ("B", args.config_b)):
-        config = load_config(path)
-        grid = _apply_grid_overrides(config.grid, args)
-        spectrum = absorption_spectrum(config.structure.chain(), grid, config.medium)
+        spectrum = _solve(path, args)
         reports.append(f"{label}: {path}\n" + band_report(spectrum, args.threshold))
         bands.append(effective_band(spectrum, args.threshold))
     sys.stdout.write("".join(reports))
@@ -344,12 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", required=True, help="output directory (best_design.json, trace.csv, report.txt)"
     )
     p_opt.add_argument("--seed", type=int, default=None, help="override schedule seed")
-    p_opt.add_argument(
-        "--cooling-reading",
-        choices=("decrement", "multiplier"),
-        default=None,
-        help="how the cooling rate is applied per level",
-    )
     _add_grid_arguments(p_opt)
     p_opt.set_defaults(func=cmd_optimize)
 

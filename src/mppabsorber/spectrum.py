@@ -128,9 +128,16 @@ class EffectiveBand:
 
     f_low: float
     f_high: float
-    width: float
-    octaves: float
     mean_alpha: float
+
+    @property
+    def width(self) -> float:
+        return self.f_high - self.f_low
+
+    @property
+    def octaves(self) -> float:
+        """log2(f_high / f_low); 0.0 for a zero-width band."""
+        return octave_bands(self.f_low, self.f_high) if self.f_high > self.f_low else 0.0
 
 
 def octave_bands(f_low: float, f_high: float) -> float:
@@ -171,14 +178,9 @@ def _interpolated_band(
         ) * (frequency(end + 1) - frequency(end))
     else:
         f_high = frequency(last)
-    f_low = float(f_low)
-    f_high = float(f_high)
-    octaves = octave_bands(f_low, f_high) if f_high > f_low else 0.0
     return EffectiveBand(
-        f_low=f_low,
-        f_high=f_high,
-        width=f_high - f_low,
-        octaves=octaves,
+        f_low=float(f_low),
+        f_high=float(f_high),
         mean_alpha=float(np.mean(alphas[start : end + 1])),
     )
 

@@ -2,7 +2,7 @@
 
 Maps the named geometric parameters of the three-chamber structure (all in
 millimetres, the unit of the engineering drawings and config files) to the
-canonical 16-element acoustic chain, and validates the box bounds used by
+canonical 16-element acoustic chain, and holds the box bounds used by
 the optimizer. The degenerate single-chamber structure (one MPP, one
 chamber) is provided as well.
 """
@@ -21,14 +21,12 @@ __all__ = [
     "BOUNDS_MM",
     "DEFAULT_MPPS",
     "DESIGN_FIELDS",
-    "BoundViolation",
     "DesignVector",
     "MppSet",
     "MppSpec",
     "build_chain",
     "OPTIMIZED_DESIGN",
     "single_chamber_chain",
-    "validate_bounds",
 ]
 
 MM = 1e-3
@@ -200,29 +198,3 @@ def single_chamber_chain(
         StraightPipe(chamber_thickness_mm * MM, chamber_diameter_mm * MM),
     )
     return ElementChain(elements=elements, main_duct_diameter=main_diameter_mm * MM)
-
-
-@dataclass(frozen=True)
-class BoundViolation:
-    """A design value outside its box bound."""
-
-    field: str
-    value: float
-    lower: float
-    upper: float
-
-    def __str__(self) -> str:
-        return f"{self.field} = {self.value} outside [{self.lower}, {self.upper}]"
-
-
-def validate_bounds(design: DesignVector) -> list[BoundViolation]:
-    """All box-bound violations of a design; empty iff fully inside.
-
-    Bound endpoints are inclusive (published optima sit exactly on them).
-    """
-    violations = []
-    for name, (lower, upper) in BOUNDS_MM.items():
-        value = getattr(design, name)
-        if not lower <= value <= upper:
-            violations.append(BoundViolation(name, value, lower, upper))
-    return violations

@@ -18,12 +18,16 @@ from mppabsorber import (
     anneal_multi,
     neighbor,
     objective,
-    validate_bounds,
 )
 
 # widths computed by the independent scalar evaluation of the full chain
 BASELINE_WIDTH = 1317.8495348553893
 OPTIMIZED_WIDTH = 1602.2895724252717
+
+
+def in_box(design):
+    return all(lo <= getattr(design, name) <= hi for name, (lo, hi) in BOUNDS_MM.items())
+
 
 FAST_SCHEDULE = AnnealingSchedule(
     initial_temperature=100.0,
@@ -72,7 +76,7 @@ class TestNeighbor:
         rng = np.random.default_rng(1)
         for _ in range(50):
             moved = neighbor(BASELINE_DESIGN, FAST_SCHEDULE, rng)
-            assert validate_bounds(moved) == []
+            assert in_box(moved)
             assert 60.0 <= moved.l_1 <= 80.0
 
     def test_moves_stay_inside_from_upper_corner(self):
@@ -82,7 +86,7 @@ class TestNeighbor:
         )
         rng = np.random.default_rng(2)
         for _ in range(50):
-            assert validate_bounds(neighbor(upper, FAST_SCHEDULE, rng)) == []
+            assert in_box(neighbor(upper, FAST_SCHEDULE, rng))
 
     def test_deterministic_given_rng_state(self):
         a = neighbor(BASELINE_DESIGN, FAST_SCHEDULE, np.random.default_rng(9))
@@ -222,7 +226,7 @@ class TestAnneal:
     def test_all_visited_designs_feasible(self):
         schedule = dataclasses.replace(FAST_SCHEDULE, termination_temperature=20.0)
         result = anneal(BASELINE_DESIGN, DEFAULT_MPPS, schedule=schedule)
-        assert validate_bounds(result.best_design) == []
+        assert in_box(result.best_design)
 
     def test_deterministic_given_seed(self):
         first = anneal(BASELINE_DESIGN, DEFAULT_MPPS, schedule=FAST_SCHEDULE)

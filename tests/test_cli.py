@@ -242,8 +242,9 @@ class TestSimulate:
 
 
 class TestPlaneWaveLimit:
-    """simulate and optimize warn once on stderr when f_max passes the first
-    cross-mode cut-on, 1.8412*c0/(pi*D_max), and still succeed."""
+    """simulate, compare and optimize warn once on stderr per structure whose
+    first cross-mode cut-on, 1.8412*c0/(pi*D_max), lies below f_max, and
+    still succeed."""
 
     def test_simulate_warns_above_cut_on(self, capsys, tmp_path, config_dir):
         code, stdout, stderr = run_cli(
@@ -256,6 +257,22 @@ class TestPlaneWaveLimit:
         assert "cut-on" in stderr and "2055 Hz" in stderr
         assert "warning" not in stdout
         assert len(read_csv_rows(tmp_path / "spec.csv")) == 8000
+
+    @pytest.mark.parametrize(
+        "fmax, cut_ons", [(8000, ["3350", "2055"]), (3000, ["2055"]), (2000, [])]
+    )
+    def test_compare_warns_once_per_config_below_f_max(
+        self, capsys, config_dir, fmax, cut_ons
+    ):
+        code, stdout, stderr = run_cli(
+            capsys, "compare", config_dir / BASELINE, config_dir / OPTIMIZED, "--fmax", fmax
+        )
+        assert code == 0
+        # the baseline's widest duct is a 60 mm chamber, the optimized one's 97.8 mm
+        lines = stderr.splitlines()
+        assert [line.split(", ")[-1].split(" Hz;")[0] for line in lines] == cut_ons
+        assert all(line.startswith("warning: f_max") for line in lines)
+        assert "octave ratio" in stdout and "warning" not in stdout
 
     def test_optimize_warns_for_the_widest_reachable_duct(
         self, capsys, tmp_path, small_optimize_config
@@ -402,17 +419,26 @@ class TestOptimize:
         emitted = json.loads((out_dir / "best_design.json").read_text())
         assert emitted["schedule"]["seed"] == 3
 
-    def test_cooling_reading_flag(self, capsys, tmp_path, small_optimize_config):
+    def test_cooling_reading_from_config(self, capsys, tmp_path, small_optimize_config):
+        config = json.loads(small_optimize_config.read_text())
+        config["schedule"]["cooling_reading"] = "multiplier"
+        small_optimize_config.write_text(json.dumps(config))
         out_dir = tmp_path / "mult"
         code, _, _ = run_cli(
-            capsys,
-            "optimize", "--config", small_optimize_config, "--out", out_dir,
-            "--cooling-reading", "multiplier",
+            capsys, "optimize", "--config", small_optimize_config, "--out", out_dir
         )
         assert code == 0
         # multiplier reading cools 100 -> 20 in one level: single level of 5 moves
         trace_lines = (out_dir / "trace.csv").read_text().splitlines()
         assert len(trace_lines) == 1 + 5
+        emitted = json.loads((out_dir / "best_design.json").read_text())
+        assert emitted["schedule"]["cooling_reading"] == "multiplier"
+        # the config's schedule is the one way to set it
+        with pytest.raises(SystemExit):
+            run_cli(
+                capsys, "optimize", "--config", small_optimize_config, "--out", out_dir,
+                "--cooling-reading", "multiplier",
+            )
 
     def test_rejects_single_chamber_structure(self, capsys, tmp_path, config_dir):
         code, _, stderr = run_cli(

@@ -41,7 +41,7 @@ from mppabsorber import (
     single_chamber_chain,
 )
 from mppabsorber import acoustics
-from mppabsorber.acoustics import _phase_trig, _Workspace, absorption_coefficients
+from mppabsorber.acoustics import _phase_trig, _Workspace
 
 from four_pole import four_pole_product
 
@@ -234,12 +234,12 @@ def test_blocked_solve_equals_one_block_bit_for_bit(monkeypatch, config_dir, nam
     chain, medium = config.structure.chain(), config.medium
     grid = FrequencyGrid(config.grid.f_min, config.grid.f_max, 0.01)
     assert grid.size > 20 * acoustics._BLOCK_POINTS
-    blocked = absorption_coefficients(chain, grid, medium)
+    blocked = absorption_spectrum(chain, grid, medium).alphas
     # the second solve starts on the last block, whose panel impedances the
     # workspace kept
-    blocked_again = absorption_coefficients(chain, grid, medium)
+    blocked_again = absorption_spectrum(chain, grid, medium).alphas
     monkeypatch.setattr(acoustics, "_BLOCK_POINTS", grid.size + 1)
-    reference = absorption_coefficients(chain, grid, medium)
+    reference = absorption_spectrum(chain, grid, medium).alphas
     assert np.array_equal(blocked, reference)
     assert np.array_equal(blocked_again, reference)
 
@@ -271,7 +271,7 @@ def test_singular_configuration_in_a_later_block_reports_its_frequency(
 
     monkeypatch.setattr(acoustics, "_walk", forced)
     with pytest.raises(SingularConfigurationError) as excinfo:
-        absorption_coefficients(baseline_chain, grid_of(start, step, count))
+        absorption_spectrum(baseline_chain, grid_of(start, step, count))
     assert excinfo.value.frequency == start + step * target
     # the blocks are whole table rows, and the target sits in the third
     assert [first % block for first, _ in blocks] == [0, 0, 0]
@@ -401,12 +401,12 @@ def test_repeated_objective_allocates_little(grid, limit):
 @pytest.mark.parametrize("count", [2000, 30_000])  # one block and four
 def test_alphas_outlive_the_workspace(baseline_chain, optimized_chain, count):
     grid = grid_of(1.0, 0.05, count)
-    alphas = absorption_coefficients(baseline_chain, grid)
+    alphas = absorption_spectrum(baseline_chain, grid).alphas
     kept = alphas.copy()
     buffers = vars(acoustics._local.workspace).values()
     assert not any(np.shares_memory(alphas, b) for b in buffers if isinstance(b, np.ndarray))
     # a chain of the same shape reuses the same buffers
-    other = absorption_coefficients(optimized_chain, grid)
+    other = absorption_spectrum(optimized_chain, grid).alphas
     assert np.array_equal(alphas, kept)
     assert not np.array_equal(other, kept)
 
@@ -434,12 +434,12 @@ def test_threads_solve_concurrently_as_in_series():
     # threads at once; a workspace shared between threads garbles alphas
     chains = list(random_chains(909, n_three=2, n_single=1))
     jobs = [(chain, grid_of(1.0, 0.09, count)) for chain in chains for count in (2000, 20_000)]
-    serial = [absorption_coefficients(chain, grid) for chain, grid in jobs]
+    serial = [absorption_spectrum(chain, grid).alphas for chain, grid in jobs]
     results = {}
 
     def solve(worker):
         chain, grid = jobs[worker % len(jobs)]
-        results[worker] = [absorption_coefficients(chain, grid) for _ in range(4)]
+        results[worker] = [absorption_spectrum(chain, grid).alphas for _ in range(4)]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
