@@ -14,6 +14,7 @@ import dataclasses
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from .acoustics import AIR, Medium, absorption_spectrum
 from .spectrum import (
     DEFAULT_GRID,
     AbsorptionSpectrum,
-    EffectiveBand,
     FrequencyGrid,
     effective_band,
     require_positive,
@@ -107,8 +107,7 @@ class AnnealingSchedule:
         return temperature * self.cooling_rate
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     """One proposal step of the annealing chain."""
 
     temperature: float
@@ -119,13 +118,11 @@ class TraceRow:
 
 @dataclass
 class OptimizationResult:
-    """Best-ever design of a run with its spectrum, band and convergence
-    trace."""
+    """Best-ever design of a run with its spectrum and convergence trace."""
 
     best_design: DesignVector
     best_objective: float
     best_spectrum: AbsorptionSpectrum = field(repr=False, compare=False)
-    best_band: EffectiveBand | None
     objective_trace: list[TraceRow] = field(repr=False)
     evaluations: int = 0
     seed: int = 0
@@ -153,7 +150,7 @@ def neighbor(
     values = values + rng.uniform(-1.0, 1.0, size=values.size) * (
         schedule.step_fraction * _RANGE
     )
-    return DesignVector.from_array(np.clip(values, _LOWER, _UPPER))
+    return DesignVector(*np.clip(values, _LOWER, _UPPER).tolist())
 
 
 def accept(delta_objective: float, temperature: float, rng: np.random.Generator) -> bool:
@@ -188,19 +185,15 @@ def anneal(
     rng = np.random.default_rng(schedule.seed)
     current = initial
     current_objective = evaluate(current)
-    evaluations = 1
     best = current
     best_objective = current_objective
     trace: list[TraceRow] = []
 
     temperature = schedule.initial_temperature
-    iteration = 0
     while temperature > schedule.termination_temperature:
         for _ in range(schedule.iterations_per_temperature):
-            iteration += 1
             candidate = neighbor(current, schedule, rng)
             candidate_objective = evaluate(candidate)
-            evaluations += 1
             if accept(candidate_objective - current_objective, temperature, rng):
                 current = candidate
                 current_objective = candidate_objective
@@ -208,18 +201,16 @@ def anneal(
                     best = current
                     best_objective = current_objective
             trace.append(
-                TraceRow(temperature, iteration, current_objective, best_objective)
+                TraceRow(temperature, len(trace) + 1, current_objective, best_objective)
             )
         temperature = schedule.next_temperature(temperature)
 
-    best_spectrum = absorption_spectrum(build_chain(best, mpps), grid, medium)
     return OptimizationResult(
         best_design=best,
         best_objective=best_objective,
-        best_spectrum=best_spectrum,
-        best_band=effective_band(best_spectrum, threshold),
+        best_spectrum=absorption_spectrum(build_chain(best, mpps), grid, medium),
         objective_trace=trace,
-        evaluations=evaluations,
+        evaluations=len(trace) + 1,
         seed=schedule.seed,
     )
 

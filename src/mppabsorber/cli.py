@@ -24,13 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .annealing import AnnealingSchedule, OptimizationResult, anneal
-from .configio import (
-    ConfigError,
-    RunConfig,
-    ThreeChamberStructure,
-    dump_config,
-    load_config,
-)
+from .configio import ConfigError, ThreeChamberStructure, dump_config, load_config
 from .acoustics import ElementChain, Medium, absorption_spectrum, cut_on_frequency
 from .spectrum import (
     AbsorptionSpectrum,
@@ -42,10 +36,10 @@ from .structure import BOUNDS_MM, DesignVector, build_chain
 
 
 def _apply_grid_overrides(grid: FrequencyGrid, args) -> FrequencyGrid:
-    f_min = args.fmin if args.fmin is not None else grid.f_min
-    f_max = args.fmax if args.fmax is not None else grid.f_max
-    step = args.step if args.step is not None else grid.step
-    return FrequencyGrid(f_min=f_min, f_max=f_max, step=step)
+    overrides = {"f_min": args.fmin, "f_max": args.fmax, "step": args.step}
+    return dataclasses.replace(
+        grid, **{name: value for name, value in overrides.items() if value is not None}
+    )
 
 
 def _warn_above_cut_on(chain: ElementChain, grid: FrequencyGrid, medium: Medium) -> None:
@@ -222,16 +216,10 @@ def spectrum_csv(spectrum: AbsorptionSpectrum) -> str:
 
 
 def trace_csv(result: OptimizationResult) -> str:
-    trace = result.objective_trace
     return _csv(
         "temperature,iteration,current,best",
         "%.6g,%d,%.6g,%.6g",
-        (
-            [row.temperature for row in trace],
-            [row.iteration for row in trace],
-            [row.current for row in trace],
-            [row.best for row in trace],
-        ),
+        np.array(result.objective_trace, dtype=float).reshape(-1, 4).T,
     )
 
 
@@ -276,11 +264,9 @@ def cmd_optimize(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    best_config = RunConfig(
-        structure=ThreeChamberStructure(
-            design=result.best_design, mpps=config.structure.mpps
-        ),
-        medium=config.medium,
+    best_config = dataclasses.replace(
+        config,
+        structure=dataclasses.replace(config.structure, design=result.best_design),
         grid=grid,
         schedule=schedule,
     )

@@ -165,19 +165,14 @@ def _interpolated_band(
     grid: FrequencyGrid, alphas: np.ndarray, start: int, end: int, threshold: float
 ) -> EffectiveBand:
     frequency, last = grid.frequency, grid.size - 1
-    if start > 0:
-        # crossing point where the linear segment reaches the threshold
-        f_low = frequency(start - 1) + (threshold - alphas[start - 1]) / (
-            alphas[start] - alphas[start - 1]
-        ) * (frequency(start) - frequency(start - 1))
-    else:
-        f_low = frequency(0)
-    if end < last:
-        f_high = frequency(end) + (alphas[end] - threshold) / (
-            alphas[end] - alphas[end + 1]
-        ) * (frequency(end + 1) - frequency(end))
-    else:
-        f_high = frequency(last)
+
+    def crossing(i: int, j: int):
+        """Where the line from point i to point j reaches the threshold."""
+        f_i = frequency(i)
+        return f_i + (threshold - alphas[i]) / (alphas[j] - alphas[i]) * (frequency(j) - f_i)
+
+    f_low = crossing(start - 1, start) if start > 0 else frequency(0)
+    f_high = crossing(end, end + 1) if end < last else frequency(last)
     return EffectiveBand(
         f_low=float(f_low),
         f_high=float(f_high),

@@ -80,15 +80,6 @@ class DesignVector:
         """Values in the canonical DESIGN_FIELDS order."""
         return np.array([getattr(self, name) for name in DESIGN_FIELDS], dtype=float)
 
-    @classmethod
-    def from_array(cls, values) -> "DesignVector":
-        values = np.asarray(values, dtype=float)
-        if values.shape != (len(DESIGN_FIELDS),):
-            raise ValueError(
-                f"expected {len(DESIGN_FIELDS)} values, got shape {values.shape}"
-            )
-        return cls(**{name: float(v) for name, v in zip(DESIGN_FIELDS, values)})
-
     def as_dict(self) -> dict[str, float]:
         return {name: getattr(self, name) for name in DESIGN_FIELDS}
 

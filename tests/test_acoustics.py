@@ -386,6 +386,7 @@ frequencies = st.one_of(
     st.floats(1.0, 2000.0),
     st.lists(st.floats(1.0, 2000.0), min_size=1, max_size=40).map(np.array),
 )
+grids = st.builds(FrequencyGrid, st.floats(1.0, 10.0), st.just(2000.0), st.floats(0.5, 2.0))
 WALL_MPP = ElementChain((StraightPipe(0.05, 0.01), StraightPipe(0.02, 0.06), MPP3), 0.01)
 ADJACENT_MPPS = ElementChain(
     (StraightPipe(0.05, 0.01), MPP1, MPP3, StraightPipe(0.03, 0.06)), 0.01
@@ -439,10 +440,7 @@ def test_reversed_chain_swaps_the_diagonal(chain, frequency):
 
 
 @settings(max_examples=50)
-@given(
-    chain=three_chamber_chains,
-    grid=st.builds(FrequencyGrid, st.floats(1.0, 10.0), st.just(2000.0), st.floats(0.5, 2.0)),
-)
+@given(chain=three_chamber_chains, grid=grids)
 def test_chain_without_its_panels_is_lossless(chain, grid):
     """Pipes and area changes dissipate nothing: with its panels removed, a
     chain absorbs alpha <= 1e-12 at every grid point."""
@@ -450,6 +448,56 @@ def test_chain_without_its_panels_is_lossless(chain, grid):
         tuple(e for e in chain.elements if not isinstance(e, MppPanel)), chain.main_duct_diameter
     )
     assert absorption_spectrum(pipes, grid).alphas.max() <= 1e-12
+
+
+@settings(max_examples=200)
+@given(
+    chain=three_chamber_chains,
+    pipe=st.integers(0, 7),
+    fraction=st.floats(0.01, 0.99),
+    grid=grids,
+)
+def test_splitting_a_pipe_moves_no_alpha(chain, pipe, fraction, grid):
+    """A pipe cut in two at any fraction of its length is the same pipe:
+    every alpha agrees within 1e-10."""
+    elements = list(chain.elements)
+    index = [i for i, e in enumerate(elements) if isinstance(e, StraightPipe)][pipe]
+    whole = elements[index]
+    elements[index : index + 1] = [
+        StraightPipe(whole.length * fraction, whole.diameter),
+        StraightPipe(whole.length * (1.0 - fraction), whole.diameter),
+    ]
+    split = ElementChain(tuple(elements), chain.main_duct_diameter)
+    difference = absorption_spectrum(split, grid).alphas - absorption_spectrum(chain, grid).alphas
+    assert np.abs(difference).max() <= 1e-10
+
+
+@settings(max_examples=200)
+@given(chain=three_chamber_chains, position=st.integers(0, 16), grid=grids)
+def test_inserting_an_area_change_leaves_every_alpha_unchanged(chain, position, grid):
+    """An area change carries the identity matrix: inserted anywhere, it
+    leaves the spectrum bit for bit."""
+    elements = chain.elements[:position] + (AreaChange(),) + chain.elements[position:]
+    padded = ElementChain(elements, chain.main_duct_diameter)
+    assert np.array_equal(
+        absorption_spectrum(padded, grid).alphas, absorption_spectrum(chain, grid).alphas
+    )
+
+
+@settings(max_examples=200)
+@given(panel=panels, k_target=st.floats(1e-4, 0.1))
+def test_resistance_tends_to_maa_low_k_limit(panel, k_target):
+    """As K -> 0 the resistance tends to 32*eta*t / (sigma*rho0*c0*d^2)
+    (Maa, J. Acoust. Soc. Am. 104, 2861 (1998)); for K <= 0.1 it lies within
+    a relative K of that limit."""
+    d, eta, rho = panel.aperture, AIR.dynamic_viscosity, AIR.density
+    frequency = (k_target / d) ** 2 * 4.0 * eta / (2.0 * math.pi * rho)
+    k = perforate_constant(frequency, d)
+    limit = 32.0 * eta * panel.thickness / (
+        panel.porosity * AIR.characteristic_impedance * d * d
+    )
+    resistance = mpp_normalized_impedance(panel, frequency).real
+    assert abs(resistance - limit) <= k * limit
 
 
 class TestAbsorption:

@@ -9,7 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mppabsorber import FrequencyGrid, absorption_spectrum, load_config
+from mppabsorber import (
+    BASELINE_DESIGN,
+    DEFAULT_MPPS,
+    AnnealingSchedule,
+    FrequencyGrid,
+    absorption_spectrum,
+    anneal,
+    load_config,
+)
 from mppabsorber.annealing import TraceRow
 from mppabsorber.cli import _CSV_CHUNK_ROWS, main, spectrum_csv, trace_csv
 
@@ -406,6 +414,12 @@ class TestOptimize:
         trace = [TraceRow(0.5 / (i + 1), i, 1e3 + i, 1e3 + i) for i in iterations]
         result = SimpleNamespace(objective_trace=trace)
         assert trace_csv(result) == per_row_trace_csv(result)
+
+    def test_trace_csv_of_a_zero_level_run_is_the_header(self):
+        schedule = AnnealingSchedule(initial_temperature=1.0, termination_temperature=1.0)
+        result = anneal(BASELINE_DESIGN, DEFAULT_MPPS, schedule=schedule)
+        assert result.objective_trace == []
+        assert trace_csv(result) == "temperature,iteration,current,best\n"
 
     def test_seed_flag_overrides_config(self, capsys, tmp_path, small_optimize_config):
         out_dir = tmp_path / "seeded"

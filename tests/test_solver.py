@@ -336,7 +336,7 @@ def test_anneal_best_objective_is_objective_of_best_design():
     )
     result = anneal(BASELINE_DESIGN, DEFAULT_MPPS, schedule=schedule)
     assert result.best_objective == objective(result.best_design, DEFAULT_MPPS)
-    assert result.best_band.width == result.best_objective
+    assert effective_band(result.best_spectrum).width == result.best_objective
     fresh = absorption_spectrum(build_chain(result.best_design, DEFAULT_MPPS), DEFAULT_GRID)
     assert np.array_equal(result.best_spectrum.alphas, fresh.alphas)
 

@@ -1,11 +1,14 @@
 """Geometry mapping: design vector to element chain, box bounds, presets."""
 
+import dataclasses
+
 import pytest
 
 from mppabsorber import (
     BASELINE_DESIGN,
     BOUNDS_MM,
     DEFAULT_MPPS,
+    DESIGN_FIELDS,
     OPTIMIZED_DESIGN,
     AreaChange,
     DesignVector,
@@ -111,8 +114,12 @@ class TestBounds:
 class TestDesignVectorArray:
     def test_array_round_trip(self):
         array = OPTIMIZED_DESIGN.as_array()
-        assert DesignVector.from_array(array) == OPTIMIZED_DESIGN
+        assert DesignVector(*array.tolist()) == OPTIMIZED_DESIGN
 
-    def test_from_array_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            DesignVector.from_array([1.0, 2.0])
+    def test_positional_construction_rejects_wrong_length(self):
+        with pytest.raises(TypeError):
+            DesignVector(1.0, 2.0)
+
+    def test_design_fields_follow_the_dataclass_order(self):
+        # neighbor builds a DesignVector positionally from DESIGN_FIELDS order
+        assert DESIGN_FIELDS == tuple(f.name for f in dataclasses.fields(DesignVector))
