@@ -158,11 +158,14 @@ def _slots(m: np.ndarray, e: np.ndarray):
     return _LEAD[lead], _MIDDLE[middle] | _LOW[low], _KEEP_FIRST[code], _KEEP_SECOND[code]
 
 
-def _csv(header: str, row_format: str, columns) -> str:
-    """CSV text: the header line, then one `row_format` line per row of the
-    equal-length `columns`. Each field of `row_format` is "%.6g", or "%d"
-    for a column of integers, which below 1e6 spell the same under both.
-    The text is what a per-row f-string gives, byte for byte.
+def _csv(out, header: str, row_format: str, rows: int, columns) -> None:
+    """CSV text into the open text file `out`: the header line, then one
+    `row_format` line per row for `rows` rows. `columns(first, stop)`
+    returns the values of rows first:stop, one equal-length array per
+    field. Each chunk's text is written as soon as it is formatted, so only
+    one chunk is held. Each field of `row_format` is "%.6g", or "%d" for a
+    column of integers, which below 1e6 spell the same under both. The text
+    is what a per-row f-string gives, byte for byte.
 
     Chunks of rows are formatted by numpy: each value is rounded to a
     six-digit integer mantissa m = rint(x * 10**(5 - e)), with e from
@@ -170,21 +173,20 @@ def _csv(header: str, row_format: str, columns) -> str:
     for k <= 9, so x * 10**k is rounded once, and n + 0.5 is a double: the
     rounding can land a value on a tie but never carry it across one. So m
     is the correctly rounded mantissa unless the product is exactly n + 0.5.
-    These rows go to Python's % operator instead and are spliced back:
+    These rows go to Python's % operator instead and are written in place:
     - a product that is exactly n + 0.5, a true tie or not;
     - a product below 1e5 or from 1e6 up, where log10 was off by one;
     - exponents outside -4 to 5 after rounding (exponent notation, or an
       integer of 1e6 or more), and exponent 4, whose point the slot lacks;
     - negative values, -0.0, NaN and infinities.
     """
-    arrays = [np.asarray(column) for column in columns]
     line = "\n" + row_format
-    parts = [header]
-    for first in range(0, arrays[0].size, _CSV_CHUNK_ROWS):
-        chunk = [array[first:first + _CSV_CHUNK_ROWS] for array in arrays]
-        text = np.empty((chunk[0].size, 2 * len(chunk)), np.uint64)
+    out.write(header)
+    for first in range(0, rows, _CSV_CHUNK_ROWS):
+        chunk = columns(first, min(first + _CSV_CHUNK_ROWS, rows))
+        text = np.empty((len(chunk[0]), 2 * len(chunk)), np.uint64)
         keep = np.empty_like(text)
-        fallback = np.zeros(chunk[0].size, bool)
+        fallback = np.zeros(len(chunk[0]), bool)
         for j, values in enumerate(chunk):
             m, e, fallback_j = _mantissa(values.astype(np.float64))
             fallback |= fallback_j
@@ -195,38 +197,37 @@ def _csv(header: str, row_format: str, columns) -> str:
         keep[fallback_rows] = 0
         kept = np.compress(keep.view(bool).ravel(), text.view(np.uint8).ravel())
         kept = kept.tobytes().decode("ascii")
+        start = 0
         if fallback_rows.size:
             ends = np.cumsum(keep.view(np.uint8).reshape(len(keep), -1).sum(axis=1))
-            pieces, start = [], 0
             for row in fallback_rows.tolist():
                 end = int(ends[row])
-                pieces += [kept[start:end], line % tuple(values[row] for values in chunk)]
+                out.write(kept[start:end])
+                out.write(line % tuple(values[row] for values in chunk))
                 start = end
-            pieces.append(kept[start:])
-            kept = "".join(pieces)
-        parts.append(kept)
-    parts.append("\n")
-    return "".join(parts)
+        out.write(kept[start:])
+    out.write("\n")
 
 
-def spectrum_csv(spectrum: AbsorptionSpectrum) -> str:
-    return _csv(
-        "frequency_hz,alpha", "%.6g,%.6g", (spectrum.frequencies, spectrum.alphas)
-    )
+def spectrum_csv(spectrum: AbsorptionSpectrum, out) -> None:
+    """The spectrum's CSV into the text file `out`. Each chunk's frequencies
+    come from the grid, so the whole column is never built."""
+    alphas, frequency = spectrum.alphas, spectrum.grid.frequency
+    _csv(out, "frequency_hz,alpha", "%.6g,%.6g", len(alphas),
+         lambda first, stop: (frequency(np.arange(first, stop)), alphas[first:stop]))
 
 
-def trace_csv(result: OptimizationResult) -> str:
-    return _csv(
-        "temperature,iteration,current,best",
-        "%.6g,%d,%.6g,%.6g",
-        np.array(result.objective_trace, dtype=float).reshape(-1, 4).T,
-    )
+def trace_csv(result: OptimizationResult, out) -> None:
+    table = np.array(result.objective_trace, dtype=float).reshape(-1, 4)
+    _csv(out, "temperature,iteration,current,best", "%.6g,%d,%.6g,%.6g", len(table),
+         lambda first, stop: table[first:stop].T)
 
 
 def cmd_simulate(args) -> int:
     spectrum = _solve(args.config, args)
     report = band_report(spectrum, args.threshold)  # checks the threshold before any write
-    Path(args.out).write_text(spectrum_csv(spectrum), encoding="utf-8")
+    with open(args.out, "w", encoding="utf-8") as out:
+        spectrum_csv(spectrum, out)
     sys.stdout.write(report)
     return 0
 
@@ -271,7 +272,8 @@ def cmd_optimize(args) -> int:
         schedule=schedule,
     )
     dump_config(best_config, out_dir / "best_design.json")
-    (out_dir / "trace.csv").write_text(trace_csv(result), encoding="utf-8")
+    with open(out_dir / "trace.csv", "w", encoding="utf-8") as out:
+        trace_csv(result, out)
 
     report = (
         f"seed {schedule.seed}: best objective {result.best_objective:.3f} Hz"

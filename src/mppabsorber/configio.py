@@ -27,8 +27,8 @@ from pathlib import Path
 
 from .acoustics import AIR, ElementChain, Medium
 from .annealing import AnnealingSchedule
-from .spectrum import DEFAULT_GRID, FrequencyGrid
-from .structure import DesignVector, MppSet, MppSpec, build_chain, single_chamber_chain
+from .spectrum import DEFAULT_GRID, FrequencyGrid, require_positive
+from .structure import MM_RANGE, DesignVector, MppSet, MppSpec, build_chain, single_chamber_chain
 
 __all__ = [
     "ConfigError",
@@ -60,6 +60,9 @@ class SingleChamberStructure:
     d_e: float
     t_e: float
     mpp: MppSpec
+
+    def __post_init__(self):
+        require_positive(self, "d_m", "l_m", "d_e", "t_e", within=MM_RANGE)
 
     def chain(self) -> ElementChain:
         return single_chamber_chain(self.mpp, self.d_m, self.l_m, self.d_e, self.t_e)

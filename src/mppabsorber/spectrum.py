@@ -45,15 +45,19 @@ def check_positive(value, *label: str) -> None:
         raise ValueError(f"{'.'.join(label)} must be finite and positive, got {value}")
 
 
-def require_positive(owner, *names: str) -> None:
+def require_positive(owner, *names: str, within=(0.0, math.inf)) -> None:
     """check_positive on each named attribute of `owner`, labelled
-    Owner.name."""
+    Owner.name, and then the open interval `within`."""
+    low, high = within
     for name in names:
         value = getattr(owner, name)
         # tested inline first: this runs for every field of every design and
         # chain element the annealer builds
-        if not 0 < value < math.inf:
+        if not low < value < high:
             check_positive(value, type(owner).__name__, name)
+            raise ValueError(
+                f"{type(owner).__name__}.{name} must lie in ({low:g}, {high:g}), got {value}"
+            )
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,10 @@ __all__ = [
 ]
 
 MM = 1e-3
+# Open range of every length in mm: from 1 um, about 15 mean free paths of
+# air, where the continuum formulas still hold, to 1 km. Hole and duct areas
+# stay far from 0.0 and from overflow.
+MM_RANGE = (1e-3, 1e6)
 
 # Box bounds of the 12 design variables (mm), inclusive at both ends.
 BOUNDS_MM: dict[str, tuple[float, float]] = {
@@ -74,7 +78,7 @@ class DesignVector:
     l_6: float
 
     def __post_init__(self):
-        require_positive(self, *DESIGN_FIELDS)
+        require_positive(self, *DESIGN_FIELDS, within=MM_RANGE)
 
     def as_array(self) -> np.ndarray:
         """Values in the canonical DESIGN_FIELDS order."""
@@ -96,7 +100,7 @@ class MppSpec:
     def __post_init__(self):
         # checked here so an error names the value in mm; MppPanel keeps the
         # porosity rule
-        require_positive(self, "thickness", "aperture")
+        require_positive(self, "thickness", "aperture", within=MM_RANGE)
         self.panel(1.0)
 
     def panel(self, duct_diameter_mm: float) -> MppPanel:

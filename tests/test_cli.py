@@ -1,7 +1,9 @@
 """CLI surface: simulate / optimize / compare, file outputs, error handling."""
 
+import io
 import json
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -42,6 +44,24 @@ def read_csv_rows(path):
     lines = path.read_text().splitlines()
     assert lines[0] == "frequency_hz,alpha"
     return [tuple(float(x) for x in line.split(",")) for line in lines[1:]]
+
+
+def written(write, value):
+    """The text that `write(value, out)` writes into a text file `out`."""
+    out = io.StringIO()
+    write(value, out)
+    return out.getvalue()
+
+
+def table_spectrum(frequencies, alphas):
+    """A spectrum whose grid spells any frequencies, however uneven:
+    `grid.frequency(i)` indexes them, as spectrum_csv calls it."""
+    frequencies = np.asarray(frequencies, dtype=float)
+    return SimpleNamespace(
+        grid=SimpleNamespace(frequency=frequencies.__getitem__),
+        frequencies=frequencies,
+        alphas=np.asarray(alphas, dtype=float),
+    )
 
 
 def per_row_spectrum_csv(spectrum):
@@ -190,7 +210,7 @@ class TestSimulate:
         config = load_config(config_dir / name)
         grid = FrequencyGrid(config.grid.f_min, config.grid.f_max, 0.01)
         spectrum = absorption_spectrum(config.structure.chain(), grid, config.medium)
-        assert spectrum_csv(spectrum) == per_row_spectrum_csv(spectrum)
+        assert written(spectrum_csv, spectrum) == per_row_spectrum_csv(spectrum)
 
     @pytest.mark.parametrize(
         "frequencies, alphas",
@@ -203,23 +223,20 @@ class TestSimulate:
         ids=["edge-values", "one-point"],
     )
     def test_csv_equals_per_row_formatting_on_edge_values(self, frequencies, alphas):
-        spectrum = SimpleNamespace(frequencies=np.array(frequencies), alphas=np.array(alphas))
-        assert spectrum_csv(spectrum) == per_row_spectrum_csv(spectrum)
+        spectrum = table_spectrum(frequencies, alphas)
+        assert written(spectrum_csv, spectrum) == per_row_spectrum_csv(spectrum)
 
     @settings(max_examples=300)
     @given(st.lists(st.tuples(non_negative_floats, non_negative_floats), max_size=40))
     def test_csv_equals_per_row_formatting_on_any_non_negative_values(self, rows):
-        spectrum = SimpleNamespace(
-            frequencies=np.array([f for f, _ in rows], dtype=float),
-            alphas=np.array([a for _, a in rows], dtype=float),
-        )
-        assert spectrum_csv(spectrum) == per_row_spectrum_csv(spectrum)
+        spectrum = table_spectrum([f for f, _ in rows], [a for _, a in rows])
+        assert written(spectrum_csv, spectrum) == per_row_spectrum_csv(spectrum)
 
     def test_csv_spans_several_chunks(self):
         # two full chunks and a partial one
         frequencies = 1.0 + 0.37 * np.arange(2 * _CSV_CHUNK_ROWS + 1817)
-        spectrum = SimpleNamespace(frequencies=frequencies, alphas=np.sin(frequencies) ** 2)
-        assert spectrum_csv(spectrum) == per_row_spectrum_csv(spectrum)
+        spectrum = table_spectrum(frequencies, np.sin(frequencies) ** 2)
+        assert written(spectrum_csv, spectrum) == per_row_spectrum_csv(spectrum)
 
     def test_csv_splices_fallback_rows_anywhere_in_a_chunk(self):
         # Rows in exponent notation take Python's % operator and are spliced
@@ -232,10 +249,27 @@ class TestSimulate:
         alphas[back] = 1e-7 * (1.0 + np.arange(len(back)))
         alphas[chunk:2 * chunk] = 3e-9
         frequencies[[1000, 1001]] = [2e7, 3e7]  # either column sends its row back
-        spectrum = SimpleNamespace(frequencies=frequencies, alphas=alphas)
-        text = spectrum_csv(spectrum)
+        spectrum = table_spectrum(frequencies, alphas)
+        text = written(spectrum_csv, spectrum)
         assert text == per_row_spectrum_csv(spectrum)
         assert text.count("e-") == len(back) + chunk
+
+    def test_csv_writer_never_holds_the_whole_text(self, tmp_path, config_dir):
+        # 199,901 rows, about 3.1 MiB of text: the writer holds one chunk's
+        # text and temporaries, never the whole file's text or frequencies
+        config = load_config(config_dir / BASELINE)
+        grid = FrequencyGrid(config.grid.f_min, config.grid.f_max, 0.01)
+        spectrum = absorption_spectrum(config.structure.chain(), grid, config.medium)
+        out = tmp_path / "fine.csv"
+        tracemalloc.start()
+        try:
+            with open(out, "w", encoding="utf-8") as file:
+                spectrum_csv(spectrum, file)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.read_text(encoding="utf-8") == per_row_spectrum_csv(spectrum)
+        assert peak < out.stat().st_size
 
     def test_grid_override_flags(self, tmp_path, capsys, config_dir):
         out = tmp_path / "spec.csv"
@@ -407,19 +441,19 @@ class TestOptimize:
             for i, (t, c, b) in enumerate(rng.lognormal(0.0, 8.0, (rows, 3)))
         ]
         result = SimpleNamespace(objective_trace=trace)
-        assert trace_csv(result) == per_row_trace_csv(result)
+        assert written(trace_csv, result) == per_row_trace_csv(result)
 
     def test_trace_csv_iterations_past_six_digits(self):
         iterations = [0, 9, 10, 99_999, 100_000, 999_999, 1_000_000, 12_345_678]
         trace = [TraceRow(0.5 / (i + 1), i, 1e3 + i, 1e3 + i) for i in iterations]
         result = SimpleNamespace(objective_trace=trace)
-        assert trace_csv(result) == per_row_trace_csv(result)
+        assert written(trace_csv, result) == per_row_trace_csv(result)
 
     def test_trace_csv_of_a_zero_level_run_is_the_header(self):
         schedule = AnnealingSchedule(initial_temperature=1.0, termination_temperature=1.0)
         result = anneal(BASELINE_DESIGN, DEFAULT_MPPS, schedule=schedule)
         assert result.objective_trace == []
-        assert trace_csv(result) == "temperature,iteration,current,best\n"
+        assert written(trace_csv, result) == "temperature,iteration,current,best\n"
 
     def test_seed_flag_overrides_config(self, capsys, tmp_path, small_optimize_config):
         out_dir = tmp_path / "seeded"
@@ -536,6 +570,39 @@ class TestErrors:
         assert code == 1
         assert stderr.startswith("error: threshold")
         assert stdout == ""
+        assert not out.exists()
+
+    def test_unwritable_out_is_an_io_error(self, capsys, tmp_path, config_dir):
+        out = tmp_path / "missing" / "spec.csv"
+        code, stdout, stderr = run_cli(
+            capsys, "simulate", "--config", config_dir / SINGLE, "--out", out
+        )
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("i/o error: ") and stderr.count("\n") == 1
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        # each used to end in a traceback: a hole or duct area of 0.0 divided
+        # by (ZeroDivisionError), or a duct area past the double range
+        # (OverflowError in circle_area)
+        [("aperture", 1e-300), ("d_m", 1e-300), ("d_e", 1e300)],
+    )
+    def test_dimension_out_of_range_is_refused_by_name(
+        self, capsys, tmp_path, config_dir, field, value
+    ):
+        config = json.loads((config_dir / SINGLE).read_text())
+        structure = config["structure"]
+        (structure["mpp"] if field == "aperture" else structure)[field] = value
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "s.csv"
+        code, stdout, stderr = run_cli(capsys, "simulate", "--config", path, "--out", out)
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert f".{field} must lie in (0.001, 1e+06), got {value}" in stderr
         assert not out.exists()
 
     def test_negative_seed_is_refused_by_name(self, capsys, tmp_path, config_dir):

@@ -1,6 +1,8 @@
 """Geometry mapping: design vector to element chain, box bounds, presets."""
 
 import dataclasses
+import math
+import re
 
 import pytest
 
@@ -78,6 +80,21 @@ class TestBuildChain:
                 d_m=10, d_2=60, d_4=60, d_6=60,
                 l_1=98, l_1p=2, l_2=10, l_3=10, l_3p=10, l_4=0.0, l_5=20, l_6=30,
             )
+
+    def test_lengths_lie_in_their_open_mm_range(self):
+        # the edges are refused, and so is anything past them; a value one
+        # ulp inside is a design that builds a chain
+        low, high = 1e-3, 1e6
+        for value in (low, high, 1e-300, 1e300):
+            message = re.escape(f"DesignVector.d_2 must lie in (0.001, 1e+06), got {value}")
+            with pytest.raises(ValueError, match=message):
+                dataclasses.replace(BASELINE_DESIGN, d_2=value)
+            message = re.escape(f"MppSpec.aperture must lie in (0.001, 1e+06), got {value}")
+            with pytest.raises(ValueError, match=message):
+                MppSpec(0.6, value, 0.025)
+        for value in (math.nextafter(low, high), math.nextafter(high, low)):
+            build_chain(dataclasses.replace(BASELINE_DESIGN, d_2=value), DEFAULT_MPPS)
+            single_chamber_chain(MppSpec(0.6, value, 0.025))
 
     def test_single_chamber_layout(self):
         chain = single_chamber_chain(MppSpec(0.6, 0.2, 0.025))
