@@ -3,7 +3,7 @@
 A structure is a series chain of pipes, area changes and micro-perforated
 panels, sound source first, ended by a rigid wall. One walk (`_walk`)
 carries wall states (p, u) to the mouth: (1, 0) in doubles for absorption,
-and (0, 1) as well in extended precision for `chain_matrix`. The absorption
+and (0, j) as well in extended precision for `chain_matrix`. The absorption
 solver takes a FrequencyGrid, forms the pipes' cos/sin by angle addition
 (`_phase_trig`) and solves long grids in blocks of table rows, in a
 workspace per thread (`_Workspace`). MPP impedance follows Maa's model;
@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 
-class SingularConfigurationError(ArithmeticError):
+class SingularConfigurationError(ValueError):
     """Raised when p + Z0*u at the mouth (a11 + Z0*a21) vanishes exactly
     and the reflection coefficient is undefined at that frequency."""
 
@@ -63,7 +63,11 @@ class Medium:
     temperature: float = 20.0         # degC, informational
 
     def __post_init__(self):
-        require_positive(self, "sound_speed", "density", "dynamic_viscosity")
+        # open ranges far around air's values; at their edges the bundled
+        # absorbers still solve without overflow
+        require_positive(self, "sound_speed", within=(1.0, 1e5))
+        require_positive(self, "density", within=(1e-3, 1e5))
+        require_positive(self, "dynamic_viscosity", within=(1e-8, 1e3))
 
     @property
     def characteristic_impedance(self) -> float:
@@ -227,17 +231,13 @@ class _Walk:
         self.complex_columns = [tuple(column) for column in self.complex]
 
     def complex_states(self, at_wall: bool) -> list[list]:
-        """Per column [p, u, next p, next u] from the real p and v, or from the
-        wall states when `at_wall`: where the walk leaves real arithmetic.
-        The first column's state is (p, j*v), the second's (-j*p, v)."""
+        """Per column [p, u, next p, next u]: the state (p, j*v) of the real p
+        and v, or of the wall's (1, 0) and (0, 1) when `at_wall`. This is where
+        the walk leaves real arithmetic."""
         if at_wall:
             self.real[:, :2] = np.eye(2)[: len(self.real), :, None]  # (1, 0), (0, 1)
-        (p, v, _, _), (p_complex, u, _, _) = self.real_columns[0], self.complex_columns[0]
-        p_complex.real, p_complex.imag, u.real, u.imag = p, 0.0, 0.0, v
-        for (p, v, _, _), (p_complex, u, _, _) in zip(
-            self.real_columns[1:], self.complex_columns[1:]
-        ):
-            p_complex.real, p_complex.imag, u.real, u.imag = 0.0, -p, v, 0.0
+        for (p, v, _, _), (p_complex, u, _, _) in zip(self.real_columns, self.complex_columns):
+            p_complex.real, p_complex.imag, u.real, u.imag = p, 0.0, 0.0, v
         return [list(column) for column in self.complex_columns]
 
 
@@ -256,17 +256,18 @@ def _kept(name: str, kind, *key):
 
 def _walk(chain: ElementChain, cos_kl, sin_kl, panel_impedances, medium: Medium, walk: _Walk):
     """Mouth states [p, u] of the wall states (1, 0) and, in a two-column
-    `walk`, (0, 1), given the pipes' phase cos `cos_kl` and sin `sin_kl` and
+    `walk`, (0, j), given the pipes' phase cos `cos_kl` and sin `sin_kl` and
     the panels' normalised impedances (rows in chain order, in doubles):
     views of `walk`'s buffers, in their precision, until its next walk.
 
     A pipe costs four multiply-adds per column and an MPP adds Z*u to p
     (Munjal, Acoustics of Ducts and Mufflers, 2nd ed., ch. 2-3). Up to the
-    first MPP the walk is real, on (p, u/j) and (j*p, u). Each step works in
-    place and rounds as c*p - (Zc*s)*v, ((1/Zc)*s)*p + c*v, c*p +
-    ((j*Zc)*s)*u and ((j/Zc)*s)*p + c*u do: a complex factor has one half
-    written and the other zero, states are 1-D, and no complex product
-    writes into its own operand, as numpy's loops for those round otherwise.
+    first MPP p is real and u imaginary, so the walk is real, on (p, u/j).
+    Each step works in place and rounds as c*p - (Zc*s)*v, ((1/Zc)*s)*p +
+    c*v, c*p + ((j*Zc)*s)*u and ((j/Zc)*s)*p + c*u do: a complex factor has
+    one half written and the other zero, states are 1-D, and no complex
+    product writes into its own operand, as numpy's loops for those round
+    otherwise.
     """
     rho_c = medium.characteristic_impedance
     # looked up once for the ~70 calls of a three-chamber walk; out positional
@@ -329,11 +330,11 @@ def _walk(chain: ElementChain, cos_kl, sin_kl, panel_impedances, medium: Medium,
 def chain_matrix(chain: ElementChain, frequency, medium: Medium = AIR) -> TransferMatrix:
     """Four-pole matrix of the chain, source side leftmost, in extended
     precision (np.clongdouble): the mouth states of the wall states (1, 0)
-    and (0, 1), walked in np.longdouble buffers kept per thread, with direct
-    cos and sin. Entries reach ~1e6, so the unit determinant cancels in
-    doubles; on x86, whose long double has a 64-bit mantissa, |det - 1|
-    stays below 1e-9. The entries are arrays of their own (scalars for a
-    scalar frequency).
+    and (0, j), j times the second column, walked in np.longdouble buffers
+    kept per thread, with direct cos and sin. Entries reach ~1e6, so the
+    unit determinant cancels in doubles; on x86, whose long double has a
+    64-bit mantissa, |det - 1| stays below 1e-9. The entries are arrays of
+    their own (scalars for a scalar frequency).
     """
     check_positive(frequency, "frequency")
     shape = np.shape(frequency)
@@ -347,6 +348,10 @@ def chain_matrix(chain: ElementChain, frequency, medium: Medium = AIR) -> Transf
     ]
     walk = _kept("chain_walk", _Walk, 2, frequency.size, np.longdouble)
     (a11, a21), (a12, a22) = _walk(chain, np.cos(kl), np.sin(kl), impedances, medium, walk)
+    for entry in (a12, a22):
+        # times -j, exactly: the parts swapped, where a complex product's
+        # 0*inf would turn an overflowed part into NaN; 0 - x leaves a zero +0
+        entry.real, entry.imag = entry.imag, 0.0 - entry.real
     # copies, not views of the walk's buffers; [()] turns a scalar
     # frequency's 0-d entries into scalars
     return TransferMatrix(*(e.reshape(shape).copy()[()] for e in (a11, a12, a21, a22)))
@@ -366,8 +371,6 @@ class _Workspace(_Walk):
     def __init__(self, n_pipes: int, rows: int, block: int, points: int):
         super().__init__(1, points, np.float64)
         self.key = (n_pipes, rows, block, points)
-        self.fine = np.empty((n_pipes, block))
-        self.coarse = np.empty((n_pipes, rows))
         self.rotation = np.empty((n_pipes, 2 * rows, 2))
         self.fine_trig = np.empty((n_pipes, 2, block))
         self.block_of = None  # (grid, first row, medium) of fine_k, coarse_k and impedances
@@ -406,17 +409,15 @@ def _phase_trig(lengths, ws: _Workspace):
     """
     lengths = np.asarray(lengths, dtype=float)
     n_pipes, n, block, points = ws.key
-    np.multiply.outer(lengths, ws.fine_k, out=ws.fine)
-    np.multiply.outer(lengths, ws.coarse_k, out=ws.coarse)
-    rotation = ws.rotation
+    rotation, fine = ws.rotation, ws.fine_trig
     cos_c, sin_c = rotation[:, :n, 0], rotation[:, n:, 0]
-    np.cos(ws.coarse, out=cos_c)
-    np.sin(ws.coarse, out=sin_c)
+    for cos, sin, k in ((cos_c, sin_c, ws.coarse_k), (fine[:, 0], fine[:, 1], ws.fine_k)):
+        np.multiply.outer(lengths, k, out=sin)  # the angles, until their cos is taken
+        np.cos(sin, out=cos)
+        np.sin(sin, out=sin)
     np.negative(sin_c, out=rotation[:, :n, 1])
     rotation[:, n:, 1] = cos_c
-    np.cos(ws.fine, out=ws.fine_trig[:, 0])
-    np.sin(ws.fine, out=ws.fine_trig[:, 1])
-    np.matmul(rotation, ws.fine_trig, out=ws.table)
+    np.matmul(rotation, fine, out=ws.table)
     table = ws.table.reshape(n_pipes, 2, n * block)  # a view: cos rows, then sin rows
     return table[:, 0, :points], table[:, 1, :points]
 

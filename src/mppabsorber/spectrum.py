@@ -122,9 +122,6 @@ class AbsorptionSpectrum:
     def frequencies(self) -> np.ndarray:
         return self.grid.frequencies()
 
-    def __len__(self) -> int:
-        return self.grid.size
-
 
 @dataclass(frozen=True)
 class EffectiveBand:

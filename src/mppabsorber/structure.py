@@ -177,15 +177,12 @@ def build_chain(design: DesignVector, mpps: MppSet) -> ElementChain:
 
 
 def single_chamber_chain(
-    mpp: MppSpec,
-    main_diameter_mm: float = 10.0,
-    main_length_mm: float = 100.0,
-    chamber_diameter_mm: float = 60.0,
-    chamber_thickness_mm: float = 10.0,
+    mpp: MppSpec, main_diameter_mm: float, main_length_mm: float,
+    chamber_diameter_mm: float, chamber_thickness_mm: float,
 ) -> ElementChain:
     """Single-chamber structure: MPP at the mouth of a main pipe feeding one
-    expansion chamber against the rigid wall. Defaults match the reference
-    single-chamber absorber."""
+    expansion chamber against the rigid wall. configs/single_chamber.json
+    holds the reference single-chamber absorber."""
     elements: tuple = (
         mpp.panel(main_diameter_mm),
         StraightPipe(main_length_mm * MM, main_diameter_mm * MM),

@@ -8,10 +8,9 @@ from mppabsorber import (
     DEFAULT_GRID,
     DEFAULT_MPPS,
     OPTIMIZED_DESIGN,
-    MppSpec,
     absorption_spectrum,
     build_chain,
-    single_chamber_chain,
+    load_config,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -34,7 +33,7 @@ def optimized_chain():
 
 @pytest.fixture(scope="session")
 def single_chain():
-    return single_chamber_chain(MppSpec(thickness=0.6, aperture=0.2, porosity=0.025))
+    return load_config(CONFIG_DIR / "single_chamber.json").structure.chain()
 
 
 @pytest.fixture(scope="session")

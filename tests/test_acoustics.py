@@ -124,6 +124,23 @@ class TestMedium:
         with pytest.raises(ValueError):
             Medium(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field, low, high",
+        [("sound_speed", 1.0, 1e5), ("density", 1e-3, 1e5), ("dynamic_viscosity", 1e-8, 1e3)],
+    )
+    def test_properties_lie_in_their_open_ranges(self, field, low, high):
+        # the edges are refused, and so is anything past them; a value one
+        # ulp inside is a medium, and air lies far inside
+        assert low * 10 < getattr(AIR, field) < high / 10
+        for value in (low, high, 1e-300, 1e300):
+            with pytest.raises(ValueError) as excinfo:
+                Medium(**{field: value})
+            assert str(excinfo.value) == (
+                f"Medium.{field} must lie in ({low:g}, {high:g}), got {value}"
+            )
+        for value in (math.nextafter(low, high), math.nextafter(high, low)):
+            assert getattr(Medium(**{field: value}), field) == value
+
 
 class TestCutOn:
     def test_a_panel_duct_wider_than_every_pipe_sets_the_cut_on(self):
@@ -568,7 +585,7 @@ class TestAbsorption:
     def test_single_point_grid(self, baseline_chain):
         grid = FrequencyGrid(500.0, 500.5, 1.0)
         spectrum = absorption_spectrum(baseline_chain, grid)
-        assert len(spectrum) == 1
+        assert spectrum.grid.size == 1
         assert spectrum.frequencies[0] == 500.0
         assert spectrum.alphas[0] == pytest.approx(
             absorption_at(baseline_chain, 500.0), abs=1e-14

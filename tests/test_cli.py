@@ -20,6 +20,7 @@ from mppabsorber import (
     anneal,
     load_config,
 )
+from mppabsorber import acoustics
 from mppabsorber.annealing import TraceRow
 from mppabsorber.cli import _CSV_CHUNK_ROWS, main, spectrum_csv, trace_csv
 
@@ -496,6 +497,20 @@ class TestOptimize:
         assert code == 1
         assert "three_chamber" in stderr
 
+    def test_seed_flag_supplies_a_missing_schedule(self, capsys, tmp_path, config_dir):
+        # the optimized bundle carries no schedule section: --seed runs the
+        # default schedule with that seed, here on a 100-point grid
+        out_dir = tmp_path / "seeded"
+        code, stdout, stderr = run_cli(
+            capsys,
+            "optimize", "--config", config_dir / OPTIMIZED, "--out", out_dir,
+            "--seed", 5, "--step", 20,
+        )
+        assert code == 0
+        assert stderr == ""
+        assert stdout.startswith("seed 5: best objective ")
+        assert load_config(out_dir / "best_design.json").schedule == AnnealingSchedule(seed=5)
+
     def test_requires_schedule_or_seed(self, capsys, tmp_path, config_dir):
         # the optimized bundle carries no schedule section
         code, _, stderr = run_cli(
@@ -526,6 +541,25 @@ class TestErrors:
         )
         assert code == 1
         assert "line 2" in stderr
+
+    def test_missing_config_names_the_path(self, capsys, tmp_path):
+        path = tmp_path / "absent.json"
+        code, stdout, stderr = run_cli(
+            capsys, "simulate", "--config", path, "--out", tmp_path / "s.csv"
+        )
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith(f"error: {path}: ") and stderr.count("\n") == 1
+
+    def test_config_that_is_not_an_object_names_the_path(self, capsys, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        code, stdout, stderr = run_cli(
+            capsys, "simulate", "--config", path, "--out", tmp_path / "s.csv"
+        )
+        assert code == 1
+        assert stdout == ""
+        assert stderr == f"error: {path}: top level must be an object\n"
 
     def test_unknown_design_field_rejected(self, capsys, tmp_path, config_dir):
         config = json.loads((config_dir / BASELINE).read_text())
@@ -603,6 +637,51 @@ class TestErrors:
         assert stdout == ""
         assert stderr.startswith("error: ") and stderr.count("\n") == 1
         assert f".{field} must lie in (0.001, 1e+06), got {value}" in stderr
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "field, value",
+        # viscosity 1e300 used to overflow in the walk, a RuntimeWarning; a
+        # viscosity of 1e-300 or a density of 1e300 gave a meaningless answer
+        [("dynamic_viscosity", 1e300), ("dynamic_viscosity", 1e-300), ("density", 1e300)],
+    )
+    def test_medium_out_of_range_is_refused_by_name(
+        self, capsys, tmp_path, config_dir, field, value
+    ):
+        config = json.loads((config_dir / SINGLE).read_text())
+        config["medium"][field] = value
+        path = tmp_path / "medium.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "s.csv"
+        code, stdout, stderr = run_cli(capsys, "simulate", "--config", path, "--out", out)
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith(f"error: medium: Medium.{field} must lie in (")
+        assert stderr.endswith(f"got {value}\n") and stderr.count("\n") == 1
+        assert not out.exists()
+
+    def test_singular_configuration_is_an_error_line(
+        self, capsys, tmp_path, config_dir, monkeypatch
+    ):
+        # force p + Z0*u == 0 at 6 Hz, which no real geometry reaches; the
+        # error used to end the CLI in a traceback
+        walk = acoustics._walk
+        z0 = load_config(config_dir / SINGLE).structure.chain().characteristic_impedance()
+
+        def forced(*args):
+            [(p, u)] = walk(*args)
+            p[5] = -z0 * u[5]
+            return [(p, u)]
+
+        monkeypatch.setattr(acoustics, "_walk", forced)
+        out = tmp_path / "s.csv"
+        code, stdout, stderr = run_cli(
+            capsys, "simulate", "--config", config_dir / SINGLE, "--out", out
+        )
+        assert code == 1
+        assert stdout == ""
+        assert stderr == "error: singular configuration: p + Z0*u = 0 at 6.0 Hz\n"
         assert not out.exists()
 
     def test_negative_seed_is_refused_by_name(self, capsys, tmp_path, config_dir):

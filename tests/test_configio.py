@@ -7,9 +7,12 @@ import re
 import pytest
 
 from mppabsorber import (
+    AIR,
     AnnealingSchedule,
     BASELINE_DESIGN,
+    DEFAULT_GRID,
     DEFAULT_MPPS,
+    OPTIMIZED_DESIGN,
     ConfigError,
     DesignVector,
     MppSpec,
@@ -177,3 +180,20 @@ def test_dump_of_load_is_a_fixed_point(tmp_path, config_dir, name):
     dump_config(load_config(config_dir / f"{name}.json"), first)
     dump_config(load_config(first), second)
     assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name, structure",
+    [
+        ("three_chamber_baseline", ThreeChamberStructure(BASELINE_DESIGN, DEFAULT_MPPS)),
+        ("three_chamber_optimized", ThreeChamberStructure(OPTIMIZED_DESIGN, DEFAULT_MPPS)),
+        ("single_chamber", SingleChamberStructure(10.0, 100.0, 60.0, 10.0, MppSpec(0.6, 0.2, 0.025))),
+    ],
+)
+def test_bundled_configs_are_the_reference_structures(config_dir, name, structure):
+    # the files the CLI and the benchmark read hold the acceptance gate's
+    # structures, in air on the default grid
+    config = load_config(config_dir / f"{name}.json")
+    assert config.structure == structure
+    assert config.medium == AIR
+    assert config.grid == DEFAULT_GRID

@@ -120,7 +120,7 @@ class TestSpectrumInvariants:
         grid = FrequencyGrid(3.0, 1999.5, 0.7)
         spectrum = AbsorptionSpectrum(grid, np.full(grid.size, 0.5))
         assert np.array_equal(spectrum.frequencies, grid.frequencies())
-        assert len(spectrum) == grid.size
+        assert spectrum.grid.size == spectrum.alphas.size == grid.size
 
     def test_rejects_a_frequency_array_as_the_grid(self):
         # an ndarray has a .size too

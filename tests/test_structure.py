@@ -94,10 +94,10 @@ class TestBuildChain:
                 MppSpec(0.6, value, 0.025)
         for value in (math.nextafter(low, high), math.nextafter(high, low)):
             build_chain(dataclasses.replace(BASELINE_DESIGN, d_2=value), DEFAULT_MPPS)
-            single_chamber_chain(MppSpec(0.6, value, 0.025))
+            single_chamber_chain(MppSpec(0.6, value, 0.025), 10.0, 100.0, 60.0, 10.0)
 
     def test_single_chamber_layout(self):
-        chain = single_chamber_chain(MppSpec(0.6, 0.2, 0.025))
+        chain = single_chamber_chain(MppSpec(0.6, 0.2, 0.025), 10.0, 100.0, 60.0, 10.0)
         pattern = [type(e).__name__ for e in chain.elements]
         assert pattern == ["MppPanel", "StraightPipe", "AreaChange", "StraightPipe"]
         main, chamber = [e for e in chain.elements if isinstance(e, StraightPipe)]
