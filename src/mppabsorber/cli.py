@@ -109,15 +109,15 @@ _LOW_LAST = np.select([np.arange(1000) % d > 0 for d in (10, 100, 1000)], [5, 4,
 
 
 def _keep_words():
-    """The bytes of a slot that a value's text keeps, as two words indexed by
-    (exponent + 4) * 6 + the index of the last digit shown."""
+    """The bytes of a slot that a value's text keeps, as two masks of 0xFF
+    bytes indexed by (exponent + 4) * 6 + the index of the last digit shown."""
     e, last = np.meshgrid(np.arange(-4, 6), np.arange(6), indexing="ij")
     keep = [last >= 0, e < 0, e < 0, e <= -4, e <= -3, e <= -2]  # S, "0.000"
     for j in range(6):
         keep.append(last >= j)
         if j < 4:
             keep.append((e == j) & (last > j))
-    words = np.stack(keep, axis=-1).reshape(-1, 16).view("<u8")
+    words = (np.stack(keep, axis=-1).astype(np.uint8) * 0xFF).reshape(-1, 16).view("<u8")
     return words[:, 0].copy(), words[:, 1].copy()
 
 
@@ -147,7 +147,7 @@ def _mantissa(x: np.ndarray):
 
 
 def _slots(m: np.ndarray, e: np.ndarray):
-    """The slot's two text words, without S, and its two keep words."""
+    """The slot's two text words, without S: each byte the text drops is 0."""
     lead = np.floor(m / 1e5)
     rest = m - lead * 1e5
     middle = np.floor(rest / 1e3)
@@ -155,7 +155,7 @@ def _slots(m: np.ndarray, e: np.ndarray):
     lead, middle = lead.astype(np.intp), middle.astype(np.intp)
     last = np.maximum(np.maximum(_MIDDLE_LAST[middle], _LOW_LAST[low]), np.maximum(e, 0))
     code = (e + 4) * 6 + last
-    return _LEAD[lead], _MIDDLE[middle] | _LOW[low], _KEEP_FIRST[code], _KEEP_SECOND[code]
+    return _LEAD[lead] & _KEEP_FIRST[code], (_MIDDLE[middle] | _LOW[low]) & _KEEP_SECOND[code]
 
 
 def _csv(out, header: str, row_format: str, rows: int, columns) -> None:
@@ -173,39 +173,34 @@ def _csv(out, header: str, row_format: str, rows: int, columns) -> None:
     for k <= 9, so x * 10**k is rounded once, and n + 0.5 is a double: the
     rounding can land a value on a tie but never carry it across one. So m
     is the correctly rounded mantissa unless the product is exactly n + 0.5.
-    These rows go to Python's % operator instead and are written in place:
+    These rows are spelled by Python's % operator instead:
     - a product that is exactly n + 0.5, a true tie or not;
     - a product below 1e5 or from 1e6 up, where log10 was off by one;
     - exponents outside -4 to 5 after rounding (exponent notation, or an
       integer of 1e6 or more), and exponent 4, whose point the slot lacks;
     - negative values, -0.0, NaN and infinities.
+    Such a row's text fills its own row of slots from the left, padded with
+    zero bytes. It fits: "%.6g" spells at most 13 characters
+    ("-1.23457e+308"), and a trace's "%d" iteration count far fewer than 15,
+    so a field with its separator takes at most 16 bytes. Every zero byte
+    is padding, and one pass drops it from the chunk's text.
     """
     line = "\n" + row_format
     out.write(header)
     for first in range(0, rows, _CSV_CHUNK_ROWS):
         chunk = columns(first, min(first + _CSV_CHUNK_ROWS, rows))
         text = np.empty((len(chunk[0]), 2 * len(chunk)), np.uint64)
-        keep = np.empty_like(text)
         fallback = np.zeros(len(chunk[0]), bool)
         for j, values in enumerate(chunk):
             m, e, fallback_j = _mantissa(values.astype(np.float64))
             fallback |= fallback_j
-            head, tail, keep[:, 2 * j], keep[:, 2 * j + 1] = _slots(m, e)
+            head, text[:, 2 * j + 1] = _slots(m, e)
             text[:, 2 * j] = head | ord("\n" if j == 0 else ",")
-            text[:, 2 * j + 1] = tail
-        fallback_rows = np.flatnonzero(fallback)
-        keep[fallback_rows] = 0
-        kept = np.compress(keep.view(bool).ravel(), text.view(np.uint8).ravel())
-        kept = kept.tobytes().decode("ascii")
-        start = 0
-        if fallback_rows.size:
-            ends = np.cumsum(keep.view(np.uint8).reshape(len(keep), -1).sum(axis=1))
-            for row in fallback_rows.tolist():
-                end = int(ends[row])
-                out.write(kept[start:end])
-                out.write(line % tuple(values[row] for values in chunk))
-                start = end
-        out.write(kept[start:])
+        slots = text.view(np.uint8).reshape(len(text), -1)
+        for row in np.flatnonzero(fallback).tolist():
+            spelled = (line % tuple(values[row] for values in chunk)).encode("ascii")
+            slots[row] = np.frombuffer(spelled.ljust(slots.shape[1], b"\0"), np.uint8)
+        out.write(text.tobytes().translate(None, b"\0").decode("ascii"))
     out.write("\n")
 
 

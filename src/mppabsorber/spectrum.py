@@ -69,7 +69,9 @@ class FrequencyGrid:
     step: float
 
     def __post_init__(self):
-        require_positive(self, "f_min", "f_max", "step")
+        # 1e11 Hz is past the cut-on of a 1 um duct in a 1e5 m/s medium
+        # (5.9e10 Hz), the smallest and fastest a config can describe
+        require_positive(self, "f_min", "f_max", "step", within=(0.0, 1e11))
         if not self.f_min < self.f_max:
             raise ValueError(
                 f"require f_min < f_max, got ({self.f_min}, {self.f_max})"

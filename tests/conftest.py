@@ -1,8 +1,10 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
+from mppabsorber import acoustics
 from mppabsorber import (
     BASELINE_DESIGN,
     DEFAULT_GRID,
@@ -54,3 +56,16 @@ def single_spectrum(single_chain):
 @pytest.fixture(scope="session")
 def config_dir():
     return CONFIG_DIR
+
+
+@pytest.fixture
+def nan_walk(monkeypatch):
+    """The solver's walk ending in NaN pressures, as an overflow leaves them."""
+    walk = acoustics._walk
+
+    def overflowed(*args):
+        [(p, u)] = walk(*args)
+        p[:] = np.nan
+        return [(p, u)]
+
+    monkeypatch.setattr(acoustics, "_walk", overflowed)

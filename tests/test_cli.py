@@ -22,7 +22,7 @@ from mppabsorber import (
 )
 from mppabsorber import acoustics
 from mppabsorber.annealing import TraceRow
-from mppabsorber.cli import _CSV_CHUNK_ROWS, main, spectrum_csv, trace_csv
+from mppabsorber.cli import _CSV_CHUNK_ROWS, _csv, main, spectrum_csv, trace_csv
 
 BASELINE = "three_chamber_baseline.json"
 OPTIMIZED = "three_chamber_optimized.json"
@@ -117,6 +117,32 @@ non_negative_floats = st.one_of(
     st.builds(tie, st.integers(100_000, 999_999), st.integers(-10, 1), st.sampled_from([-1, 0, 1])),
     st.sampled_from(EDGE_FREQUENCIES.tolist()),
 )
+
+
+any_floats = st.one_of(
+    st.floats(),  # negatives, infinities, NaN, subnormals and values near 1e308
+    non_negative_floats,
+    non_negative_floats.map(lambda value: -value),
+)
+# the row formats of the two CSVs, with a value strategy per field
+ROW_FORMATS = {
+    "spectrum": ("%.6g,%.6g", (any_floats, any_floats)),
+    "trace": ("%.6g,%d,%.6g,%.6g", (any_floats, st.integers(-(10**14 - 1), 10**14 - 1),
+                                    any_floats, any_floats)),
+}
+# the longest text of each field: 13 characters for "%.6g", 15 for "%d"
+LONGEST = {"%.6g": -1.23457e-308, "%d": -(10**14 - 1)}
+
+
+def csv_text(row_format, columns):
+    """`_csv`'s text of `columns`, one array per field, and the text of
+    one `%` per row: the reference it must equal byte for byte."""
+    header = ",".join(f"c{j}" for j in range(len(columns)))
+    out = io.StringIO()
+    _csv(out, header, row_format, len(columns[0]),
+         lambda first, stop: tuple(values[first:stop] for values in columns))
+    rows = zip(*(values.tolist() for values in columns))
+    return out.getvalue(), header + "".join("\n" + row_format % row for row in rows) + "\n"
 
 
 @pytest.fixture
@@ -282,6 +308,44 @@ class TestSimulate:
         assert code == 0
         rows = read_csv_rows(out)
         assert [f for f, _ in rows] == [100.0 + 10.0 * i for i in range(11)]
+
+
+class TestCsvWriter:
+    """`_csv` against one `%` per row, for both row formats, over every
+    float64 and over the longest text a field can take."""
+
+    @pytest.mark.parametrize("name", ROW_FORMATS)
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_equals_per_row_formatting_on_any_float64(self, name, data):
+        row_format, fields = ROW_FORMATS[name]
+        rows = data.draw(st.lists(st.tuples(*fields), max_size=40))
+        columns = [
+            np.array([row[j] for row in rows], dtype=np.int64 if field == "%d" else float)
+            for j, field in enumerate(row_format.split(","))
+        ]
+        text, expected = csv_text(row_format, columns)
+        assert text == expected
+
+    @pytest.mark.parametrize("name", ROW_FORMATS)
+    def test_longest_text_fills_every_slot(self, name):
+        # each field's longest text with its separator fills its 16-byte
+        # slot: at a chunk's first and last row, over a whole chunk, and
+        # last in the file
+        chunk = _CSV_CHUNK_ROWS
+        row_format = ROW_FORMATS[name][0]
+        rows = 3 * chunk + 5
+        longest = [0, chunk - 1, *range(chunk, 2 * chunk), 3 * chunk - 1, rows - 1]
+        columns = []
+        for field in row_format.split(","):
+            values = np.arange(rows) if field == "%d" else 1.0 + 0.37 * np.arange(rows)
+            values[longest] = LONGEST[field]
+            columns.append(values)
+        text, expected = csv_text(row_format, columns)
+        assert text == expected
+        assert text.count("-1.23457e-308") == len(longest) * row_format.count("g")
+        widest = max(len(field % LONGEST[field]) for field in row_format.split(","))
+        assert max(len(field) for field in text.replace("\n", ",").split(",")) == widest
 
 
 class TestPlaneWaveLimit:
@@ -561,6 +625,18 @@ class TestErrors:
         assert stdout == ""
         assert stderr == f"error: {path}: top level must be an object\n"
 
+    def test_config_that_is_not_utf8_names_the_path(self, capsys, tmp_path):
+        # the decode error used to reach main without the file's name
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, stdout, stderr = run_cli(
+            capsys, "simulate", "--config", path, "--out", tmp_path / "s.csv"
+        )
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith(f"error: {path}: 'utf-8' codec can't decode")
+        assert stderr.count("\n") == 1
+
     def test_unknown_design_field_rejected(self, capsys, tmp_path, config_dir):
         config = json.loads((config_dir / BASELINE).read_text())
         config["structure"]["design"]["l_9"] = 10.0
@@ -660,6 +736,30 @@ class TestErrors:
         assert stderr.startswith(f"error: medium: Medium.{field} must lie in (")
         assert stderr.endswith(f"got {value}\n") and stderr.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "fmin, fmax, step, message",
+        # the first was answered; the second overflowed to NaN alphas, a
+        # RuntimeWarning, then an error that named no field
+        [
+            (1.0, 1e50, 1e47, "FrequencyGrid.f_max must lie in (0, 1e+11), got 1e+50"),
+            (1e306, 1e307, 1e305, "FrequencyGrid.f_min must lie in (0, 1e+11), got 1e+306"),
+        ],
+    )
+    def test_grid_past_every_plane_wave_limit_is_refused_by_name(
+        self, capsys, tmp_path, config_dir, fmin, fmax, step, message
+    ):
+        for name in (BASELINE, OPTIMIZED, SINGLE):
+            out = tmp_path / "s.csv"
+            code, stdout, stderr = run_cli(
+                capsys, "simulate", "--config", config_dir / name, "--out", out,
+                "--fmin", fmin, "--fmax", fmax, "--step", step,
+            )
+            assert code == 1
+            assert stdout == ""
+            assert stderr == f"error: {message}\n"
+            assert not out.exists()
 
     def test_singular_configuration_is_an_error_line(
         self, capsys, tmp_path, config_dir, monkeypatch

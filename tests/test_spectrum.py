@@ -22,6 +22,7 @@ from mppabsorber import (
     MppSpec,
     StraightPipe,
     absorption_spectrum,
+    cut_on_frequency,
     effective_band,
     effective_bands,
     octave_bands,
@@ -75,6 +76,28 @@ class TestFrequencyGrid:
         assert [grid.frequency(i) for i in (0, 1, grid.size - 1)] == [
             frequencies[0], frequencies[1], frequencies[-1]
         ]
+
+    def test_frequencies_lie_below_1e11(self):
+        # the smallest duct a config can describe, 1 um, in the fastest
+        # medium cuts on below the edge, so no grid past it is plane-wave
+        fastest = Medium(sound_speed=math.nextafter(1e5, 0.0))
+        chain = ElementChain((StraightPipe(1e-6, 1e-6),), 1e-6)
+        assert cut_on_frequency(chain, fastest) < 1e11
+        below = math.nextafter(1e11, 0.0)
+        grids = [
+            ("f_min", lambda v: FrequencyGrid(v, 2.0 * v, 1.0)),
+            ("f_max", lambda v: FrequencyGrid(1.0, v, 1e9)),
+            ("step", lambda v: FrequencyGrid(1.0, 2.0, v)),
+        ]
+        for field, build in grids:
+            for value in (1e11, 1e300):
+                with pytest.raises(ValueError) as excinfo:
+                    build(value)
+                assert str(excinfo.value) == (
+                    f"FrequencyGrid.{field} must lie in (0, 1e+11), got {value}"
+                )
+        FrequencyGrid(math.nextafter(below, 0.0), below, below)
+        FrequencyGrid(1.0, below, 1e9)
 
     def test_point_count_capped(self):
         # construction alone checks the count; no array is built here
