@@ -4,9 +4,10 @@ A structure is a series chain of pipes, area changes and micro-perforated
 panels, sound source first, ended by a rigid wall. One walk (`_walk`)
 carries wall states (p, u) to the mouth: (1, 0) in doubles for absorption,
 and (0, j) as well in extended precision for `chain_matrix`. The absorption
-solver takes a FrequencyGrid, forms the pipes' cos/sin by angle addition
-(`_phase_trig`) and solves long grids in blocks of table rows, in a
-workspace per thread (`_Workspace`). MPP impedance follows Maa's model;
+solver takes a FrequencyGrid and forms the pipes' cos/sin by angle addition
+(`_phase_trig`). A grid of one block is solved in a workspace kept per
+thread (`_Workspace`); a longer grid in blocks of table rows, in one
+workspace that lives for the call. MPP impedance follows Maa's model;
 pipes are lossless. Quantities are SI; the impedance formulas and
 chain_matrix take a frequency (Hz) as a scalar or an array.
 """
@@ -226,9 +227,15 @@ class _Walk:
         self.complex = np.empty((columns, 4, points), np.result_type(dtype, 1j))
         # a pipe's c + 0j, 0 + j*(Zc*s) and 0 + j*(s/Zc), and a product; the zero halves stay zero
         self.factors = np.zeros((4, points), self.complex.dtype)
+        self.set_points(points)
+
+    def set_points(self, points: int) -> None:
+        """Walk the first `points` frequencies of the buffers from now on."""
+        self.points = points
         # per column: real p, v and two products; complex p, u, next p and next u
-        self.real_columns = [tuple(column) for column in self.real]
-        self.complex_columns = [tuple(column) for column in self.complex]
+        self.real_columns = [tuple(column[:, :points]) for column in self.real]
+        self.complex_columns = [tuple(column[:, :points]) for column in self.complex]
+        self.factor_rows = tuple(self.factors[:, :points])
 
     def complex_states(self, at_wall: bool) -> list[list]:
         """Per column [p, u, next p, next u]: the state (p, j*v) of the real p
@@ -272,7 +279,7 @@ def _walk(chain: ElementChain, cos_kl, sin_kl, panel_impedances, medium: Medium,
     rho_c = medium.characteristic_impedance
     # looked up once for the ~70 calls of a three-chamber walk; out positional
     multiply, add, subtract = np.multiply, np.add, np.subtract
-    c_complex, zs, sz, product = walk.factors
+    c_complex, zs, sz, product = walk.factor_rows
     cos_kl = np.asarray(cos_kl, walk.real.dtype)  # exact; the real segment mixes no precisions
     at_wall = True  # the real states (p, v) = (1, 0) and (0, 1), not yet written
     states = None  # from the first MPP on: complex_states
@@ -358,22 +365,23 @@ def chain_matrix(chain: ElementChain, frequency, medium: Medium = AIR) -> Transf
 
 
 # Most points one solver block evaluates (up to a table row more), which
-# sizes a thread's workspace: about 360 bytes per point for a three-chamber
-# chain. On 0.01 Hz grids 8192 solved as fast as 16384, with half the memory.
+# sizes a workspace: about 360 bytes per point for a three-chamber chain. On
+# 0.01 Hz grids 8192 solved as fast as 16384, with half the memory.
 _BLOCK_POINTS = 8192
 
 
 class _Workspace(_Walk):
     """Buffers of one solver block, `n_pipes` pipes by `rows` table rows of
-    `block` columns (`points` frequencies), and of its walk in doubles.
-    Between calls it keeps its block's wavenumbers and panel impedances."""
+    `block` columns (`points` frequencies), and of its walk in doubles. A
+    chain of fewer pipes uses the leading pipe rows. Between calls it keeps
+    its block's wavenumbers and panel impedances."""
 
     def __init__(self, n_pipes: int, rows: int, block: int, points: int):
         super().__init__(1, points, np.float64)
         self.key = (n_pipes, rows, block, points)
         self.rotation = np.empty((n_pipes, 2 * rows, 2))
         self.fine_trig = np.empty((n_pipes, 2, block))
-        self.block_of = None  # (grid, first row, medium) of fine_k, coarse_k and impedances
+        self.block_of = (None, None, None)  # (grid, medium, first row) of wavenumbers, impedances
         self.impedances = {}  # (thickness, aperture, porosity) -> normalised impedance
         self.fine_k = np.empty(block)
         self.coarse_k = np.empty(rows)
@@ -383,21 +391,25 @@ class _Workspace(_Walk):
 
     def set_block(self, grid: FrequencyGrid, first: int, medium: Medium) -> None:
         """Set the workspace to the block of `grid` whose table rows start
-        at `first`: its wavenumbers, and no kept panel impedances unless
-        (grid, first, medium) is the last block's."""
-        if self.block_of == (grid, first, medium):
-            return
+        at `first`: its wavenumbers, the fine ones only for a new grid or
+        medium, and no kept panel impedances unless (grid, medium, first)
+        is the last block's."""
         _, rows, block, _ = self.key
-        self.fine_k[:] = 2.0 * np.pi * grid.frequency(np.arange(block)) / medium.sound_speed
+        if self.block_of[:2] != (grid, medium):
+            self.fine_k[:] = 2.0 * np.pi * grid.frequency(np.arange(block)) / medium.sound_speed
+        elif self.block_of[2] == first:
+            return
         coarse = block * np.arange(first, first + rows)  # the first point of each row
         self.coarse_k[:] = 2.0 * np.pi * (grid.step * coarse) / medium.sound_speed
         self.impedances = {}
-        self.block_of = (grid, first, medium)
+        self.block_of = (grid, medium, first)
 
 
-def _phase_trig(lengths, ws: _Workspace):
+def _phase_trig(lengths, ws: _Workspace, fine: bool = True):
     """cos and sin of the pipe phases l*k over the block `ws` is set to, as
-    two (len(lengths), points) views into `ws`.
+    two (len(lengths), ws.points) views into `ws`'s leading pipe rows. The
+    fine cos/sin are taken only when `fine`; a later block of the same grid
+    and pipes reuses them.
 
     Point n = q*block + r has the angle l*k(f_min + r*step) +
     l*k(q*block*step). Only these fine and coarse angles go through cos/sin,
@@ -408,18 +420,19 @@ def _phase_trig(lengths, ws: _Workspace):
     0's coarse angle is 0, so that row is direct cos/sin bit for bit.
     """
     lengths = np.asarray(lengths, dtype=float)
-    n_pipes, n, block, points = ws.key
-    rotation, fine = ws.rotation, ws.fine_trig
+    n_pipes, (_, n, block, _) = len(lengths), ws.key
+    rotation, fine_trig, table = ws.rotation[:n_pipes], ws.fine_trig[:n_pipes], ws.table[:n_pipes]
     cos_c, sin_c = rotation[:, :n, 0], rotation[:, n:, 0]
-    for cos, sin, k in ((cos_c, sin_c, ws.coarse_k), (fine[:, 0], fine[:, 1], ws.fine_k)):
+    angles = [(cos_c, sin_c, ws.coarse_k)] + [(fine_trig[:, 0], fine_trig[:, 1], ws.fine_k)] * fine
+    for cos, sin, k in angles:
         np.multiply.outer(lengths, k, out=sin)  # the angles, until their cos is taken
         np.cos(sin, out=cos)
         np.sin(sin, out=sin)
     np.negative(sin_c, out=rotation[:, :n, 1])
     rotation[:, n:, 1] = cos_c
-    np.matmul(rotation, fine, out=ws.table)
-    table = ws.table.reshape(n_pipes, 2, n * block)  # a view: cos rows, then sin rows
-    return table[:, 0, :points], table[:, 1, :points]
+    np.matmul(rotation, fine_trig, out=table)
+    table = table.reshape(n_pipes, 2, n * block)  # a view: cos rows, then sin rows
+    return table[:, 0, : ws.points], table[:, 1, : ws.points]
 
 
 def absorption_spectrum(
@@ -431,11 +444,13 @@ def absorption_spectrum(
     cos/sin.
 
     A grid of n points is solved in blocks of ceil(_BLOCK_POINTS / isqrt(n))
-    whole table rows, bit for bit as in one block, in the calling thread's
-    workspace. It keeps the panel impedances by (thickness, aperture,
-    porosity), all the Maa impedance reads, while grid, block and medium
-    repeat. A repeated solve, such as each annealing evaluation, computes
-    only new panels and allocates no block-sized array but the alphas.
+    whole table rows, bit for bit as in one block. A grid of one block is
+    solved in the calling thread's workspace, which keeps the panel
+    impedances by (thickness, aperture, porosity), all the Maa impedance
+    reads, while grid and medium repeat. A repeated solve, such as each
+    annealing evaluation, computes only new panels and allocates no
+    block-sized array but the alphas. A longer grid is solved in a
+    workspace of its own, which the call drops on return.
     """
     count = grid.size
     block = math.isqrt(count)
@@ -445,23 +460,30 @@ def absorption_spectrum(
     lengths = [e.length for e in chain.elements if isinstance(e, StraightPipe)]
     panels = [e for e in chain.elements if isinstance(e, MppPanel)]
     keys = [(panel.thickness, panel.aperture, panel.porosity) for panel in panels]
+    if n_rows <= rows_per_block:
+        old = getattr(_local, "workspace", None)
+        most = max(len(lengths), old.key[0] if old else 0)  # the most pipes the thread solved
+        ws = _kept("workspace", _Workspace, most, n_rows, block, count)
+    else:
+        ws = _Workspace(len(lengths), rows_per_block, block, rows_per_block * block)
     alphas = np.empty(count)
     for first in range(0, n_rows, rows_per_block):
-        stop = min(first + rows_per_block, n_rows)
-        lo, hi = first * block, min(stop * block, count)
-        ws = _kept("workspace", _Workspace, len(lengths), stop - first, block, hi - lo)
+        lo, hi = first * block, min((first + rows_per_block) * block, count)
+        if hi - lo < ws.points:
+            ws.set_points(hi - lo)  # the last block: leading views of the same buffers
         ws.set_block(grid, first, medium)
-        cos_kl, sin_kl = _phase_trig(lengths, ws)
+        cos_kl, sin_kl = _phase_trig(lengths, ws, fine=first == 0)
         kept = ws.impedances
+        if any(key not in kept for key in keys):  # one frequency array for the new panels
+            frequencies = grid.frequency(np.arange(lo, hi))
         ws.impedances = {
-            key: kept[key] if key in kept
-            else mpp_normalized_impedance(panel, grid.frequency(np.arange(lo, hi)), medium)
+            key: kept[key] if key in kept else mpp_normalized_impedance(panel, frequencies, medium)
             for key, panel in dict(zip(keys, panels)).items()
         }
         impedances = [ws.impedances[key] for key in keys]
         [(p, u)] = _walk(chain, cos_kl, sin_kl, impedances, medium, ws)
-        z0_u, denominator, gamma = ws.reflection
-        magnitude = ws.magnitude
+        z0_u, denominator, gamma = ws.reflection[:, : hi - lo]
+        magnitude = ws.magnitude[: hi - lo]
         np.multiply(z0, u, out=z0_u)
         np.add(p, z0_u, out=denominator)
         if not denominator.all():
@@ -483,5 +505,5 @@ def absorption_at(chain: ElementChain, frequency: float, medium: Medium = AIR) -
     A NaN alpha fails the spectrum's check with a ValueError.
     """
     check_positive(frequency, "frequency")
-    grid = FrequencyGrid(frequency, 2.0 * frequency, 2.0 * frequency)
+    grid = FrequencyGrid(frequency, math.nextafter(frequency, math.inf), frequency)
     return float(absorption_spectrum(chain, grid, medium).alphas[0])

@@ -655,6 +655,15 @@ class TestAbsorption:
         with np.errstate(all="ignore"), pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
             absorption_at(baseline_chain, 500.0)
 
+    def test_absorption_at_answers_every_frequency_a_grid_can_start_at(self, baseline_chain):
+        # the one-point grid (f, 2f, 2f) refused 6e10 Hz by naming 1.2e11 Hz
+        assert 0.0 <= absorption_at(baseline_chain, 6e10) <= 1.0
+        with pytest.raises(ValueError) as excinfo:
+            absorption_at(baseline_chain, 1e11)
+        assert str(excinfo.value) == (
+            "FrequencyGrid.f_min must lie in (0, 1e+11), got 100000000000.0"
+        )
+
     def test_bad_progression_message_names_the_argument_not_the_grid(self, baseline_chain):
         # used to print every frequency of the grid from the panel impedance;
         # a progression reaches the solver only as a FrequencyGrid, or as
@@ -667,8 +676,8 @@ class TestAbsorption:
         assert str(excinfo.value) == "frequency must be finite and positive, got -1.0"
 
     def test_step_of_a_single_point_is_not_used(self, baseline_chain):
-        # absorption_at solves the grid (f, 2f, 2f); another step gives the
-        # same bits
+        # absorption_at solves the one-point grid that ends one ulp above f;
+        # another f_max and step give the same bits
         for frequency in (1.0, 123.456, 500.0, 1999.9):
             grid = FrequencyGrid(frequency, frequency + 0.5, 1.0)
             assert grid.size == 1

@@ -265,9 +265,9 @@ class TestSimulate:
         spectrum = table_spectrum(frequencies, np.sin(frequencies) ** 2)
         assert written(spectrum_csv, spectrum) == per_row_spectrum_csv(spectrum)
 
-    def test_csv_splices_fallback_rows_anywhere_in_a_chunk(self):
-        # Rows in exponent notation take Python's % operator and are spliced
-        # back into the chunk's numpy text: at a chunk's first and last row,
+    def test_csv_spells_percent_rows_in_their_slots_anywhere_in_a_chunk(self):
+        # Rows in exponent notation are spelled by Python's % operator into
+        # their own row of the chunk's slots: at a chunk's first and last row,
         # in runs of consecutive rows, over a whole chunk, and last in the file.
         chunk = _CSV_CHUNK_ROWS
         frequencies = 1.0 + 0.37 * np.arange(3 * chunk + 7)

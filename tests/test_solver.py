@@ -235,13 +235,71 @@ def test_blocked_solve_equals_one_block_bit_for_bit(monkeypatch, config_dir, nam
     grid = FrequencyGrid(config.grid.f_min, config.grid.f_max, 0.01)
     assert grid.size > 20 * acoustics._BLOCK_POINTS
     blocked = absorption_spectrum(chain, grid, medium).alphas
-    # the second solve starts on the last block, whose panel impedances the
-    # workspace kept
+    # the second solve builds a workspace of its own, with nothing kept from
+    # the first
     blocked_again = absorption_spectrum(chain, grid, medium).alphas
     monkeypatch.setattr(acoustics, "_BLOCK_POINTS", grid.size + 1)
     reference = absorption_spectrum(chain, grid, medium).alphas
     assert np.array_equal(blocked, reference)
     assert np.array_equal(blocked_again, reference)
+
+
+def test_long_grids_in_sequence_equal_their_one_block_solves(monkeypatch, config_dir):
+    # a long grid's fine cos/sin are taken once per call, in its first block;
+    # any carried over from the call before, for another chain's pipes, would
+    # show in every later block
+    solves = []
+    for name in ["three_chamber_baseline", "single_chamber", "three_chamber_optimized"]:
+        config = load_config(config_dir / f"{name}.json")
+        grid = FrequencyGrid(config.grid.f_min, config.grid.f_max, 0.01)
+        solves.append((config.structure.chain(), grid, config.medium))
+    blocked = [absorption_spectrum(*solve).alphas for solve in solves]
+    for solve, alphas in zip(solves, blocked):
+        monkeypatch.setattr(acoustics, "_BLOCK_POINTS", solve[1].size + 1)
+        assert np.array_equal(alphas, absorption_spectrum(*solve).alphas)
+
+
+@pytest.fixture
+def workspaces_built(monkeypatch):
+    """The key of each solver workspace built from here on, in order."""
+    built = []
+
+    class Counted(_Workspace):
+        def __init__(self, *key):
+            super().__init__(*key)
+            built.append(key)
+
+    monkeypatch.setattr(acoustics, "_Workspace", Counted)
+    return built
+
+
+def test_long_grid_builds_one_workspace_and_keeps_none(baseline_chain, workspaces_built):
+    # one workspace, sized for a full block, also serves the shorter last
+    # block, and the call drops it: what stays allocated is the alphas
+    grid = FrequencyGrid(1.0, 2000.0, 0.01)
+    absorption_spectrum(baseline_chain, grid)
+    tracemalloc.start()
+    try:
+        alphas = absorption_spectrum(baseline_chain, grid).alphas
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    block = math.isqrt(grid.size)
+    rows = -(-acoustics._BLOCK_POINTS // block)
+    assert workspaces_built == [(8, rows, block, rows * block)] * 2  # one per call
+    assert kept <= alphas.nbytes + 64 * 1024
+
+
+def test_fewer_pipes_use_the_leading_rows_of_the_kept_workspace(monkeypatch, workspaces_built):
+    # three-chamber chains have 8 pipes and the single chamber 2: after the
+    # first solve the thread's workspace serves both, bit for bit as a fresh one
+    chains = list(random_chains(505, n_three=3, n_single=1))
+    monkeypatch.setattr(acoustics, "_local", threading.local())
+    alphas = [absorption_spectrum(chain, DEFAULT_GRID).alphas for chain in chains]
+    assert workspaces_built == [(8, 46, 44, 2000)]
+    for chain, solved in zip(chains, alphas):
+        monkeypatch.setattr(acoustics, "_local", threading.local())
+        assert np.array_equal(solved, absorption_spectrum(chain, DEFAULT_GRID).alphas)
 
 
 def test_singular_configuration_in_a_later_block_reports_its_frequency(
@@ -399,13 +457,19 @@ def test_repeated_objective_allocates_little(grid, limit):
 
 
 @pytest.mark.parametrize("count", [2000, 30_000])  # one block and four
-def test_alphas_outlive_the_workspace(baseline_chain, optimized_chain, count):
+def test_alphas_outlive_the_workspace(monkeypatch, baseline_chain, optimized_chain, count):
+    # a fresh thread-local: the thread's workspace is only what these solves keep
+    monkeypatch.setattr(acoustics, "_local", threading.local())
     grid = grid_of(1.0, 0.05, count)
     alphas = absorption_spectrum(baseline_chain, grid).alphas
     kept = alphas.copy()
-    buffers = vars(acoustics._local.workspace).values()
-    assert not any(np.shares_memory(alphas, b) for b in buffers if isinstance(b, np.ndarray))
-    # a chain of the same shape reuses the same buffers
+    workspace = getattr(acoustics._local, "workspace", None)
+    if count > acoustics._BLOCK_POINTS:
+        assert workspace is None  # the long grid's workspace went with its call
+    else:
+        buffers = vars(workspace).values()
+        assert not any(np.shares_memory(alphas, b) for b in buffers if isinstance(b, np.ndarray))
+    # a chain of the same shape reuses the same buffers, or builds new ones
     other = absorption_spectrum(optimized_chain, grid).alphas
     assert np.array_equal(alphas, kept)
     assert not np.array_equal(other, kept)
