@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import AbsorptionSpectrum, FrequencyGrid, check_positive, require_positive
+from .spectrum import AbsorptionSpectrum, FrequencyGrid, check_fields, check_positive, ranged
 
 __all__ = [
     "AIR",
@@ -58,17 +58,14 @@ class Medium:
     """Ambient fluid of every impedance formula; the defaults are air at
     20 degC. `temperature` is informational and enters no formula."""
 
-    sound_speed: float = 343.0        # m/s
-    density: float = 1.204            # kg/m^3
-    dynamic_viscosity: float = 1.81e-5  # Pa*s
-    temperature: float = 20.0         # degC, informational
+    # open ranges far around air's values; at their edges the bundled
+    # absorbers still solve without overflow
+    sound_speed: float = ranged(1.0, 1e5, default=343.0)  # m/s
+    density: float = ranged(1e-3, 1e5, default=1.204)  # kg/m^3
+    dynamic_viscosity: float = ranged(1e-8, 1e3, default=1.81e-5)  # Pa*s
+    temperature: float = 20.0  # degC, informational
 
-    def __post_init__(self):
-        # open ranges far around air's values; at their edges the bundled
-        # absorbers still solve without overflow
-        require_positive(self, "sound_speed", within=(1.0, 1e5))
-        require_positive(self, "density", within=(1e-3, 1e5))
-        require_positive(self, "dynamic_viscosity", within=(1e-8, 1e3))
+    __post_init__ = check_fields
 
     @property
     def characteristic_impedance(self) -> float:
@@ -89,15 +86,18 @@ class MppPanel:
     """Micro-perforated panel in a duct, a chain element: thickness, aperture
     (hole diameter) and duct_diameter in metres, porosity the open-area fraction."""
 
-    thickness: float
-    aperture: float
-    porosity: float
-    duct_diameter: float
+    thickness: float = ranged(0.0)
+    aperture: float = ranged(0.0)
+    porosity: float = ranged(0.0, 1.0)
+    duct_diameter: float = ranged(0.0)
 
     def __post_init__(self):
-        require_positive(self, "thickness", "aperture", "duct_diameter")
-        if not 0 < self.porosity < 1:
-            raise ValueError(f"porosity must be in (0, 1), got {self.porosity}")
+        check_fields(self)
+        if not self.aperture < self.duct_diameter:
+            raise ValueError(
+                f"MppPanel.aperture must be less than MppPanel.duct_diameter,"
+                f" got {self.aperture} >= {self.duct_diameter}"
+            )
 
     @property
     def duct_area(self) -> float:
@@ -108,11 +108,10 @@ class MppPanel:
 class StraightPipe:
     """Uniform circular duct segment (length and diameter in metres)."""
 
-    length: float
-    diameter: float
+    length: float = ranged(0.0)
+    diameter: float = ranged(0.0)
 
-    def __post_init__(self):
-        require_positive(self, "length", "diameter")
+    __post_init__ = check_fields
 
     @property
     def area(self) -> float:
@@ -150,7 +149,7 @@ class ElementChain:
     impedance of the reflection coefficient."""
 
     elements: tuple[SoundElement, ...]
-    main_duct_diameter: float
+    main_duct_diameter: float = ranged(0.0)
 
     def __post_init__(self):
         if len(self.elements) == 0:
@@ -162,7 +161,7 @@ class ElementChain:
                     f"elements[{index}] must be a {', '.join(kinds)} or {last},"
                     f" got {type(element).__name__}"
                 )
-        require_positive(self, "main_duct_diameter")
+        check_fields(self)
 
     @property
     def main_duct_area(self) -> float:

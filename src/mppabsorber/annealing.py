@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -23,8 +22,9 @@ from .spectrum import (
     DEFAULT_GRID,
     AbsorptionSpectrum,
     FrequencyGrid,
+    check_fields,
     effective_band,
-    require_positive,
+    ranged,
 )
 from .structure import BOUNDS_MM, DESIGN_FIELDS, DesignVector, MppSet, build_chain
 
@@ -58,37 +58,23 @@ class AnnealingSchedule:
     refused.
     """
 
-    initial_temperature: float = 100.0
-    iterations_per_temperature: int = 100
-    cooling_rate: float = 0.2
-    termination_temperature: float = 1e-6
-    step_fraction: float = 0.1
-    seed: int = 0
+    initial_temperature: float = ranged(0.0, default=100.0)
+    iterations_per_temperature: int = ranged(1, closed=True, default=100)
+    cooling_rate: float = ranged(0.0, 1.0, default=0.2)
+    termination_temperature: float = ranged(0.0, default=1e-6)
+    step_fraction: float = ranged(0.0, closed=True, default=0.1)
+    seed: int = ranged(0, closed=True, default=0)
     cooling_reading: str = "decrement"
 
     def __post_init__(self):
-        require_positive(self, "initial_temperature", "termination_temperature")
-        if not 0 < self.cooling_rate < 1:
-            raise ValueError(f"cooling_rate must be in (0, 1), got {self.cooling_rate}")
+        check_fields(self)
         if self.termination_temperature > self.initial_temperature:
             raise ValueError(
                 "termination_temperature must not exceed initial_temperature"
             )
-        for name in ("iterations_per_temperature", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.iterations_per_temperature < 1:
-            raise ValueError("iterations_per_temperature must be at least 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if not 0 <= self.step_fraction < math.inf:
-            raise ValueError(
-                f"step_fraction must be finite and >= 0, got {self.step_fraction}"
-            )
         if self.cooling_reading not in ("decrement", "multiplier"):
             raise ValueError(
-                f"cooling_reading must be 'decrement' or 'multiplier',"
+                f"AnnealingSchedule.cooling_reading must be 'decrement' or 'multiplier',"
                 f" got {self.cooling_reading!r}"
             )
         # a schedule must cool: 1 - rate rounds to 1 for rates up to 2**-54

@@ -6,9 +6,11 @@ DesignVector, `mpps` a list of exactly three MppSpec panels) or, with
 `"type": "single_chamber"`, a SingleChamberStructure; `medium` is a Medium,
 `grid` a FrequencyGrid and `schedule` an AnnealingSchedule. A field with no
 default is required, a missing or null optional field takes its default,
-and an unknown key is an error. Numbers must be finite (no NaN or
-Infinity), and booleans are not numbers. Each dataclass then applies its
-own rules, such as positive lengths.
+and an unknown key is an error. A float field takes a finite number (no
+NaN, Infinity or boolean), a JSON integer becoming a float. Every other
+value reaches its dataclass as parsed, and the dataclass applies the rule
+each field declares (`spectrum.ranged`): its interval, and for an int
+field that it is an integer.
 
 Files carry lengths in millimetres (matching the engineering tables);
 conversion to SI happens when chains are built. Emitted files re-parse to
@@ -27,7 +29,7 @@ from pathlib import Path
 
 from .acoustics import AIR, ElementChain, Medium
 from .annealing import AnnealingSchedule
-from .spectrum import DEFAULT_GRID, FrequencyGrid, require_positive
+from .spectrum import DEFAULT_GRID, FrequencyGrid, check_fields, ranged
 from .structure import MM_RANGE, DesignVector, MppSet, MppSpec, build_chain, single_chamber_chain
 
 __all__ = [
@@ -55,14 +57,13 @@ class ThreeChamberStructure:
 
 @dataclass(frozen=True)
 class SingleChamberStructure:
-    d_m: float
-    l_m: float
-    d_e: float
-    t_e: float
+    d_m: float = ranged(*MM_RANGE)
+    l_m: float = ranged(*MM_RANGE)
+    d_e: float = ranged(*MM_RANGE)
+    t_e: float = ranged(*MM_RANGE)
     mpp: MppSpec
 
-    def __post_init__(self):
-        require_positive(self, "d_m", "l_m", "d_e", "t_e", within=MM_RANGE)
+    __post_init__ = check_fields
 
     def chain(self) -> ElementChain:
         return single_chamber_chain(self.mpp, self.d_m, self.l_m, self.d_e, self.t_e)
@@ -95,9 +96,7 @@ def _decode(cls, data, context: str):
         if type(data) not in (int, float) or not abs(data) <= sys.float_info.max:
             raise ConfigError(f"{context}: expected a finite number, got {data!r}")
         return float(data)
-    if cls in (int, str):
-        if type(data) is not cls:
-            raise ConfigError(f"{context}: expected {cls.__name__}, got {data!r}")
+    if cls in (int, str):  # the owning dataclass checks these
         return data
     if cls is MppSet:
         if not isinstance(data, list) or len(data) != 3:

@@ -9,8 +9,10 @@ edges where the run touches them.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -20,11 +22,12 @@ __all__ = [
     "AbsorptionSpectrum",
     "EffectiveBand",
     "FrequencyGrid",
+    "check_fields",
     "check_positive",
     "effective_band",
     "effective_bands",
     "octave_bands",
-    "require_positive",
+    "ranged",
 ]
 
 # Largest grid accepted: far above any plane-wave spectrum worth computing
@@ -45,33 +48,58 @@ def check_positive(value, *label: str) -> None:
         raise ValueError(f"{'.'.join(label)} must be finite and positive, got {value}")
 
 
-def require_positive(owner, *names: str, within=(0.0, math.inf)) -> None:
-    """check_positive on each named attribute of `owner`, labelled
-    Owner.name, and then the open interval `within`."""
-    low, high = within
-    for name in names:
+def ranged(low: float, high: float = math.inf, *, closed: bool = False, default=MISSING):
+    """A dataclass field whose value must lie in the open interval (low,
+    high), or in [low, high) when `closed`; a field annotated int must
+    also be an integer. check_fields enforces the rule."""
+    return field(default=default, metadata={"range": (low, high, closed)})
+
+
+@functools.cache
+def _rules(cls) -> tuple:
+    """(name, floor, high, integer) for each ranged field of `cls`,
+    gathered once per class. Every allowed value exceeds floor: low, or at
+    a closed edge the double just below low, so that one open comparison
+    tests both kinds of edge, for an integral low and an int value too."""
+    rules = []
+    for item in fields(cls):
+        if "range" in item.metadata:
+            low, high, closed = item.metadata["range"]
+            floor = math.nextafter(low, -math.inf) if closed else low
+            rules.append((item.name, floor, high, item.type in (int, "int")))
+    return tuple(rules)
+
+
+def check_fields(owner) -> None:
+    """Raise ValueError unless every ranged field of the dataclass `owner`
+    keeps its rule, naming the first that does not as Owner.field."""
+    for name, floor, high, integer in _rules(type(owner)):
         value = getattr(owner, name)
-        # tested inline first: this runs for every field of every design and
-        # chain element the annealer builds
-        if not low < value < high:
-            check_positive(value, type(owner).__name__, name)
-            raise ValueError(
-                f"{type(owner).__name__}.{name} must lie in ({low:g}, {high:g}), got {value}"
-            )
+        if integer and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+            raise ValueError(f"{type(owner).__name__}.{name} must be an integer, got {value!r}")
+        # one chained comparison: this runs for every field of every design
+        # and chain element the annealer builds
+        if not floor < value < high:
+            label = f"{type(owner).__name__}.{name}"
+            low, _, closed = owner.__dataclass_fields__[name].metadata["range"]
+            if not closed:
+                check_positive(value, label)
+            edge = "[" if closed else "("
+            raise ValueError(f"{label} must lie in {edge}{low:g}, {high:g}), got {value}")
 
 
 @dataclass(frozen=True)
 class FrequencyGrid:
     """Uniform frequency grid: f_min, f_min + step, ... up to f_max (Hz)."""
 
-    f_min: float
-    f_max: float
-    step: float
+    # 1e11 Hz is past the cut-on of a 1 um duct in a 1e5 m/s medium
+    # (5.9e10 Hz), the smallest and fastest a config can describe
+    f_min: float = ranged(0.0, 1e11)
+    f_max: float = ranged(0.0, 1e11)
+    step: float = ranged(0.0, 1e11)
 
     def __post_init__(self):
-        # 1e11 Hz is past the cut-on of a 1 um duct in a 1e5 m/s medium
-        # (5.9e10 Hz), the smallest and fastest a config can describe
-        require_positive(self, "f_min", "f_max", "step", within=(0.0, 1e11))
+        check_fields(self)
         if not self.f_min < self.f_max:
             raise ValueError(
                 f"require f_min < f_max, got ({self.f_min}, {self.f_max})"

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acoustics import AreaChange, ElementChain, MppPanel, StraightPipe
-from .spectrum import require_positive
+from .spectrum import check_fields, ranged
 
 __all__ = [
     "BASELINE_DESIGN",
@@ -64,21 +64,20 @@ class DesignVector:
     section at MPP 3; l_5 is the third main-pipe section.
     """
 
-    d_m: float
-    d_2: float
-    d_4: float
-    d_6: float
-    l_1: float
-    l_1p: float
-    l_2: float
-    l_3: float
-    l_3p: float
-    l_4: float
-    l_5: float
-    l_6: float
+    d_m: float = ranged(*MM_RANGE)
+    d_2: float = ranged(*MM_RANGE)
+    d_4: float = ranged(*MM_RANGE)
+    d_6: float = ranged(*MM_RANGE)
+    l_1: float = ranged(*MM_RANGE)
+    l_1p: float = ranged(*MM_RANGE)
+    l_2: float = ranged(*MM_RANGE)
+    l_3: float = ranged(*MM_RANGE)
+    l_3p: float = ranged(*MM_RANGE)
+    l_4: float = ranged(*MM_RANGE)
+    l_5: float = ranged(*MM_RANGE)
+    l_6: float = ranged(*MM_RANGE)
 
-    def __post_init__(self):
-        require_positive(self, *DESIGN_FIELDS, within=MM_RANGE)
+    __post_init__ = check_fields
 
     def as_array(self) -> np.ndarray:
         """Values in the canonical DESIGN_FIELDS order."""
@@ -93,15 +92,11 @@ class MppSpec:
     """One panel's parameter triple: thickness and aperture in mm, porosity
     as an open-area fraction."""
 
-    thickness: float
-    aperture: float
-    porosity: float
+    thickness: float = ranged(*MM_RANGE)
+    aperture: float = ranged(*MM_RANGE)
+    porosity: float = ranged(0.0, 1.0)
 
-    def __post_init__(self):
-        # checked here so an error names the value in mm; MppPanel keeps the
-        # porosity rule
-        require_positive(self, "thickness", "aperture", within=MM_RANGE)
-        self.panel(1.0)
+    __post_init__ = check_fields
 
     def panel(self, duct_diameter_mm: float) -> MppPanel:
         """SI panel embedded in a duct of the given diameter (mm)."""

@@ -715,6 +715,23 @@ class TestErrors:
         assert f".{field} must lie in (0.001, 1e+06), got {value}" in stderr
         assert not out.exists()
 
+    def test_hole_wider_than_its_duct_is_refused(self, capsys, tmp_path, config_dir):
+        # a hole of about 1 km in the 10 mm duct: each length lies in its
+        # range, and simulate used to answer with a 1,248.3 Hz band
+        config = json.loads((config_dir / BASELINE).read_text())
+        config["structure"]["mpps"][2].update(aperture=9.99e5, thickness=1.0001e-3)
+        path = tmp_path / "wide_hole.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "s.csv"
+        code, stdout, stderr = run_cli(capsys, "simulate", "--config", path, "--out", out)
+        assert code == 1
+        assert stdout == ""
+        assert stderr == (
+            "error: MppPanel.aperture must be less than MppPanel.duct_diameter,"
+            " got 999.0 >= 0.01\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "field, value",
@@ -793,8 +810,14 @@ class TestErrors:
         path.write_text(json.dumps(config))
         out_dir = tmp_path / "run"
         for argv, message in (
-            (("--config", config_dir / BASELINE, "--seed", "-1"), "error: seed must be non-negative"),
-            (("--config", path), "error: schedule: seed must be non-negative"),
+            (
+                ("--config", config_dir / BASELINE, "--seed", "-1"),
+                "error: AnnealingSchedule.seed must lie in [0, inf), got -1",
+            ),
+            (
+                ("--config", path),
+                "error: schedule: AnnealingSchedule.seed must lie in [0, inf), got -1",
+            ),
         ):
             code, stdout, stderr = run_cli(capsys, "optimize", *argv, "--out", out_dir)
             assert code == 1

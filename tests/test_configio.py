@@ -139,8 +139,22 @@ def _setting(section, value):
         ),
         pytest.param(
             lambda c: c["structure"]["mpps"][1].__setitem__("porosity", 1.5),
-            re.escape("structure.mpps[1]: porosity must be in (0, 1), got 1.5"),
+            re.escape("structure.mpps[1]: MppSpec.porosity must lie in (0, 1), got 1.5"),
             id="porosity-above-one",
+        ),
+        pytest.param(
+            lambda c: c.__setitem__("grid", [1, 2000, 1]),
+            re.escape("grid: expected an object"),
+            id="section-not-an-object",
+        ),
+        # an int field's kind is checked by its dataclass, as its range is
+        *(
+            pytest.param(
+                lambda c, value=value: c["schedule"].__setitem__("seed", value),
+                re.escape(f"schedule: AnnealingSchedule.seed must be an integer, got {value!r}"),
+                id=f"{label}-seed",
+            )
+            for label, value in (("float", 2.5), ("string", "3"))
         ),
         *(
             pytest.param(

@@ -1,7 +1,7 @@
 """Band extraction, octave measure and grid behaviour."""
 
 import math
-from types import SimpleNamespace
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -27,7 +27,7 @@ from mppabsorber import (
     effective_bands,
     octave_bands,
 )
-from mppabsorber.spectrum import MAX_GRID_POINTS, require_positive
+from mppabsorber.spectrum import MAX_GRID_POINTS, check_fields, ranged
 
 
 def spectrum_of(f_min, step, alphas):
@@ -108,15 +108,37 @@ class TestFrequencyGrid:
             FrequencyGrid(1.0, 2000.0, 1e-5)
 
 
+@dataclass(frozen=True)
+class Ranged:
+    """One field of each kind of rule, each valid at its default."""
+
+    positive: float = ranged(0.0, default=1.0)
+    inner: float = ranged(1.0, 10.0, default=5.0)
+    edge: float = ranged(0.5, 1.0, closed=True, default=0.5)
+    count: int = ranged(0, closed=True, default=0)
+
+    __post_init__ = check_fields
+
+
+def refusal(**kwargs) -> str:
+    with pytest.raises(ValueError) as excinfo:
+        Ranged(**kwargs)
+    return str(excinfo.value)
+
+
 class TestRequirePositive:
+    """The rule of a field in an open interval from 0, as check_fields
+    applies it."""
+
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_refuses_non_positive_and_non_finite(self, value):
-        owner = SimpleNamespace(a=1.0, b=value)
-        with pytest.raises(ValueError, match="b must be finite and positive"):
-            require_positive(owner, "a", "b")
+        assert refusal(positive=value) == (
+            f"Ranged.positive must be finite and positive, got {value}"
+        )
 
     def test_accepts_finite_positive(self):
-        require_positive(SimpleNamespace(a=5e-324, b=1.7e308, c=3), "a", "b", "c")
+        for value in (5e-324, 1.7e308):
+            assert Ranged(positive=value).positive == value
 
     @pytest.mark.parametrize(
         "build",
@@ -136,6 +158,30 @@ class TestRequirePositive:
     def test_every_validated_dataclass_refuses_non_finite(self, build, value):
         with pytest.raises(ValueError, match="finite and positive"):
             build(value)
+
+
+class TestCheckFields:
+    """The rules of the other kinds of field."""
+
+    @pytest.mark.parametrize("value", [0.5, 1.0, 10.0, 20.0])
+    def test_interval_not_from_zero_refuses_a_value_outside_it(self, value):
+        assert refusal(inner=value) == f"Ranged.inner must lie in (1, 10), got {value}"
+
+    def test_closed_low_edge_accepts_the_edge_and_refuses_one_ulp_below(self):
+        assert Ranged(edge=0.5).edge == 0.5
+        below = math.nextafter(0.5, 0.0)
+        assert refusal(edge=below) == f"Ranged.edge must lie in [0.5, 1), got {below}"
+        assert refusal(edge=1.0) == "Ranged.edge must lie in [0.5, 1), got 1.0"
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
+    def test_int_field_refuses_what_is_not_an_integer(self, value):
+        # checked before the interval: "3" or None never reaches a comparison
+        assert refusal(count=value) == f"Ranged.count must be an integer, got {value!r}"
+
+    def test_int_field_accepts_numpy_integers_inside_its_interval(self):
+        assert Ranged(count=np.int64(3)).count == 3
+        assert Ranged(count=np.uint8(7)).count == 7
+        assert refusal(count=-1) == "Ranged.count must lie in [0, inf), got -1"
 
 
 class TestSpectrumInvariants:

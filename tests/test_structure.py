@@ -83,7 +83,8 @@ class TestBuildChain:
 
     def test_lengths_lie_in_their_open_mm_range(self):
         # the edges are refused, and so is anything past them; a value one
-        # ulp inside is a design that builds a chain
+        # ulp inside is a design that builds a chain, and a panel. A hole one
+        # ulp below 1 km is wider than any duct, so its chain is refused.
         low, high = 1e-3, 1e6
         for value in (low, high, 1e-300, 1e300):
             message = re.escape(f"DesignVector.d_2 must lie in (0.001, 1e+06), got {value}")
@@ -92,9 +93,16 @@ class TestBuildChain:
             message = re.escape(f"MppSpec.aperture must lie in (0.001, 1e+06), got {value}")
             with pytest.raises(ValueError, match=message):
                 MppSpec(0.6, value, 0.025)
-        for value in (math.nextafter(low, high), math.nextafter(high, low)):
+        above, below = math.nextafter(low, high), math.nextafter(high, low)
+        for value in (above, below):
             build_chain(dataclasses.replace(BASELINE_DESIGN, d_2=value), DEFAULT_MPPS)
-            single_chamber_chain(MppSpec(0.6, value, 0.025), 10.0, 100.0, 60.0, 10.0)
+            assert MppSpec(0.6, value, 0.025).aperture == value
+        single_chamber_chain(MppSpec(0.6, above, 0.025), 10.0, 100.0, 60.0, 10.0)
+        message = re.escape(
+            f"MppPanel.aperture must be less than MppPanel.duct_diameter, got {below * 1e-3}"
+        )
+        with pytest.raises(ValueError, match=message):
+            single_chamber_chain(MppSpec(0.6, below, 0.025), 10.0, 100.0, 60.0, 10.0)
 
     def test_single_chamber_layout(self):
         chain = single_chamber_chain(MppSpec(0.6, 0.2, 0.025), 10.0, 100.0, 60.0, 10.0)
