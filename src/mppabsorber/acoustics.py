@@ -5,11 +5,12 @@ panels, sound source first, ended by a rigid wall. One walk (`_walk`)
 carries wall states (p, u) to the mouth: (1, 0) in doubles for absorption,
 and (0, j) as well in extended precision for `chain_matrix`. The absorption
 solver takes a FrequencyGrid and forms the pipes' cos/sin by angle addition
-(`_phase_trig`). A grid of one block is solved in a workspace kept per
-thread (`_Workspace`); a longer grid in blocks of table rows, in one
-workspace that lives for the call. MPP impedance follows Maa's model;
-pipes are lossless. Quantities are SI; the impedance formulas and
-chain_matrix take a frequency (Hz) as a scalar or an array.
+(`_phase_trig`). A grid of one block is solved in a workspace
+(`_Workspace`) the thread keeps while grid and medium repeat; a longer
+grid in blocks of table rows, in one workspace that lives for the call.
+MPP impedance follows Maa's model; pipes are lossless. Quantities are
+SI; the impedance formulas and chain_matrix take a frequency (Hz) as a
+scalar or an array.
 """
 
 from __future__ import annotations
@@ -221,7 +222,6 @@ class _Walk:
     every buffer before it reads it, except the zero halves of `factors`."""
 
     def __init__(self, columns: int, points: int, dtype):
-        self.key = (columns, points, dtype)
         self.real = np.empty((columns, 4, points), dtype)  # per column p, v = u/j, two products
         self.complex = np.empty((columns, 4, points), np.result_type(dtype, 1j))
         # a pipe's c + 0j, 0 + j*(Zc*s) and 0 + j*(s/Zc), and a product; the zero halves stay zero
@@ -247,17 +247,7 @@ class _Walk:
         return [list(column) for column in self.complex_columns]
 
 
-_local = threading.local()
-
-
-def _kept(name: str, kind, *key):
-    """This thread's buffers `name`, a `kind(*key)` kept while the key
-    repeats."""
-    buffers = getattr(_local, name, None)
-    if buffers is None or buffers.key != key:
-        buffers = kind(*key)
-        setattr(_local, name, buffers)
-    return buffers
+_local = threading.local()  # this thread's chain_walk and workspace
 
 
 def _walk(chain: ElementChain, cos_kl, sin_kl, panel_impedances, medium: Medium, walk: _Walk):
@@ -352,7 +342,9 @@ def chain_matrix(chain: ElementChain, frequency, medium: Medium = AIR) -> Transf
         for e in chain.elements
         if isinstance(e, MppPanel)
     ]
-    walk = _kept("chain_walk", _Walk, 2, frequency.size, np.longdouble)
+    walk = getattr(_local, "chain_walk", None)
+    if walk is None or walk.points != frequency.size:
+        walk = _local.chain_walk = _Walk(2, frequency.size, np.longdouble)
     (a11, a21), (a12, a22) = _walk(chain, np.cos(kl), np.sin(kl), impedances, medium, walk)
     for entry in (a12, a22):
         # times -j, exactly: the parts swapped, where a complex product's
@@ -370,45 +362,34 @@ _BLOCK_POINTS = 8192
 
 
 class _Workspace(_Walk):
-    """Buffers of one solver block, `n_pipes` pipes by `rows` table rows of
-    `block` columns (`points` frequencies), and of its walk in doubles. A
-    chain of fewer pipes uses the leading pipe rows. Between calls it keeps
-    its block's wavenumbers and panel impedances."""
+    """Buffers of the solver for one `grid` and `medium`, and of its walk in
+    doubles: the grid's block plan, its wavenumbers and a phase table of
+    `n_pipes` pipes by `rows` table rows of `block` columns, one solver block
+    of `points` frequencies. A chain of fewer pipes uses the leading pipe
+    rows. The panel impedances kept are those of block 0."""
 
-    def __init__(self, n_pipes: int, rows: int, block: int, points: int):
-        super().__init__(1, points, np.float64)
-        self.key = (n_pipes, rows, block, points)
+    def __init__(self, grid: FrequencyGrid, medium: Medium, n_pipes: int):
+        self.key = (grid, medium)
+        self.block = block = math.isqrt(grid.size)
+        self.n_rows = -(-grid.size // block)
+        self.rows = rows = min(self.n_rows, -(-_BLOCK_POINTS // block))
+        super().__init__(1, min(rows * block, grid.size), np.float64)
+        self.fine_k = 2.0 * np.pi * grid.frequency(np.arange(block)) / medium.sound_speed
+        coarse = block * np.arange(-(-self.n_rows // rows) * rows)  # the first point of each row
+        self.coarse_k = 2.0 * np.pi * (grid.step * coarse) / medium.sound_speed
+        self.impedances = {}  # (thickness, aperture, porosity) -> normalised impedance
         self.rotation = np.empty((n_pipes, 2 * rows, 2))
         self.fine_trig = np.empty((n_pipes, 2, block))
-        self.block_of = (None, None, None)  # (grid, medium, first row) of wavenumbers, impedances
-        self.impedances = {}  # (thickness, aperture, porosity) -> normalised impedance
-        self.fine_k = np.empty(block)
-        self.coarse_k = np.empty(rows)
         self.table = np.empty((n_pipes, 2 * rows, block))  # per pipe: cos rows, sin rows
-        self.reflection = np.empty((3, points), complex)  # Z0*u, p + Z0*u, Gamma
-        self.magnitude = np.empty(points)
-
-    def set_block(self, grid: FrequencyGrid, first: int, medium: Medium) -> None:
-        """Set the workspace to the block of `grid` whose table rows start
-        at `first`: its wavenumbers, the fine ones only for a new grid or
-        medium, and no kept panel impedances unless (grid, medium, first)
-        is the last block's."""
-        _, rows, block, _ = self.key
-        if self.block_of[:2] != (grid, medium):
-            self.fine_k[:] = 2.0 * np.pi * grid.frequency(np.arange(block)) / medium.sound_speed
-        elif self.block_of[2] == first:
-            return
-        coarse = block * np.arange(first, first + rows)  # the first point of each row
-        self.coarse_k[:] = 2.0 * np.pi * (grid.step * coarse) / medium.sound_speed
-        self.impedances = {}
-        self.block_of = (grid, medium, first)
+        self.reflection = np.empty((3, self.points), complex)  # Z0*u, p + Z0*u, Gamma
+        self.magnitude = np.empty(self.points)
 
 
-def _phase_trig(lengths, ws: _Workspace, fine: bool = True):
-    """cos and sin of the pipe phases l*k over the block `ws` is set to, as
-    two (len(lengths), ws.points) views into `ws`'s leading pipe rows. The
-    fine cos/sin are taken only when `fine`; a later block of the same grid
-    and pipes reuses them.
+def _phase_trig(lengths, ws: _Workspace, first: int):
+    """cos and sin of the pipe phases l*k over the block of `ws` whose table
+    rows start at `first`, as two (len(lengths), ws.points) views into `ws`'s
+    leading pipe rows. The fine cos/sin are taken in block 0 only; a later
+    block of the same grid and pipes reuses them.
 
     Point n = q*block + r has the angle l*k(f_min + r*step) +
     l*k(q*block*step). Only these fine and coarse angles go through cos/sin,
@@ -419,18 +400,19 @@ def _phase_trig(lengths, ws: _Workspace, fine: bool = True):
     0's coarse angle is 0, so that row is direct cos/sin bit for bit.
     """
     lengths = np.asarray(lengths, dtype=float)
-    n_pipes, (_, n, block, _) = len(lengths), ws.key
+    n_pipes, n = len(lengths), ws.rows
     rotation, fine_trig, table = ws.rotation[:n_pipes], ws.fine_trig[:n_pipes], ws.table[:n_pipes]
     cos_c, sin_c = rotation[:, :n, 0], rotation[:, n:, 0]
-    angles = [(cos_c, sin_c, ws.coarse_k)] + [(fine_trig[:, 0], fine_trig[:, 1], ws.fine_k)] * fine
-    for cos, sin, k in angles:
+    coarse = (cos_c, sin_c, ws.coarse_k[first : first + n])
+    fine = (fine_trig[:, 0], fine_trig[:, 1], ws.fine_k)
+    for cos, sin, k in [coarse, fine] if first == 0 else [coarse]:
         np.multiply.outer(lengths, k, out=sin)  # the angles, until their cos is taken
         np.cos(sin, out=cos)
         np.sin(sin, out=sin)
     np.negative(sin_c, out=rotation[:, :n, 1])
     rotation[:, n:, 1] = cos_c
     np.matmul(rotation, fine_trig, out=table)
-    table = table.reshape(n_pipes, 2, n * block)  # a view: cos rows, then sin rows
+    table = table.reshape(n_pipes, 2, n * ws.block)  # a view: cos rows, then sin rows
     return table[:, 0, : ws.points], table[:, 1, : ws.points]
 
 
@@ -444,35 +426,30 @@ def absorption_spectrum(
 
     A grid of n points is solved in blocks of ceil(_BLOCK_POINTS / isqrt(n))
     whole table rows, bit for bit as in one block. A grid of one block is
-    solved in the calling thread's workspace, which keeps the panel
-    impedances by (thickness, aperture, porosity), all the Maa impedance
-    reads, while grid and medium repeat. A repeated solve, such as each
-    annealing evaluation, computes only new panels and allocates no
-    block-sized array but the alphas. A longer grid is solved in a
-    workspace of its own, which the call drops on return.
+    solved in the calling thread's workspace, reused while grid and medium
+    repeat and it has a row for each pipe, else replaced. It keeps the
+    panel impedances by (thickness, aperture, porosity), all the Maa
+    impedance reads, so a repeated solve, such as each annealing
+    evaluation, computes only new panels and allocates no block-sized array
+    but the alphas. A longer grid is solved in a workspace of its own,
+    which the call drops on return.
     """
-    count = grid.size
-    block = math.isqrt(count)
-    n_rows = -(-count // block)
-    rows_per_block = -(-_BLOCK_POINTS // block)
     z0 = chain.characteristic_impedance(medium)
     lengths = [e.length for e in chain.elements if isinstance(e, StraightPipe)]
     panels = [e for e in chain.elements if isinstance(e, MppPanel)]
     keys = [(panel.thickness, panel.aperture, panel.porosity) for panel in panels]
-    if n_rows <= rows_per_block:
-        old = getattr(_local, "workspace", None)
-        most = max(len(lengths), old.key[0] if old else 0)  # the most pipes the thread solved
-        ws = _kept("workspace", _Workspace, most, n_rows, block, count)
-    else:
-        ws = _Workspace(len(lengths), rows_per_block, block, rows_per_block * block)
-    alphas = np.empty(count)
-    for first in range(0, n_rows, rows_per_block):
-        lo, hi = first * block, min((first + rows_per_block) * block, count)
+    ws = getattr(_local, "workspace", None)
+    if ws is None or ws.key != (grid, medium) or len(ws.rotation) < len(lengths):
+        ws = _Workspace(grid, medium, len(lengths))
+        if ws.rows == ws.n_rows:
+            _local.workspace = ws
+    alphas = np.empty(grid.size)
+    for first in range(0, ws.n_rows, ws.rows):
+        lo, hi = first * ws.block, min((first + ws.rows) * ws.block, grid.size)
         if hi - lo < ws.points:
             ws.set_points(hi - lo)  # the last block: leading views of the same buffers
-        ws.set_block(grid, first, medium)
-        cos_kl, sin_kl = _phase_trig(lengths, ws, fine=first == 0)
-        kept = ws.impedances
+        cos_kl, sin_kl = _phase_trig(lengths, ws, first)
+        kept = ws.impedances if first == 0 else {}
         if any(key not in kept for key in keys):  # one frequency array for the new panels
             frequencies = grid.frequency(np.arange(lo, hi))
         ws.impedances = {

@@ -42,8 +42,10 @@ __all__ = [
 _LOWER = np.array([BOUNDS_MM[name][0] for name in DESIGN_FIELDS])
 _UPPER = np.array([BOUNDS_MM[name][1] for name in DESIGN_FIELDS])
 _RANGE = _UPPER - _LOWER
-# Most temperature levels a schedule may take; the default takes 83.
+# Most temperature levels a schedule may take, the default takes 83; and
+# most evaluations, the level cap at the default 100 per level.
 _MAX_LEVELS = 10**6
+_MAX_EVALUATIONS = 10**8
 
 
 @dataclass(frozen=True)
@@ -55,14 +57,14 @@ class AnnealingSchedule:
     (T <- (1 - rate) * T); set cooling_reading="multiplier" for the
     alternative T <- rate * T. A rate that would take more than 10**6
     levels to cool from initial_temperature to termination_temperature is
-    refused.
+    refused, and so are more than 10**8 evaluations in all.
     """
 
     initial_temperature: float = ranged(0.0, default=100.0)
     iterations_per_temperature: int = ranged(1, closed=True, default=100)
     cooling_rate: float = ranged(0.0, 1.0, default=0.2)
     termination_temperature: float = ranged(0.0, default=1e-6)
-    step_fraction: float = ranged(0.0, closed=True, default=0.1)
+    step_fraction: float = ranged(0.0, 1.0, closed=True, default=0.1)
     seed: int = ranged(0, closed=True, default=0)
     cooling_reading: str = "decrement"
 
@@ -80,11 +82,18 @@ class AnnealingSchedule:
         # a schedule must cool: 1 - rate rounds to 1 for rates up to 2**-54
         factor = self.next_temperature(1.0)
         span = math.log(self.termination_temperature) - math.log(self.initial_temperature)
-        if factor == 1.0 or span / math.log(factor) > _MAX_LEVELS:
+        levels = math.inf if factor == 1.0 else span / math.log(factor)
+        if levels > _MAX_LEVELS:
             raise ValueError(
                 f"cooling_rate {self.cooling_rate} gives the per-level factor {factor!r},"
                 f" more than {_MAX_LEVELS} levels from initial_temperature to"
                 " termination_temperature"
+            )
+        # in Python ints, which a huge count cannot overflow
+        if math.ceil(levels) * int(self.iterations_per_temperature) > _MAX_EVALUATIONS:
+            raise ValueError(
+                f"iterations_per_temperature {self.iterations_per_temperature} over"
+                f" about {levels:.0f} levels makes more than {_MAX_EVALUATIONS} evaluations"
             )
 
     def next_temperature(self, temperature: float) -> float:

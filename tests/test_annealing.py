@@ -149,6 +149,8 @@ class TestSchedule:
             {"termination_temperature": math.nan},
             {"step_fraction": math.inf},
             {"step_fraction": math.nan},
+            {"step_fraction": 1.0},  # [0, 1): a move spans at most the box
+            {"step_fraction": 1e308},  # overflowed in the move kernel
             {"seed": -1},
         ],
     )
@@ -180,6 +182,13 @@ class TestSchedule:
             t = schedule.next_temperature(t)
         assert 8e5 < levels <= 10**6
         AnnealingSchedule(cooling_rate=1e-4)
+
+    def test_schedule_that_cannot_finish_rejected(self):
+        # 83 levels of 10**12 iterations: about 8e13 evaluations, each level
+        # within the cap
+        with pytest.raises(ValueError, match="^iterations_per_temperature .* 100000000 evaluations"):
+            AnnealingSchedule(iterations_per_temperature=10**12)
+        AnnealingSchedule(iterations_per_temperature=10**6)  # 8.3e7 evaluations
 
     @pytest.mark.parametrize("field", ["iterations_per_temperature", "seed"])
     @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])

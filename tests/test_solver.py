@@ -7,6 +7,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -64,15 +65,18 @@ def grid_of(start, step, count):
     return grid
 
 
-def own_workspace(n_pipes, grid, rows=None):
-    """A solver workspace, not the thread's, set to the table rows `rows` of
-    `grid` (all of them when None)."""
+def own_phase_trig(lengths, grid, rows=None):
+    """_phase_trig over the table rows `rows` of `grid` (all of them when
+    None), in a workspace of its own, not the thread's, whose blocks are
+    len(rows) rows. As in the solver, block 0 takes the fine cos/sin first."""
     block = math.isqrt(grid.size)
     rows = range(-(-grid.size // block)) if rows is None else rows
-    points = min(rows.stop * block, grid.size) - rows.start * block
-    ws = _Workspace(n_pipes, len(rows), block, points)
-    ws.set_block(grid, rows.start, AIR)
-    return ws
+    with mock.patch.object(acoustics, "_BLOCK_POINTS", len(rows) * block):
+        ws = _Workspace(grid, AIR, len(lengths))
+    if rows.start:
+        _phase_trig(lengths, ws, 0)
+    ws.set_points(min(rows.stop * block, grid.size) - rows.start * block)
+    return _phase_trig(lengths, ws, rows.start)
 
 
 def four_pole_alphas(chain, frequencies):
@@ -156,7 +160,7 @@ def progressions(draw):
 def test_phase_tables_match_direct_trig(lengths, progression):
     # the table's error is a few ulp of the angle l*k, at most ~5.5 rad here
     start, step, count = progression
-    cos_kl, sin_kl = _phase_trig(lengths, own_workspace(len(lengths), grid_of(start, step, count)))
+    cos_kl, sin_kl = own_phase_trig(lengths, grid_of(start, step, count))
     k = 2.0 * np.pi * (start + step * np.arange(count)) / AIR.sound_speed
     phase = np.multiply.outer(lengths, k)
     assert cos_kl.shape == sin_kl.shape == phase.shape
@@ -195,41 +199,64 @@ def test_phase_table_rows_equal_full_table_bit_for_bit(lengths, start, step, tab
     block = math.isqrt(count)
     lo, hi = rows.start * block, min(rows.stop * block, count)
     grid = grid_of(start, step, count)
-    full_cos, full_sin = _phase_trig(lengths, own_workspace(len(lengths), grid))
-    cos_kl, sin_kl = _phase_trig(lengths, own_workspace(len(lengths), grid, rows))
+    full_cos, full_sin = own_phase_trig(lengths, grid)
+    cos_kl, sin_kl = own_phase_trig(lengths, grid, rows)
     assert not np.shares_memory(cos_kl, full_cos)
     assert np.array_equal(cos_kl, full_cos[:, lo:hi])
     assert np.array_equal(sin_kl, full_sin[:, lo:hi])
 
 
-def test_workspace_keeps_its_block_while_grid_first_row_and_medium_repeat():
+def test_kept_workspace_is_replaced_by_any_change_of_grid_or_medium(
+    monkeypatch, baseline_chain
+):
     # the one rule for when the kept wavenumbers and panel impedances are
-    # stale: any change of grid, first table row or medium
+    # stale: any change of grid or medium; an equal grid keeps them
+    monkeypatch.setattr(acoustics, "_local", threading.local())
     grid = grid_of(1.0, 0.05, 2000)
-    ws = own_workspace(3, grid)
-    wavenumbers = ws.fine_k.copy(), ws.coarse_k.copy()
-    ws.impedances = kept = {"panel": None}
-    ws.set_block(FrequencyGrid(grid.f_min, grid.f_max, grid.step), 0, AIR)  # an equal grid
-    assert ws.impedances is kept
-    for block_of in [
-        (grid_of(1.5, 0.05, 2000), 0, AIR),
-        (grid_of(1.0, 0.06, 2000), 0, AIR),
-        (FrequencyGrid(grid.f_min, grid.f_max + 0.01, grid.step), 0, AIR),
-        (grid, 1, AIR),
-        (grid, 0, Medium(density=1.3)),
+    absorption_spectrum(baseline_chain, grid)
+    kept = acoustics._local.workspace
+    absorption_spectrum(baseline_chain, FrequencyGrid(grid.f_min, grid.f_max, grid.step))
+    assert acoustics._local.workspace is kept
+    for key in [
+        (grid_of(1.5, 0.05, 2000), AIR),
+        (grid_of(1.0, 0.06, 2000), AIR),
+        (FrequencyGrid(grid.f_min, grid.f_max + 0.01, grid.step), AIR),  # also 2000 points
+        (grid, Medium(density=1.3)),
     ]:
-        ws.set_block(*block_of)
-        assert ws.impedances == {}
-        ws.set_block(grid, 0, AIR)
-        assert np.array_equal(ws.fine_k, wavenumbers[0])
-        assert np.array_equal(ws.coarse_k, wavenumbers[1])
-        ws.impedances = {"panel": None}
+        absorption_spectrum(baseline_chain, *key)
+        replaced = acoustics._local.workspace
+        assert replaced is not kept and replaced.key == key
+        # the same chain's panels, computed afresh
+        assert all(replaced.impedances[p] is not kept.impedances[p] for p in kept.impedances)
+        absorption_spectrum(baseline_chain, grid)
+        fresh = acoustics._local.workspace
+        assert fresh is not replaced and fresh.key == (grid, AIR)
+        assert np.array_equal(fresh.fine_k, kept.fine_k)
+        assert np.array_equal(fresh.coarse_k, kept.coarse_k)
+
+
+@pytest.fixture
+def workspaces_built(monkeypatch):
+    """(pipes, rows, block, points) of each solver workspace built from here
+    on, in order, in a thread that keeps none yet."""
+    built = []
+
+    class Counted(_Workspace):
+        def __init__(self, grid, medium, n_pipes):
+            super().__init__(grid, medium, n_pipes)
+            built.append((n_pipes, self.rows, self.block, self.points))
+
+    monkeypatch.setattr(acoustics, "_Workspace", Counted)
+    monkeypatch.setattr(acoustics, "_local", threading.local())
+    return built
 
 
 @pytest.mark.parametrize(
     "name", ["three_chamber_baseline", "three_chamber_optimized", "single_chamber"]
 )
-def test_blocked_solve_equals_one_block_bit_for_bit(monkeypatch, config_dir, name):
+def test_blocked_solve_equals_one_block_bit_for_bit(
+    monkeypatch, config_dir, name, workspaces_built
+):
     config = load_config(config_dir / f"{name}.json")
     chain, medium = config.structure.chain(), config.medium
     grid = FrequencyGrid(config.grid.f_min, config.grid.f_max, 0.01)
@@ -238,13 +265,17 @@ def test_blocked_solve_equals_one_block_bit_for_bit(monkeypatch, config_dir, nam
     # the second solve builds a workspace of its own, with nothing kept from
     # the first
     blocked_again = absorption_spectrum(chain, grid, medium).alphas
+    assert all(points < grid.size for *_, points in workspaces_built[:2])
     monkeypatch.setattr(acoustics, "_BLOCK_POINTS", grid.size + 1)
     reference = absorption_spectrum(chain, grid, medium).alphas
+    assert [points for *_, points in workspaces_built[2:]] == [grid.size]
     assert np.array_equal(blocked, reference)
     assert np.array_equal(blocked_again, reference)
 
 
-def test_long_grids_in_sequence_equal_their_one_block_solves(monkeypatch, config_dir):
+def test_long_grids_in_sequence_equal_their_one_block_solves(
+    monkeypatch, config_dir, workspaces_built
+):
     # a long grid's fine cos/sin are taken once per call, in its first block;
     # any carried over from the call before, for another chain's pipes, would
     # show in every later block
@@ -254,23 +285,11 @@ def test_long_grids_in_sequence_equal_their_one_block_solves(monkeypatch, config
         grid = FrequencyGrid(config.grid.f_min, config.grid.f_max, 0.01)
         solves.append((config.structure.chain(), grid, config.medium))
     blocked = [absorption_spectrum(*solve).alphas for solve in solves]
+    assert len(workspaces_built) == 3
+    assert all(built[-1] < solve[1].size for solve, built in zip(solves, workspaces_built))
     for solve, alphas in zip(solves, blocked):
         monkeypatch.setattr(acoustics, "_BLOCK_POINTS", solve[1].size + 1)
         assert np.array_equal(alphas, absorption_spectrum(*solve).alphas)
-
-
-@pytest.fixture
-def workspaces_built(monkeypatch):
-    """The key of each solver workspace built from here on, in order."""
-    built = []
-
-    class Counted(_Workspace):
-        def __init__(self, *key):
-            super().__init__(*key)
-            built.append(key)
-
-    monkeypatch.setattr(acoustics, "_Workspace", Counted)
-    return built
 
 
 def test_long_grid_builds_one_workspace_and_keeps_none(baseline_chain, workspaces_built):
@@ -290,11 +309,22 @@ def test_long_grid_builds_one_workspace_and_keeps_none(baseline_chain, workspace
     assert kept <= alphas.nbytes + 64 * 1024
 
 
+def test_long_grid_neither_evicts_nor_replaces_the_kept_workspace(
+    baseline_chain, workspaces_built
+):
+    alphas = absorption_spectrum(baseline_chain, DEFAULT_GRID).alphas
+    kept = acoustics._local.workspace
+    absorption_spectrum(baseline_chain, FrequencyGrid(1.0, 2000.0, 0.01))
+    again = absorption_spectrum(baseline_chain, DEFAULT_GRID).alphas
+    assert len(workspaces_built) == 2  # the kept one and the long grid's
+    assert acoustics._local.workspace is kept
+    assert again.tobytes() == alphas.tobytes()
+
+
 def test_fewer_pipes_use_the_leading_rows_of_the_kept_workspace(monkeypatch, workspaces_built):
     # three-chamber chains have 8 pipes and the single chamber 2: after the
     # first solve the thread's workspace serves both, bit for bit as a fresh one
     chains = list(random_chains(505, n_three=3, n_single=1))
-    monkeypatch.setattr(acoustics, "_local", threading.local())
     alphas = [absorption_spectrum(chain, DEFAULT_GRID).alphas for chain in chains]
     assert workspaces_built == [(8, 46, 44, 2000)]
     for chain, solved in zip(chains, alphas):
@@ -400,7 +430,7 @@ def test_anneal_best_objective_is_objective_of_best_design():
 
 
 def test_objective_does_not_reuse_other_panels():
-    # The solver keeps the last chain's panel impedances for the last block
+    # The solver keeps the last chain's panel impedances for the last grid
     # and medium. Each call below changes one thing the kept values depend
     # on, against the call before it.
     def uncached(design, mpps, medium=AIR, grid=DEFAULT_GRID):
