@@ -5,9 +5,9 @@ panels, sound source first, ended by a rigid wall. One walk (`_walk`)
 carries wall states (p, u) to the mouth: (1, 0) in doubles for absorption,
 and (0, j) as well in extended precision for `chain_matrix`. The absorption
 solver takes a FrequencyGrid and forms the pipes' cos/sin by angle addition
-(`_phase_trig`). A grid of one block is solved in a workspace
-(`_Workspace`) the thread keeps while grid and medium repeat; a longer
-grid in blocks of table rows, in one workspace that lives for the call.
+(`_phase_trig`), in blocks of table rows. A grid of one block and more than
+one point is solved in a workspace (`_Workspace`) the thread keeps while
+grid and medium repeat; any other in one that lives for the call.
 MPP impedance follows Maa's model; pipes are lossless. Quantities are
 SI; the impedance formulas and chain_matrix take a frequency (Hz) as a
 scalar or an array.
@@ -366,7 +366,7 @@ class _Workspace(_Walk):
     doubles: the grid's block plan, its wavenumbers and a phase table of
     `n_pipes` pipes by `rows` table rows of `block` columns, one solver block
     of `points` frequencies. A chain of fewer pipes uses the leading pipe
-    rows. The panel impedances kept are those of block 0."""
+    rows. The panel impedances kept are those of block 0's `panels`."""
 
     def __init__(self, grid: FrequencyGrid, medium: Medium, n_pipes: int):
         self.key = (grid, medium)
@@ -377,7 +377,7 @@ class _Workspace(_Walk):
         self.fine_k = 2.0 * np.pi * grid.frequency(np.arange(block)) / medium.sound_speed
         coarse = block * np.arange(-(-self.n_rows // rows) * rows)  # the first point of each row
         self.coarse_k = 2.0 * np.pi * (grid.step * coarse) / medium.sound_speed
-        self.impedances = {}  # (thickness, aperture, porosity) -> normalised impedance
+        self.panels, self.impedances = None, []  # block 0's panel triples and impedances
         self.rotation = np.empty((n_pipes, 2 * rows, 2))
         self.fine_trig = np.empty((n_pipes, 2, block))
         self.table = np.empty((n_pipes, 2 * rows, block))  # per pipe: cos rows, sin rows
@@ -425,14 +425,15 @@ def absorption_spectrum(
     cos/sin.
 
     A grid of n points is solved in blocks of ceil(_BLOCK_POINTS / isqrt(n))
-    whole table rows, bit for bit as in one block. A grid of one block is
-    solved in the calling thread's workspace, reused while grid and medium
-    repeat and it has a row for each pipe, else replaced. It keeps the
-    panel impedances by (thickness, aperture, porosity), all the Maa
-    impedance reads, so a repeated solve, such as each annealing
-    evaluation, computes only new panels and allocates no block-sized array
-    but the alphas. A longer grid is solved in a workspace of its own,
-    which the call drops on return.
+    whole table rows, bit for bit as in one block. A grid of one block and
+    more than one point is solved in the calling thread's workspace, reused
+    while grid and medium repeat and it has a row for each pipe, else
+    replaced. It keeps the panel impedances while the chain's (thickness,
+    aperture, porosity) triples, all the Maa impedance reads, repeat, so a
+    repeated solve, such as each annealing evaluation, computes no
+    impedance and allocates no block-sized array but the alphas. Any other
+    grid, a one-point one too, is solved in a workspace of its own, which
+    the call drops on return.
     """
     z0 = chain.characteristic_impedance(medium)
     lengths = [e.length for e in chain.elements if isinstance(e, StraightPipe)]
@@ -441,7 +442,7 @@ def absorption_spectrum(
     ws = getattr(_local, "workspace", None)
     if ws is None or ws.key != (grid, medium) or len(ws.rotation) < len(lengths):
         ws = _Workspace(grid, medium, len(lengths))
-        if ws.rows == ws.n_rows:
+        if ws.rows == ws.n_rows > 1:
             _local.workspace = ws
     alphas = np.empty(grid.size)
     for first in range(0, ws.n_rows, ws.rows):
@@ -449,15 +450,13 @@ def absorption_spectrum(
         if hi - lo < ws.points:
             ws.set_points(hi - lo)  # the last block: leading views of the same buffers
         cos_kl, sin_kl = _phase_trig(lengths, ws, first)
-        kept = ws.impedances if first == 0 else {}
-        if any(key not in kept for key in keys):  # one frequency array for the new panels
+        if first > 0 or ws.panels != keys:
             frequencies = grid.frequency(np.arange(lo, hi))
-        ws.impedances = {
-            key: kept[key] if key in kept else mpp_normalized_impedance(panel, frequencies, medium)
-            for key, panel in dict(zip(keys, panels)).items()
-        }
-        impedances = [ws.impedances[key] for key in keys]
-        [(p, u)] = _walk(chain, cos_kl, sin_kl, impedances, medium, ws)
+            distinct = dict(zip(keys, panels))  # each triple once: MPPs 1 and 2 share one
+            for key, panel in distinct.items():
+                distinct[key] = mpp_normalized_impedance(panel, frequencies, medium)
+            ws.panels, ws.impedances = keys, [distinct[key] for key in keys]
+        [(p, u)] = _walk(chain, cos_kl, sin_kl, ws.impedances, medium, ws)
         z0_u, denominator, gamma = ws.reflection[:, : hi - lo]
         magnitude = ws.magnitude[: hi - lo]
         np.multiply(z0, u, out=z0_u)
@@ -480,6 +479,9 @@ def absorption_at(chain: ElementChain, frequency: float, medium: Medium = AIR) -
     table is direct cos/sin. Chains without an MPP return essentially zero.
     A NaN alpha fails the spectrum's check with a ValueError.
     """
-    check_positive(frequency, "frequency")
-    grid = FrequencyGrid(frequency, math.nextafter(frequency, math.inf), frequency)
+    try:
+        grid = FrequencyGrid(frequency, math.nextafter(frequency, math.inf), frequency)
+    except ValueError as exc:  # named as the caller's frequency, not the grid's
+        check_positive(frequency, "frequency")
+        raise ValueError(f"frequency {frequency}: {exc}") from None
     return float(absorption_spectrum(chain, grid, medium).alphas[0])

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .annealing import AnnealingSchedule, OptimizationResult, anneal
+from .annealing import _LOWER, _UPPER, AnnealingSchedule, OptimizationResult, anneal
 from .configio import ConfigError, ThreeChamberStructure, dump_config, load_config
 from .acoustics import ElementChain, Medium, absorption_spectrum, cut_on_frequency
 from .spectrum import (
@@ -32,7 +32,7 @@ from .spectrum import (
     effective_band,
     effective_bands,
 )
-from .structure import BOUNDS_MM, DesignVector, build_chain
+from .structure import DesignVector, build_chain
 
 
 def _apply_grid_overrides(grid: FrequencyGrid, args) -> FrequencyGrid:
@@ -242,21 +242,18 @@ def cmd_optimize(args) -> int:
         schedule = AnnealingSchedule()
     if args.seed is not None:
         schedule = dataclasses.replace(schedule, seed=args.seed)
-    # the search can widen every duct up to its upper bound
-    design = config.structure.design
-    widest = DesignVector(
-        **{name: max(value, BOUNDS_MM[name][1]) for name, value in design.as_dict().items()}
-    )
-    _warn_above_cut_on(build_chain(widest, config.structure.mpps), grid, config.medium)
+    # the search reaches every field's bounds: the narrowest main duct must
+    # hold each panel's hole, and the widest duct sets the cut-on
+    design, mpps = config.structure.design, config.structure.mpps
+    narrowest = DesignVector(*np.minimum(design.as_array(), _LOWER).tolist())
+    try:
+        build_chain(narrowest, mpps)
+    except ValueError as exc:
+        raise ConfigError(f"structure: the search reaches d_m = {narrowest.d_m:g} mm: {exc}")
+    widest = DesignVector(*np.maximum(design.as_array(), _UPPER).tolist())
+    _warn_above_cut_on(build_chain(widest, mpps), grid, config.medium)
 
-    result = anneal(
-        design,
-        config.structure.mpps,
-        config.medium,
-        grid,
-        schedule,
-        args.threshold,
-    )
+    result = anneal(design, mpps, config.medium, grid, schedule, args.threshold)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

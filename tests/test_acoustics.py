@@ -658,11 +658,15 @@ class TestAbsorption:
     def test_absorption_at_answers_every_frequency_a_grid_can_start_at(self, baseline_chain):
         # the one-point grid (f, 2f, 2f) refused 6e10 Hz by naming 1.2e11 Hz
         assert 0.0 <= absorption_at(baseline_chain, 6e10) <= 1.0
-        with pytest.raises(ValueError) as excinfo:
-            absorption_at(baseline_chain, 1e11)
-        assert str(excinfo.value) == (
-            "FrequencyGrid.f_min must lie in (0, 1e+11), got 100000000000.0"
-        )
+        # each refusal names the frequency passed, not the one-point grid's f_max
+        below = math.nextafter(1e11, 0.0)
+        for frequency, field in [(1e11, "f_min"), (below, "f_max")]:
+            with pytest.raises(ValueError) as excinfo:
+                absorption_at(baseline_chain, frequency)
+            assert str(excinfo.value) == (
+                f"frequency {frequency}: FrequencyGrid.{field} must lie in (0, 1e+11),"
+                " got 100000000000.0"
+            )
 
     def test_bad_progression_message_names_the_argument_not_the_grid(self, baseline_chain):
         # used to print every frequency of the grid from the panel impedance;

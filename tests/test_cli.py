@@ -732,6 +732,31 @@ class TestErrors:
         )
         assert not out.exists()
 
+    def test_hole_wider_than_the_narrowest_reachable_duct_is_refused(
+        self, capsys, tmp_path, config_dir
+    ):
+        # an 8 mm hole fits the config's 10 mm duct, so simulate answers; the
+        # search may narrow d_m to 5 mm, and seeds 2 and 5 used to fail there
+        # partway through the run while seed 1 wrote its outputs
+        config = json.loads((config_dir / BASELINE).read_text())
+        config["structure"]["mpps"][0]["aperture"] = 8.0
+        config["schedule"]["iterations_per_temperature"] = 2
+        path = tmp_path / "narrow_reach.json"
+        path.write_text(json.dumps(config))
+        code, _, _ = run_cli(capsys, "simulate", "--config", path, "--out", tmp_path / "s.csv")
+        assert code == 0
+        out_dir = tmp_path / "run"
+        code, stdout, stderr = run_cli(
+            capsys, "optimize", "--config", path, "--out", out_dir, "--seed", "1"
+        )
+        assert code == 1
+        assert stdout == ""
+        assert stderr == (
+            "error: structure: the search reaches d_m = 5 mm: MppPanel.aperture must be"
+            " less than MppPanel.duct_diameter, got 0.008 >= 0.005\n"
+        )
+        assert not out_dir.exists()
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "field, value",

@@ -227,7 +227,8 @@ def test_kept_workspace_is_replaced_by_any_change_of_grid_or_medium(
         replaced = acoustics._local.workspace
         assert replaced is not kept and replaced.key == key
         # the same chain's panels, computed afresh
-        assert all(replaced.impedances[p] is not kept.impedances[p] for p in kept.impedances)
+        assert len(replaced.impedances) == len(kept.impedances) == 3
+        assert all(new is not old for new, old in zip(replaced.impedances, kept.impedances))
         absorption_spectrum(baseline_chain, grid)
         fresh = acoustics._local.workspace
         assert fresh is not replaced and fresh.key == (grid, AIR)
@@ -319,6 +320,52 @@ def test_long_grid_neither_evicts_nor_replaces_the_kept_workspace(
     assert len(workspaces_built) == 2  # the kept one and the long grid's
     assert acoustics._local.workspace is kept
     assert again.tobytes() == alphas.tobytes()
+
+
+@pytest.fixture
+def impedance_calls(monkeypatch):
+    """The panel of each Maa impedance the solver computes from here on."""
+    calls = []
+    impedance = acoustics.mpp_normalized_impedance
+
+    def counted(panel, frequency, medium=AIR):
+        calls.append(panel)
+        return impedance(panel, frequency, medium)
+
+    monkeypatch.setattr(acoustics, "mpp_normalized_impedance", counted)
+    return calls
+
+
+def test_one_point_solve_neither_keeps_nor_evicts_a_workspace(workspaces_built):
+    # absorption_at between two evaluations leaves the annealer's workspace
+    # as it was, and keeps its own one-point workspace for no later call
+    width = objective(BASELINE_DESIGN, DEFAULT_MPPS)
+    kept = acoustics._local.workspace
+    absorption_at(build_chain(BASELINE_DESIGN, DEFAULT_MPPS), 500.0)
+    assert acoustics._local.workspace is kept
+    assert objective(BASELINE_DESIGN, DEFAULT_MPPS) == width
+    assert [points for *_, points in workspaces_built] == [2000, 1]
+
+
+def test_repeated_panels_reuse_their_impedances(impedance_calls, workspaces_built):
+    # MPPs 1 and 2 share a triple, so a chain's impedances are two arrays;
+    # another d_m moves every panel's duct but none of its impedance
+    objective(BASELINE_DESIGN, DEFAULT_MPPS)
+    assert len(impedance_calls) == 2
+    objective(dataclasses.replace(BASELINE_DESIGN, d_m=6.0), DEFAULT_MPPS)
+    assert len(impedance_calls) == 2
+
+
+def test_long_grid_computes_each_distinct_panel_once_per_block(
+    baseline_chain, impedance_calls, workspaces_built
+):
+    # each block computes its own impedances, and MPPs 1 and 2 share theirs
+    grid = FrequencyGrid(1.0, 2000.0, 0.01)
+    absorption_spectrum(baseline_chain, grid)
+    [(_, rows, block, _)] = workspaces_built
+    n_rows = -(-grid.size // block)
+    assert -(-n_rows // rows) == 24
+    assert len(impedance_calls) == 2 * 24
 
 
 def test_fewer_pipes_use_the_leading_rows_of_the_kept_workspace(monkeypatch, workspaces_built):
@@ -460,8 +507,8 @@ def test_objective_does_not_reuse_other_panels():
         # before would show
         assert widths[0] != widths[1]
         assert len({widths[0], widths[3], widths[4], widths[5]}) == 4
-        # a one-point solve at the grid's f_min rebuilds the thread's
-        # workspace
+        # a one-point solve at the grid's f_min leaves the thread's
+        # workspace alone
         assert objective(design, porous) == widths[3]
         absorption_at(build_chain(design, DEFAULT_MPPS), DEFAULT_GRID.f_min)
         assert objective(design, DEFAULT_MPPS) == widths[0]
