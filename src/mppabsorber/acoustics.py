@@ -10,7 +10,7 @@ one point is solved in a workspace (`_Workspace`) the thread keeps while
 grid and medium repeat; any other in one that lives for the call.
 MPP impedance follows Maa's model; pipes are lossless. Quantities are
 SI; the impedance formulas and chain_matrix take a frequency (Hz) as a
-scalar or an array.
+scalar or an array, each in (0, 1e11) as a FrequencyGrid's fields are.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import AbsorptionSpectrum, FrequencyGrid, check_fields, check_positive, ranged
+from .spectrum import AbsorptionSpectrum, FrequencyGrid, check_fields, check_frequency, ranged
 
 __all__ = [
     "AIR",
@@ -190,7 +190,7 @@ def perforate_constant(frequency, aperture: float, medium: Medium = AIR):
     """Perforate constant K = d * sqrt(omega * rho0 / (4 * eta)), the ratio
     of hole radius to viscous boundary-layer thickness: it sets where the
     hole impedance turns from Poiseuille to Helmholtz behaviour."""
-    check_positive(frequency, "frequency")
+    check_frequency(frequency)
     omega = 2.0 * np.pi * frequency
     return aperture * np.sqrt(omega * medium.density / (4.0 * medium.dynamic_viscosity))
 
@@ -332,7 +332,7 @@ def chain_matrix(chain: ElementChain, frequency, medium: Medium = AIR) -> Transf
     64-bit mantissa, |det - 1| stays below 1e-9. The entries are arrays of
     their own (scalars for a scalar frequency).
     """
-    check_positive(frequency, "frequency")
+    check_frequency(frequency)
     shape = np.shape(frequency)
     frequency = np.reshape(frequency, -1)  # a scalar's states are columns too
     lengths = [e.length for e in chain.elements if isinstance(e, StraightPipe)]
@@ -475,13 +475,10 @@ def absorption_spectrum(
 
 def absorption_at(chain: ElementChain, frequency: float, medium: Medium = AIR) -> float:
     """Normal-incidence absorption coefficient of the chain at one
-    frequency: the solve of the one-point grid at `frequency`, whose phase
-    table is direct cos/sin. Chains without an MPP return essentially zero.
-    A NaN alpha fails the spectrum's check with a ValueError.
+    frequency: the solve of the one-point grid FrequencyGrid(f, f, f), whose
+    phase table is direct cos/sin. Chains without an MPP return essentially
+    zero. A NaN alpha fails the spectrum's check with a ValueError.
     """
-    try:
-        grid = FrequencyGrid(frequency, math.nextafter(frequency, math.inf), frequency)
-    except ValueError as exc:  # named as the caller's frequency, not the grid's
-        check_positive(frequency, "frequency")
-        raise ValueError(f"frequency {frequency}: {exc}") from None
+    check_frequency(frequency)
+    grid = FrequencyGrid(frequency, frequency, frequency)
     return float(absorption_spectrum(chain, grid, medium).alphas[0])

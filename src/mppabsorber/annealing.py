@@ -221,13 +221,6 @@ def anneal_multi(
 ) -> list[OptimizationResult]:
     """Independent restarts, one per seed, in seed order."""
     return [
-        anneal(
-            initial,
-            mpps,
-            medium,
-            grid,
-            dataclasses.replace(schedule, seed=seed),
-            threshold,
-        )
+        anneal(initial, mpps, medium, grid, dataclasses.replace(schedule, seed=seed), threshold)
         for seed in seeds
     ]

@@ -247,7 +247,7 @@ def cmd_optimize(args) -> int:
     design, mpps = config.structure.design, config.structure.mpps
     narrowest = DesignVector(*np.minimum(design.as_array(), _LOWER).tolist())
     try:
-        build_chain(narrowest, mpps)
+        ThreeChamberStructure(narrowest, mpps)
     except ValueError as exc:
         raise ConfigError(f"structure: the search reaches d_m = {narrowest.d_m:g} mm: {exc}")
     widest = DesignVector(*np.maximum(design.as_array(), _UPPER).tolist())
@@ -281,7 +281,10 @@ def cmd_compare(args) -> int:
     reports = []
     bands = []
     for label, path in (("A", args.config_a), ("B", args.config_b)):
-        spectrum = _solve(path, args)
+        try:
+            spectrum = _solve(path, args)
+        except ConfigError as exc:  # the file at fault, named as its report is
+            raise ConfigError(f"{label}: {exc}") from None
         reports.append(f"{label}: {path}\n" + band_report(spectrum, args.threshold))
         bands.append(effective_band(spectrum, args.threshold))
     sys.stdout.write("".join(reports))

@@ -10,7 +10,9 @@ and an unknown key is an error. A float field takes a finite number (no
 NaN, Infinity or boolean), a JSON integer becoming a float. Every other
 value reaches its dataclass as parsed, and the dataclass applies the rule
 each field declares (`spectrum.ranged`): its interval, and for an int
-field that it is an integer.
+field that it is an integer. A structure refuses a panel whose hole is not
+narrower than the main duct `d_m`, naming the panel and both values in
+millimetres.
 
 Files carry lengths in millimetres (matching the engineering tables);
 conversion to SI happens when chains are built. Emitted files re-parse to
@@ -46,10 +48,24 @@ class ConfigError(ValueError):
     """Malformed run configuration; the message names the offending field."""
 
 
+def _check_hole(mpp: MppSpec, duct_mm: float, label: str, duct_label: str) -> None:
+    """MppPanel's refusal of a hole not narrower than its duct, reworded
+    in the config's field names and millimetres."""
+    try:
+        mpp.panel(duct_mm)
+    except ValueError:
+        message = f"{label}.aperture must be less than {duct_label}, got {mpp.aperture}"
+        raise ValueError(f"{message} >= {duct_mm} mm") from None
+
+
 @dataclass(frozen=True)
 class ThreeChamberStructure:
     design: DesignVector
     mpps: MppSet
+
+    def __post_init__(self):
+        for index, mpp in enumerate(self.mpps):
+            _check_hole(mpp, self.design.d_m, f"mpps[{index}]", "design.d_m")
 
     def chain(self) -> ElementChain:
         return build_chain(self.design, self.mpps)
@@ -63,7 +79,9 @@ class SingleChamberStructure:
     t_e: float = ranged(*MM_RANGE)
     mpp: MppSpec
 
-    __post_init__ = check_fields
+    def __post_init__(self):
+        check_fields(self)
+        _check_hole(self.mpp, self.d_m, "mpp", "d_m")
 
     def chain(self) -> ElementChain:
         return single_chamber_chain(self.mpp, self.d_m, self.l_m, self.d_e, self.t_e)

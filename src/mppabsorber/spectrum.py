@@ -23,7 +23,6 @@ __all__ = [
     "EffectiveBand",
     "FrequencyGrid",
     "check_fields",
-    "check_positive",
     "effective_band",
     "effective_bands",
     "octave_bands",
@@ -34,18 +33,27 @@ __all__ = [
 # (0.01 Hz over 2 kHz is ~2e5 points), well below what exhausts memory.
 MAX_GRID_POINTS = 10**7
 
+# The frequencies (Hz) the model answers, an open range. 1e11 Hz is past the
+# cut-on of a 1 um duct in a 1e5 m/s medium (5.9e10 Hz), the smallest and
+# fastest a config can describe.
+FREQUENCY_RANGE = (0.0, 1e11)
 
-def check_positive(value, *label: str) -> None:
-    """Raise ValueError unless 0 < value < inf, for a number or for every
-    element of an array, naming the value by the parts of `label` joined
-    with dots; NaN and infinities fail."""
-    if np.ndim(value) == 0:
-        ok = 0 < value < math.inf
-    else:
-        values = np.asarray(value, dtype=float)
-        ok = np.all((values > 0) & (values < math.inf))
-    if not ok:
-        raise ValueError(f"{'.'.join(label)} must be finite and positive, got {value}")
+
+def _refuse(label: str, low: float, high: float, closed: bool, value):
+    """Raise the one refusal wording: `label` must lie in (low, high), or
+    in [low, high) when `closed`, got `value`."""
+    edge = "[" if closed else "("
+    raise ValueError(f"{label} must lie in {edge}{low:g}, {high:g}), got {value}")
+
+
+def check_frequency(frequency) -> None:
+    """Raise ValueError unless the frequency, a number or every element of
+    an array, lies in FREQUENCY_RANGE, the range of a FrequencyGrid's
+    fields; NaN fails."""
+    low, high = FREQUENCY_RANGE
+    values = np.asarray(frequency, dtype=float)
+    if not np.all((values > low) & (values < high)):
+        _refuse("frequency", low, high, False, frequency)
 
 
 def ranged(low: float, high: float = math.inf, *, closed: bool = False, default=MISSING):
@@ -80,30 +88,23 @@ def check_fields(owner) -> None:
         # one chained comparison: this runs for every field of every design
         # and chain element the annealer builds
         if not floor < value < high:
-            label = f"{type(owner).__name__}.{name}"
-            low, _, closed = owner.__dataclass_fields__[name].metadata["range"]
-            if not closed:
-                check_positive(value, label)
-            edge = "[" if closed else "("
-            raise ValueError(f"{label} must lie in {edge}{low:g}, {high:g}), got {value}")
+            rule = owner.__dataclass_fields__[name].metadata["range"]
+            _refuse(f"{type(owner).__name__}.{name}", *rule, value)
 
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Uniform frequency grid: f_min, f_min + step, ... up to f_max (Hz)."""
+    """Uniform frequency grid: f_min, f_min + step, ... up to f_max (Hz);
+    f_min == f_max is the one-point grid."""
 
-    # 1e11 Hz is past the cut-on of a 1 um duct in a 1e5 m/s medium
-    # (5.9e10 Hz), the smallest and fastest a config can describe
-    f_min: float = ranged(0.0, 1e11)
-    f_max: float = ranged(0.0, 1e11)
-    step: float = ranged(0.0, 1e11)
+    f_min: float = ranged(*FREQUENCY_RANGE)
+    f_max: float = ranged(*FREQUENCY_RANGE)
+    step: float = ranged(*FREQUENCY_RANGE)
 
     def __post_init__(self):
         check_fields(self)
-        if not self.f_min < self.f_max:
-            raise ValueError(
-                f"require f_min < f_max, got ({self.f_min}, {self.f_max})"
-            )
+        if not self.f_min <= self.f_max:
+            raise ValueError(f"require f_min <= f_max, got ({self.f_min}, {self.f_max})")
         # compared as floats: the step count is inf when step << f_max - f_min
         if (self.f_max - self.f_min) / self.step >= MAX_GRID_POINTS:
             raise ValueError(f"grid has more than {MAX_GRID_POINTS} points")

@@ -9,6 +9,7 @@ inline so it shares no code with the implementation under test.
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -298,15 +299,16 @@ FREQUENCY_ENTRY_POINTS = {
 
 
 @pytest.mark.filterwarnings("error")  # refused before any arithmetic warns
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 1e11, 1e300])
 @pytest.mark.parametrize("entry_point", sorted(FREQUENCY_ENTRY_POINTS))
 def test_non_finite_frequency_rejected(entry_point, value):
     # infinities used to pass the check and come back as NaN with a
-    # RuntimeWarning
+    # RuntimeWarning; 1e11 and 1e300, which no grid takes, were answered
     call = FREQUENCY_ENTRY_POINTS[entry_point]
-    with pytest.raises(ValueError, match="frequency must be finite and positive"):
+    with pytest.raises(ValueError) as excinfo:
         call(value)
-    with pytest.raises(ValueError, match="frequency must be finite and positive"):
+    assert str(excinfo.value) == f"frequency must lie in (0, 1e+11), got {value}"
+    with pytest.raises(ValueError, match=re.escape("frequency must lie in (0, 1e+11), got [")):
         call(np.array([100.0, value, 200.0]))
 
 
@@ -517,6 +519,46 @@ def test_resistance_tends_to_maa_low_k_limit(panel, k_target):
     assert abs(resistance - limit) <= k * limit
 
 
+def bessel_j0_j1(x, terms=40):
+    """J0(x) and J1(x) of a complex array by their power series,
+    sum over m of (-1)^m (x/2)^(2m+n) / (m! (m+n)!); at |x| <= 12 the
+    terms stay within a few thousand, so little is lost to cancellation."""
+    q = -((x / 2.0) ** 2)
+    term0, term1 = np.ones_like(x), x / 2.0
+    j0, j1 = term0, term1
+    for m in range(1, terms):
+        term0 = term0 * q / (m * m)
+        term1 = term1 * q / (m * (m + 1))
+        j0, j1 = j0 + term0, j1 + term1
+    return j0, j1
+
+
+def crandall_normalized_impedance(panel, frequency, medium=AIR):
+    """The exact impedance of the panel's holes as tubes, with no end
+    correction, normalised by sigma*rho0*c0: j*omega*rho0*t / [1 -
+    2*J1(x) / (x*J0(x))], x = K*sqrt(-j) (Crandall, Theory of Vibrating
+    Systems and Sound, 1926). Maa's formula approximates it."""
+    x = perforate_constant(frequency, panel.aperture, medium) * np.sqrt(-1j)
+    j0, j1 = bessel_j0_j1(x)
+    tube = 1j * 2.0 * np.pi * frequency * medium.density * panel.thickness
+    return tube / (1.0 - 2.0 * j1 / (x * j0)) / (panel.porosity * medium.characteristic_impedance)
+
+
+@settings(max_examples=200)
+@given(aperture=st.floats(0.1e-3, 0.8e-3), porosity=st.floats(0.005, 0.05))
+@example(aperture=0.8e-3, porosity=0.005)
+def test_maa_impedance_lies_within_5_percent_of_crandall(aperture, porosity):
+    """Maa's impedance against the exact tube impedance, for panels so
+    thick (t = 1000 d) that the end corrections, which the tube lacks, are
+    below 0.1 %: within a relative 5 % at every point of the default grid,
+    K up to 11.6 (Maa, J. Acoust. Soc. Am. 104, 2861 (1998))."""
+    panel = MppPanel(1000.0 * aperture, aperture, porosity, 0.01)
+    frequencies = DEFAULT_GRID.frequencies()
+    exact = crandall_normalized_impedance(panel, frequencies)
+    maa = mpp_normalized_impedance(panel, frequencies)
+    assert np.max(np.abs(maa - exact) / np.abs(exact)) <= 0.05
+
+
 class TestAbsorption:
     def test_mpp_free_chain_is_lossless(self):
         rng = np.random.default_rng(41)
@@ -637,7 +679,7 @@ class TestAbsorption:
         # chain's path checks a frequency. A step now reaches the solver only
         # in a FrequencyGrid, which checks it.
         chain = ElementChain((StraightPipe(0.1, 0.05),), 0.05)
-        with pytest.raises(ValueError, match="step must be finite and positive, got -1"):
+        with pytest.raises(ValueError, match=re.escape("step must lie in (0, 1e+11), got -1")):
             absorption_spectrum(chain, FrequencyGrid(100.0, 300.0, -1.0))
 
     @pytest.mark.parametrize("frequency", [0.0, -5.0, math.nan, math.inf])
@@ -647,7 +689,7 @@ class TestAbsorption:
         chain = ElementChain((StraightPipe(0.1, 0.05),), 0.05)
         with pytest.raises(ValueError) as excinfo:
             absorption_at(chain, frequency)
-        assert str(excinfo.value) == f"frequency must be finite and positive, got {frequency}"
+        assert str(excinfo.value) == f"frequency must lie in (0, 1e+11), got {frequency}"
 
     def test_absorption_at_refuses_a_nan_alpha(self, baseline_chain, nan_walk):
         # a walk that overflowed to NaN gives a NaN alpha; the one-point
@@ -656,17 +698,15 @@ class TestAbsorption:
             absorption_at(baseline_chain, 500.0)
 
     def test_absorption_at_answers_every_frequency_a_grid_can_start_at(self, baseline_chain):
-        # the one-point grid (f, 2f, 2f) refused 6e10 Hz by naming 1.2e11 Hz
-        assert 0.0 <= absorption_at(baseline_chain, 6e10) <= 1.0
-        # each refusal names the frequency passed, not the one-point grid's f_max
-        below = math.nextafter(1e11, 0.0)
-        for frequency, field in [(1e11, "f_min"), (below, "f_max")]:
+        # the one-point grid (f, 2f, 2f) refused 6e10 Hz by naming 1.2e11 Hz,
+        # and (f, nextafter(f), f) refused the double below 1e11
+        for frequency in (6e10, math.nextafter(1e11, 0.0)):
+            assert 0.0 <= absorption_at(baseline_chain, frequency) <= 1.0
+        # refused by the rule of chain_matrix and perforate_constant
+        for frequency in (1e11, 1e300):
             with pytest.raises(ValueError) as excinfo:
                 absorption_at(baseline_chain, frequency)
-            assert str(excinfo.value) == (
-                f"frequency {frequency}: FrequencyGrid.{field} must lie in (0, 1e+11),"
-                " got 100000000000.0"
-            )
+            assert str(excinfo.value) == f"frequency must lie in (0, 1e+11), got {frequency}"
 
     def test_bad_progression_message_names_the_argument_not_the_grid(self, baseline_chain):
         # used to print every frequency of the grid from the panel impedance;
@@ -674,14 +714,14 @@ class TestAbsorption:
         # absorption_at's frequency
         with pytest.raises(ValueError) as excinfo:
             absorption_spectrum(baseline_chain, FrequencyGrid(100.0, 2000.0, -1.0))
-        assert str(excinfo.value) == "FrequencyGrid.step must be finite and positive, got -1.0"
+        assert str(excinfo.value) == "FrequencyGrid.step must lie in (0, 1e+11), got -1.0"
         with pytest.raises(ValueError) as excinfo:
             absorption_at(baseline_chain, -1.0)
-        assert str(excinfo.value) == "frequency must be finite and positive, got -1.0"
+        assert str(excinfo.value) == "frequency must lie in (0, 1e+11), got -1.0"
 
     def test_step_of_a_single_point_is_not_used(self, baseline_chain):
-        # absorption_at solves the one-point grid that ends one ulp above f;
-        # another f_max and step give the same bits
+        # absorption_at solves the one-point grid (f, f, f); another f_max and
+        # step give the same bits
         for frequency in (1.0, 123.456, 500.0, 1999.9):
             grid = FrequencyGrid(frequency, frequency + 0.5, 1.0)
             assert grid.size == 1

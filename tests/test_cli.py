@@ -717,7 +717,8 @@ class TestErrors:
 
     def test_hole_wider_than_its_duct_is_refused(self, capsys, tmp_path, config_dir):
         # a hole of about 1 km in the 10 mm duct: each length lies in its
-        # range, and simulate used to answer with a 1,248.3 Hz band
+        # range, and simulate used to answer with a 1,248.3 Hz band. The
+        # refusal names the config's fields, in its millimetres
         config = json.loads((config_dir / BASELINE).read_text())
         config["structure"]["mpps"][2].update(aperture=9.99e5, thickness=1.0001e-3)
         path = tmp_path / "wide_hole.json"
@@ -727,10 +728,32 @@ class TestErrors:
         assert code == 1
         assert stdout == ""
         assert stderr == (
-            "error: MppPanel.aperture must be less than MppPanel.duct_diameter,"
-            " got 999.0 >= 0.01\n"
+            "error: structure: mpps[2].aperture must be less than design.d_m,"
+            " got 999000.0 >= 10.0 mm\n"
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name, panel, message",
+        [
+            (BASELINE, lambda s: s["mpps"][2], "mpps[2].aperture must be less than design.d_m"),
+            (SINGLE, lambda s: s["mpp"], "mpp.aperture must be less than d_m"),
+        ],
+        ids=["three_chamber", "single_chamber"],
+    )
+    def test_compare_names_the_config_with_a_hole_wider_than_its_duct(
+        self, capsys, tmp_path, config_dir, name, panel, message
+    ):
+        # a 12 mm hole in the 10 mm duct used to be refused in SI metres,
+        # naming neither the field nor which of the two configs holds it
+        config = json.loads((config_dir / name).read_text())
+        panel(config["structure"])["aperture"] = 12.0
+        path = tmp_path / "wide_hole.json"
+        path.write_text(json.dumps(config))
+        code, stdout, stderr = run_cli(capsys, "compare", config_dir / name, path)
+        assert code == 1
+        assert stdout == ""
+        assert stderr == f"error: B: structure: {message}, got 12.0 >= 10.0 mm\n"
 
     def test_hole_wider_than_the_narrowest_reachable_duct_is_refused(
         self, capsys, tmp_path, config_dir
@@ -752,8 +775,8 @@ class TestErrors:
         assert code == 1
         assert stdout == ""
         assert stderr == (
-            "error: structure: the search reaches d_m = 5 mm: MppPanel.aperture must be"
-            " less than MppPanel.duct_diameter, got 0.008 >= 0.005\n"
+            "error: structure: the search reaches d_m = 5 mm: mpps[0].aperture must be"
+            " less than design.d_m, got 8.0 >= 5.0 mm\n"
         )
         assert not out_dir.exists()
 

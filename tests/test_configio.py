@@ -129,12 +129,12 @@ def _setting(section, value):
         # panel dimensions are reported in the file's millimetres, not in SI
         pytest.param(
             lambda c: c["structure"]["mpps"][0].__setitem__("thickness", -0.6),
-            re.escape("structure.mpps[0]: MppSpec.thickness must be finite and positive, got -0.6"),
+            re.escape("structure.mpps[0]: MppSpec.thickness must lie in (0.001, 1e+06), got -0.6"),
             id="negative-thickness-mm",
         ),
         pytest.param(
             lambda c: c["structure"]["mpps"][2].__setitem__("aperture", 0),
-            re.escape("structure.mpps[2]: MppSpec.aperture must be finite and positive, got 0.0"),
+            re.escape("structure.mpps[2]: MppSpec.aperture must lie in (0.001, 1e+06), got 0.0"),
             id="zero-aperture-mm",
         ),
         pytest.param(

@@ -1,6 +1,7 @@
 """Band extraction, octave measure and grid behaviour."""
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +56,8 @@ class TestFrequencyGrid:
     @pytest.mark.parametrize(
         "args",
         [
-            (0.0, 100.0, 1.0), (50.0, 50.0, 1.0), (10.0, 5.0, 1.0), (1.0, 10.0, 0.0),
+            (0.0, 100.0, 1.0), (50.0, math.nextafter(50.0, 0.0), 1.0), (10.0, 5.0, 1.0),
+            (1.0, 10.0, 0.0),
             (1.0, math.inf, 1.0), (math.nan, 10.0, 1.0), (1.0, math.nan, 1.0),
             (1.0, 10.0, math.nan), (1.0, 2000.0, 5e-324), (1.0, 10.0, -1.0),
         ],
@@ -63,6 +65,13 @@ class TestFrequencyGrid:
     def test_invalid_grids_rejected(self, args):
         with pytest.raises(ValueError):
             FrequencyGrid(*args)
+
+    @pytest.mark.parametrize("step", [1.0, 50.0, 5e-324])
+    def test_equal_ends_are_a_one_point_grid(self, step):
+        # f_min == f_max is the grid absorption_at solves; its step is unused
+        grid = FrequencyGrid(50.0, 50.0, step)
+        assert grid.size == 1
+        assert grid.frequencies().tolist() == [50.0]
 
     @pytest.mark.parametrize(
         "grid", [DEFAULT_GRID, FrequencyGrid(3.0, 1999.5, 0.7), FrequencyGrid(1.0, 2000.0, 0.0137)]
@@ -132,9 +141,7 @@ class TestRequirePositive:
 
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_refuses_non_positive_and_non_finite(self, value):
-        assert refusal(positive=value) == (
-            f"Ranged.positive must be finite and positive, got {value}"
-        )
+        assert refusal(positive=value) == f"Ranged.positive must lie in (0, inf), got {value}"
 
     def test_accepts_finite_positive(self):
         for value in (5e-324, 1.7e308):
@@ -156,8 +163,10 @@ class TestRequirePositive:
     )
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_every_validated_dataclass_refuses_non_finite(self, build, value):
-        with pytest.raises(ValueError, match="finite and positive"):
+        # the one wording of every field: its interval, then the value
+        with pytest.raises(ValueError, match=re.escape(f"), got {value}") + "$") as excinfo:
             build(value)
+        assert " must lie in (" in str(excinfo.value)
 
 
 class TestCheckFields:
