@@ -8,6 +8,8 @@ solver takes a FrequencyGrid and forms the pipes' cos/sin by angle addition
 (`_phase_trig`), in blocks of table rows. A grid of one block and more than
 one point is solved in a workspace (`_Workspace`) the thread keeps while
 grid and medium repeat; any other in one that lives for the call.
+`chain_matrix` at that kept grid's points shares its phase tables and
+panel impedances; at any other frequencies it takes direct cos/sin.
 MPP impedance follows Maa's model; pipes are lossless. Quantities are
 SI; the impedance formulas and chain_matrix take a frequency (Hz) as a
 scalar or an array, each in (0, 1e11) as a FrequencyGrid's fields are.
@@ -202,8 +204,8 @@ def mpp_normalized_impedance(panel: MppPanel, frequency, medium: Medium = AIR):
     (9 + K^2/2)^(-1/2). perforate_constant checks the frequency.
     """
     t, d, sigma = panel.thickness, panel.aperture, panel.porosity
+    k_perf = perforate_constant(frequency, d, medium)  # first: it checks the frequency
     omega = 2.0 * np.pi * frequency
-    k_perf = perforate_constant(frequency, d, medium)
     resistance = (
         32.0 * medium.dynamic_viscosity * t
         / (sigma * medium.characteristic_impedance * d * d)
@@ -327,25 +329,35 @@ def chain_matrix(chain: ElementChain, frequency, medium: Medium = AIR) -> Transf
     """Four-pole matrix of the chain, source side leftmost, in extended
     precision (np.clongdouble): the mouth states of the wall states (1, 0)
     and (0, j), j times the second column, walked in np.longdouble buffers
-    kept per thread, with direct cos and sin. Entries reach ~1e6, so the
-    unit determinant cancels in doubles; on x86, whose long double has a
-    64-bit mantissa, |det - 1| stays below 1e-9. The entries are arrays of
-    their own (scalars for a scalar frequency).
+    kept per thread. Entries reach ~1e6, so the unit determinant cancels in
+    doubles; on x86, whose long double has a 64-bit mantissa, |det - 1|
+    stays below 1e-9. The entries are arrays of their own (scalars for a
+    scalar frequency).
+
+    At the points, flattened and bit for bit, of the grid the thread's
+    workspace keeps, for its medium, it takes that grid's phase tables and
+    kept panel impedances: the entries agree with direct cos/sin within a
+    few ulp, as absorption_spectrum's alphas do with absorption_at's. Any
+    other frequencies take direct cos/sin.
     """
     check_frequency(frequency)
     shape = np.shape(frequency)
     frequency = np.reshape(frequency, -1)  # a scalar's states are columns too
     lengths = [e.length for e in chain.elements if isinstance(e, StraightPipe)]
-    kl = np.multiply.outer(lengths, 2.0 * np.pi * frequency / medium.sound_speed)
-    impedances = [
-        mpp_normalized_impedance(e, frequency, medium)
-        for e in chain.elements
-        if isinstance(e, MppPanel)
-    ]
+    ws = getattr(_local, "workspace", None)  # kept only for a grid of one block
+    fits = ws is not None and ws.key[1] == medium and len(ws.rotation) >= len(lengths)
+    if fits and np.array_equal(ws.frequencies, frequency):  # the kept grid's points
+        frequency = ws.frequencies  # the array the kept impedances are evaluated on
+        cos_kl, sin_kl = _phase_trig(lengths, ws, 0)
+    else:
+        ws = None
+        kl = np.multiply.outer(lengths, 2.0 * np.pi * frequency / medium.sound_speed)
+        cos_kl, sin_kl = np.cos(kl), np.sin(kl)
+    impedances = _panel_impedances(chain, frequency, medium, ws)
     walk = getattr(_local, "chain_walk", None)
     if walk is None or walk.points != frequency.size:
         walk = _local.chain_walk = _Walk(2, frequency.size, np.longdouble)
-    (a11, a21), (a12, a22) = _walk(chain, np.cos(kl), np.sin(kl), impedances, medium, walk)
+    (a11, a21), (a12, a22) = _walk(chain, cos_kl, sin_kl, impedances, medium, walk)
     for entry in (a12, a22):
         # times -j, exactly: the parts swapped, where a complex product's
         # 0*inf would turn an overflowed part into NaN; 0 - x leaves a zero +0
@@ -366,7 +378,8 @@ class _Workspace(_Walk):
     doubles: the grid's block plan, its wavenumbers and a phase table of
     `n_pipes` pipes by `rows` table rows of `block` columns, one solver block
     of `points` frequencies. A chain of fewer pipes uses the leading pipe
-    rows. The panel impedances kept are those of block 0's `panels`."""
+    rows. It keeps block 0's `frequencies`, and the panel impedances of
+    block 0's `panels` (_panel_impedances)."""
 
     def __init__(self, grid: FrequencyGrid, medium: Medium, n_pipes: int):
         self.key = (grid, medium)
@@ -374,7 +387,8 @@ class _Workspace(_Walk):
         self.n_rows = -(-grid.size // block)
         self.rows = rows = min(self.n_rows, -(-_BLOCK_POINTS // block))
         super().__init__(1, min(rows * block, grid.size), np.float64)
-        self.fine_k = 2.0 * np.pi * grid.frequency(np.arange(block)) / medium.sound_speed
+        self.frequencies = grid.frequency(np.arange(self.points))  # block 0's
+        self.fine_k = 2.0 * np.pi * self.frequencies[:block] / medium.sound_speed
         coarse = block * np.arange(-(-self.n_rows // rows) * rows)  # the first point of each row
         self.coarse_k = 2.0 * np.pi * (grid.step * coarse) / medium.sound_speed
         self.panels, self.impedances = None, []  # block 0's panel triples and impedances
@@ -416,6 +430,25 @@ def _phase_trig(lengths, ws: _Workspace, first: int):
     return table[:, 0, : ws.points], table[:, 1, : ws.points]
 
 
+def _panel_impedances(chain: ElementChain, frequencies, medium: Medium, ws=None) -> list:
+    """Normalised Maa impedances of the chain's panels at `frequencies`, rows
+    in chain order, one evaluation per distinct (thickness, aperture,
+    porosity) triple, all the impedance reads: MPPs 1 and 2 share one. Given
+    the workspace `ws` whose block 0 points `frequencies` are, the list is
+    kept in it and reused while the triples repeat."""
+    panels = [e for e in chain.elements if isinstance(e, MppPanel)]
+    keys = [(panel.thickness, panel.aperture, panel.porosity) for panel in panels]
+    if ws is not None and ws.panels == keys:
+        return ws.impedances
+    distinct = dict(zip(keys, panels))
+    for key, panel in distinct.items():
+        distinct[key] = mpp_normalized_impedance(panel, frequencies, medium)
+    impedances = [distinct[key] for key in keys]
+    if ws is not None:
+        ws.panels, ws.impedances = keys, impedances
+    return impedances
+
+
 def absorption_spectrum(
     chain: ElementChain, grid: FrequencyGrid, medium: Medium = AIR
 ) -> AbsorptionSpectrum:
@@ -428,17 +461,15 @@ def absorption_spectrum(
     whole table rows, bit for bit as in one block. A grid of one block and
     more than one point is solved in the calling thread's workspace, reused
     while grid and medium repeat and it has a row for each pipe, else
-    replaced. It keeps the panel impedances while the chain's (thickness,
-    aperture, porosity) triples, all the Maa impedance reads, repeat, so a
-    repeated solve, such as each annealing evaluation, computes no
-    impedance and allocates no block-sized array but the alphas. Any other
+    replaced. It keeps the panel impedances while the chain's triples
+    repeat (_panel_impedances), so a repeated solve, such as each annealing
+    evaluation, computes no impedance and allocates no block-sized array but
+    the alphas, and a chain_matrix on the grid's points computes none. Any other
     grid, a one-point one too, is solved in a workspace of its own, which
     the call drops on return.
     """
     z0 = chain.characteristic_impedance(medium)
     lengths = [e.length for e in chain.elements if isinstance(e, StraightPipe)]
-    panels = [e for e in chain.elements if isinstance(e, MppPanel)]
-    keys = [(panel.thickness, panel.aperture, panel.porosity) for panel in panels]
     ws = getattr(_local, "workspace", None)
     if ws is None or ws.key != (grid, medium) or len(ws.rotation) < len(lengths):
         ws = _Workspace(grid, medium, len(lengths))
@@ -450,13 +481,9 @@ def absorption_spectrum(
         if hi - lo < ws.points:
             ws.set_points(hi - lo)  # the last block: leading views of the same buffers
         cos_kl, sin_kl = _phase_trig(lengths, ws, first)
-        if first > 0 or ws.panels != keys:
-            frequencies = grid.frequency(np.arange(lo, hi))
-            distinct = dict(zip(keys, panels))  # each triple once: MPPs 1 and 2 share one
-            for key, panel in distinct.items():
-                distinct[key] = mpp_normalized_impedance(panel, frequencies, medium)
-            ws.panels, ws.impedances = keys, [distinct[key] for key in keys]
-        [(p, u)] = _walk(chain, cos_kl, sin_kl, ws.impedances, medium, ws)
+        frequencies = ws.frequencies if first == 0 else grid.frequency(np.arange(lo, hi))
+        impedances = _panel_impedances(chain, frequencies, medium, ws if first == 0 else None)
+        [(p, u)] = _walk(chain, cos_kl, sin_kl, impedances, medium, ws)
         z0_u, denominator, gamma = ws.reflection[:, : hi - lo]
         magnitude = ws.magnitude[: hi - lo]
         np.multiply(z0, u, out=z0_u)

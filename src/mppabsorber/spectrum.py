@@ -49,9 +49,13 @@ def _refuse(label: str, low: float, high: float, closed: bool, value):
 def check_frequency(frequency) -> None:
     """Raise ValueError unless the frequency, a number or every element of
     an array, lies in FREQUENCY_RANGE, the range of a FrequencyGrid's
-    fields; NaN fails."""
+    fields; NaN fails, and so does what is no float, such as an int past
+    the largest double."""
     low, high = FREQUENCY_RANGE
-    values = np.asarray(frequency, dtype=float)
+    try:
+        values = np.asarray(frequency, dtype=float)
+    except (OverflowError, TypeError, ValueError):
+        values = np.nan
     if not np.all((values > low) & (values < high)):
         _refuse("frequency", low, high, False, frequency)
 
@@ -102,6 +106,10 @@ class FrequencyGrid:
     step: float = ranged(*FREQUENCY_RANGE)
 
     def __post_init__(self):
+        # an array passes check_fields' comparison when it has one element
+        for name, value in vars(self).items():
+            if np.ndim(value):
+                _refuse(f"FrequencyGrid.{name}", *FREQUENCY_RANGE, False, value)
         check_fields(self)
         if not self.f_min <= self.f_max:
             raise ValueError(f"require f_min <= f_max, got ({self.f_min}, {self.f_max})")

@@ -312,6 +312,18 @@ def test_non_finite_frequency_rejected(entry_point, value):
         call(np.array([100.0, value, 200.0]))
 
 
+@pytest.mark.parametrize("entry_point", sorted(FREQUENCY_ENTRY_POINTS))
+def test_int_past_the_largest_double_is_refused(entry_point):
+    # converted before any range test, 10**400 raised OverflowError
+    call = FREQUENCY_ENTRY_POINTS[entry_point]
+    with pytest.raises(ValueError) as excinfo:
+        call(10**400)
+    assert str(excinfo.value) == f"frequency must lie in (0, 1e+11), got {10**400}"
+    refusal = re.escape("frequency must lie in (0, 1e+11), got [100.0, 1000")
+    with pytest.raises(ValueError, match=refusal):
+        call([100.0, 10**400])
+
+
 class TestChainMatrix:
     def test_singleton_chain(self):
         # a scalar frequency gives extended-precision scalars, the textbook
@@ -707,6 +719,15 @@ class TestAbsorption:
             with pytest.raises(ValueError) as excinfo:
                 absorption_at(baseline_chain, frequency)
             assert str(excinfo.value) == f"frequency must lie in (0, 1e+11), got {frequency}"
+
+    @pytest.mark.parametrize("frequency", [np.array([500.0]), np.array([500.0, 600.0])])
+    def test_absorption_at_refuses_an_array(self, single_chain, frequency):
+        # a one-element array passed the grid's range check and failed as a
+        # TypeError when the grid's size was read
+        with pytest.raises(ValueError) as excinfo:
+            absorption_at(single_chain, frequency)
+        refusal = f"FrequencyGrid.f_min must lie in (0, 1e+11), got {frequency}"
+        assert str(excinfo.value) == refusal
 
     def test_bad_progression_message_names_the_argument_not_the_grid(self, baseline_chain):
         # used to print every frequency of the grid from the panel impedance;

@@ -603,6 +603,94 @@ def test_chain_matrix_entries_outlive_the_walk(baseline_chain, optimized_chain):
     assert not np.array_equal(other.a11, kept[0])
 
 
+def test_chain_matrix_on_the_solved_grid_computes_no_impedance(
+    baseline_chain, impedance_calls, workspaces_built
+):
+    # after the chain's solve, chain_matrix on the grid's points takes the
+    # kept impedances; a chain of other panels computes each distinct triple
+    # once and keeps them for its own solve
+    frequencies = DEFAULT_GRID.frequencies()
+    absorption_spectrum(baseline_chain, DEFAULT_GRID)
+    assert len(impedance_calls) == 2
+    chain_matrix(baseline_chain, frequencies)
+    assert len(impedance_calls) == 2
+    shared, own = random_spec(np.random.default_rng(3)), random_spec(np.random.default_rng(4))
+    other = build_chain(BASELINE_DESIGN, MppSet(shared, shared, own))
+    chain_matrix(other, frequencies)
+    assert len(impedance_calls) == 4
+    assert len({(p.thickness, p.aperture, p.porosity) for p in impedance_calls[2:]}) == 2
+    absorption_spectrum(other, DEFAULT_GRID)
+    assert len(impedance_calls) == 4
+    assert len(workspaces_built) == 1
+
+
+def dimensionless_entries(matrix, chain):
+    """a11, a12/Z0, a21*Z0 and a22, stacked: entries of one scale."""
+    z0 = chain.characteristic_impedance()
+    return np.stack([matrix.a11, matrix.a12 / z0, matrix.a21 * z0, matrix.a22])
+
+
+def test_chain_matrix_from_the_tables_agrees_with_direct_trig(
+    monkeypatch, baseline_chain, optimized_chain, single_chain, impedance_calls
+):
+    # the kept grid's phase tables are within a few ulp of direct cos/sin;
+    # each path keeps the unit determinant
+    monkeypatch.setattr(acoustics, "_local", threading.local())
+    frequencies = DEFAULT_GRID.frequencies()
+    chains = [baseline_chain, optimized_chain, single_chain]
+    for chain in chains + list(random_chains(606, n_three=9, n_single=3)):
+        absorption_spectrum(chain, DEFAULT_GRID)
+        calls = len(impedance_calls)
+        tabled = chain_matrix(chain, frequencies)
+        assert len(impedance_calls) == calls  # the table path
+        acoustics._local.workspace = None
+        direct = chain_matrix(chain, frequencies)
+        a, b = dimensionless_entries(tabled, chain), dimensionless_entries(direct, chain)
+        assert np.all(np.max(np.abs(a - b), axis=0) <= 1e-13 * np.max(np.abs(b), axis=0))
+        for matrix in (tabled, direct):
+            assert np.max(np.abs(matrix.det() - 1.0)) < 1e-9
+
+
+def test_chain_matrix_off_the_kept_grid_takes_direct_trig(monkeypatch, baseline_chain):
+    # another medium, or frequencies of the grid's size that are not its
+    # points bit for bit, give what a thread without a workspace gives
+    frequencies = DEFAULT_GRID.frequencies()
+    nudged = frequencies.copy()
+    nudged[1000] = math.nextafter(nudged[1000], math.inf)
+    for others, medium in [
+        (frequencies, Medium(sound_speed=340.0)),
+        (nudged, AIR),
+        (frequencies[::-1], AIR),
+    ]:
+        monkeypatch.setattr(acoustics, "_local", threading.local())
+        cold = chain_matrix(baseline_chain, others, medium)
+        absorption_spectrum(baseline_chain, DEFAULT_GRID)
+        warm = chain_matrix(baseline_chain, others, medium)
+        # equal values: a long double's padding bytes are not its bits
+        for name in ("a11", "a12", "a21", "a22"):
+            assert np.array_equal(getattr(warm, name), getattr(cold, name))
+
+
+def test_solve_after_an_interleaved_chain_matrix_equals_a_cold_solve(
+    monkeypatch, baseline_chain, single_chain
+):
+    # chain_matrix on the kept grid rewrites its tables and, for other
+    # panels, its kept impedances; the next solve must not see either
+    frequencies = DEFAULT_GRID.frequencies()
+    [other] = random_chains(707, n_three=1, n_single=0)
+    for chain, between in [
+        (baseline_chain, other),
+        (baseline_chain, single_chain),
+        (single_chain, baseline_chain),
+        (other, single_chain),
+    ]:
+        monkeypatch.setattr(acoustics, "_local", threading.local())
+        cold = absorption_spectrum(chain, DEFAULT_GRID).alphas
+        chain_matrix(between, frequencies)
+        warm = absorption_spectrum(chain, DEFAULT_GRID).alphas
+        assert warm.tobytes() == cold.tobytes()
+
+
 def test_threads_solve_concurrently_as_in_series():
     # chains of different shapes, one block and several, each solved by two
     # threads at once; a workspace shared between threads garbles alphas

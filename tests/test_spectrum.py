@@ -66,6 +66,16 @@ class TestFrequencyGrid:
         with pytest.raises(ValueError):
             FrequencyGrid(*args)
 
+    @pytest.mark.parametrize("field", ["f_min", "f_max", "step"])
+    @pytest.mark.parametrize("value", [np.array([5.0]), np.array([5.0, 6.0]), [5.0]])
+    def test_array_field_is_refused_by_name(self, field, value):
+        # one comparison passes a one-element array, whose grid then had no size
+        args = {"f_min": 5.0, "f_max": 5.0, "step": 1.0, field: value}
+        with pytest.raises(ValueError) as excinfo:
+            FrequencyGrid(**args)
+        refusal = f"FrequencyGrid.{field} must lie in (0, 1e+11), got {value}"
+        assert str(excinfo.value) == refusal
+
     @pytest.mark.parametrize("step", [1.0, 50.0, 5e-324])
     def test_equal_ends_are_a_one_point_grid(self, step):
         # f_min == f_max is the grid absorption_at solves; its step is unused
