@@ -25,8 +25,9 @@ from .spectrum import (
     check_fields,
     effective_band,
     ranged,
+    refuse,
 )
-from .structure import BOUNDS_MM, DESIGN_FIELDS, DesignVector, MppSet, build_chain
+from .structure import BOUNDS_MM, DesignVector, MppSet, ThreeChamberStructure, build_chain
 
 __all__ = [
     "AnnealingSchedule",
@@ -39,8 +40,7 @@ __all__ = [
     "objective",
 ]
 
-_LOWER = np.array([BOUNDS_MM[name][0] for name in DESIGN_FIELDS])
-_UPPER = np.array([BOUNDS_MM[name][1] for name in DESIGN_FIELDS])
+_LOWER, _UPPER = np.array(list(BOUNDS_MM.values())).T
 _RANGE = _UPPER - _LOWER
 # Most temperature levels a schedule may take, the default takes 83; and
 # most evaluations, the level cap at the default 100 per level.
@@ -141,17 +141,14 @@ def neighbor(
 ) -> DesignVector:
     """All coordinates perturbed by +/- step_fraction of their bound range,
     then clamped into the box; the output always satisfies the bounds."""
-    values = design.as_array()
-    values = values + rng.uniform(-1.0, 1.0, size=values.size) * (
-        schedule.step_fraction * _RANGE
-    )
-    return DesignVector(*np.clip(values, _LOWER, _UPPER).tolist())
+    step = rng.uniform(-1.0, 1.0, size=_RANGE.size) * (schedule.step_fraction * _RANGE)
+    return DesignVector(*np.clip(design.as_array() + step, _LOWER, _UPPER).tolist())
 
 
 def accept(delta_objective: float, temperature: float, rng: np.random.Generator) -> bool:
     """Metropolis rule: improvements always, others with exp(delta/T)."""
-    if not temperature > 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    if not 0 < temperature < math.inf:
+        refuse("temperature", 0, math.inf, False, temperature)
     if delta_objective >= 0:
         return True
     return rng.random() < math.exp(delta_objective / temperature)
@@ -171,30 +168,25 @@ def anneal(
     steps run, then the temperature cools; the loop stops once the
     temperature is no longer above termination_temperature. The initial
     design is evaluated as given (it may sit outside the bounds; every
-    proposal afterwards is clamped inside).
+    proposal afterwards is clamped inside). A panel whose hole the
+    narrowest main duct of the search's reach cannot hold is refused before
+    any evaluation (ThreeChamberStructure.reach).
     """
-
-    def evaluate(design: DesignVector) -> float:
-        return objective(design, mpps, medium, grid, threshold)
-
+    ThreeChamberStructure(initial, mpps).reach()
     rng = np.random.default_rng(schedule.seed)
-    current = initial
-    current_objective = evaluate(current)
-    best = current
-    best_objective = current_objective
+    current, current_objective = initial, objective(initial, mpps, medium, grid, threshold)
+    best, best_objective = current, current_objective
     trace: list[TraceRow] = []
 
     temperature = schedule.initial_temperature
     while temperature > schedule.termination_temperature:
         for _ in range(schedule.iterations_per_temperature):
             candidate = neighbor(current, schedule, rng)
-            candidate_objective = evaluate(candidate)
+            candidate_objective = objective(candidate, mpps, medium, grid, threshold)
             if accept(candidate_objective - current_objective, temperature, rng):
-                current = candidate
-                current_objective = candidate_objective
+                current, current_objective = candidate, candidate_objective
                 if current_objective > best_objective:
-                    best = current
-                    best_objective = current_objective
+                    best, best_objective = current, current_objective
             trace.append(
                 TraceRow(temperature, len(trace) + 1, current_objective, best_objective)
             )

@@ -23,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .annealing import _LOWER, _UPPER, AnnealingSchedule, OptimizationResult, anneal
-from .configio import ConfigError, ThreeChamberStructure, dump_config, load_config
+from .annealing import AnnealingSchedule, OptimizationResult, anneal
+from .configio import ConfigError, dump_config, load_config
 from .acoustics import ElementChain, Medium, absorption_spectrum, cut_on_frequency
 from .spectrum import (
     AbsorptionSpectrum,
@@ -32,7 +32,7 @@ from .spectrum import (
     effective_band,
     effective_bands,
 )
-from .structure import DesignVector, build_chain
+from .structure import ThreeChamberStructure
 
 
 def _apply_grid_overrides(grid: FrequencyGrid, args) -> FrequencyGrid:
@@ -229,7 +229,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_optimize(args) -> int:
     config = load_config(args.config)
-    if not isinstance(config.structure, ThreeChamberStructure):
+    structure = config.structure
+    if not isinstance(structure, ThreeChamberStructure):
         raise ConfigError("structure.type: optimize requires a three_chamber structure")
     grid = _apply_grid_overrides(config.grid, args)
     schedule = config.schedule
@@ -242,24 +243,20 @@ def cmd_optimize(args) -> int:
         schedule = AnnealingSchedule()
     if args.seed is not None:
         schedule = dataclasses.replace(schedule, seed=args.seed)
-    # the search reaches every field's bounds: the narrowest main duct must
-    # hold each panel's hole, and the widest duct sets the cut-on
-    design, mpps = config.structure.design, config.structure.mpps
-    narrowest = DesignVector(*np.minimum(design.as_array(), _LOWER).tolist())
+    # the widest duct the search reaches sets the cut-on
     try:
-        ThreeChamberStructure(narrowest, mpps)
+        _, widest = structure.reach()
     except ValueError as exc:
-        raise ConfigError(f"structure: the search reaches d_m = {narrowest.d_m:g} mm: {exc}")
-    widest = DesignVector(*np.maximum(design.as_array(), _UPPER).tolist())
-    _warn_above_cut_on(build_chain(widest, mpps), grid, config.medium)
+        raise ConfigError(f"structure: {exc}") from None
+    _warn_above_cut_on(widest.chain(), grid, config.medium)
 
-    result = anneal(design, mpps, config.medium, grid, schedule, args.threshold)
+    result = anneal(structure.design, structure.mpps, config.medium, grid, schedule, args.threshold)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     best_config = dataclasses.replace(
         config,
-        structure=dataclasses.replace(config.structure, design=result.best_design),
+        structure=dataclasses.replace(structure, design=result.best_design),
         grid=grid,
         schedule=schedule,
     )

@@ -1,18 +1,17 @@
-"""JSON run configuration: structure geometry, medium, grid and schedule.
+"""JSON run configuration: the decoding and encoding of a RunConfig.
 
 Each section is the JSON object of a dataclass, keyed by its fields in
 field order: `structure` is a ThreeChamberStructure (`design` a
 DesignVector, `mpps` a list of exactly three MppSpec panels) or, with
-`"type": "single_chamber"`, a SingleChamberStructure; `medium` is a Medium,
-`grid` a FrequencyGrid and `schedule` an AnnealingSchedule. A field with no
-default is required, a missing or null optional field takes its default,
-and an unknown key is an error. A float field takes a finite number (no
-NaN, Infinity or boolean), a JSON integer becoming a float. Every other
-value reaches its dataclass as parsed, and the dataclass applies the rule
-each field declares (`spectrum.ranged`): its interval, and for an int
-field that it is an integer. A structure refuses a panel whose hole is not
-narrower than the main duct `d_m`, naming the panel and both values in
-millimetres.
+`"type": "single_chamber"`, a SingleChamberStructure, both from
+`structure`; `medium` is a Medium, `grid` a FrequencyGrid and `schedule` an
+AnnealingSchedule. A field with no default is required, a missing or null
+optional field takes its default, and an unknown key is an error. A float
+field takes a finite number (no NaN, Infinity or boolean), a JSON integer
+becoming a float. Every other value reaches its dataclass as parsed, and
+the dataclass applies its own rules: the interval each field declares
+(`spectrum.ranged`), for an int field that it is an integer, and for a
+structure that each hole is narrower than its duct.
 
 Files carry lengths in millimetres (matching the engineering tables);
 conversion to SI happens when chains are built. Emitted files re-parse to
@@ -29,16 +28,14 @@ import typing
 from dataclasses import dataclass
 from pathlib import Path
 
-from .acoustics import AIR, ElementChain, Medium
+from .acoustics import AIR, Medium
 from .annealing import AnnealingSchedule
-from .spectrum import DEFAULT_GRID, FrequencyGrid, check_fields, ranged
-from .structure import MM_RANGE, DesignVector, MppSet, MppSpec, build_chain, single_chamber_chain
+from .spectrum import DEFAULT_GRID, FrequencyGrid
+from .structure import MppSet, MppSpec, SingleChamberStructure, ThreeChamberStructure
 
 __all__ = [
     "ConfigError",
     "RunConfig",
-    "SingleChamberStructure",
-    "ThreeChamberStructure",
     "dump_config",
     "load_config",
 ]
@@ -46,45 +43,6 @@ __all__ = [
 
 class ConfigError(ValueError):
     """Malformed run configuration; the message names the offending field."""
-
-
-def _check_hole(mpp: MppSpec, duct_mm: float, label: str, duct_label: str) -> None:
-    """MppPanel's refusal of a hole not narrower than its duct, reworded
-    in the config's field names and millimetres."""
-    try:
-        mpp.panel(duct_mm)
-    except ValueError:
-        message = f"{label}.aperture must be less than {duct_label}, got {mpp.aperture}"
-        raise ValueError(f"{message} >= {duct_mm} mm") from None
-
-
-@dataclass(frozen=True)
-class ThreeChamberStructure:
-    design: DesignVector
-    mpps: MppSet
-
-    def __post_init__(self):
-        for index, mpp in enumerate(self.mpps):
-            _check_hole(mpp, self.design.d_m, f"mpps[{index}]", "design.d_m")
-
-    def chain(self) -> ElementChain:
-        return build_chain(self.design, self.mpps)
-
-
-@dataclass(frozen=True)
-class SingleChamberStructure:
-    d_m: float = ranged(*MM_RANGE)
-    l_m: float = ranged(*MM_RANGE)
-    d_e: float = ranged(*MM_RANGE)
-    t_e: float = ranged(*MM_RANGE)
-    mpp: MppSpec
-
-    def __post_init__(self):
-        check_fields(self)
-        _check_hole(self.mpp, self.d_m, "mpp", "d_m")
-
-    def chain(self) -> ElementChain:
-        return single_chamber_chain(self.mpp, self.d_m, self.l_m, self.d_e, self.t_e)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -39,11 +40,16 @@ MAX_GRID_POINTS = 10**7
 FREQUENCY_RANGE = (0.0, 1e11)
 
 
-def _refuse(label: str, low: float, high: float, closed: bool, value):
+def refuse(label: str, low: float, high: float, closed: bool, value):
     """Raise the one refusal wording: `label` must lie in (low, high), or
-    in [low, high) when `closed`, got `value`."""
+    in [low, high) when `closed`, got `value`; a value holding an int
+    too long for Python to spell in decimal is named by its type."""
     edge = "[" if closed else "("
-    raise ValueError(f"{label} must lie in {edge}{low:g}, {high:g}), got {value}")
+    try:
+        shown = str(value)
+    except ValueError:  # past the digits Python spells for an int
+        shown = f"{type(value).__name__} of more than {sys.get_int_max_str_digits()} digits"
+    raise ValueError(f"{label} must lie in {edge}{low:g}, {high:g}), got {shown}")
 
 
 def check_frequency(frequency) -> None:
@@ -57,14 +63,15 @@ def check_frequency(frequency) -> None:
     except (OverflowError, TypeError, ValueError):
         values = np.nan
     if not np.all((values > low) & (values < high)):
-        _refuse("frequency", low, high, False, frequency)
+        refuse("frequency", low, high, False, frequency)
 
 
-def ranged(low: float, high: float = math.inf, *, closed: bool = False, default=MISSING):
+def ranged(low: float, high: float = math.inf, *, closed=False, default=MISSING, **metadata):
     """A dataclass field whose value must lie in the open interval (low,
     high), or in [low, high) when `closed`; a field annotated int must
-    also be an integer. check_fields enforces the rule."""
-    return field(default=default, metadata={"range": (low, high, closed)})
+    also be an integer. check_fields enforces the rule. Other keywords join
+    the field's metadata."""
+    return field(default=default, metadata={"range": (low, high, closed), **metadata})
 
 
 @functools.cache
@@ -93,7 +100,7 @@ def check_fields(owner) -> None:
         # and chain element the annealer builds
         if not floor < value < high:
             rule = owner.__dataclass_fields__[name].metadata["range"]
-            _refuse(f"{type(owner).__name__}.{name}", *rule, value)
+            refuse(f"{type(owner).__name__}.{name}", *rule, value)
 
 
 @dataclass(frozen=True)
@@ -109,7 +116,7 @@ class FrequencyGrid:
         # an array passes check_fields' comparison when it has one element
         for name, value in vars(self).items():
             if np.ndim(value):
-                _refuse(f"FrequencyGrid.{name}", *FREQUENCY_RANGE, False, value)
+                refuse(f"FrequencyGrid.{name}", *FREQUENCY_RANGE, False, value)
         check_fields(self)
         if not self.f_min <= self.f_max:
             raise ValueError(f"require f_min <= f_max, got ({self.f_min}, {self.f_max})")
@@ -181,9 +188,12 @@ class EffectiveBand:
 
 
 def octave_bands(f_low: float, f_high: float) -> float:
-    """Number of octaves spanned: log2(f_high / f_low)."""
-    if not 0 < f_low < f_high < math.inf:
-        raise ValueError(f"require 0 < f_low < f_high < inf, got ({f_low}, {f_high})")
+    """Number of octaves spanned: log2(f_high / f_low). Each edge must be a
+    float: an int past the largest double is refused as infinity is."""
+    if not 0 < f_low <= sys.float_info.max:
+        refuse("f_low", 0, math.inf, False, f_low)
+    if not f_low < f_high <= sys.float_info.max:
+        refuse("f_high", f_low, math.inf, False, f_high)
     return math.log2(f_high / f_low)
 
 
@@ -195,7 +205,7 @@ def _runs(alphas: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]
     """Start and inclusive end indices of the maximal runs with alpha >=
     threshold, in ascending order."""
     if not 0 < threshold < 1:
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
+        refuse("threshold", 0, 1, False, threshold)
     padded = np.concatenate((_EDGE, alphas >= threshold, _EDGE))
     edges = np.flatnonzero(padded[1:] != padded[:-1])
     return edges[::2], edges[1::2] - 1

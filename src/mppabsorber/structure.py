@@ -1,15 +1,19 @@
-"""Geometry of the multi-chamber MPP absorber family.
+"""Geometry of the multi-chamber MPP absorber family, and the optimizer's
+search box.
 
 Maps the named geometric parameters of the three-chamber structure (all in
 millimetres, the unit of the engineering drawings and config files) to the
-canonical 16-element acoustic chain, and holds the box bounds used by
-the optimizer. The degenerate single-chamber structure (one MPP, one
-chamber) is provided as well.
+canonical 16-element acoustic chain. Each DesignVector field declares its
+inclusive box, gathered in BOUNDS_MM, which the optimizer searches; a
+ThreeChamberStructure answers which structures a search from its design
+reaches. The degenerate single-chamber structure (one MPP, one chamber) is
+provided as well. Both structures refuse a panel whose hole is not narrower
+than the main duct `d_m`, naming the panel and both values in millimetres.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,6 +28,8 @@ __all__ = [
     "DesignVector",
     "MppSet",
     "MppSpec",
+    "SingleChamberStructure",
+    "ThreeChamberStructure",
     "build_chain",
     "OPTIMIZED_DESIGN",
     "single_chamber_chain",
@@ -35,28 +41,12 @@ MM = 1e-3
 # stay far from 0.0 and from overflow.
 MM_RANGE = (1e-3, 1e6)
 
-# Box bounds of the 12 design variables (mm), inclusive at both ends.
-BOUNDS_MM: dict[str, tuple[float, float]] = {
-    "d_m": (5.0, 11.0),
-    "d_2": (40.0, 70.0),
-    "d_4": (50.0, 80.0),
-    "d_6": (50.0, 100.0),
-    "l_1": (60.0, 80.0),
-    "l_1p": (10.0, 30.0),
-    "l_2": (4.0, 12.0),
-    "l_3": (4.0, 10.0),
-    "l_3p": (4.0, 10.0),
-    "l_4": (10.0, 30.0),
-    "l_5": (10.0, 30.0),
-    "l_6": (20.0, 40.0),
-}
-
-DESIGN_FIELDS = tuple(BOUNDS_MM)
-
 
 @dataclass(frozen=True)
 class DesignVector:
     """The 12 geometric variables of the three-chamber structure (mm).
+    Each is a length in MM_RANGE, and the optimizer searches it over its
+    inclusive `box`.
 
     d_m is the main-duct diameter; d_2/d_4/d_6 the chamber diameters;
     l_1 and l_1p split the first main-pipe section at MPP 2; l_2/l_4/l_6
@@ -64,18 +54,18 @@ class DesignVector:
     section at MPP 3; l_5 is the third main-pipe section.
     """
 
-    d_m: float = ranged(*MM_RANGE)
-    d_2: float = ranged(*MM_RANGE)
-    d_4: float = ranged(*MM_RANGE)
-    d_6: float = ranged(*MM_RANGE)
-    l_1: float = ranged(*MM_RANGE)
-    l_1p: float = ranged(*MM_RANGE)
-    l_2: float = ranged(*MM_RANGE)
-    l_3: float = ranged(*MM_RANGE)
-    l_3p: float = ranged(*MM_RANGE)
-    l_4: float = ranged(*MM_RANGE)
-    l_5: float = ranged(*MM_RANGE)
-    l_6: float = ranged(*MM_RANGE)
+    d_m: float = ranged(*MM_RANGE, box=(5.0, 11.0))
+    d_2: float = ranged(*MM_RANGE, box=(40.0, 70.0))
+    d_4: float = ranged(*MM_RANGE, box=(50.0, 80.0))
+    d_6: float = ranged(*MM_RANGE, box=(50.0, 100.0))
+    l_1: float = ranged(*MM_RANGE, box=(60.0, 80.0))
+    l_1p: float = ranged(*MM_RANGE, box=(10.0, 30.0))
+    l_2: float = ranged(*MM_RANGE, box=(4.0, 12.0))
+    l_3: float = ranged(*MM_RANGE, box=(4.0, 10.0))
+    l_3p: float = ranged(*MM_RANGE, box=(4.0, 10.0))
+    l_4: float = ranged(*MM_RANGE, box=(10.0, 30.0))
+    l_5: float = ranged(*MM_RANGE, box=(10.0, 30.0))
+    l_6: float = ranged(*MM_RANGE, box=(20.0, 40.0))
 
     __post_init__ = check_fields
 
@@ -85,6 +75,14 @@ class DesignVector:
 
     def as_dict(self) -> dict[str, float]:
         return {name: getattr(self, name) for name in DESIGN_FIELDS}
+
+
+# The box of the 12 design variables (mm), inclusive at both ends, in field
+# order: the order of DESIGN_FIELDS and of a positional DesignVector.
+BOUNDS_MM: dict[str, tuple[float, float]] = {
+    item.name: item.metadata["box"] for item in fields(DesignVector)
+}
+DESIGN_FIELDS = tuple(BOUNDS_MM)
 
 
 @dataclass(frozen=True)
@@ -185,3 +183,61 @@ def single_chamber_chain(
         StraightPipe(chamber_thickness_mm * MM, chamber_diameter_mm * MM),
     )
     return ElementChain(elements=elements, main_duct_diameter=main_diameter_mm * MM)
+
+
+def _check_hole(mpp: MppSpec, duct_mm: float, label: str, duct_label: str) -> None:
+    """MppPanel's refusal of a hole not narrower than its duct, reworded
+    in the config's field names and millimetres."""
+    try:
+        mpp.panel(duct_mm)
+    except ValueError:
+        message = f"{label}.aperture must be less than {duct_label}, got {mpp.aperture}"
+        raise ValueError(f"{message} >= {duct_mm} mm") from None
+
+
+@dataclass(frozen=True)
+class ThreeChamberStructure:
+    """A design and its three panels, each hole narrower than d_m."""
+
+    design: DesignVector
+    mpps: MppSet
+
+    def __post_init__(self):
+        for index, mpp in enumerate(self.mpps):
+            _check_hole(mpp, self.design.d_m, f"mpps[{index}]", "design.d_m")
+
+    def chain(self) -> ElementChain:
+        return build_chain(self.design, self.mpps)
+
+    def reach(self) -> tuple[ThreeChamberStructure, ThreeChamberStructure]:
+        """The narrowest and widest structures a search from this design
+        visits: each field at the lesser, or the greater, of its value and
+        its box edge. Refuses a hole the narrowest main duct cannot hold."""
+        values = self.design.as_dict().values()
+        lows, highs = zip(*BOUNDS_MM.values())
+        lesser = DesignVector(*map(min, values, lows))
+        greater = DesignVector(*map(max, values, highs))
+        try:
+            narrowest = ThreeChamberStructure(lesser, self.mpps)
+        except ValueError as exc:
+            raise ValueError(f"the search reaches d_m = {lesser.d_m:g} mm: {exc}") from None
+        return narrowest, ThreeChamberStructure(greater, self.mpps)
+
+
+@dataclass(frozen=True)
+class SingleChamberStructure:
+    """One panel at the mouth of a main pipe (d_m, l_m) feeding one chamber
+    (d_e, t_e), all in mm: single_chamber_chain's arguments."""
+
+    d_m: float = ranged(*MM_RANGE)
+    l_m: float = ranged(*MM_RANGE)
+    d_e: float = ranged(*MM_RANGE)
+    t_e: float = ranged(*MM_RANGE)
+    mpp: MppSpec
+
+    def __post_init__(self):
+        check_fields(self)
+        _check_hole(self.mpp, self.d_m, "mpp", "d_m")
+
+    def chain(self) -> ElementChain:
+        return single_chamber_chain(self.mpp, self.d_m, self.l_m, self.d_e, self.t_e)

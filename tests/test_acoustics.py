@@ -324,6 +324,25 @@ def test_int_past_the_largest_double_is_refused(entry_point):
         call([100.0, 10**400])
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: chain_matrix(ElementChain((MPP1, StraightPipe(0.1, 0.01)), 0.01), f),
+        lambda f: perforate_constant(f, 0.2e-3),
+        lambda f: absorption_at(ElementChain((MPP1, StraightPipe(0.1, 0.01)), 0.01), f),
+    ],
+    ids=["chain_matrix", "perforate_constant", "absorption_at"],
+)
+def test_int_too_long_to_spell_is_refused_in_the_one_wording(call):
+    # str() of an int of more than 4,300 digits raises, so the refusal came
+    # out as Python's own "Exceeds the limit (4300 digits)" error
+    for value, shown in ((10**5000, "int"), ([100.0, -(10**5000)], "list")):
+        with pytest.raises(ValueError) as excinfo:
+            call(value)
+        refusal = f"frequency must lie in (0, 1e+11), got {shown} of more than 4300 digits"
+        assert str(excinfo.value) == refusal
+
+
 class TestChainMatrix:
     def test_singleton_chain(self):
         # a scalar frequency gives extended-precision scalars, the textbook

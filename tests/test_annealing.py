@@ -12,6 +12,7 @@ from mppabsorber import (
     BOUNDS_MM,
     DEFAULT_MPPS,
     OPTIMIZED_DESIGN,
+    MppSpec,
     accept,
     anneal,
     anneal_multi,
@@ -19,6 +20,7 @@ from mppabsorber import (
     neighbor,
     objective,
 )
+from mppabsorber import annealing
 
 # widths computed by the independent scalar evaluation of the full chain
 BASELINE_WIDTH = 1317.8495348553893
@@ -118,6 +120,13 @@ class TestAccept:
             accept(-1.0, 0.0, np.random.default_rng(0))
         with pytest.raises(ValueError):
             accept(-1.0, math.nan, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("temperature", [0.0, -1.0, math.nan, math.inf])
+    def test_temperature_is_refused_in_the_one_wording(self, temperature):
+        # it read "temperature must be positive", and infinity was taken
+        with pytest.raises(ValueError) as excinfo:
+            accept(-1.0, temperature, np.random.default_rng(0))
+        assert str(excinfo.value) == f"temperature must lie in (0, inf), got {temperature}"
 
 
 class TestSchedule:
@@ -261,3 +270,31 @@ class TestAnneal:
             schedule=dataclasses.replace(FAST_SCHEDULE, seed=5),
         )
         assert results[0].best_design == solo.best_design
+
+
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_hole_the_search_cannot_hold_is_refused_before_any_evaluation(monkeypatch, seed):
+    # an 8 mm hole fits the baseline's 10 mm duct, but not the 5 mm one the
+    # search may reach: seeds 2 and 5 used to fail partway through the run,
+    # and seeds 1, 3, 4 and 6 to answer
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return objective(*args, **kwargs)
+
+    monkeypatch.setattr(annealing, "objective", spy)
+    mpps = dataclasses.replace(DEFAULT_MPPS, mpp1=MppSpec(0.6, 8.0, 0.025))
+    schedule = AnnealingSchedule(iterations_per_temperature=2, seed=seed)
+    refusal = (
+        "the search reaches d_m = 5 mm: mpps[0].aperture must be less than design.d_m,"
+        " got 8.0 >= 5.0 mm"
+    )
+    for run in (
+        lambda: anneal(BASELINE_DESIGN, mpps, schedule=schedule),
+        lambda: anneal_multi(BASELINE_DESIGN, mpps, seeds=[seed], schedule=schedule),
+    ):
+        with pytest.raises(ValueError) as excinfo:
+            run()
+        assert str(excinfo.value) == refusal
+    assert calls == []

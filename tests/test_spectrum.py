@@ -281,6 +281,16 @@ class TestEffectiveBand:
         with pytest.raises(ValueError):
             effective_band(spectrum, threshold)
 
+    @pytest.mark.parametrize("threshold", [0.0, 1.0, math.nan])
+    def test_invalid_threshold_is_refused_in_the_one_wording(self, threshold):
+        # it read "threshold must be in (0, 1)", beside every other refusal's
+        # "must lie in"
+        spectrum = spectrum_of(10, 10, [0.9, 0.9])
+        for extract in (effective_band, effective_bands):
+            with pytest.raises(ValueError) as excinfo:
+                extract(spectrum, threshold)
+            assert str(excinfo.value) == f"threshold must lie in (0, 1), got {threshold}"
+
     def test_band_mean_at_least_threshold(self, baseline_spectrum):
         assert effective_band(baseline_spectrum).mean_alpha >= 0.8
 
@@ -395,3 +405,24 @@ class TestOctaveBands:
     def test_invalid_inputs_rejected(self, args):
         with pytest.raises(ValueError):
             octave_bands(*args)
+
+    @pytest.mark.parametrize(
+        "args, refusal",
+        [
+            ((0.0, 10.0), "f_low must lie in (0, inf), got 0.0"),
+            ((math.inf, 10.0), "f_low must lie in (0, inf), got inf"),
+            ((math.nan, 10.0), "f_low must lie in (0, inf), got nan"),
+            ((10.0, 10.0), "f_high must lie in (10, inf), got 10.0"),
+            ((20.5, 10.0), "f_high must lie in (20.5, inf), got 10.0"),
+            ((1.0, math.inf), "f_high must lie in (1, inf), got inf"),
+            ((10**400, 5.0), f"f_low must lie in (0, inf), got {10**400}"),
+            ((1.0, 10**400), f"f_high must lie in (1, inf), got {10**400}"),
+        ],
+        ids=lambda item: str(item)[:20],
+    )
+    def test_each_argument_is_refused_in_the_one_wording(self, args, refusal):
+        # both used to be refused together as "require 0 < f_low < f_high < inf";
+        # an int past the largest double raised OverflowError as an f_high
+        with pytest.raises(ValueError) as excinfo:
+            octave_bands(*args)
+        assert str(excinfo.value) == refusal

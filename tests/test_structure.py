@@ -17,6 +17,7 @@ from mppabsorber import (
     MppPanel,
     MppSpec,
     StraightPipe,
+    ThreeChamberStructure,
     build_chain,
     single_chamber_chain,
 )
@@ -123,6 +124,26 @@ def outside(design):
 
 
 class TestBounds:
+    def test_the_box_is_the_one_criterion_4_searches(self):
+        # a standing rule: each field's declared box, in field order
+        assert type(BOUNDS_MM) is dict
+        assert list(BOUNDS_MM.items()) == [
+            ("d_m", (5.0, 11.0)),
+            ("d_2", (40.0, 70.0)),
+            ("d_4", (50.0, 80.0)),
+            ("d_6", (50.0, 100.0)),
+            ("l_1", (60.0, 80.0)),
+            ("l_1p", (10.0, 30.0)),
+            ("l_2", (4.0, 12.0)),
+            ("l_3", (4.0, 10.0)),
+            ("l_3p", (4.0, 10.0)),
+            ("l_4", (10.0, 30.0)),
+            ("l_5", (10.0, 30.0)),
+            ("l_6", (20.0, 40.0)),
+        ]
+        assert all(type(edge) is float for box in BOUNDS_MM.values() for edge in box)
+        assert DESIGN_FIELDS == tuple(BOUNDS_MM)
+
     def test_optimized_design_is_inside_bounds(self):
         assert outside(OPTIMIZED_DESIGN) == {}
 
@@ -148,3 +169,41 @@ class TestDesignVectorArray:
     def test_design_fields_follow_the_dataclass_order(self):
         # neighbor builds a DesignVector positionally from DESIGN_FIELDS order
         assert DESIGN_FIELDS == tuple(f.name for f in dataclasses.fields(DesignVector))
+
+
+class TestReach:
+    def test_each_field_at_the_lesser_or_greater_of_value_and_box_edge(self):
+        # the baseline sits above the box in l_1 and below it in l_1p
+        narrowest, widest = ThreeChamberStructure(BASELINE_DESIGN, DEFAULT_MPPS).reach()
+        for name, (low, high) in BOUNDS_MM.items():
+            value = getattr(BASELINE_DESIGN, name)
+            assert getattr(narrowest.design, name) == min(value, low)
+            assert getattr(widest.design, name) == max(value, high)
+        assert (narrowest.design.l_1, widest.design.l_1) == (60.0, 98.0)
+        assert (narrowest.design.l_1p, widest.design.l_1p) == (2.0, 30.0)
+        assert narrowest.mpps == widest.mpps == DEFAULT_MPPS
+
+    def test_a_design_inside_the_box_reaches_its_corners(self):
+        narrowest, widest = ThreeChamberStructure(OPTIMIZED_DESIGN, DEFAULT_MPPS).reach()
+        assert narrowest.design == DesignVector(*(low for low, _ in BOUNDS_MM.values()))
+        assert widest.design == DesignVector(*(high for _, high in BOUNDS_MM.values()))
+
+    def test_hole_the_narrowest_duct_cannot_hold_is_refused(self):
+        # a 4.9 mm hole fits the 5 mm duct; a 5 mm hole does not
+        mpps = dataclasses.replace(DEFAULT_MPPS, mpp3=MppSpec(0.8, 4.9, 0.025))
+        ThreeChamberStructure(BASELINE_DESIGN, mpps).reach()
+        mpps = dataclasses.replace(DEFAULT_MPPS, mpp3=MppSpec(0.8, 5.0, 0.025))
+        refusal = (
+            "the search reaches d_m = 5 mm: mpps[2].aperture must be less than design.d_m,"
+            " got 5.0 >= 5.0 mm"
+        )
+        with pytest.raises(ValueError) as excinfo:
+            ThreeChamberStructure(BASELINE_DESIGN, mpps).reach()
+        assert str(excinfo.value) == refusal
+
+    def test_a_design_below_the_box_reaches_its_own_duct(self):
+        # d_m = 4 mm lies below the box: the narrowest duct is the design's
+        design = dataclasses.replace(BASELINE_DESIGN, d_m=4.0)
+        mpps = dataclasses.replace(DEFAULT_MPPS, mpp1=MppSpec(0.6, 3.9, 0.025))
+        narrowest, widest = ThreeChamberStructure(design, mpps).reach()
+        assert (narrowest.design.d_m, widest.design.d_m) == (4.0, 11.0)
