@@ -92,15 +92,9 @@ class MppPanel:
     thickness: float = ranged(0.0)
     aperture: float = ranged(0.0)
     porosity: float = ranged(0.0, 1.0)
-    duct_diameter: float = ranged(0.0)
+    duct_diameter: float = ranged("aperture")
 
-    def __post_init__(self):
-        check_fields(self)
-        if not self.aperture < self.duct_diameter:
-            raise ValueError(
-                f"MppPanel.aperture must be less than MppPanel.duct_diameter,"
-                f" got {self.aperture} >= {self.duct_diameter}"
-            )
+    __post_init__ = check_fields
 
     @property
     def duct_area(self) -> float:

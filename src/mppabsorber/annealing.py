@@ -26,6 +26,7 @@ from .spectrum import (
     effective_band,
     ranged,
     refuse,
+    spelled,
 )
 from .structure import BOUNDS_MM, DesignVector, MppSet, ThreeChamberStructure, build_chain
 
@@ -63,17 +64,13 @@ class AnnealingSchedule:
     initial_temperature: float = ranged(0.0, default=100.0)
     iterations_per_temperature: int = ranged(1, closed=True, default=100)
     cooling_rate: float = ranged(0.0, 1.0, default=0.2)
-    termination_temperature: float = ranged(0.0, default=1e-6)
+    termination_temperature: float = ranged(0.0, "initial_temperature", closed="high", default=1e-6)
     step_fraction: float = ranged(0.0, 1.0, closed=True, default=0.1)
     seed: int = ranged(0, closed=True, default=0)
     cooling_reading: str = "decrement"
 
     def __post_init__(self):
         check_fields(self)
-        if self.termination_temperature > self.initial_temperature:
-            raise ValueError(
-                "termination_temperature must not exceed initial_temperature"
-            )
         if self.cooling_reading not in ("decrement", "multiplier"):
             raise ValueError(
                 f"AnnealingSchedule.cooling_reading must be 'decrement' or 'multiplier',"
@@ -92,7 +89,7 @@ class AnnealingSchedule:
         # in Python ints, which a huge count cannot overflow
         if math.ceil(levels) * int(self.iterations_per_temperature) > _MAX_EVALUATIONS:
             raise ValueError(
-                f"iterations_per_temperature {self.iterations_per_temperature} over"
+                f"iterations_per_temperature {spelled(self.iterations_per_temperature)} over"
                 f" about {levels:.0f} levels makes more than {_MAX_EVALUATIONS} evaluations"
             )
 

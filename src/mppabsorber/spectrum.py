@@ -40,16 +40,24 @@ MAX_GRID_POINTS = 10**7
 FREQUENCY_RANGE = (0.0, 1e11)
 
 
-def refuse(label: str, low: float, high: float, closed: bool, value):
-    """Raise the one refusal wording: `label` must lie in (low, high), or
-    in [low, high) when `closed`, got `value`; a value holding an int
-    too long for Python to spell in decimal is named by its type."""
-    edge = "[" if closed else "("
+def spelled(value, spec: str = "") -> str:
+    """`value` formatted by `spec`. An int that "g" cannot take, past the
+    largest double, is spelled in full, and one too long for Python to
+    spell in decimal is named by its type."""
     try:
-        shown = str(value)
-    except ValueError:  # past the digits Python spells for an int
-        shown = f"{type(value).__name__} of more than {sys.get_int_max_str_digits()} digits"
-    raise ValueError(f"{label} must lie in {edge}{low:g}, {high:g}), got {shown}")
+        return format(value, spec)
+    except (OverflowError, ValueError):
+        digits = sys.get_int_max_str_digits()
+        return spelled(value) if spec else f"{type(value).__name__} of more than {digits} digits"
+
+
+def refuse(label: str, low, high, closed, value):
+    """Raise the one refusal wording: `label` must lie in (low, high), got
+    `value`, with `[` at the low edge when `closed` is True and `]` at the
+    high edge when it is "high"; each number as `spelled` gives it."""
+    interval = f"{spelled(low, 'g')}, {spelled(high, 'g')}"
+    opening, closing = "[" if closed is True else "(", "]" if closed == "high" else ")"
+    raise ValueError(f"{label} must lie in {opening}{interval}{closing}, got {spelled(value)}")
 
 
 def check_frequency(frequency) -> None:
@@ -66,41 +74,58 @@ def check_frequency(frequency) -> None:
         refuse("frequency", low, high, False, frequency)
 
 
-def ranged(low: float, high: float = math.inf, *, closed=False, default=MISSING, **metadata):
+def ranged(low, high=math.inf, *, closed=False, default=MISSING, **metadata):
     """A dataclass field whose value must lie in the open interval (low,
-    high), or in [low, high) when `closed`; a field annotated int must
-    also be an integer. check_fields enforces the rule. Other keywords join
-    the field's metadata."""
+    high); `closed=True` takes the low edge in, [low, high), and
+    `closed="high"` the high one, (low, high]. An edge may instead name an
+    earlier field of the same dataclass, whose value check_fields reads as
+    it checks this one. A field annotated int must also be an integer.
+    Other keywords join the field's metadata."""
     return field(default=default, metadata={"range": (low, high, closed), **metadata})
 
 
 @functools.cache
 def _rules(cls) -> tuple:
-    """(name, floor, high, integer) for each ranged field of `cls`,
-    gathered once per class. Every allowed value exceeds floor: low, or at
-    a closed edge the double just below low, so that one open comparison
-    tests both kinds of edge, for an integral low and an int value too."""
+    """(name, low, high, integer) for each ranged field of `cls`, gathered
+    once per class, with NaN for a named edge."""
     rules = []
     for item in fields(cls):
         if "range" in item.metadata:
-            low, high, closed = item.metadata["range"]
-            floor = math.nextafter(low, -math.inf) if closed else low
-            rules.append((item.name, floor, high, item.type in (int, "int")))
+            low, high, _ = item.metadata["range"]
+            low, high = (math.nan if isinstance(edge, str) else edge for edge in (low, high))
+            rules.append((item.name, low, high, item.type in (int, "int")))
     return tuple(rules)
+
+
+def _rule(owner, name) -> tuple:
+    """(low, high, closed) of field `name`, a named edge read from `owner`:
+    the owner's fields are keyed by name, so a number is no key."""
+    low, high, closed = owner.__dataclass_fields__[name].metadata["range"]
+    values = vars(owner)
+    return values.get(low, low), values.get(high, high), closed
+
+
+def _kept(value, low, high, closed) -> bool:
+    """Whether `value` lies in the interval as written: `<=` at a closed
+    edge, `<` at an open one."""
+    above = low <= value if closed is True else low < value
+    return above and (value <= high if closed == "high" else value < high)
 
 
 def check_fields(owner) -> None:
     """Raise ValueError unless every ranged field of the dataclass `owner`
-    keeps its rule, naming the first that does not as Owner.field."""
-    for name, floor, high, integer in _rules(type(owner)):
+    keeps its rule, checked in field order, naming the first that does not
+    as Owner.field. A named edge is the owner's value of that field."""
+    for name, low, high, integer in _rules(type(owner)):
         value = getattr(owner, name)
         if integer and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
             raise ValueError(f"{type(owner).__name__}.{name} must be an integer, got {value!r}")
         # one chained comparison: this runs for every field of every design
-        # and chain element the annealer builds
-        if not floor < value < high:
-            rule = owner.__dataclass_fields__[name].metadata["range"]
-            refuse(f"{type(owner).__name__}.{name}", *rule, value)
+        # and chain element the annealer builds. What it does not keep, a
+        # value at a closed edge or any against a named edge (NaN), is
+        # compared again as the rule is written.
+        if not low < value < high and not _kept(value, *_rule(owner, name)):
+            refuse(f"{type(owner).__name__}.{name}", *_rule(owner, name), value)
 
 
 @dataclass(frozen=True)
@@ -109,7 +134,7 @@ class FrequencyGrid:
     f_min == f_max is the one-point grid."""
 
     f_min: float = ranged(*FREQUENCY_RANGE)
-    f_max: float = ranged(*FREQUENCY_RANGE)
+    f_max: float = ranged("f_min", FREQUENCY_RANGE[1], closed=True)
     step: float = ranged(*FREQUENCY_RANGE)
 
     def __post_init__(self):
@@ -118,11 +143,10 @@ class FrequencyGrid:
             if np.ndim(value):
                 refuse(f"FrequencyGrid.{name}", *FREQUENCY_RANGE, False, value)
         check_fields(self)
-        if not self.f_min <= self.f_max:
-            raise ValueError(f"require f_min <= f_max, got ({self.f_min}, {self.f_max})")
         # compared as floats: the step count is inf when step << f_max - f_min
-        if (self.f_max - self.f_min) / self.step >= MAX_GRID_POINTS:
-            raise ValueError(f"grid has more than {MAX_GRID_POINTS} points")
+        span, high = self.f_max - self.f_min, FREQUENCY_RANGE[1]
+        if span / self.step >= MAX_GRID_POINTS:
+            refuse("FrequencyGrid.step", span / MAX_GRID_POINTS, high, False, self.step)
 
     @property
     def size(self) -> int:

@@ -199,6 +199,12 @@ class TestSchedule:
             AnnealingSchedule(iterations_per_temperature=10**12)
         AnnealingSchedule(iterations_per_temperature=10**6)  # 8.3e7 evaluations
 
+    def test_count_too_long_to_spell_is_refused_by_name(self):
+        # the cap's message used to raise Python's own "Exceeds the limit"
+        message = "^iterations_per_temperature int of more than 4300 digits over about 83 levels"
+        with pytest.raises(ValueError, match=message):
+            AnnealingSchedule(iterations_per_temperature=10**5000)
+
     @pytest.mark.parametrize("field", ["iterations_per_temperature", "seed"])
     @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
     def test_non_integer_counts_rejected(self, field, value):

@@ -808,7 +808,7 @@ class TestErrors:
         # the first was answered; the second overflowed to NaN alphas, a
         # RuntimeWarning, then an error that named no field
         [
-            (1.0, 1e50, 1e47, "FrequencyGrid.f_max must lie in (0, 1e+11), got 1e+50"),
+            (1.0, 1e50, 1e47, "FrequencyGrid.f_max must lie in [1, 1e+11), got 1e+50"),
             (1e306, 1e307, 1e305, "FrequencyGrid.f_min must lie in (0, 1e+11), got 1e+306"),
         ],
     )

@@ -82,8 +82,11 @@ def test_config_table_states_every_declared_rule():
     for owner, field, interval, unit in table_rows():
         rules = declared(classes[owner])
         for name, item in (rules.items() if field == "*" else [(field, rules[field])]):
+            # an edge that names a field reads as its name
             low, high, closed = item.metadata["range"]
-            assert interval == f"`{'[' if closed else '('}{low:g}, {high:g})`", (owner, name)
+            edges = ", ".join(e if isinstance(e, str) else f"{e:g}" for e in (low, high))
+            opening, closing = "[" if closed is True else "(", "]" if closed == "high" else ")"
+            assert interval == f"`{opening}{edges}{closing}`", (owner, name)
             assert (unit == "integer") == (item.type in (int, "int")), (owner, name)
             documented.append((owner, name))
     assert sorted(documented) == sorted(

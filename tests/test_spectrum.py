@@ -104,27 +104,31 @@ class TestFrequencyGrid:
         assert cut_on_frequency(chain, fastest) < 1e11
         below = math.nextafter(1e11, 0.0)
         grids = [
-            ("f_min", lambda v: FrequencyGrid(v, 2.0 * v, 1.0)),
-            ("f_max", lambda v: FrequencyGrid(1.0, v, 1e9)),
-            ("step", lambda v: FrequencyGrid(1.0, 2.0, v)),
+            ("f_min", "(0", lambda v: FrequencyGrid(v, 2.0 * v, 1.0)),
+            ("f_max", "[1", lambda v: FrequencyGrid(1.0, v, 1e9)),
+            ("step", "(0", lambda v: FrequencyGrid(1.0, 2.0, v)),
         ]
-        for field, build in grids:
+        for field, low, build in grids:
             for value in (1e11, 1e300):
                 with pytest.raises(ValueError) as excinfo:
                     build(value)
                 assert str(excinfo.value) == (
-                    f"FrequencyGrid.{field} must lie in (0, 1e+11), got {value}"
+                    f"FrequencyGrid.{field} must lie in {low}, 1e+11), got {value}"
                 )
         FrequencyGrid(math.nextafter(below, 0.0), below, below)
         FrequencyGrid(1.0, below, 1e9)
 
     def test_point_count_capped(self):
         # construction alone checks the count; no array is built here
+        # a step is refused at (f_max - f_min) / MAX_GRID_POINTS or below
         FrequencyGrid(1.0, float(MAX_GRID_POINTS), 1.0)  # exactly at the cap
-        with pytest.raises(ValueError, match="points"):
-            FrequencyGrid(1.0, 1.0 + MAX_GRID_POINTS, 1.0)
-        with pytest.raises(ValueError, match="points"):
-            FrequencyGrid(1.0, 2000.0, 1e-5)
+        for args, refusal in [
+            ((1.0, 1.0 + MAX_GRID_POINTS, 1.0), "(1, 1e+11), got 1.0"),
+            ((1.0, 2000.0, 1e-5), "(0.0001999, 1e+11), got 1e-05"),
+        ]:
+            with pytest.raises(ValueError) as excinfo:
+                FrequencyGrid(*args)
+            assert str(excinfo.value) == f"FrequencyGrid.step must lie in {refusal}"
 
 
 @dataclass(frozen=True)
@@ -158,25 +162,37 @@ class TestRequirePositive:
             assert Ranged(positive=value).positive == value
 
     @pytest.mark.parametrize(
-        "build",
+        "build, rule",
         [
-            lambda v: Medium(density=v),
-            lambda v: MppPanel(0.6e-3, 0.2e-3, 0.025, v),
-            lambda v: StraightPipe(v, 0.01),
-            lambda v: ElementChain((AreaChange(),), v),
-            lambda v: DesignVector(**{**BASELINE_DESIGN.as_dict(), "l_4": v}),
-            lambda v: MppSpec(0.6, v, 0.025),
-            lambda v: FrequencyGrid(1.0, 2000.0, v),
-            lambda v: AnnealingSchedule(termination_temperature=v),
+            (lambda v: Medium(density=v), "Medium.density must lie in (0.001, 100000)"),
+            (
+                lambda v: MppPanel(0.6e-3, 0.2e-3, 0.025, v),
+                "MppPanel.duct_diameter must lie in (0.0002, inf)",
+            ),
+            (lambda v: StraightPipe(v, 0.01), "StraightPipe.length must lie in (0, inf)"),
+            (
+                lambda v: ElementChain((AreaChange(),), v),
+                "ElementChain.main_duct_diameter must lie in (0, inf)",
+            ),
+            (
+                lambda v: DesignVector(**{**BASELINE_DESIGN.as_dict(), "l_4": v}),
+                "DesignVector.l_4 must lie in (0.001, 1e+06)",
+            ),
+            (lambda v: MppSpec(0.6, v, 0.025), "MppSpec.aperture must lie in (0.001, 1e+06)"),
+            (lambda v: FrequencyGrid(1.0, 2000.0, v), "FrequencyGrid.step must lie in (0, 1e+11)"),
+            (
+                lambda v: AnnealingSchedule(termination_temperature=v),
+                "AnnealingSchedule.termination_temperature must lie in (0, 100]",
+            ),
         ],
         ids=["medium", "panel", "pipe", "chain", "design", "mpp", "grid", "schedule"],
     )
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_every_validated_dataclass_refuses_non_finite(self, build, value):
+    def test_every_validated_dataclass_refuses_non_finite(self, build, rule, value):
         # the one wording of every field: its interval, then the value
-        with pytest.raises(ValueError, match=re.escape(f"), got {value}") + "$") as excinfo:
+        with pytest.raises(ValueError) as excinfo:
             build(value)
-        assert " must lie in (" in str(excinfo.value)
+        assert str(excinfo.value) == f"{rule}, got {value}"
 
 
 class TestCheckFields:
@@ -201,6 +217,58 @@ class TestCheckFields:
         assert Ranged(count=np.int64(3)).count == 3
         assert Ranged(count=np.uint8(7)).count == 7
         assert refusal(count=-1) == "Ranged.count must lie in [0, inf), got -1"
+
+
+# A field's value for the relations' property test: NaN, an infinity, an
+# int past the largest double, or log-uniform over 1e-13 to 1e13.
+VALUES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 10**400]),
+    st.floats(-13.0, 13.0).map(lambda exponent: 10.0**exponent),
+)
+WORDING = re.compile(r"^\w+\.\w+ must lie in [\[(].+, .+[\])], got .+$")
+
+
+@st.composite
+def pairs(draw):
+    """Two fields' values that a relation compares: the second equal to the
+    first or one ulp either side of it, or drawn on its own."""
+    first = draw(VALUES)
+    if isinstance(first, float) and draw(st.booleans()):
+        below, above = math.nextafter(first, -math.inf), math.nextafter(first, math.inf)
+        return first, draw(st.sampled_from([first, below, above]))
+    return first, draw(VALUES)
+
+
+def refused(cls, *args, **kwargs) -> bool:
+    """Whether cls(*args, **kwargs) raises ValueError, which must then read
+    in the one wording."""
+    try:
+        cls(*args, **kwargs)
+    except ValueError as exc:
+        assert WORDING.match(str(exc)), str(exc)
+        return True
+    return False
+
+
+@settings(max_examples=300)
+@given(ends=pairs(), step=VALUES, temperatures=pairs(), hole=pairs())
+def test_relations_refuse_as_the_hand_written_checks_did(ends, step, temperatures, hole):
+    # each predicate is the one the dataclass checked by hand before its
+    # relation was declared: the fields' own intervals, then the relation
+    f_min, f_max = ends
+    kept = all(0 < v < 1e11 for v in (f_min, f_max, step)) and f_min <= f_max
+    kept = kept and (f_max - f_min) / step < MAX_GRID_POINTS
+    assert refused(FrequencyGrid, f_min, f_max, step) is not kept
+    # the default cooling takes at most about 4,300 levels between these
+    # temperatures, far inside both of the schedule's caps
+    initial, termination = temperatures
+    kept = 0 < initial < math.inf and 0 < termination < math.inf and termination <= initial
+    assert refused(
+        AnnealingSchedule, initial_temperature=initial, termination_temperature=termination
+    ) is not kept
+    aperture, duct = hole
+    kept = 0 < aperture < math.inf and 0 < duct < math.inf and aperture < duct
+    assert refused(MppPanel, 6e-4, aperture, 0.025, duct) is not kept
 
 
 class TestSpectrumInvariants:
