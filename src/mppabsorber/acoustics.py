@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectrum import AbsorptionSpectrum, FrequencyGrid, check_fields, check_frequency, ranged
+from .spectrum import require
 
 __all__ = [
     "AIR",
@@ -185,10 +186,13 @@ def cut_on_frequency(chain: ElementChain, medium: Medium = AIR) -> float:
 def perforate_constant(frequency, aperture: float, medium: Medium = AIR):
     """Perforate constant K = d * sqrt(omega * rho0 / (4 * eta)), the ratio
     of hole radius to viscous boundary-layer thickness: it sets where the
-    hole impedance turns from Poiseuille to Helmholtz behaviour."""
+    hole impedance turns from Poiseuille to Helmholtz behaviour. A zero
+    aperture is its limit, K = 0, and a K past the largest double is inf."""
     check_frequency(frequency)
+    require("aperture", aperture, 0, math.inf, closed=True)
     omega = 2.0 * np.pi * frequency
-    return aperture * np.sqrt(omega * medium.density / (4.0 * medium.dynamic_viscosity))
+    with np.errstate(over="ignore"):
+        return aperture * np.sqrt(omega * medium.density / (4.0 * medium.dynamic_viscosity))
 
 
 def mpp_normalized_impedance(panel: MppPanel, frequency, medium: Medium = AIR):

@@ -25,7 +25,7 @@ from .spectrum import (
     check_fields,
     effective_band,
     ranged,
-    refuse,
+    require,
     spelled,
 )
 from .structure import BOUNDS_MM, DesignVector, MppSet, ThreeChamberStructure, build_chain
@@ -144,8 +144,7 @@ def neighbor(
 
 def accept(delta_objective: float, temperature: float, rng: np.random.Generator) -> bool:
     """Metropolis rule: improvements always, others with exp(delta/T)."""
-    if not 0 < temperature < math.inf:
-        refuse("temperature", 0, math.inf, False, temperature)
+    require("temperature", temperature, 0, math.inf)
     if delta_objective >= 0:
         return True
     return rng.random() < math.exp(delta_objective / temperature)

@@ -7,11 +7,12 @@ DesignVector, `mpps` a list of exactly three MppSpec panels) or, with
 `structure`; `medium` is a Medium, `grid` a FrequencyGrid and `schedule` an
 AnnealingSchedule. A field with no default is required, a missing or null
 optional field takes its default, and an unknown key is an error. A float
-field takes a finite number (no NaN, Infinity or boolean), a JSON integer
-becoming a float. Every other value reaches its dataclass as parsed, and
-the dataclass applies its own rules: the interval each field declares
-(`spectrum.ranged`), for an int field that it is an integer, and for a
-structure that each hole is narrower than its duct.
+field takes a finite number (no NaN, Infinity or boolean), as
+`spectrum.require` judges it, a JSON integer becoming a float. Every other
+value reaches its dataclass as parsed, and the dataclass applies its own
+rules: the interval each field declares (`spectrum.ranged`), for an int
+field that it is an integer, and for a structure that each hole is
+narrower than its duct.
 
 Files carry lengths in millimetres (matching the engineering tables);
 conversion to SI happens when chains are built. Emitted files re-parse to
@@ -23,14 +24,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import sys
+import math
 import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 from .acoustics import AIR, Medium
 from .annealing import AnnealingSchedule
-from .spectrum import DEFAULT_GRID, FrequencyGrid
+from .spectrum import DEFAULT_GRID, FrequencyGrid, require
 from .structure import MppSet, MppSpec, SingleChamberStructure, ThreeChamberStructure
 
 __all__ = [
@@ -68,9 +69,10 @@ def _decode(cls, data, context: str):
     if len(options) == 1:  # X | None; a null is taken as absent before here
         cls = options[0]
     if cls is float:
-        # NaN fails the comparison; so do infinities and ints beyond the float range
-        if type(data) not in (int, float) or not abs(data) <= sys.float_info.max:
-            raise ConfigError(f"{context}: expected a finite number, got {data!r}")
+        try:
+            require(context, data, -math.inf, math.inf)
+        except ValueError:
+            raise ConfigError(f"{context}: expected a finite number, got {data!r}") from None
         return float(data)
     if cls in (int, str):  # the owning dataclass checks these
         return data

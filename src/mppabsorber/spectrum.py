@@ -40,37 +40,58 @@ MAX_GRID_POINTS = 10**7
 FREQUENCY_RANGE = (0.0, 1e11)
 
 
-def spelled(value, spec: str = "") -> str:
-    """`value` formatted by `spec`. An int that "g" cannot take, past the
-    largest double, is spelled in full, and one too long for Python to
-    spell in decimal is named by its type."""
+def spelled(value) -> str:
+    """`value` as a refusal shows it, a string quoted. An int too long for
+    Python to spell in decimal, alone or in a list, is named by its type."""
     try:
-        return format(value, spec)
-    except (OverflowError, ValueError):
-        digits = sys.get_int_max_str_digits()
-        return spelled(value) if spec else f"{type(value).__name__} of more than {digits} digits"
+        return repr(value) if isinstance(value, str) else str(value)
+    except ValueError:
+        return f"{type(value).__name__} of more than {sys.get_int_max_str_digits()} digits"
 
 
 def refuse(label: str, low, high, closed, value):
     """Raise the one refusal wording: `label` must lie in (low, high), got
     `value`, with `[` at the low edge when `closed` is True and `]` at the
-    high edge when it is "high"; each number as `spelled` gives it."""
-    interval = f"{spelled(low, 'g')}, {spelled(high, 'g')}"
+    high edge when it is "high"; the value as `spelled` gives it, and each
+    edge, a number a rule has taken, formatted by "g". It judges nothing:
+    require, check_frequency and the grid cap decide."""
     opening, closing = "[" if closed is True else "(", "]" if closed == "high" else ")"
-    raise ValueError(f"{label} must lie in {opening}{interval}{closing}, got {spelled(value)}")
+    raise ValueError(f"{label} must lie in {opening}{low:g}, {high:g}{closing}, got {spelled(value)}")
+
+
+def require(label: str, value, low, high, closed=False, integer=False) -> None:
+    """Raise ValueError unless the number `value` lies in the interval (low,
+    high), with `closed` as `ranged` reads it: the package's one check of a
+    scalar. A bool is no number. When `integer`, the value must be a
+    numbers.Integral, compared exactly, or it is refused as `must be an
+    integer`. Otherwise it must be a numbers.Real, or a 0-d array of one,
+    that float() takes, so an int past the largest double is refused as
+    infinity is, and so are a string, None, a complex and any other array.
+    """
+    number = value
+    if integer and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+        raise ValueError(f"{label} must be an integer, got {value!r}")
+    if not integer and type(value) is not float:
+        scalar = value[()] if isinstance(value, np.ndarray) and value.ndim == 0 else value
+        real = isinstance(scalar, numbers.Real) and not isinstance(scalar, bool)
+        try:
+            number = float(scalar) if real else math.nan
+        except OverflowError:  # an int past the largest double
+            number = math.nan
+    above = low <= number if closed is True else low < number
+    if not (above and (number <= high if closed == "high" else number < high)):
+        refuse(label, low, high, closed, value)
 
 
 def check_frequency(frequency) -> None:
     """Raise ValueError unless the frequency, a number or every element of
     an array, lies in FREQUENCY_RANGE, the range of a FrequencyGrid's
-    fields; NaN fails, and so does what is no float, such as an int past
-    the largest double."""
+    fields. The array must hold ints or floats: a bool, a string, a complex
+    or an int past the largest double (an object array) fails, and so does
+    NaN."""
     low, high = FREQUENCY_RANGE
-    try:
-        values = np.asarray(frequency, dtype=float)
-    except (OverflowError, TypeError, ValueError):
-        values = np.nan
-    if not np.all((values > low) & (values < high)):
+    values = np.asarray(frequency)
+    if values.dtype.kind not in "iuf" or not np.all((values > low) & (values < high)):
         refuse("frequency", low, high, False, frequency)
 
 
@@ -79,53 +100,42 @@ def ranged(low, high=math.inf, *, closed=False, default=MISSING, **metadata):
     high); `closed=True` takes the low edge in, [low, high), and
     `closed="high"` the high one, (low, high]. An edge may instead name an
     earlier field of the same dataclass, whose value check_fields reads as
-    it checks this one. A field annotated int must also be an integer.
-    Other keywords join the field's metadata."""
+    it checks this one. A field annotated int must be an integer, and any
+    other a float-able number (require). Other keywords join the field's
+    metadata."""
     return field(default=default, metadata={"range": (low, high, closed), **metadata})
 
 
 @functools.cache
 def _rules(cls) -> tuple:
-    """(name, low, high, integer) for each ranged field of `cls`, gathered
-    once per class, with NaN for a named edge."""
-    rules = []
-    for item in fields(cls):
-        if "range" in item.metadata:
-            low, high, _ = item.metadata["range"]
-            low, high = (math.nan if isinstance(edge, str) else edge for edge in (low, high))
-            rules.append((item.name, low, high, item.type in (int, "int")))
-    return tuple(rules)
+    """The rule of each ranged field of `cls`, gathered once per class."""
+    return tuple(_rule(item) for item in fields(cls) if "range" in item.metadata)
 
 
-def _rule(owner, name) -> tuple:
-    """(low, high, closed) of field `name`, a named edge read from `owner`:
-    the owner's fields are keyed by name, so a number is no key."""
-    low, high, closed = owner.__dataclass_fields__[name].metadata["range"]
-    values = vars(owner)
-    return values.get(low, low), values.get(high, high), closed
-
-
-def _kept(value, low, high, closed) -> bool:
-    """Whether `value` lies in the interval as written: `<=` at a closed
-    edge, `<` at an open one."""
-    above = low <= value if closed is True else low < value
-    return above and (value <= high if closed == "high" else value < high)
+def _rule(item) -> tuple:
+    """The field's name, the plain edges of check_fields' one comparison
+    (NaN, which no value passes, for a named edge and for an int field), and
+    its rule as require takes it, (low, high, closed, integer)."""
+    low, high, closed = item.metadata["range"]
+    integer = item.type in (int, "int")
+    plain = (math.nan if integer or isinstance(edge, str) else edge for edge in (low, high))
+    return (item.name, *plain, (low, high, closed, integer))
 
 
 def check_fields(owner) -> None:
     """Raise ValueError unless every ranged field of the dataclass `owner`
     keeps its rule, checked in field order, naming the first that does not
-    as Owner.field. A named edge is the owner's value of that field."""
-    for name, low, high, integer in _rules(type(owner)):
+    as Owner.field. A float strictly inside plain edges is kept by one
+    comparison; every other value goes to require, with a named edge read
+    as the owner's value of that field."""
+    for name, low, high, rule in _rules(type(owner)):
         value = getattr(owner, name)
-        if integer and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-            raise ValueError(f"{type(owner).__name__}.{name} must be an integer, got {value!r}")
-        # one chained comparison: this runs for every field of every design
-        # and chain element the annealer builds. What it does not keep, a
-        # value at a closed edge or any against a named edge (NaN), is
-        # compared again as the rule is written.
-        if not low < value < high and not _kept(value, *_rule(owner, name)):
-            refuse(f"{type(owner).__name__}.{name}", *_rule(owner, name), value)
+        # one type test and one chained comparison: this runs for every
+        # field of every design and chain element the annealer builds
+        if type(value) is not float or not low < value < high:
+            low, high, closed, integer = rule
+            low, high = (vars(owner).get(edge, edge) for edge in (low, high))
+            require(f"{type(owner).__name__}.{name}", value, low, high, closed, integer)
 
 
 @dataclass(frozen=True)
@@ -138,10 +148,6 @@ class FrequencyGrid:
     step: float = ranged(*FREQUENCY_RANGE)
 
     def __post_init__(self):
-        # an array passes check_fields' comparison when it has one element
-        for name, value in vars(self).items():
-            if np.ndim(value):
-                refuse(f"FrequencyGrid.{name}", *FREQUENCY_RANGE, False, value)
         check_fields(self)
         # compared as floats: the step count is inf when step << f_max - f_min
         span, high = self.f_max - self.f_min, FREQUENCY_RANGE[1]
@@ -212,12 +218,10 @@ class EffectiveBand:
 
 
 def octave_bands(f_low: float, f_high: float) -> float:
-    """Number of octaves spanned: log2(f_high / f_low). Each edge must be a
-    float: an int past the largest double is refused as infinity is."""
-    if not 0 < f_low <= sys.float_info.max:
-        refuse("f_low", 0, math.inf, False, f_low)
-    if not f_low < f_high <= sys.float_info.max:
-        refuse("f_high", f_low, math.inf, False, f_high)
+    """Number of octaves spanned: log2(f_high / f_low), for 0 < f_low <
+    f_high < inf."""
+    require("f_low", f_low, 0, math.inf)
+    require("f_high", f_high, f_low, math.inf)
     return math.log2(f_high / f_low)
 
 
@@ -228,8 +232,7 @@ _EDGE = np.zeros(1, bool)
 def _runs(alphas: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
     """Start and inclusive end indices of the maximal runs with alpha >=
     threshold, in ascending order."""
-    if not 0 < threshold < 1:
-        refuse("threshold", 0, 1, False, threshold)
+    require("threshold", threshold, 0, 1)
     padded = np.concatenate((_EDGE, alphas >= threshold, _EDGE))
     edges = np.flatnonzero(padded[1:] != padded[:-1])
     return edges[::2], edges[1::2] - 1

@@ -169,6 +169,19 @@ class TestPerforateConstant:
     def test_zero_aperture_gives_zero(self):
         assert perforate_constant(500.0, 0.0) == 0.0
 
+    @pytest.mark.parametrize(
+        "aperture, shown",
+        [(-2e-4, "-0.0002"), (math.nan, "nan"), (math.inf, "inf"), ("2e-4", "'2e-4'"),
+         (10**400, str(10**400))],
+        ids=["negative", "nan", "inf", "str", "int"],
+    )
+    def test_aperture_is_refused_in_the_one_wording(self, aperture, shown):
+        # only the frequency was checked: -2e-4 gave K = -1.4456, NaN and inf
+        # were answered, a string raised TypeError and 10**400 OverflowError
+        with pytest.raises(ValueError) as excinfo:
+            perforate_constant(500.0, aperture)
+        assert str(excinfo.value) == f"aperture must lie in [0, inf), got {shown}"
+
     def test_monotone_in_frequency_and_aperture(self):
         rng = np.random.default_rng(3)
         freqs = np.sort(rng.uniform(1.0, 2000.0, 20))
@@ -747,6 +760,11 @@ class TestAbsorption:
             absorption_at(single_chain, frequency)
         refusal = f"FrequencyGrid.f_min must lie in (0, 1e+11), got {frequency}"
         assert str(excinfo.value) == refusal
+
+    def test_absorption_at_takes_a_zero_dimensional_array(self, baseline_chain):
+        # a 0-d array is a number: the grid's check takes it as one
+        at_array = absorption_at(baseline_chain, np.array(500.0))
+        assert at_array == absorption_at(baseline_chain, 500.0)
 
     def test_bad_progression_message_names_the_argument_not_the_grid(self, baseline_chain):
         # used to print every frequency of the grid from the panel impedance;

@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,8 +74,19 @@ class TestFrequencyGrid:
         args = {"f_min": 5.0, "f_max": 5.0, "step": 1.0, field: value}
         with pytest.raises(ValueError) as excinfo:
             FrequencyGrid(**args)
-        refusal = f"FrequencyGrid.{field} must lie in (0, 1e+11), got {value}"
+        interval = "[5, 1e+11)" if field == "f_max" else "(0, 1e+11)"
+        refusal = f"FrequencyGrid.{field} must lie in {interval}, got {value}"
         assert str(excinfo.value) == refusal
+
+    def test_fields_are_refused_in_declaration_order(self):
+        # f_max's rule is broken before step's array is reached
+        with pytest.raises(ValueError) as excinfo:
+            FrequencyGrid(5.0, 4.0, np.array([6.0]))
+        assert str(excinfo.value) == "FrequencyGrid.f_max must lie in [5, 1e+11), got 4.0"
+
+    @pytest.mark.parametrize("f_min", [np.array(1.0), 1])
+    def test_zero_dimensional_array_or_int_field_is_taken(self, f_min):
+        assert FrequencyGrid(f_min, 10.0, 1.0).size == 10
 
     @pytest.mark.parametrize("step", [1.0, 50.0, 5e-324])
     def test_equal_ends_are_a_one_point_grid(self, step):
@@ -250,11 +262,17 @@ def refused(cls, *args, **kwargs) -> bool:
     return False
 
 
+def floats(*values) -> bool:
+    """Whether float() takes each of these positive values without overflow."""
+    return all(value <= sys.float_info.max for value in values)
+
+
 @settings(max_examples=300)
 @given(ends=pairs(), step=VALUES, temperatures=pairs(), hole=pairs())
 def test_relations_refuse_as_the_hand_written_checks_did(ends, step, temperatures, hole):
     # each predicate is the one the dataclass checked by hand before its
-    # relation was declared: the fields' own intervals, then the relation
+    # relation was declared: the fields' own intervals, then the relation;
+    # a field now also refuses an int past the largest double
     f_min, f_max = ends
     kept = all(0 < v < 1e11 for v in (f_min, f_max, step)) and f_min <= f_max
     kept = kept and (f_max - f_min) / step < MAX_GRID_POINTS
@@ -263,11 +281,13 @@ def test_relations_refuse_as_the_hand_written_checks_did(ends, step, temperature
     # temperatures, far inside both of the schedule's caps
     initial, termination = temperatures
     kept = 0 < initial < math.inf and 0 < termination < math.inf and termination <= initial
+    kept = kept and floats(initial, termination)
     assert refused(
         AnnealingSchedule, initial_temperature=initial, termination_temperature=termination
     ) is not kept
     aperture, duct = hole
     kept = 0 < aperture < math.inf and 0 < duct < math.inf and aperture < duct
+    kept = kept and floats(aperture, duct)
     assert refused(MppPanel, 6e-4, aperture, 0.025, duct) is not kept
 
 
