@@ -57,6 +57,10 @@ class SingularConfigurationError(ValueError):
         )
 
 
+# Longest length (m) an element takes, the edge included: 1 km, far below area overflow.
+_MAX_LENGTH = 1e3
+
+
 @dataclass(frozen=True)
 class Medium:
     """Ambient fluid of every impedance formula; the defaults are air at
@@ -67,7 +71,7 @@ class Medium:
     sound_speed: float = ranged(1.0, 1e5, default=343.0)  # m/s
     density: float = ranged(1e-3, 1e5, default=1.204)  # kg/m^3
     dynamic_viscosity: float = ranged(1e-8, 1e3, default=1.81e-5)  # Pa*s
-    temperature: float = 20.0  # degC, informational
+    temperature: float = ranged(-273.15, default=20.0)  # degC, informational
 
     __post_init__ = check_fields
 
@@ -90,10 +94,10 @@ class MppPanel:
     """Micro-perforated panel in a duct, a chain element: thickness, aperture
     (hole diameter) and duct_diameter in metres, porosity the open-area fraction."""
 
-    thickness: float = ranged(0.0)
-    aperture: float = ranged(0.0)
+    thickness: float = ranged(0.0, _MAX_LENGTH, closed="high")
+    aperture: float = ranged(0.0, _MAX_LENGTH, closed="high")
     porosity: float = ranged(0.0, 1.0)
-    duct_diameter: float = ranged("aperture")
+    duct_diameter: float = ranged("aperture", _MAX_LENGTH, closed="high")
 
     __post_init__ = check_fields
 
@@ -106,8 +110,8 @@ class MppPanel:
 class StraightPipe:
     """Uniform circular duct segment (length and diameter in metres)."""
 
-    length: float = ranged(0.0)
-    diameter: float = ranged(0.0)
+    length: float = ranged(0.0, _MAX_LENGTH, closed="high")
+    diameter: float = ranged(0.0, _MAX_LENGTH, closed="high")
 
     __post_init__ = check_fields
 
@@ -147,7 +151,7 @@ class ElementChain:
     impedance of the reflection coefficient."""
 
     elements: tuple[SoundElement, ...]
-    main_duct_diameter: float = ranged(0.0)
+    main_duct_diameter: float = ranged(0.0, _MAX_LENGTH, closed="high")
 
     def __post_init__(self):
         if len(self.elements) == 0:

@@ -26,7 +26,6 @@ from .spectrum import (
     effective_band,
     ranged,
     require,
-    spelled,
 )
 from .structure import BOUNDS_MM, DesignVector, MppSet, ThreeChamberStructure, build_chain
 
@@ -76,22 +75,17 @@ class AnnealingSchedule:
                 f"AnnealingSchedule.cooling_reading must be 'decrement' or 'multiplier',"
                 f" got {self.cooling_reading!r}"
             )
-        # a schedule must cool: 1 - rate rounds to 1 for rates up to 2**-54
-        factor = self.next_temperature(1.0)
+        # the per-level factor that cools from initial to termination in
+        # _MAX_LEVELS levels; never 1, a factor at which nothing cools
         span = math.log(self.termination_temperature) - math.log(self.initial_temperature)
-        levels = math.inf if factor == 1.0 else span / math.log(factor)
-        if levels > _MAX_LEVELS:
-            raise ValueError(
-                f"cooling_rate {self.cooling_rate} gives the per-level factor {factor!r},"
-                f" more than {_MAX_LEVELS} levels from initial_temperature to"
-                " termination_temperature"
-            )
-        # in Python ints, which a huge count cannot overflow
-        if math.ceil(levels) * int(self.iterations_per_temperature) > _MAX_EVALUATIONS:
-            raise ValueError(
-                f"iterations_per_temperature {spelled(self.iterations_per_temperature)} over"
-                f" about {levels:.0f} levels makes more than {_MAX_EVALUATIONS} evaluations"
-            )
+        bound = min(math.exp(span / _MAX_LEVELS), math.nextafter(1.0, 0.0))
+        decrement = self.cooling_reading == "decrement"
+        low, high, closed = (1.0 - bound, 1.0, True) if decrement else (0.0, bound, "high")
+        require("AnnealingSchedule.cooling_rate", self.cooling_rate, low, high, closed)
+        levels = math.ceil(span / math.log(self.next_temperature(1.0)))
+        if levels:  # none when termination equals initial
+            require("AnnealingSchedule.iterations_per_temperature", self.iterations_per_temperature,
+                    1, _MAX_EVALUATIONS // levels + 1, closed=True, integer=True)
 
     def next_temperature(self, temperature: float) -> float:
         if self.cooling_reading == "decrement":

@@ -54,7 +54,7 @@ def refuse(label: str, low, high, closed, value):
     `value`, with `[` at the low edge when `closed` is True and `]` at the
     high edge when it is "high"; the value as `spelled` gives it, and each
     edge, a number a rule has taken, formatted by "g". It judges nothing:
-    require, check_frequency and the grid cap decide."""
+    require, check_frequency and the hole rule decide."""
     opening, closing = "[" if closed is True else "(", "]" if closed == "high" else ")"
     raise ValueError(f"{label} must lie in {opening}{low:g}, {high:g}{closing}, got {spelled(value)}")
 
@@ -87,10 +87,13 @@ def check_frequency(frequency) -> None:
     """Raise ValueError unless the frequency, a number or every element of
     an array, lies in FREQUENCY_RANGE, the range of a FrequencyGrid's
     fields. The array must hold ints or floats: a bool, a string, a complex
-    or an int past the largest double (an object array) fails, and so does
-    NaN."""
+    or an int past the largest double (an object array) fails, and so do
+    NaN and a ragged nested list."""
     low, high = FREQUENCY_RANGE
-    values = np.asarray(frequency)
+    try:
+        values = np.asarray(frequency)
+    except ValueError:  # a ragged nested list: no array, so no number
+        values = np.asarray(None)
     if values.dtype.kind not in "iuf" or not np.all((values > low) & (values < high)):
         refuse("frequency", low, high, False, frequency)
 
@@ -149,10 +152,8 @@ class FrequencyGrid:
 
     def __post_init__(self):
         check_fields(self)
-        # compared as floats: the step count is inf when step << f_max - f_min
-        span, high = self.f_max - self.f_min, FREQUENCY_RANGE[1]
-        if span / self.step >= MAX_GRID_POINTS:
-            refuse("FrequencyGrid.step", span / MAX_GRID_POINTS, high, False, self.step)
+        span = self.f_max - self.f_min
+        require("FrequencyGrid.step", self.step, span / MAX_GRID_POINTS, FREQUENCY_RANGE[1])
 
     @property
     def size(self) -> int:

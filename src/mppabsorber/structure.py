@@ -8,7 +8,7 @@ inclusive box, gathered in BOUNDS_MM, which the optimizer searches; a
 ThreeChamberStructure answers which structures a search from its design
 reaches. The degenerate single-chamber structure (one MPP, one chamber) is
 provided as well. Both structures refuse a panel whose hole is not narrower
-than the main duct `d_m`, naming the panel and both values in millimetres.
+than the main duct `d_m`, as an aperture interval in millimetres.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .acoustics import AreaChange, ElementChain, MppPanel, StraightPipe
-from .spectrum import check_fields, ranged
+from .spectrum import check_fields, ranged, refuse
 
 __all__ = [
     "BASELINE_DESIGN",
@@ -185,14 +185,13 @@ def single_chamber_chain(
     return ElementChain(elements=elements, main_duct_diameter=main_diameter_mm * MM)
 
 
-def _check_hole(mpp: MppSpec, duct_mm: float, label: str, duct_label: str) -> None:
-    """MppPanel's refusal of a hole not narrower than its duct, reworded
-    in the config's field names and millimetres."""
+def _check_hole(mpp: MppSpec, duct_mm: float, label: str) -> None:
+    """MppPanel's refusal of a hole not narrower than its duct, stated as
+    the interval of `label`.aperture in the config's millimetres."""
     try:
         mpp.panel(duct_mm)
     except ValueError:
-        message = f"{label}.aperture must be less than {duct_label}, got {mpp.aperture}"
-        raise ValueError(f"{message} >= {duct_mm} mm") from None
+        refuse(f"{label}.aperture", MM_RANGE[0], duct_mm, False, mpp.aperture)
 
 
 @dataclass(frozen=True)
@@ -204,7 +203,7 @@ class ThreeChamberStructure:
 
     def __post_init__(self):
         for index, mpp in enumerate(self.mpps):
-            _check_hole(mpp, self.design.d_m, f"mpps[{index}]", "design.d_m")
+            _check_hole(mpp, self.design.d_m, f"ThreeChamberStructure.mpps[{index}]")
 
     def chain(self) -> ElementChain:
         return build_chain(self.design, self.mpps)
@@ -237,7 +236,7 @@ class SingleChamberStructure:
 
     def __post_init__(self):
         check_fields(self)
-        _check_hole(self.mpp, self.d_m, "mpp", "d_m")
+        _check_hole(self.mpp, self.d_m, "SingleChamberStructure.mpp")
 
     def chain(self) -> ElementChain:
         return single_chamber_chain(self.mpp, self.d_m, self.l_m, self.d_e, self.t_e)

@@ -29,6 +29,7 @@ from mppabsorber import (
     MppPanel,
     MppSet,
     MppSpec,
+    SingleChamberStructure,
     SingularConfigurationError,
     StraightPipe,
     absorption_at,
@@ -141,6 +142,19 @@ class TestMedium:
             )
         for value in (math.nextafter(low, high), math.nextafter(high, low)):
             assert getattr(Medium(**{field: value}), field) == value
+
+    @pytest.mark.parametrize(
+        "value, shown", [("hot", "'hot'"), (math.nan, "nan"), (-273.15, "-273.15"),
+                         (math.inf, "inf"), (True, "True")],
+    )
+    def test_temperature_lies_above_absolute_zero(self, value, shown):
+        # the one float field without a rule: "hot" and NaN were taken
+        with pytest.raises(ValueError) as excinfo:
+            Medium(temperature=value)
+        assert str(excinfo.value) == f"Medium.temperature must lie in (-273.15, inf), got {shown}"
+        above = math.nextafter(-273.15, 0.0)
+        assert Medium(temperature=above).temperature == above
+        assert AIR.temperature == 20.0
 
 
 class TestCutOn:
@@ -354,6 +368,53 @@ def test_int_too_long_to_spell_is_refused_in_the_one_wording(call):
             call(value)
         refusal = f"frequency must lie in (0, 1e+11), got {shown} of more than 4300 digits"
         assert str(excinfo.value) == refusal
+
+
+@pytest.mark.parametrize("entry_point", sorted(FREQUENCY_ENTRY_POINTS))
+def test_ragged_frequency_list_is_refused_by_name(entry_point):
+    # numpy's own "inhomogeneous shape" ValueError named no argument
+    with pytest.raises(ValueError) as excinfo:
+        FREQUENCY_ENTRY_POINTS[entry_point]([500.0, [600.0, 700.0]])
+    assert str(excinfo.value) == "frequency must lie in (0, 1e+11), got [500.0, [600.0, 700.0]]"
+
+
+# Every SI length of a chain element: a call that builds the element with
+# that one value, the interval it lies in and the widest value it takes, the
+# edge itself but for a hole, which must stay narrower than its duct.
+SI_LENGTHS = {
+    "MppPanel.thickness": (lambda v: MppPanel(v, 2e-4, 0.025, 0.01), "(0, 1000]", 1e3),
+    "MppPanel.aperture": (
+        lambda v: MppPanel(6e-4, v, 0.025, 1e3), "(0, 1000]", math.nextafter(1e3, 0.0)
+    ),
+    "MppPanel.duct_diameter": (lambda v: MppPanel(6e-4, 2e-4, 0.025, v), "(0.0002, 1000]", 1e3),
+    "StraightPipe.length": (lambda v: StraightPipe(v, 0.01), "(0, 1000]", 1e3),
+    "StraightPipe.diameter": (lambda v: StraightPipe(0.1, v), "(0, 1000]", 1e3),
+    "ElementChain.main_duct_diameter": (
+        lambda v: ElementChain((AreaChange(),), v), "(0, 1000]", 1e3
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(SI_LENGTHS))
+def test_si_lengths_stop_at_one_kilometre(label):
+    # lengths were unbounded above: a duct of 1e160 m was built, and its
+    # solve raised OverflowError from circle_area
+    build, interval, widest = SI_LENGTHS[label]
+    assert build(widest) is not None
+    for value in (math.nextafter(1e3, math.inf), 1e160):
+        with pytest.raises(ValueError) as excinfo:
+            build(value)
+        assert str(excinfo.value) == f"{label} must lie in {interval}, got {value}"
+
+
+@pytest.mark.filterwarnings("error")
+def test_every_config_length_one_ulp_below_one_kilometre_is_answered():
+    # the config's lengths stop below 1e6 mm, so each SI length stays at or
+    # below the 1 km edge and the chain solves
+    below = math.nextafter(1e6, 0.0)
+    structure = SingleChamberStructure(below, below, below, below, MppSpec(below, below / 2, 0.5))
+    alpha = absorption_at(structure.chain(), 500.0)
+    assert 0.0 <= alpha <= 1.0
 
 
 class TestChainMatrix:

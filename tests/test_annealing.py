@@ -2,9 +2,12 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mppabsorber import (
     AnnealingSchedule,
@@ -168,19 +171,32 @@ class TestSchedule:
             AnnealingSchedule(**kwargs)
 
     @pytest.mark.parametrize(
-        "kwargs",
+        "kwargs, refusal",
         [
-            {"cooling_rate": 1e-17},  # 1 - rate rounds to 1: the temperature never falls
-            {"cooling_rate": 2e-16},  # a factor of 1 - 2**-52, below 1
-            {"cooling_rate": 1e-6},  # about 1.8e7 levels
-            {"cooling_rate": 1 - 1e-6, "cooling_reading": "multiplier"},
+            # 1 - rate rounds to 1: the temperature never falls
+            ({"cooling_rate": 1e-17}, "[1.84205e-05, 1), got 1e-17"),
+            # a factor of 1 - 2**-52, below 1
+            ({"cooling_rate": 2e-16}, "[1.84205e-05, 1), got 2e-16"),
+            ({"cooling_rate": 1e-6}, "[1.84205e-05, 1), got 1e-06"),  # about 1.8e7 levels
+            (
+                {"cooling_rate": 1 - 1e-6, "cooling_reading": "multiplier"},
+                "(0, 0.999982], got 0.999999",
+            ),
             # about 1.4e7 levels over this span; 1.8e5 over the default one
-            {"cooling_rate": 1e-4, "initial_temperature": 1e300, "termination_temperature": 1e-300},
+            (
+                {"cooling_rate": 1e-4, "initial_temperature": 1e300,
+                 "termination_temperature": 1e-300},
+                "[0.0013806, 1), got 0.0001",
+            ),
         ],
+        ids=[f"kwargs{index}" for index in range(5)],
     )
-    def test_schedules_that_barely_cool_rejected(self, kwargs):
-        with pytest.raises(ValueError, match="^cooling_rate .* more than 1000000 levels"):
+    def test_schedules_that_barely_cool_rejected(self, kwargs, refusal):
+        # the rate must cool within 10**6 levels: it read "cooling_rate 1e-17
+        # gives the per-level factor 1.0, more than 1000000 levels ..."
+        with pytest.raises(ValueError) as excinfo:
             AnnealingSchedule(**kwargs)
+        assert str(excinfo.value) == f"AnnealingSchedule.cooling_rate must lie in {refusal}"
 
     def test_slow_schedule_within_the_level_cap_accepted(self):
         # about 9e5 levels from 100 to 1e-6, each one a factor below 1
@@ -194,16 +210,26 @@ class TestSchedule:
 
     def test_schedule_that_cannot_finish_rejected(self):
         # 83 levels of 10**12 iterations: about 8e13 evaluations, each level
-        # within the cap
-        with pytest.raises(ValueError, match="^iterations_per_temperature .* 100000000 evaluations"):
+        # within the cap. 10**8 // 83 + 1 is the open high edge
+        with pytest.raises(ValueError) as excinfo:
             AnnealingSchedule(iterations_per_temperature=10**12)
+        assert str(excinfo.value) == (
+            "AnnealingSchedule.iterations_per_temperature must lie in [1, 1.20482e+06),"
+            " got 1000000000000"
+        )
         AnnealingSchedule(iterations_per_temperature=10**6)  # 8.3e7 evaluations
+        AnnealingSchedule(iterations_per_temperature=10**8 // 83)
+        with pytest.raises(ValueError):
+            AnnealingSchedule(iterations_per_temperature=10**8 // 83 + 1)
 
     def test_count_too_long_to_spell_is_refused_by_name(self):
         # the cap's message used to raise Python's own "Exceeds the limit"
-        message = "^iterations_per_temperature int of more than 4300 digits over about 83 levels"
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError) as excinfo:
             AnnealingSchedule(iterations_per_temperature=10**5000)
+        assert str(excinfo.value) == (
+            "AnnealingSchedule.iterations_per_temperature must lie in [1, 1.20482e+06),"
+            " got int of more than 4300 digits"
+        )
 
     @pytest.mark.parametrize("field", ["iterations_per_temperature", "seed"])
     @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
@@ -216,6 +242,102 @@ class TestSchedule:
     def test_any_integral_count_accepted(self):
         schedule = AnnealingSchedule(iterations_per_temperature=np.int64(3), seed=np.uint8(7))
         assert (schedule.iterations_per_temperature, schedule.seed) == (3, 7)
+
+
+def refused_by_the_old_caps(initial, termination, rate, reading, iterations) -> bool:
+    """The two caps as AnnealingSchedule checked them before they became
+    intervals: more than 10**6 levels, a per-level factor of 1 taking
+    infinitely many, then more than 10**8 evaluations."""
+    factor = 1.0 - rate if reading == "decrement" else rate
+    span = math.log(termination) - math.log(initial)
+    levels = math.inf if factor == 1.0 else span / math.log(factor)
+    return levels > 10**6 or math.ceil(levels) * iterations > 10**8
+
+
+def ulps_from(value: float, toward: float, count: int) -> float:
+    for _ in range(count):
+        value = math.nextafter(value, toward)
+    return value
+
+
+@st.composite
+def schedules(draw):
+    """The fields the two caps judge. Temperatures from 1e-300 to 1e300,
+    apart by any span, equal, or apart by a few ulps or a sliver; a rate
+    log-uniform, a few ulps above 0 or below 1, next to 2**-54, where 1 -
+    rate starts to round to 1, or next to the rate that takes 10**6 levels;
+    iterations of any size, or next to the evaluation cap."""
+    reading = draw(st.sampled_from(["decrement", "multiplier"]))
+    initial = 10.0 ** draw(st.floats(-300.0, 300.0))
+    termination = draw(st.one_of(
+        st.floats(-300.0, 300.0).map(lambda exponent: min(10.0**exponent, initial)),
+        st.just(initial),
+        st.integers(1, 4).map(lambda count: ulps_from(initial, 0.0, count)),
+        st.floats(-16.0, -6.0).map(lambda exponent: initial * (1.0 - 10.0**exponent)),
+    ))
+    span = math.log(termination) - math.log(initial)
+    edge = math.exp(span / 10**6)
+    edge = 1.0 - edge if reading == "decrement" else edge
+    rate = draw(st.one_of(
+        st.floats(-20.0, -1e-9).map(lambda exponent: 10.0**exponent),
+        st.integers(1, 4).map(lambda count: ulps_from(0.0, 1.0, count)),
+        st.integers(1, 4).map(lambda count: ulps_from(1.0, 0.0, count)),
+        st.builds(ulps_from, st.sampled_from([edge, 2.0**-54]), st.sampled_from([0.0, 1.0]),
+                  st.integers(0, 4)),
+    ).filter(lambda rate: 0.0 < rate < 1.0))
+    factor = 1.0 - rate if reading == "decrement" else rate
+    levels = math.ceil(span / math.log(factor)) if factor != 1.0 else 0
+    iterations = draw(st.one_of(
+        st.sampled_from([1, 2, 100, 10**6, 10**8, 10**12]),
+        st.integers(1, 10**9),
+        st.integers(-1, 1).map(lambda step: max(1, 10**8 // max(levels, 1) + step)),
+    ))
+    return initial, termination, rate, reading, iterations
+
+
+@settings(max_examples=300)
+@given(schedules())
+@example((100.0, 5.161664442490212e-12, 3.0594464187849724e-05, "decrement", 1))
+@example((100.0, 5.161664442490212e-12, 0.9999694055358122, "multiplier", 1))
+def test_schedule_intervals_refuse_what_the_old_caps_refused(fields):
+    # the caps were hand-worded predicates; as intervals on cooling_rate and
+    # iterations_per_temperature they refuse the same schedules, in the one
+    # wording. They part only at a per-level factor equal to the level cap's
+    # edge factor, exp(span / 10**6), which the old predicate put on either
+    # side by the rounding of its level count: the two examples, 1.5e-6
+    # levels past 10**6 by that count, are refused before and taken now
+    initial, termination, rate, reading, iterations = fields
+    before = refused_by_the_old_caps(*fields)
+    try:
+        AnnealingSchedule(
+            initial_temperature=initial, termination_temperature=termination,
+            cooling_rate=rate, cooling_reading=reading, iterations_per_temperature=iterations,
+        )
+    except ValueError as exc:
+        now = True
+        labels = r"AnnealingSchedule\.(?:cooling_rate|iterations_per_temperature)"
+        assert re.fullmatch(rf"{labels} must lie in [\[(].+, .+[\])], got .+", str(exc)), exc
+    else:
+        now = False
+    span = math.log(termination) - math.log(initial)
+    edge = min(math.exp(span / 10**6), math.nextafter(1.0, 0.0))
+    factor = 1.0 - rate if reading == "decrement" else rate
+    assert now == before or factor == edge, fields
+
+
+def test_a_span_too_short_to_cool_still_refuses_a_factor_of_one():
+    # exp(span / 10**6) rounds to 1 for a span below about 5.6e-11, so the
+    # rate's interval keeps its low edge at 2**-53: the factor of a rate of
+    # 1e-17 is 1, and the temperature would never fall below termination
+    for termination in (math.nextafter(100.0, 0.0), 100.0):
+        with pytest.raises(ValueError) as excinfo:
+            AnnealingSchedule(termination_temperature=termination, cooling_rate=1e-17)
+        assert str(excinfo.value) == (
+            "AnnealingSchedule.cooling_rate must lie in [1.11022e-16, 1), got 1e-17"
+        )
+    # no level is run when termination equals initial, so no count is capped
+    schedule = AnnealingSchedule(termination_temperature=100.0, iterations_per_temperature=10**12)
+    assert schedule.iterations_per_temperature == 10**12
 
 
 class TestAnneal:
@@ -293,8 +415,8 @@ def test_hole_the_search_cannot_hold_is_refused_before_any_evaluation(monkeypatc
     mpps = dataclasses.replace(DEFAULT_MPPS, mpp1=MppSpec(0.6, 8.0, 0.025))
     schedule = AnnealingSchedule(iterations_per_temperature=2, seed=seed)
     refusal = (
-        "the search reaches d_m = 5 mm: mpps[0].aperture must be less than design.d_m,"
-        " got 8.0 >= 5.0 mm"
+        "the search reaches d_m = 5 mm: ThreeChamberStructure.mpps[0].aperture must lie in"
+        " (0.001, 5), got 8.0"
     )
     for run in (
         lambda: anneal(BASELINE_DESIGN, mpps, schedule=schedule),

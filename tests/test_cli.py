@@ -728,16 +728,16 @@ class TestErrors:
         assert code == 1
         assert stdout == ""
         assert stderr == (
-            "error: structure: mpps[2].aperture must be less than design.d_m,"
-            " got 999000.0 >= 10.0 mm\n"
+            "error: structure: ThreeChamberStructure.mpps[2].aperture must lie in"
+            " (0.001, 10), got 999000.0\n"
         )
         assert not out.exists()
 
     @pytest.mark.parametrize(
         "name, panel, message",
         [
-            (BASELINE, lambda s: s["mpps"][2], "mpps[2].aperture must be less than design.d_m"),
-            (SINGLE, lambda s: s["mpp"], "mpp.aperture must be less than d_m"),
+            (BASELINE, lambda s: s["mpps"][2], "ThreeChamberStructure.mpps[2].aperture"),
+            (SINGLE, lambda s: s["mpp"], "SingleChamberStructure.mpp.aperture"),
         ],
         ids=["three_chamber", "single_chamber"],
     )
@@ -753,7 +753,7 @@ class TestErrors:
         code, stdout, stderr = run_cli(capsys, "compare", config_dir / name, path)
         assert code == 1
         assert stdout == ""
-        assert stderr == f"error: B: structure: {message}, got 12.0 >= 10.0 mm\n"
+        assert stderr == f"error: B: structure: {message} must lie in (0.001, 10), got 12.0\n"
 
     def test_hole_wider_than_the_narrowest_reachable_duct_is_refused(
         self, capsys, tmp_path, config_dir
@@ -775,8 +775,8 @@ class TestErrors:
         assert code == 1
         assert stdout == ""
         assert stderr == (
-            "error: structure: the search reaches d_m = 5 mm: mpps[0].aperture must be"
-            " less than design.d_m, got 8.0 >= 5.0 mm\n"
+            "error: structure: the search reaches d_m = 5 mm:"
+            " ThreeChamberStructure.mpps[0].aperture must lie in (0.001, 5), got 8.0\n"
         )
         assert not out_dir.exists()
 
@@ -883,6 +883,8 @@ class TestErrors:
         code, stdout, stderr = run_cli(capsys, "optimize", "--config", path, "--out", out_dir)
         assert code == 1
         assert stdout == ""
-        assert stderr.startswith("error: ") and stderr.count("\n") == 1
-        assert "cooling_rate" in stderr
+        assert stderr == (
+            "error: schedule: AnnealingSchedule.cooling_rate must lie in [1.84205e-05, 1),"
+            " got 1e-17\n"
+        )
         assert not out_dir.exists()

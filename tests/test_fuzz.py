@@ -1,18 +1,26 @@
-"""The library's fuzz contract: every entry point that takes a number
-answers it, or refuses it with a ValueError in the one wording, naming the
-value's label. Any other exception, or a warning, fails."""
+"""The fuzz contract. Every library entry point that takes a number answers
+it, or refuses it with a ValueError in the one wording, naming the value's
+label. Every CLI command answers a config file, or exits 1 with one error:
+line that reads in the same wording. Any other exception, or a warning,
+fails."""
 
+import contextlib
 import dataclasses
+import io
+import json
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mppabsorber import (
     BASELINE_DESIGN,
+    BOUNDS_MM,
     AbsorptionSpectrum,
     AnnealingSchedule,
     AreaChange,
@@ -32,11 +40,15 @@ from mppabsorber import (
     octave_bands,
     perforate_constant,
 )
+from mppabsorber.cli import main
 
 MPP = MppSpec(0.6, 0.2, 0.025)
 CHAIN = SingleChamberStructure(10.0, 100.0, 60.0, 10.0, MPP).chain()
 SPECTRUM = AbsorptionSpectrum(FrequencyGrid(1.0, 5.0, 1.0), np.array([0.1, 0.9, 0.95, 0.5, 0.85]))
 FREQUENCY = (0.0, 1e11)
+# The label of a field of the dataclass named {}: the field, or a path into
+# one of its parts.
+OWNER = r"{}\.[\w.\[\]]+"
 
 # Valid arguments of each dataclass with ranged fields, beside its defaults.
 BASES = {
@@ -49,12 +61,6 @@ BASES = {
     MppSpec: {"thickness": 0.6, "aperture": 0.2, "porosity": 0.025},
     SingleChamberStructure: {"d_m": 10.0, "l_m": 100.0, "d_e": 60.0, "t_e": 10.0, "mpp": MPP},
     AnnealingSchedule: {},
-}
-# Refusals of rules that judge more than one value: the schedule's two caps
-# and a single chamber's hole, which a changed field may break.
-OTHER_RULES = {
-    AnnealingSchedule: r"|cooling_rate .+ levels from .+|iterations_per_temperature .+ evaluations",
-    SingleChamberStructure: r"|mpp\.aperture must be less than d_m, got .+ mm",
 }
 
 
@@ -72,17 +78,20 @@ class Target:
     refusal: str
 
 
-def wording(labels: str, other: str = "") -> str:
+def wording(labels: str) -> str:
     interval = r"lie in [\[(].+, .+[\])]|be an integer"
-    return rf"(?:{labels}) must (?:{interval}), got .+{other}"
+    return rf"(?:{labels}) must (?:{interval}), got .+"
 
 
 def field_targets():
     """One target per ranged field, the rest of the owner from BASES; an
-    edge that names a field is that field's base value."""
+    edge that names a field is that field's base value. A refusal may name
+    any field of the owner, or a field of one of its parts, such as
+    `SingleChamberStructure.mpp.aperture`: a changed field may break a rule
+    that judges more than one value."""
     for cls, base in BASES.items():
         values = {item.name: base.get(item.name, item.default) for item in dataclasses.fields(cls)}
-        refusal = wording(rf"{cls.__name__}\.\w+", OTHER_RULES.get(cls, ""))
+        refusal = wording(OWNER.format(cls.__name__))
         for item in dataclasses.fields(cls):
             if "range" in item.metadata:
                 low, high, _ = item.metadata["range"]
@@ -119,8 +128,12 @@ TARGETS = [
            wording("frequency")),
 ]
 
-# Numbers no entry point takes, and values that are no number at all.
-SPECIALS = [math.nan, math.inf, -math.inf, 10**400, 10**5000, True, "1", None, 1 + 0j]
+# Numbers no entry point takes, and values that are no number at all, a
+# ragged nested list among them.
+SPECIALS = [
+    math.nan, math.inf, -math.inf, 10**400, 10**5000, True, "1", None, 1 + 0j,
+    [500.0, [600.0, 700.0]],
+]
 
 
 def listed(target: Target) -> list:
@@ -157,11 +170,11 @@ def test_every_log_uniform_number_is_answered_or_refused_by_name(target, sign, e
 @pytest.mark.parametrize(
     "call, refusal",
     [
-        (lambda: MppPanel(10**400, 2e-4, 0.025, 0.01), "MppPanel.thickness must lie in (0, inf)"),
-        (lambda: StraightPipe(10**400, 0.01), "StraightPipe.length must lie in (0, inf)"),
+        (lambda: MppPanel(10**400, 2e-4, 0.025, 0.01), "MppPanel.thickness must lie in (0, 1000]"),
+        (lambda: StraightPipe(10**400, 0.01), "StraightPipe.length must lie in (0, 1000]"),
         (
             lambda: ElementChain((AreaChange(),), 10**400),
-            "ElementChain.main_duct_diameter must lie in (0, inf)",
+            "ElementChain.main_duct_diameter must lie in (0, 1000]",
         ),
         (
             lambda: AnnealingSchedule(initial_temperature=10**400),
@@ -182,7 +195,7 @@ def test_int_past_the_largest_double_is_refused(call, refusal):
 @pytest.mark.parametrize(
     "call, refusal",
     [
-        (lambda v: MppPanel(v, 2e-4, 0.025, 0.01), "MppPanel.thickness must lie in (0, inf)"),
+        (lambda v: MppPanel(v, 2e-4, 0.025, 0.01), "MppPanel.thickness must lie in (0, 1000]"),
         (lambda v: Medium(density=v), "Medium.density must lie in (0.001, 100000)"),
         (
             lambda v: DesignVector(**{**BASELINE_DESIGN.as_dict(), "d_m": v}),
@@ -215,3 +228,160 @@ def test_chain_matrix_refuses_a_frequency_that_is_no_number(value, shown):
     with pytest.raises(ValueError) as excinfo:
         chain_matrix(CHAIN, value)
     assert str(excinfo.value) == f"frequency must lie in (0, 1e+11), got {shown}"
+
+
+# The CLI half: a config file, drawn whole, through simulate, compare and
+# optimize.
+
+# A number for a field whose value changes the physics but not the work:
+# an interval's usual edges, or log-uniform over 1e-6 to 1e9, either sign.
+ANY_NUMBER = st.one_of(
+    st.sampled_from([0.0, -1.0, 1e-3, 1e6, 1e11, 2.5]),
+    st.builds(lambda sign, exponent: sign * 10.0**exponent,
+              st.sampled_from([1.0, -1.0]), st.floats(-6.0, 9.0)),
+)
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+BASELINE, SINGLE = "three_chamber_baseline.json", "single_chamber.json"
+
+
+def bundled(name: str, *path, value) -> dict:
+    """The JSON data of a bundled config with the field at `path`, a key or
+    index per level, set to `value`."""
+    data = json.loads((CONFIGS / name).read_text(encoding="utf-8"))
+    *parents, last = path
+    owner = data
+    for key in parents:
+        owner = owner[key]
+    owner[last] = value
+    return data
+
+
+@st.composite
+def config_files(draw):
+    """The JSON data of a run configuration: a three- or single-chamber
+    structure, its medium, a grid of fewer than 20,000 points and a schedule
+    of at most 20 levels of at most 5 iterations, one on a grid of more than
+    5,000 points, every field inside its rule; then, in half the draws, one
+    field replaced by a value that may break a rule. A replacement in the
+    grid or the schedule is refused, or leaves the work as small."""
+    def uniform(low, high):
+        return draw(st.floats(low, high))
+
+    panels = [
+        {"thickness": uniform(0.2, 2.0), "aperture": uniform(0.05, 1.0),
+         "porosity": uniform(0.005, 0.5)}
+        for _ in range(3)
+    ]
+    if draw(st.booleans()):
+        design = {name: uniform(low / 2, high * 1.5) for name, (low, high) in BOUNDS_MM.items()}
+        structure = {"type": "three_chamber", "design": design, "mpps": panels}
+        lengths = [(design, name) for name in design]
+    else:
+        structure = {"type": "single_chamber", "d_m": uniform(5.0, 15.0),
+                     "l_m": uniform(10.0, 200.0), "d_e": uniform(30.0, 100.0),
+                     "t_e": uniform(5.0, 50.0), "mpp": panels[0]}
+        panels = panels[:1]
+        lengths = [(structure, name) for name in ("d_m", "l_m", "d_e", "t_e")]
+    lengths += [(panel, name) for panel in panels for name in ("thickness", "aperture")]
+    medium = {"sound_speed": uniform(300.0, 400.0), "density": uniform(1.0, 1.5),
+              "dynamic_viscosity": uniform(1e-5, 2e-5), "temperature": uniform(-50.0, 50.0)}
+    points = int(10.0 ** uniform(0.0, math.log10(20_000)))
+    f_min, step = 10.0 ** uniform(-3.0, 4.0), 10.0 ** uniform(-2.0, 3.0)
+    grid = {"f_min": f_min, "f_max": f_min + (points - 1) * step, "step": step}
+    reading = draw(st.sampled_from(["decrement", "multiplier"]))
+    initial = 10.0 ** uniform(-300.0, 300.0)
+    # at most 20 levels: a factor of at most 1/2 over a span of at most 10**6
+    termination = draw(st.sampled_from([initial, initial * 10.0 ** uniform(-6.0, 0.0)]))
+    schedule = {
+        "initial_temperature": initial,
+        "termination_temperature": termination,
+        "cooling_rate": uniform(0.5, 0.99) if reading == "decrement" else uniform(0.01, 0.5),
+        "cooling_reading": reading,
+        "iterations_per_temperature": draw(st.integers(1, max(1, min(5, 5_000 // points)))),
+        "step_fraction": uniform(0.0, 0.99),
+        "seed": draw(st.integers(0, 2**32)),
+    }
+    replacements = [(owner, name, ANY_NUMBER) for owner, name in lengths]
+    porosities = st.sampled_from([0.0, 1.0, -0.1, 1.5])
+    replacements += [(panel, "porosity", porosities) for panel in panels]
+    replacements += [(medium, name, ANY_NUMBER) for name in medium]
+    replacements += [
+        (grid, "f_min", st.sampled_from([0.0, -1.0, 1e11, 1e300, 2.0 * grid["f_max"] + 1.0])),
+        (grid, "f_max", st.sampled_from([0.0, -1.0, 1e11, 1e300, f_min / 2.0])),
+        (grid, "step", st.sampled_from([0.0, -1.0, 1e11, 1e-12, (grid["f_max"] - f_min) / 1e8])),
+        (schedule, "initial_temperature", st.sampled_from([0.0, -5.0])),
+        (schedule, "termination_temperature", st.sampled_from([0.0, -1.0, 2.0 * initial])),
+        (schedule, "cooling_rate", st.sampled_from([0.0, 1.0, -0.5, 1.5, 1e-17])),
+        (schedule, "iterations_per_temperature", st.sampled_from([0, -1, 2.5, 10**12])),
+        (schedule, "step_fraction", st.sampled_from([1.0, -0.1, 1e308])),
+        (schedule, "seed", st.sampled_from([-1, 2.5])),
+    ]
+    if draw(st.booleans()):
+        owner, name, values = draw(st.sampled_from(replacements))
+        owner[name] = draw(values)
+    return {"structure": structure, "medium": medium, "grid": grid, "schedule": schedule}
+
+
+# A refusal the CLI prints: `A: ` or `B: ` in compare, then the config
+# section at fault, and for optimize the narrowest duct its search reaches,
+# before the one wording, naming a field of that section's dataclass.
+SECTIONS = {
+    r"structure: (?:the search reaches d_m = \S+ mm: )?": "(?:Three|Single)ChamberStructure",
+    r"structure\.design: ": "DesignVector",
+    r"structure\.(?:mpps\[[0-2]\]|mpp): ": "MppSpec",
+    "medium: ": "Medium",
+    "grid: ": "FrequencyGrid",
+    "schedule: ": "AnnealingSchedule",
+}
+CLI_REFUSAL = "error: (?:[AB]: )?(?:{})".format(
+    "|".join(section + wording(OWNER.format(owner)) for section, owner in SECTIONS.items())
+)
+# compare's notice on the first config, which a refusal of the second follows
+CUT_ON = (
+    r"warning: f_max \S+ Hz is above the first cross-mode cut-on of the widest duct,"
+    r" \d+ Hz; the plane-wave model does not hold there"
+)
+
+
+def answered_or_refused_by_the_cli(*argv) -> bool:
+    """Run the CLI in process: True when it answers, with no error: line;
+    otherwise it must exit 1 with one error: line, last, in the one wording."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main([str(arg) for arg in argv])
+    lines = stderr.getvalue().splitlines()
+    errors = [line for line in lines if not re.fullmatch(CUT_ON, line)]
+    if code == 0:
+        assert errors == []
+        return True
+    assert code == 1 and errors == lines[-1:], lines
+    assert re.fullmatch(CLI_REFUSAL, errors[0]), errors[0]
+    return False
+
+
+@settings(max_examples=60)
+@given(config=config_files(), first=st.booleans())
+# each rule that judges more than one value, and the newest field rule
+@example(config=bundled(BASELINE, "schedule", "cooling_rate", value=1e-17), first=True)
+@example(config=bundled(BASELINE, "schedule", "iterations_per_temperature", value=10**12),
+         first=True)
+@example(config=bundled(BASELINE, "structure", "mpps", 2, "aperture", value=12.0), first=False)
+@example(config=bundled(BASELINE, "structure", "mpps", 0, "aperture", value=8.0), first=True)
+@example(config=bundled(SINGLE, "structure", "mpp", "aperture", value=12.0), first=False)
+@example(config=bundled(BASELINE, "medium", "temperature", value=-300.0), first=True)
+@example(config=bundled(BASELINE, "grid", "step", value=1e-5), first=True)
+def test_every_drawn_config_is_answered_or_refused_by_name(config, first):
+    # the one wording reaches the console: a numeric refusal reads the same
+    # after its `A: `/`B: `, section and search-reach prefixes
+    with tempfile.TemporaryDirectory() as folder:
+        folder = Path(folder)
+        path = folder / "drawn.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        out = folder / "spectrum.csv"
+        if answered_or_refused_by_the_cli("simulate", "--config", path, "--out", out):
+            alphas = np.loadtxt(out, delimiter=",", skiprows=1, usecols=1, ndmin=1)
+            assert np.all((alphas >= 0.0) & (alphas <= 1.0)), alphas
+        single = CONFIGS / SINGLE
+        answered_or_refused_by_the_cli("compare", *((path, single) if first else (single, path)))
+        if config["structure"]["type"] == "three_chamber":
+            answered_or_refused_by_the_cli("optimize", "--config", path, "--out", folder / "run")

@@ -100,7 +100,7 @@ class TestBuildChain:
             assert MppSpec(0.6, value, 0.025).aperture == value
         single_chamber_chain(MppSpec(0.6, above, 0.025), 10.0, 100.0, 60.0, 10.0)
         # the hole, 1e6 mm less one ulp, is 1000 m to the "g" format
-        message = re.escape("MppPanel.duct_diameter must lie in (1000, inf), got 0.01")
+        message = re.escape("MppPanel.duct_diameter must lie in (1000, 1000], got 0.01")
         with pytest.raises(ValueError, match=f"^{message}$"):
             single_chamber_chain(MppSpec(0.6, below, 0.025), 10.0, 100.0, 60.0, 10.0)
 
@@ -193,8 +193,8 @@ class TestReach:
         ThreeChamberStructure(BASELINE_DESIGN, mpps).reach()
         mpps = dataclasses.replace(DEFAULT_MPPS, mpp3=MppSpec(0.8, 5.0, 0.025))
         refusal = (
-            "the search reaches d_m = 5 mm: mpps[2].aperture must be less than design.d_m,"
-            " got 5.0 >= 5.0 mm"
+            "the search reaches d_m = 5 mm: ThreeChamberStructure.mpps[2].aperture must lie in"
+            " (0.001, 5), got 5.0"
         )
         with pytest.raises(ValueError) as excinfo:
             ThreeChamberStructure(BASELINE_DESIGN, mpps).reach()
