@@ -32,7 +32,6 @@ __all__ = [
     "ElementChain",
     "Medium",
     "MppPanel",
-    "SingularConfigurationError",
     "SoundElement",
     "StraightPipe",
     "TransferMatrix",
@@ -46,17 +45,6 @@ __all__ = [
 ]
 
 
-class SingularConfigurationError(ValueError):
-    """Raised when p + Z0*u at the mouth (a11 + Z0*a21) vanishes exactly
-    and the reflection coefficient is undefined at that frequency."""
-
-    def __init__(self, frequency: float):
-        self.frequency = frequency
-        super().__init__(
-            f"singular configuration: p + Z0*u = 0 at {frequency} Hz"
-        )
-
-
 # Longest length (m) an element takes, the edge included: 1 km, far below area overflow.
 _MAX_LENGTH = 1e3
 
@@ -64,14 +52,13 @@ _MAX_LENGTH = 1e3
 @dataclass(frozen=True)
 class Medium:
     """Ambient fluid of every impedance formula; the defaults are air at
-    20 degC. `temperature` is informational and enters no formula."""
+    20 degC. A temperature enters only through these three values."""
 
     # open ranges far around air's values; at their edges the bundled
     # absorbers still solve without overflow
     sound_speed: float = ranged(1.0, 1e5, default=343.0)  # m/s
     density: float = ranged(1e-3, 1e5, default=1.204)  # kg/m^3
     dynamic_viscosity: float = ranged(1e-8, 1e3, default=1.81e-5)  # Pa*s
-    temperature: float = ranged(-273.15, default=20.0)  # degC, informational
 
     __post_init__ = check_fields
 
@@ -455,7 +442,9 @@ def absorption_spectrum(
     chain: ElementChain, grid: FrequencyGrid, medium: Medium = AIR
 ) -> AbsorptionSpectrum:
     """alpha = 1 - |Gamma|^2, clamped to [0, 1], at the points of `grid`,
-    with Gamma = (p - Z0*u) / (p + Z0*u) from the mouth state. Values agree
+    with Gamma = (p - Z0*u) / (p + Z0*u) from the mouth state. The chain is
+    passive, Re(p * conj(u)) >= 0, and (p, u) is a column of a matrix of unit
+    determinant, so |p + Z0*u| >= max(|p|, Z0*|u|) > 0. Values agree
     with absorption_at within a few ulp, as the phase tables are not direct
     cos/sin.
 
@@ -490,9 +479,6 @@ def absorption_spectrum(
         magnitude = ws.magnitude[: hi - lo]
         np.multiply(z0, u, out=z0_u)
         np.add(p, z0_u, out=denominator)
-        if not denominator.all():
-            bad = np.flatnonzero(denominator == 0)[0]
-            raise SingularConfigurationError(float(grid.frequency(lo + bad)))
         np.subtract(p, z0_u, out=z0_u)
         np.divide(z0_u, denominator, out=gamma)
         np.abs(gamma, out=magnitude)

@@ -53,10 +53,12 @@ def refuse(label: str, low, high, closed, value):
     """Raise the one refusal wording: `label` must lie in (low, high), got
     `value`, with `[` at the low edge when `closed` is True and `]` at the
     high edge when it is "high"; the value as `spelled` gives it, and each
-    edge, a number a rule has taken, formatted by "g". It judges nothing:
-    require, check_frequency and the hole rule decide."""
+    edge, a number a rule has taken, formatted by "g" where that reads back
+    as the edge, else in full, so no refused value reads as inside. It
+    judges nothing: require, check_frequency and the hole rule decide."""
+    low, high = (f"{edge:g}" if float(f"{edge:g}") == edge else str(edge) for edge in (low, high))
     opening, closing = "[" if closed is True else "(", "]" if closed == "high" else ")"
-    raise ValueError(f"{label} must lie in {opening}{low:g}, {high:g}{closing}, got {spelled(value)}")
+    raise ValueError(f"{label} must lie in {opening}{low}, {high}{closing}, got {spelled(value)}")
 
 
 def require(label: str, value, low, high, closed=False, integer=False) -> None:

@@ -30,7 +30,6 @@ from mppabsorber import (
     MppSet,
     MppSpec,
     SingleChamberStructure,
-    SingularConfigurationError,
     StraightPipe,
     absorption_at,
     absorption_spectrum,
@@ -40,10 +39,10 @@ from mppabsorber import (
     mpp_normalized_impedance,
     perforate_constant,
 )
-from mppabsorber import acoustics
 from mppabsorber.spectrum import FrequencyGrid
 
 from four_pole import element_entries, four_pole_product
+from test_solver import random_chains
 
 # Frozen oracle values (independent scalar evaluation, air at 20 degC).
 K_AT_500HZ_02MM = 1.4456025058533009
@@ -142,19 +141,6 @@ class TestMedium:
             )
         for value in (math.nextafter(low, high), math.nextafter(high, low)):
             assert getattr(Medium(**{field: value}), field) == value
-
-    @pytest.mark.parametrize(
-        "value, shown", [("hot", "'hot'"), (math.nan, "nan"), (-273.15, "-273.15"),
-                         (math.inf, "inf"), (True, "True")],
-    )
-    def test_temperature_lies_above_absolute_zero(self, value, shown):
-        # the one float field without a rule: "hot" and NaN were taken
-        with pytest.raises(ValueError) as excinfo:
-            Medium(temperature=value)
-        assert str(excinfo.value) == f"Medium.temperature must lie in (-273.15, inf), got {shown}"
-        above = math.nextafter(-273.15, 0.0)
-        assert Medium(temperature=above).temperature == above
-        assert AIR.temperature == 20.0
 
 
 class TestCutOn:
@@ -517,11 +503,11 @@ ADJACENT_MPPS = ElementChain(
 )
 MPPS_ONLY = ElementChain((MPP1, MPP3, MPP1), 0.01)
 AREA_CHANGES_ONLY = ElementChain((AreaChange(), AreaChange()), 0.01)
-three_chamber_chains = st.builds(
-    build_chain,
-    st.builds(DesignVector, **{name: st.floats(lo, hi) for name, (lo, hi) in BOUNDS_MM.items()}),
-    st.builds(MppSet, specs, specs, specs),
+designs = st.builds(
+    DesignVector, **{name: st.floats(lo, hi) for name, (lo, hi) in BOUNDS_MM.items()}
 )
+mpp_sets = st.builds(MppSet, specs, specs, specs)
+three_chamber_chains = st.builds(build_chain, designs, mpp_sets)
 
 
 @settings(max_examples=200)
@@ -608,6 +594,23 @@ def test_inserting_an_area_change_leaves_every_alpha_unchanged(chain, position, 
     )
 
 
+@settings(max_examples=40)
+@given(design=designs, mpps=mpp_sets)
+def test_scaling_every_length_moves_no_alpha(design, mpps):
+    """Dynamic similarity: every length times s, the frequencies over s and
+    the viscosity times s leave K, Maa's normalised impedance, every k*l and
+    every impedance relative to Z0 unchanged, so every alpha agrees within
+    1e-12. A slip between mm and m, or a wrong power of a length, breaks it."""
+    alphas = absorption_spectrum(build_chain(design, mpps), DEFAULT_GRID).alphas
+    for s in (0.1, 0.5, 2.0, 3.0):
+        scaled_design = DesignVector(*(s * design.as_array()).tolist())
+        scaled_mpps = MppSet(*(MppSpec(s * m.thickness, s * m.aperture, m.porosity) for m in mpps))
+        grid = FrequencyGrid(*(value / s for value in (1.0, 2000.0, 1.0)))
+        medium = Medium(dynamic_viscosity=s * AIR.dynamic_viscosity)
+        scaled = absorption_spectrum(build_chain(scaled_design, scaled_mpps), grid, medium).alphas
+        assert np.max(np.abs(scaled - alphas)) <= 1e-12
+
+
 @settings(max_examples=200)
 @given(panel=panels, k_target=st.floats(1e-4, 0.1))
 def test_resistance_tends_to_maa_low_k_limit(panel, k_target):
@@ -681,11 +684,21 @@ class TestAbsorption:
             assert absorption_at(chain, float(f)) < 1e-9
 
     def test_passivity_raw_reflection(self, baseline_chain, optimized_chain):
-        for chain in (baseline_chain, optimized_chain):
+        # before the clip, on the bundled chains and 100 random ones over
+        # BOUNDS_MM and the single chamber's ranges, with random panels: the
+        # mouth state (p, u) = (a11, a21), the solver's walk of the wall's
+        # (1, 0), takes power in, Re(p * conj(u)) >= 0. So Gamma's
+        # denominator |p + Z0*u| is never below max(|p|, Z0*|u|), and no
+        # chain makes it 0
+        chains = [baseline_chain, optimized_chain, *random_chains(3, n_three=80, n_single=20)]
+        for chain in chains:
             z0 = chain.characteristic_impedance()
             m = chain_matrix(chain, DEFAULT_GRID.frequencies())
-            gamma = (m.a11 - z0 * m.a21) / (m.a11 + z0 * m.a21)
-            alpha = 1.0 - np.abs(gamma) ** 2
+            assert np.all((m.a11 * np.conj(m.a21)).real >= 0.0)
+            denominator = np.abs(m.a11 + z0 * m.a21)
+            larger = np.maximum(np.abs(m.a11), z0 * np.abs(m.a21))
+            assert np.all(denominator >= (1.0 - 1e-12) * larger)
+            alpha = 1.0 - np.abs((m.a11 - z0 * m.a21) / (m.a11 + z0 * m.a21)) ** 2
             assert np.all(alpha >= -1e-12)
             assert np.all(alpha <= 1.0 + 1e-12)
 
@@ -767,17 +780,6 @@ class TestAbsorption:
         a = absorption_spectrum(baseline_chain, grid).alphas
         b = absorption_spectrum(padded, grid).alphas
         assert np.max(np.abs(a - b)) <= 1e-12
-
-    def test_singular_configuration_reported(self, monkeypatch, baseline_chain):
-        # force a mouth state with p + Z0*u == 0 exactly; unreachable through
-        # real geometry
-        z0 = baseline_chain.characteristic_impedance()
-        forced = (np.array([-z0 + 0.0j]), np.array([1.0 + 0.0j]))
-        monkeypatch.setattr(acoustics, "_walk", lambda *a, **k: [forced])
-        with pytest.raises(SingularConfigurationError) as excinfo:
-            absorption_at(baseline_chain, 123.0)
-        assert excinfo.value.frequency == 123.0
-        assert "123" in str(excinfo.value)
 
     def test_negative_step_rejected_without_an_mpp(self):
         # used to return alphas at negative frequencies: nothing on this

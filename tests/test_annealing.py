@@ -174,19 +174,19 @@ class TestSchedule:
         "kwargs, refusal",
         [
             # 1 - rate rounds to 1: the temperature never falls
-            ({"cooling_rate": 1e-17}, "[1.84205e-05, 1), got 1e-17"),
+            ({"cooling_rate": 1e-17}, "[1.842051108424947e-05, 1), got 1e-17"),
             # a factor of 1 - 2**-52, below 1
-            ({"cooling_rate": 2e-16}, "[1.84205e-05, 1), got 2e-16"),
-            ({"cooling_rate": 1e-6}, "[1.84205e-05, 1), got 1e-06"),  # about 1.8e7 levels
+            ({"cooling_rate": 2e-16}, "[1.842051108424947e-05, 1), got 2e-16"),
+            ({"cooling_rate": 1e-6}, "[1.842051108424947e-05, 1), got 1e-06"),  # about 1.8e7 levels
             (
                 {"cooling_rate": 1 - 1e-6, "cooling_reading": "multiplier"},
-                "(0, 0.999982], got 0.999999",
+                "(0, 0.9999815794889158], got 0.999999",
             ),
             # about 1.4e7 levels over this span; 1.8e5 over the default one
             (
                 {"cooling_rate": 1e-4, "initial_temperature": 1e300,
                  "termination_temperature": 1e-300},
-                "[0.0013806, 1), got 0.0001",
+                "[0.0013805971534753825, 1), got 0.0001",
             ),
         ],
         ids=[f"kwargs{index}" for index in range(5)],
@@ -333,7 +333,7 @@ def test_a_span_too_short_to_cool_still_refuses_a_factor_of_one():
         with pytest.raises(ValueError) as excinfo:
             AnnealingSchedule(termination_temperature=termination, cooling_rate=1e-17)
         assert str(excinfo.value) == (
-            "AnnealingSchedule.cooling_rate must lie in [1.11022e-16, 1), got 1e-17"
+            "AnnealingSchedule.cooling_rate must lie in [1.1102230246251565e-16, 1), got 1e-17"
         )
     # no level is run when termination equals initial, so no count is capped
     schedule = AnnealingSchedule(termination_temperature=100.0, iterations_per_temperature=10**12)

@@ -101,7 +101,7 @@ def test_partial_medium_override(tmp_path):
 SECTION_FIELDS = {
     "structure.design": ("d_m", lambda c: c["structure"]["design"]),
     "structure.mpps[1]": ("aperture", lambda c: c["structure"]["mpps"][1]),
-    "medium": ("temperature", lambda c: c.setdefault("medium", {})),
+    "medium": ("density", lambda c: c.setdefault("medium", {})),
     "grid": ("step", lambda c: c["grid"]),
     "schedule": ("initial_temperature", lambda c: c["schedule"]),
 }
@@ -126,6 +126,13 @@ def _setting(section, value):
         (lambda c: c["schedule"].__setitem__("cooling_reading", "warmup"), "cooling_reading"),
         (lambda c: c["grid"].__setitem__("step", -1.0), "grid"),
         (lambda c: c.__setitem__("extras", {}), "extras"),
+        # the medium takes no temperature: it entered no formula, and a
+        # config that set one was answered for air at 343 m/s
+        pytest.param(
+            lambda c: c.setdefault("medium", {}).__setitem__("temperature", 40.0),
+            re.escape("medium.temperature: unknown field"),
+            id="medium-temperature",
+        ),
         # panel dimensions are reported in the file's millimetres, not in SI
         pytest.param(
             lambda c: c["structure"]["mpps"][0].__setitem__("thickness", -0.6),

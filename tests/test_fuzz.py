@@ -83,6 +83,22 @@ def wording(labels: str) -> str:
     return rf"(?:{labels}) must (?:{interval}), got .+"
 
 
+def reads_outside(refusal: str) -> bool:
+    """Whether the number after `got`, read back from the text, lies outside
+    the interval printed before it, as read back too. A refusal of no
+    number, or of no interval, reads outside."""
+    match = re.search(r"must lie in ([\[(])(\S+), (\S+)([\])]), got (.+)", refusal)
+    if match is None:
+        return True
+    opening, low, high, closing, value = match.groups()
+    try:
+        low, high, value = float(low), float(high), float(value)
+    except ValueError:  # a string, None, a complex, an array
+        return True
+    above = low <= value if opening == "[" else low < value
+    return not (above and (value <= high if closing == "]" else value < high))
+
+
 def field_targets():
     """One target per ranged field, the rest of the owner from BASES; an
     edge that names a field is that field's base value. A refusal may name
@@ -149,6 +165,7 @@ def answered_or_refused(target: Target, value) -> None:
         target.call(value)
     except ValueError as exc:
         assert re.fullmatch(target.refusal, str(exc), re.S), str(exc)
+        assert reads_outside(str(exc)), str(exc)
 
 
 @pytest.mark.parametrize("target", TARGETS, ids=lambda target: target.name)
@@ -284,7 +301,7 @@ def config_files(draw):
         lengths = [(structure, name) for name in ("d_m", "l_m", "d_e", "t_e")]
     lengths += [(panel, name) for panel in panels for name in ("thickness", "aperture")]
     medium = {"sound_speed": uniform(300.0, 400.0), "density": uniform(1.0, 1.5),
-              "dynamic_viscosity": uniform(1e-5, 2e-5), "temperature": uniform(-50.0, 50.0)}
+              "dynamic_viscosity": uniform(1e-5, 2e-5)}
     points = int(10.0 ** uniform(0.0, math.log10(20_000)))
     f_min, step = 10.0 ** uniform(-3.0, 4.0), 10.0 ** uniform(-2.0, 3.0)
     grid = {"f_min": f_min, "f_max": f_min + (points - 1) * step, "step": step}
@@ -356,19 +373,27 @@ def answered_or_refused_by_the_cli(*argv) -> bool:
         return True
     assert code == 1 and errors == lines[-1:], lines
     assert re.fullmatch(CLI_REFUSAL, errors[0]), errors[0]
+    assert reads_outside(errors[0]), errors[0]
     return False
+
+
+# six levels, so at most 16,666,666 iterations each: 16,666,680 read as
+# inside the edge printed as 1.66667e+07
+SIX_LEVELS = bundled(BASELINE, "schedule", "termination_temperature", value=100 * 0.8**5.5)
+SIX_LEVELS["schedule"]["iterations_per_temperature"] = 16_666_680
 
 
 @settings(max_examples=60)
 @given(config=config_files(), first=st.booleans())
-# each rule that judges more than one value, and the newest field rule
+# each rule that judges more than one value, and a cap whose edge has more
+# than six digits
 @example(config=bundled(BASELINE, "schedule", "cooling_rate", value=1e-17), first=True)
 @example(config=bundled(BASELINE, "schedule", "iterations_per_temperature", value=10**12),
          first=True)
 @example(config=bundled(BASELINE, "structure", "mpps", 2, "aperture", value=12.0), first=False)
 @example(config=bundled(BASELINE, "structure", "mpps", 0, "aperture", value=8.0), first=True)
 @example(config=bundled(SINGLE, "structure", "mpp", "aperture", value=12.0), first=False)
-@example(config=bundled(BASELINE, "medium", "temperature", value=-300.0), first=True)
+@example(config=SIX_LEVELS, first=True)
 @example(config=bundled(BASELINE, "grid", "step", value=1e-5), first=True)
 def test_every_drawn_config_is_answered_or_refused_by_name(config, first):
     # the one wording reaches the console: a numeric refusal reads the same

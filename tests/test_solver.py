@@ -28,7 +28,6 @@ from mppabsorber import (
     MppPanel,
     MppSet,
     MppSpec,
-    SingularConfigurationError,
     StraightPipe,
     absorption_at,
     absorption_spectrum,
@@ -377,40 +376,6 @@ def test_fewer_pipes_use_the_leading_rows_of_the_kept_workspace(monkeypatch, wor
     for chain, solved in zip(chains, alphas):
         monkeypatch.setattr(acoustics, "_local", threading.local())
         assert np.array_equal(solved, absorption_spectrum(chain, DEFAULT_GRID).alphas)
-
-
-def test_singular_configuration_in_a_later_block_reports_its_frequency(
-    monkeypatch, baseline_chain
-):
-    start, step, count = 1.0, 0.01, 30_000
-    block = math.isqrt(count)
-    target = 20_000  # the third block
-    assert target >= 2 * acoustics._BLOCK_POINTS
-    z0 = baseline_chain.characteristic_impedance()
-    walk = acoustics._walk
-    blocks = []  # the first point and the size of each block walked
-
-    panel = baseline_chain.elements[0]
-
-    def forced(chain, cos_kl, sin_kl, panel_impedances, medium, workspace):
-        [(p, u)] = walk(chain, cos_kl, sin_kl, panel_impedances, medium, workspace)
-        first = sum(blocks[-1]) if blocks else 0
-        blocks.append((first, p.size))
-        index = target - first
-        if 0 <= index < p.size:
-            # the block's point `index` is the target frequency
-            z = mpp_normalized_impedance(panel, start + step * target)
-            assert panel_impedances[0][index] == pytest.approx(z, rel=1e-12)
-            p[index] = -z0 * u[index]  # p + Z0*u == 0 exactly
-        return [(p, u)]
-
-    monkeypatch.setattr(acoustics, "_walk", forced)
-    with pytest.raises(SingularConfigurationError) as excinfo:
-        absorption_spectrum(baseline_chain, grid_of(start, step, count))
-    assert excinfo.value.frequency == start + step * target
-    # the blocks are whole table rows, and the target sits in the third
-    assert [first % block for first, _ in blocks] == [0, 0, 0]
-    assert blocks[2][0] <= target < sum(blocks[2])
 
 
 @settings(max_examples=200)

@@ -99,8 +99,11 @@ class TestBuildChain:
             build_chain(dataclasses.replace(BASELINE_DESIGN, d_2=value), DEFAULT_MPPS)
             assert MppSpec(0.6, value, 0.025).aperture == value
         single_chamber_chain(MppSpec(0.6, above, 0.025), 10.0, 100.0, 60.0, 10.0)
-        # the hole, 1e6 mm less one ulp, is 1000 m to the "g" format
-        message = re.escape("MppPanel.duct_diameter must lie in (1000, 1000], got 0.01")
+        # the hole, 1e6 mm less one ulp, read as 1000 m to the "g" format,
+        # an interval that held no number
+        message = re.escape(
+            "MppPanel.duct_diameter must lie in (999.9999999999999, 1000], got 0.01"
+        )
         with pytest.raises(ValueError, match=f"^{message}$"):
             single_chamber_chain(MppSpec(0.6, below, 0.025), 10.0, 100.0, 60.0, 10.0)
 
