@@ -53,11 +53,12 @@ class AnnealingSchedule:
     """Cooling schedule and move-kernel parameters.
 
     Temperature is a bare number compared against objective deltas in Hz.
-    cooling_rate is read as a per-level decrement by default
-    (T <- (1 - rate) * T); set cooling_reading="multiplier" for the
-    alternative T <- rate * T. A rate that would take more than 10**6
-    levels to cool from initial_temperature to termination_temperature is
-    refused, and so are more than 10**8 evaluations in all.
+    cooling_rate is a per-level decrement, T <- (1 - rate) * T; the
+    cooling_reading key names it and takes no other value. `levels` is the
+    number of temperature levels anneal runs, ceil(ln(termination /
+    initial) / ln(1 - rate)), 0 when termination equals initial. A rate
+    that would take more than 10**6 levels is refused, and so are more than
+    10**8 evaluations in all (levels * iterations_per_temperature).
     """
 
     initial_temperature: float = ranged(0.0, default=100.0)
@@ -70,27 +71,22 @@ class AnnealingSchedule:
 
     def __post_init__(self):
         check_fields(self)
-        if self.cooling_reading not in ("decrement", "multiplier"):
-            raise ValueError(
-                f"AnnealingSchedule.cooling_reading must be 'decrement' or 'multiplier',"
-                f" got {self.cooling_reading!r}"
-            )
+        if self.cooling_reading != "decrement":
+            raise ValueError(f"AnnealingSchedule.cooling_reading must be 'decrement',"
+                             f" got {self.cooling_reading!r}")
         # the per-level factor that cools from initial to termination in
         # _MAX_LEVELS levels; never 1, a factor at which nothing cools
         span = math.log(self.termination_temperature) - math.log(self.initial_temperature)
         bound = min(math.exp(span / _MAX_LEVELS), math.nextafter(1.0, 0.0))
-        decrement = self.cooling_reading == "decrement"
-        low, high, closed = (1.0 - bound, 1.0, True) if decrement else (0.0, bound, "high")
-        require("AnnealingSchedule.cooling_rate", self.cooling_rate, low, high, closed)
-        levels = math.ceil(span / math.log(self.next_temperature(1.0)))
-        if levels:  # none when termination equals initial
+        require("AnnealingSchedule.cooling_rate", self.cooling_rate, 1.0 - bound, 1.0, True)
+        # derived, not a field: the level count the caps judge and anneal runs
+        object.__setattr__(self, "levels", math.ceil(span / math.log(self.next_temperature(1.0))))
+        if self.levels:  # none when termination equals initial
             require("AnnealingSchedule.iterations_per_temperature", self.iterations_per_temperature,
-                    1, _MAX_EVALUATIONS // levels + 1, closed=True, integer=True)
+                    1, _MAX_EVALUATIONS // self.levels + 1, closed=True, integer=True)
 
     def next_temperature(self, temperature: float) -> float:
-        if self.cooling_reading == "decrement":
-            return temperature * (1.0 - self.cooling_rate)
-        return temperature * self.cooling_rate
+        return temperature * (1.0 - self.cooling_rate)
 
 
 class TraceRow(NamedTuple):
@@ -154,9 +150,10 @@ def anneal(
 ) -> OptimizationResult:
     """Run one annealing chain and return the best design ever visited.
 
-    At each temperature level, iterations_per_temperature proposal/accept
-    steps run, then the temperature cools; the loop stops once the
-    temperature is no longer above termination_temperature. The initial
+    At each of schedule.levels temperature levels, iterations_per_temperature
+    proposal/accept steps run, then the temperature cools. So a run makes
+    1 + levels * iterations_per_temperature evaluations, the count the
+    schedule's caps judged, however the temperatures round. The initial
     design is evaluated as given (it may sit outside the bounds; every
     proposal afterwards is clamped inside). A panel whose hole the
     narrowest main duct of the search's reach cannot hold is refused before
@@ -169,7 +166,7 @@ def anneal(
     trace: list[TraceRow] = []
 
     temperature = schedule.initial_temperature
-    while temperature > schedule.termination_temperature:
+    for _ in range(schedule.levels):
         for _ in range(schedule.iterations_per_temperature):
             candidate = neighbor(current, schedule, rng)
             candidate_objective = objective(candidate, mpps, medium, grid, threshold)

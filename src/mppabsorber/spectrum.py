@@ -30,8 +30,9 @@ __all__ = [
     "ranged",
 ]
 
-# Largest grid accepted: far above any plane-wave spectrum worth computing
-# (0.01 Hz over 2 kHz is ~2e5 points), well below what exhausts memory.
+# A grid takes fewer than this many steps, so at most 10**7 + 1 points: far
+# above any plane-wave spectrum worth computing (0.01 Hz over 2 kHz is ~2e5
+# points), well below what exhausts memory.
 MAX_GRID_POINTS = 10**7
 
 # The frequencies (Hz) the model answers, an open range. 1e11 Hz is past the

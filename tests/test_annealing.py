@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mppabsorber import (
@@ -15,6 +15,7 @@ from mppabsorber import (
     BOUNDS_MM,
     DEFAULT_MPPS,
     OPTIMIZED_DESIGN,
+    FrequencyGrid,
     MppSpec,
     accept,
     anneal,
@@ -34,6 +35,7 @@ def in_box(design):
     return all(lo <= getattr(design, name) <= hi for name, (lo, hi) in BOUNDS_MM.items())
 
 
+TINY_GRID = FrequencyGrid(1.0, 50.0, 1.0)
 FAST_SCHEDULE = AnnealingSchedule(
     initial_temperature=100.0,
     iterations_per_temperature=2,
@@ -134,16 +136,22 @@ class TestAccept:
 
 class TestSchedule:
     def test_cooling_level_counts(self):
-        # decrement reading: ~83 levels from 100 to 1e-6; multiplier: ~12
-        def levels(schedule):
-            count, t = 0, schedule.initial_temperature
-            while t > schedule.termination_temperature:
-                count += 1
-                t = schedule.next_temperature(t)
-            return count
+        # 83 levels from 100 to 1e-6 at a decrement of 0.2, by the count and
+        # by the temperatures: 100 * 0.8**82 is above 1e-6, 100 * 0.8**83 not
+        schedule = AnnealingSchedule()
+        assert schedule.levels == 83
+        t = schedule.initial_temperature
+        for _ in range(82):
+            t = schedule.next_temperature(t)
+        assert t > schedule.termination_temperature >= schedule.next_temperature(t)
 
-        assert levels(AnnealingSchedule()) == 83
-        assert levels(AnnealingSchedule(cooling_reading="multiplier")) == 12
+    def test_multiplier_reading_is_refused_by_name(self):
+        # T <- rate * T was the one other reading; nothing set it but tests
+        with pytest.raises(ValueError) as excinfo:
+            AnnealingSchedule(cooling_reading="multiplier")
+        assert str(excinfo.value) == (
+            "AnnealingSchedule.cooling_reading must be 'decrement', got 'multiplier'"
+        )
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -178,9 +186,10 @@ class TestSchedule:
             # a factor of 1 - 2**-52, below 1
             ({"cooling_rate": 2e-16}, "[1.842051108424947e-05, 1), got 2e-16"),
             ({"cooling_rate": 1e-6}, "[1.842051108424947e-05, 1), got 1e-06"),  # about 1.8e7 levels
+            # one ulp below the closed low edge
             (
-                {"cooling_rate": 1 - 1e-6, "cooling_reading": "multiplier"},
-                "(0, 0.9999815794889158], got 0.999999",
+                {"cooling_rate": 1.8420511084249466e-05},
+                "[1.842051108424947e-05, 1), got 1.8420511084249466e-05",
             ),
             # about 1.4e7 levels over this span; 1.8e5 over the default one
             (
@@ -200,12 +209,7 @@ class TestSchedule:
 
     def test_slow_schedule_within_the_level_cap_accepted(self):
         # about 9e5 levels from 100 to 1e-6, each one a factor below 1
-        schedule = AnnealingSchedule(cooling_rate=2.05e-5)
-        levels, t = 0, schedule.initial_temperature
-        while t > schedule.termination_temperature:
-            levels += 1
-            t = schedule.next_temperature(t)
-        assert 8e5 < levels <= 10**6
+        assert 8e5 < AnnealingSchedule(cooling_rate=2.05e-5).levels <= 10**6
         AnnealingSchedule(cooling_rate=1e-4)
 
     def test_schedule_that_cannot_finish_rejected(self):
@@ -244,11 +248,11 @@ class TestSchedule:
         assert (schedule.iterations_per_temperature, schedule.seed) == (3, 7)
 
 
-def refused_by_the_old_caps(initial, termination, rate, reading, iterations) -> bool:
+def refused_by_the_old_caps(initial, termination, rate, iterations) -> bool:
     """The two caps as AnnealingSchedule checked them before they became
     intervals: more than 10**6 levels, a per-level factor of 1 taking
     infinitely many, then more than 10**8 evaluations."""
-    factor = 1.0 - rate if reading == "decrement" else rate
+    factor = 1.0 - rate
     span = math.log(termination) - math.log(initial)
     levels = math.inf if factor == 1.0 else span / math.log(factor)
     return levels > 10**6 or math.ceil(levels) * iterations > 10**8
@@ -261,23 +265,30 @@ def ulps_from(value: float, toward: float, count: int) -> float:
 
 
 @st.composite
-def schedules(draw):
-    """The fields the two caps judge. Temperatures from 1e-300 to 1e300,
-    apart by any span, equal, or apart by a few ulps or a sliver; a rate
-    log-uniform, a few ulps above 0 or below 1, next to 2**-54, where 1 -
-    rate starts to round to 1, or next to the rate that takes 10**6 levels;
-    iterations of any size, or next to the evaluation cap."""
-    reading = draw(st.sampled_from(["decrement", "multiplier"]))
+def temperatures(draw):
+    """An initial temperature from 1e-300 to 1e300 and a termination apart
+    from it by any span, equal, apart by a few ulps or a sliver, or a
+    subnormal: 5e-324 or a few ulps above it."""
     initial = 10.0 ** draw(st.floats(-300.0, 300.0))
     termination = draw(st.one_of(
         st.floats(-300.0, 300.0).map(lambda exponent: min(10.0**exponent, initial)),
         st.just(initial),
         st.integers(1, 4).map(lambda count: ulps_from(initial, 0.0, count)),
         st.floats(-16.0, -6.0).map(lambda exponent: initial * (1.0 - 10.0**exponent)),
+        st.integers(1, 4).map(lambda count: ulps_from(0.0, 1.0, count)),
     ))
+    return initial, termination
+
+
+@st.composite
+def schedules(draw):
+    """The fields the two caps judge: temperatures as drawn above; a rate
+    log-uniform, a few ulps above 0 or below 1, next to 2**-54, where 1 -
+    rate starts to round to 1, or next to the rate that takes 10**6 levels;
+    iterations of any size, or next to the evaluation cap."""
+    initial, termination = draw(temperatures())
     span = math.log(termination) - math.log(initial)
-    edge = math.exp(span / 10**6)
-    edge = 1.0 - edge if reading == "decrement" else edge
+    edge = 1.0 - math.exp(span / 10**6)
     rate = draw(st.one_of(
         st.floats(-20.0, -1e-9).map(lambda exponent: 10.0**exponent),
         st.integers(1, 4).map(lambda count: ulps_from(0.0, 1.0, count)),
@@ -285,33 +296,36 @@ def schedules(draw):
         st.builds(ulps_from, st.sampled_from([edge, 2.0**-54]), st.sampled_from([0.0, 1.0]),
                   st.integers(0, 4)),
     ).filter(lambda rate: 0.0 < rate < 1.0))
-    factor = 1.0 - rate if reading == "decrement" else rate
+    factor = 1.0 - rate
     levels = math.ceil(span / math.log(factor)) if factor != 1.0 else 0
     iterations = draw(st.one_of(
         st.sampled_from([1, 2, 100, 10**6, 10**8, 10**12]),
         st.integers(1, 10**9),
         st.integers(-1, 1).map(lambda step: max(1, 10**8 // max(levels, 1) + step)),
     ))
-    return initial, termination, rate, reading, iterations
+    return initial, termination, rate, iterations
 
 
 @settings(max_examples=300)
 @given(schedules())
-@example((100.0, 5.161664442490212e-12, 3.0594464187849724e-05, "decrement", 1))
-@example((100.0, 5.161664442490212e-12, 0.9999694055358122, "multiplier", 1))
+@example((100.0, 5.161664442490212e-12, 3.0594464187849724e-05, 1))
+# 644 levels by the count; a run that compared temperatures took 645, which
+# is 100,154,956 evaluations
+@example((1748755555.0968451, 284132629.0137059, 0.002817790520427048, 155279))
 def test_schedule_intervals_refuse_what_the_old_caps_refused(fields):
     # the caps were hand-worded predicates; as intervals on cooling_rate and
     # iterations_per_temperature they refuse the same schedules, in the one
     # wording. They part only at a per-level factor equal to the level cap's
     # edge factor, exp(span / 10**6), which the old predicate put on either
-    # side by the rounding of its level count: the two examples, 1.5e-6
-    # levels past 10**6 by that count, are refused before and taken now
-    initial, termination, rate, reading, iterations = fields
+    # side by the rounding of its level count: the example, 1.5e-6 levels
+    # past 10**6 by that count, is refused before and taken now. A schedule
+    # taken runs at most 10**8 evaluations
+    initial, termination, rate, iterations = fields
     before = refused_by_the_old_caps(*fields)
     try:
-        AnnealingSchedule(
+        schedule = AnnealingSchedule(
             initial_temperature=initial, termination_temperature=termination,
-            cooling_rate=rate, cooling_reading=reading, iterations_per_temperature=iterations,
+            cooling_rate=rate, iterations_per_temperature=iterations,
         )
     except ValueError as exc:
         now = True
@@ -319,10 +333,10 @@ def test_schedule_intervals_refuse_what_the_old_caps_refused(fields):
         assert re.fullmatch(rf"{labels} must lie in [\[(].+, .+[\])], got .+", str(exc)), exc
     else:
         now = False
+        assert schedule.levels * iterations <= 10**8, fields
     span = math.log(termination) - math.log(initial)
     edge = min(math.exp(span / 10**6), math.nextafter(1.0, 0.0))
-    factor = 1.0 - rate if reading == "decrement" else rate
-    assert now == before or factor == edge, fields
+    assert now == before or 1.0 - rate == edge, fields
 
 
 def test_a_span_too_short_to_cool_still_refuses_a_factor_of_one():
@@ -338,6 +352,30 @@ def test_a_span_too_short_to_cool_still_refuses_a_factor_of_one():
     # no level is run when termination equals initial, so no count is capped
     schedule = AnnealingSchedule(termination_temperature=100.0, iterations_per_temperature=10**12)
     assert schedule.iterations_per_temperature == 10**12
+
+
+@settings(max_examples=100)
+@given(temperatures(), st.integers(1, 200), st.integers(-3, 3), st.integers(1, 3))
+def test_every_taken_schedule_runs_its_level_count(ends, target, ulps, iterations):
+    # a rate that cools the span in about `target` levels (more where it
+    # rounds to 1 - 2**-53), a few ulps off, so the count and the
+    # temperatures may part by rounding; the objective is stubbed out, so the
+    # run is the loop, the moves and the Metropolis rule, which refuses a
+    # temperature that has fallen to 0
+    initial, termination = ends
+    rate = 1.0 - math.exp((math.log(termination) - math.log(initial)) / target)
+    rate = ulps_from(rate, 1.0 if ulps > 0 else 0.0, abs(ulps))
+    try:
+        schedule = AnnealingSchedule(
+            initial_temperature=initial, iterations_per_temperature=iterations,
+            cooling_rate=rate, termination_temperature=termination,
+        )
+    except ValueError:
+        assume(False)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(annealing, "objective", lambda *args: 0.0)
+        result = anneal(BASELINE_DESIGN, DEFAULT_MPPS, grid=TINY_GRID, schedule=schedule)
+    assert result.evaluations == 1 + schedule.levels * iterations
 
 
 class TestAnneal:
@@ -367,6 +405,29 @@ class TestAnneal:
         # 4 levels (100, 80, 64, 51.2) x 2 iterations + initial evaluation
         assert result.evaluations == 4 * 2 + 1
         assert len(result.objective_trace) == 4 * 2
+
+    @pytest.mark.parametrize(
+        "initial, termination, rate, evaluations",
+        [
+            # the temperatures fell to termination a level before the count
+            (100.0, 5.7648009999999985, 0.3, 9),
+            # a level after it: the second level runs at termination, 90
+            (100.0, 90.00000000000001, 0.1, 3),
+            # the temperature stuck at 2.5e-323, above termination, and the
+            # run never ended while the caps counted 510 levels
+            (1e-300, 5e-324, 0.1, 511),
+        ],
+        ids=["count-above-temperatures", "count-below-temperatures", "subnormal"],
+    )
+    def test_a_run_takes_the_level_count_its_caps_judged(
+        self, initial, termination, rate, evaluations
+    ):
+        schedule = AnnealingSchedule(
+            initial_temperature=initial, iterations_per_temperature=1, cooling_rate=rate,
+            termination_temperature=termination,
+        )
+        result = anneal(BASELINE_DESIGN, DEFAULT_MPPS, grid=TINY_GRID, schedule=schedule)
+        assert result.evaluations == 1 + schedule.levels == evaluations
 
     def test_all_visited_designs_feasible(self):
         schedule = dataclasses.replace(FAST_SCHEDULE, termination_temperature=20.0)

@@ -532,20 +532,22 @@ class TestOptimize:
         assert emitted["schedule"]["seed"] == 3
 
     def test_cooling_reading_from_config(self, capsys, tmp_path, small_optimize_config):
+        # "decrement" is the one reading; "multiplier", T <- rate * T, is
+        # refused by name before any output is written
         config = json.loads(small_optimize_config.read_text())
         config["schedule"]["cooling_reading"] = "multiplier"
         small_optimize_config.write_text(json.dumps(config))
         out_dir = tmp_path / "mult"
-        code, _, _ = run_cli(
+        code, _, stderr = run_cli(
             capsys, "optimize", "--config", small_optimize_config, "--out", out_dir
         )
-        assert code == 0
-        # multiplier reading cools 100 -> 20 in one level: single level of 5 moves
-        trace_lines = (out_dir / "trace.csv").read_text().splitlines()
-        assert len(trace_lines) == 1 + 5
-        emitted = json.loads((out_dir / "best_design.json").read_text())
-        assert emitted["schedule"]["cooling_reading"] == "multiplier"
-        # the config's schedule is the one way to set it
+        assert code == 1
+        assert stderr == (
+            "error: schedule: AnnealingSchedule.cooling_reading must be 'decrement',"
+            " got 'multiplier'\n"
+        )
+        assert not out_dir.exists()
+        # the config's schedule is the one way to name it
         with pytest.raises(SystemExit):
             run_cli(
                 capsys, "optimize", "--config", small_optimize_config, "--out", out_dir,

@@ -1,8 +1,8 @@
 """The fuzz contract. Every library entry point that takes a number answers
 it, or refuses it with a ValueError in the one wording, naming the value's
 label. Every CLI command answers a config file, or exits 1 with one error:
-line that reads in the same wording. Any other exception, or a warning,
-fails."""
+line that reads in the same wording, or that refuses a cooling reading
+other than "decrement" by name. Any other exception, or a warning, fails."""
 
 import contextlib
 import dataclasses
@@ -305,15 +305,13 @@ def config_files(draw):
     points = int(10.0 ** uniform(0.0, math.log10(20_000)))
     f_min, step = 10.0 ** uniform(-3.0, 4.0), 10.0 ** uniform(-2.0, 3.0)
     grid = {"f_min": f_min, "f_max": f_min + (points - 1) * step, "step": step}
-    reading = draw(st.sampled_from(["decrement", "multiplier"]))
     initial = 10.0 ** uniform(-300.0, 300.0)
     # at most 20 levels: a factor of at most 1/2 over a span of at most 10**6
     termination = draw(st.sampled_from([initial, initial * 10.0 ** uniform(-6.0, 0.0)]))
     schedule = {
         "initial_temperature": initial,
         "termination_temperature": termination,
-        "cooling_rate": uniform(0.5, 0.99) if reading == "decrement" else uniform(0.01, 0.5),
-        "cooling_reading": reading,
+        "cooling_rate": uniform(0.5, 0.99),
         "iterations_per_temperature": draw(st.integers(1, max(1, min(5, 5_000 // points)))),
         "step_fraction": uniform(0.0, 0.99),
         "seed": draw(st.integers(0, 2**32)),
@@ -350,9 +348,11 @@ SECTIONS = {
     "grid: ": "FrequencyGrid",
     "schedule: ": "AnnealingSchedule",
 }
-CLI_REFUSAL = "error: (?:[AB]: )?(?:{})".format(
-    "|".join(section + wording(OWNER.format(owner)) for section, owner in SECTIONS.items())
-)
+# The one refusal of no number: a cooling reading other than "decrement".
+READING = r"schedule: AnnealingSchedule\.cooling_reading must be 'decrement', got .+"
+CLI_REFUSAL = "error: (?:[AB]: )?(?:{})".format("|".join(
+    [*(section + wording(OWNER.format(owner)) for section, owner in SECTIONS.items()), READING]
+))
 # compare's notice on the first config, which a refusal of the second follows
 CUT_ON = (
     r"warning: f_max \S+ Hz is above the first cross-mode cut-on of the widest duct,"
@@ -381,12 +381,18 @@ def answered_or_refused_by_the_cli(*argv) -> bool:
 # inside the edge printed as 1.66667e+07
 SIX_LEVELS = bundled(BASELINE, "schedule", "termination_temperature", value=100 * 0.8**5.5)
 SIX_LEVELS["schedule"]["iterations_per_temperature"] = 16_666_680
+# 510 levels by the count; the temperature sticks at 2.5e-323, above the
+# subnormal termination, and a run that compared the two never ended
+SUBNORMAL = bundled(BASELINE, "schedule", "termination_temperature", value=5e-324)
+SUBNORMAL["schedule"].update(initial_temperature=1e-300, cooling_rate=0.1,
+                             iterations_per_temperature=1)
 
 
 @settings(max_examples=60)
 @given(config=config_files(), first=st.booleans())
-# each rule that judges more than one value, and a cap whose edge has more
-# than six digits
+# each rule that judges more than one value, a cap whose edge has more than
+# six digits, a schedule that cools to a subnormal, answered, and the
+# retired "multiplier" reading, refused
 @example(config=bundled(BASELINE, "schedule", "cooling_rate", value=1e-17), first=True)
 @example(config=bundled(BASELINE, "schedule", "iterations_per_temperature", value=10**12),
          first=True)
@@ -395,6 +401,8 @@ SIX_LEVELS["schedule"]["iterations_per_temperature"] = 16_666_680
 @example(config=bundled(SINGLE, "structure", "mpp", "aperture", value=12.0), first=False)
 @example(config=SIX_LEVELS, first=True)
 @example(config=bundled(BASELINE, "grid", "step", value=1e-5), first=True)
+@example(config=SUBNORMAL, first=True)
+@example(config=bundled(BASELINE, "schedule", "cooling_reading", value="multiplier"), first=False)
 def test_every_drawn_config_is_answered_or_refused_by_name(config, first):
     # the one wording reaches the console: a numeric refusal reads the same
     # after its `A: `/`B: `, section and search-reach prefixes

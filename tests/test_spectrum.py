@@ -132,8 +132,11 @@ class TestFrequencyGrid:
 
     def test_point_count_capped(self):
         # construction alone checks the count; no array is built here
-        # a step is refused at (f_max - f_min) / MAX_GRID_POINTS or below
+        # a step is refused at (f_max - f_min) / MAX_GRID_POINTS or below, so
+        # a grid takes fewer than MAX_GRID_POINTS steps: at most one more point
         FrequencyGrid(1.0, float(MAX_GRID_POINTS), 1.0)  # exactly at the cap
+        widest = FrequencyGrid(1.0, 1.0 + MAX_GRID_POINTS, math.nextafter(1.0, 2.0))
+        assert widest.size == MAX_GRID_POINTS + 1
         for args, refusal in [
             ((1.0, 1.0 + MAX_GRID_POINTS, 1.0), "(1, 1e+11), got 1.0"),
             ((1.0, 2000.0, 1e-5), "(0.0001999, 1e+11), got 1e-05"),
