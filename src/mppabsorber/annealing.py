@@ -74,10 +74,13 @@ class AnnealingSchedule:
         if self.cooling_reading != "decrement":
             raise ValueError(f"AnnealingSchedule.cooling_reading must be 'decrement',"
                              f" got {self.cooling_reading!r}")
-        # the per-level factor that cools from initial to termination in
-        # _MAX_LEVELS levels; never 1, a factor at which nothing cools
+        # the largest per-level factor that cools from initial to termination
+        # in _MAX_LEVELS levels as `levels` counts them; never 1, a factor at
+        # which nothing cools
         span = math.log(self.termination_temperature) - math.log(self.initial_temperature)
         bound = min(math.exp(span / _MAX_LEVELS), math.nextafter(1.0, 0.0))
+        while math.ceil(span / math.log(bound)) > _MAX_LEVELS:  # where exp rounded up
+            bound = math.nextafter(bound, 0.0)
         require("AnnealingSchedule.cooling_rate", self.cooling_rate, 1.0 - bound, 1.0, True)
         # derived, not a field: the level count the caps judge and anneal runs
         object.__setattr__(self, "levels", math.ceil(span / math.log(self.next_temperature(1.0))))

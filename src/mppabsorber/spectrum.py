@@ -26,7 +26,6 @@ __all__ = [
     "check_fields",
     "effective_band",
     "effective_bands",
-    "octave_bands",
     "ranged",
 ]
 
@@ -207,9 +206,11 @@ class AbsorptionSpectrum:
 class EffectiveBand:
     """A contiguous alpha >= threshold interval with its summary measures."""
 
-    f_low: float
-    f_high: float
+    f_low: float = ranged(0.0)
+    f_high: float = ranged(0.0)
     mean_alpha: float
+
+    __post_init__ = check_fields
 
     @property
     def width(self) -> float:
@@ -217,16 +218,9 @@ class EffectiveBand:
 
     @property
     def octaves(self) -> float:
-        """log2(f_high / f_low); 0.0 for a zero-width band."""
-        return octave_bands(self.f_low, self.f_high) if self.f_high > self.f_low else 0.0
-
-
-def octave_bands(f_low: float, f_high: float) -> float:
-    """Number of octaves spanned: log2(f_high / f_low), for 0 < f_low <
-    f_high < inf."""
-    require("f_low", f_low, 0, math.inf)
-    require("f_high", f_high, f_low, math.inf)
-    return math.log2(f_high / f_low)
+        """Number of octaves spanned, log2(f_high / f_low); 0.0 for a band
+        that does not widen."""
+        return math.log2(self.f_high / self.f_low) if self.f_high > self.f_low else 0.0
 
 
 # the False on either side of a run mask, so every run has two edges

@@ -182,14 +182,14 @@ class TestSchedule:
         "kwargs, refusal",
         [
             # 1 - rate rounds to 1: the temperature never falls
-            ({"cooling_rate": 1e-17}, "[1.842051108424947e-05, 1), got 1e-17"),
+            ({"cooling_rate": 1e-17}, "[1.842051108436049e-05, 1), got 1e-17"),
             # a factor of 1 - 2**-52, below 1
-            ({"cooling_rate": 2e-16}, "[1.842051108424947e-05, 1), got 2e-16"),
-            ({"cooling_rate": 1e-6}, "[1.842051108424947e-05, 1), got 1e-06"),  # about 1.8e7 levels
+            ({"cooling_rate": 2e-16}, "[1.842051108436049e-05, 1), got 2e-16"),
+            ({"cooling_rate": 1e-6}, "[1.842051108436049e-05, 1), got 1e-06"),  # about 1.8e7 levels
             # one ulp below the closed low edge
             (
-                {"cooling_rate": 1.8420511084249466e-05},
-                "[1.842051108424947e-05, 1), got 1.8420511084249466e-05",
+                {"cooling_rate": 1.8420511084360488e-05},
+                "[1.842051108436049e-05, 1), got 1.8420511084360488e-05",
             ),
             # about 1.4e7 levels over this span; 1.8e5 over the default one
             (
@@ -197,8 +197,14 @@ class TestSchedule:
                  "termination_temperature": 1e-300},
                 "[0.0013805971534753825, 1), got 0.0001",
             ),
+            # 1 - exp(span / 10**6), whose factor rounds up: its count read
+            # 1,000,001 levels and it was taken
+            (
+                {"cooling_rate": 1.842051108424947e-05, "iterations_per_temperature": 1},
+                "[1.842051108436049e-05, 1), got 1.842051108424947e-05",
+            ),
         ],
-        ids=[f"kwargs{index}" for index in range(5)],
+        ids=[f"kwargs{index}" for index in range(6)],
     )
     def test_schedules_that_barely_cool_rejected(self, kwargs, refusal):
         # the rate must cool within 10**6 levels: it read "cooling_rate 1e-17
@@ -210,6 +216,9 @@ class TestSchedule:
     def test_slow_schedule_within_the_level_cap_accepted(self):
         # about 9e5 levels from 100 to 1e-6, each one a factor below 1
         assert 8e5 < AnnealingSchedule(cooling_rate=2.05e-5).levels <= 10**6
+        # the edge takes exactly the cap
+        edge = AnnealingSchedule(cooling_rate=1.842051108436049e-05, iterations_per_temperature=1)
+        assert edge.levels == 10**6
         AnnealingSchedule(cooling_rate=1e-4)
 
     def test_schedule_that_cannot_finish_rejected(self):
@@ -309,34 +318,39 @@ def schedules(draw):
 @settings(max_examples=300)
 @given(schedules())
 @example((100.0, 5.161664442490212e-12, 3.0594464187849724e-05, 1))
+@example((100.0, 1e-6, 1.842051108424947e-05, 1))
 # 644 levels by the count; a run that compared temperatures took 645, which
 # is 100,154,956 evaluations
 @example((1748755555.0968451, 284132629.0137059, 0.002817790520427048, 155279))
 def test_schedule_intervals_refuse_what_the_old_caps_refused(fields):
     # the caps were hand-worded predicates; as intervals on cooling_rate and
     # iterations_per_temperature they refuse the same schedules, in the one
-    # wording. They part only at a per-level factor equal to the level cap's
-    # edge factor, exp(span / 10**6), which the old predicate put on either
-    # side by the rounding of its level count: the example, 1.5e-6 levels
-    # past 10**6 by that count, is refused before and taken now. A schedule
-    # taken runs at most 10**8 evaluations
+    # wording. The first two examples sit at the factor exp(span / 10**6),
+    # rounded up, whose level count reads past 10**6 (by 1.5e-6 and 3e-7
+    # levels): the interval's edge is the next factor down. A schedule taken
+    # runs at most 10**6 levels and 10**8 evaluations
     initial, termination, rate, iterations = fields
-    before = refused_by_the_old_caps(*fields)
-    try:
-        schedule = AnnealingSchedule(
+
+    def build(rate):
+        return AnnealingSchedule(
             initial_temperature=initial, termination_temperature=termination,
             cooling_rate=rate, iterations_per_temperature=iterations,
         )
+
+    before = refused_by_the_old_caps(*fields)
+    try:
+        schedule = build(rate)
     except ValueError as exc:
         now = True
         labels = r"AnnealingSchedule\.(?:cooling_rate|iterations_per_temperature)"
         assert re.fullmatch(rf"{labels} must lie in [\[(].+, .+[\])], got .+", str(exc)), exc
     else:
         now = False
-        assert schedule.levels * iterations <= 10**8, fields
-    span = math.log(termination) - math.log(initial)
-    edge = min(math.exp(span / 10**6), math.nextafter(1.0, 0.0))
-    assert now == before or 1.0 - rate == edge, fields
+        assert schedule.levels <= 10**6 and schedule.levels * iterations <= 10**8, fields
+    # they part only where a rate just below the interval's low edge rounds
+    # to the edge's own factor, 1 - rate, the one the old caps judged: the
+    # exact rate of that factor is taken
+    assert now == before or now and build(1.0 - (1.0 - rate)).levels <= 10**6, fields
 
 
 def test_a_span_too_short_to_cool_still_refuses_a_factor_of_one():

@@ -863,6 +863,6 @@ class TestErrors:
         assert stdout == ""
         assert stderr == (
             "error: schedule: AnnealingSchedule.cooling_rate must lie in"
-            " [1.842051108424947e-05, 1), got 1e-17\n"
+            " [1.842051108436049e-05, 1), got 1e-17\n"
         )
         assert not out_dir.exists()

@@ -25,6 +25,7 @@ from mppabsorber import (
     AnnealingSchedule,
     AreaChange,
     DesignVector,
+    EffectiveBand,
     ElementChain,
     FrequencyGrid,
     Medium,
@@ -37,7 +38,6 @@ from mppabsorber import (
     chain_matrix,
     effective_band,
     effective_bands,
-    octave_bands,
     perforate_constant,
 )
 from mppabsorber.cli import main
@@ -61,6 +61,7 @@ BASES = {
     MppSpec: {"thickness": 0.6, "aperture": 0.2, "porosity": 0.025},
     SingleChamberStructure: {"d_m": 10.0, "l_m": 100.0, "d_e": 60.0, "t_e": 10.0, "mpp": MPP},
     AnnealingSchedule: {},
+    EffectiveBand: {"f_low": 27.0, "f_high": 1304.0, "mean_alpha": 0.9},
 }
 
 
@@ -128,10 +129,6 @@ TARGETS = [
            wording("threshold")),
     Target("accept", lambda v: accept(-1.0, v, np.random.default_rng(0)), 37.0, 0, math.inf,
            wording("temperature")),
-    Target("octave_bands.f_low", lambda v: octave_bands(v, 2000.0), 1.0, 0, math.inf,
-           wording("f_low|f_high")),
-    Target("octave_bands.f_high", lambda v: octave_bands(1.0, v), 2000.0, 1.0, math.inf,
-           wording("f_high")),
     Target("perforate_constant.frequency", lambda v: perforate_constant(v, 2e-4), 500.0,
            *FREQUENCY, wording("frequency")),
     Target("perforate_constant.aperture", lambda v: perforate_constant(500.0, v), 2e-4, 0,

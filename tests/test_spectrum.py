@@ -17,6 +17,7 @@ from mppabsorber import (
     BASELINE_DESIGN,
     DEFAULT_GRID,
     DesignVector,
+    EffectiveBand,
     ElementChain,
     FrequencyGrid,
     Medium,
@@ -27,7 +28,6 @@ from mppabsorber import (
     cut_on_frequency,
     effective_band,
     effective_bands,
-    octave_bands,
 )
 from mppabsorber.spectrum import MAX_GRID_POINTS, check_fields, ranged
 
@@ -463,18 +463,22 @@ def test_longest_band_is_the_first_longest_run_of_a_scan(spectrum, threshold):
         assert band == bands[runs.index(longest)]
 
 
+def octaves(f_low, f_high):
+    return EffectiveBand(f_low, f_high, 0.9).octaves
+
+
 class TestOctaveBands:
     def test_reference_band_values(self):
         # exact: log2(1304/27) and log2(1595/4); the published figures round
         # to 5.6 and 8.6 octaves
-        assert octave_bands(27.0, 1304.0) == pytest.approx(5.594, abs=1e-3)
-        assert octave_bands(4.0, 1595.0) == pytest.approx(8.639, abs=1e-3)
-        assert octave_bands(27.0, 1304.0) == pytest.approx(5.6, abs=0.05)
-        assert octave_bands(4.0, 1595.0) == pytest.approx(8.6, abs=0.05)
+        assert octaves(27.0, 1304.0) == pytest.approx(5.594, abs=1e-3)
+        assert octaves(4.0, 1595.0) == pytest.approx(8.639, abs=1e-3)
+        assert octaves(27.0, 1304.0) == pytest.approx(5.6, abs=0.05)
+        assert octaves(4.0, 1595.0) == pytest.approx(8.6, abs=0.05)
 
     def test_doubling_is_one_octave(self):
         for f in (5.0, 123.0, 997.0):
-            assert octave_bands(f, 2 * f) == pytest.approx(1.0, rel=1e-12)
+            assert octaves(f, 2 * f) == pytest.approx(1.0, rel=1e-12)
 
     def test_additive_over_adjacent_intervals(self):
         rng = np.random.default_rng(7)
@@ -482,20 +486,24 @@ class TestOctaveBands:
             a, b, c = np.sort(rng.uniform(1.0, 4000.0, 3))
             if a == b or b == c:
                 continue
-            assert octave_bands(a, b) + octave_bands(b, c) == pytest.approx(
-                octave_bands(a, c), abs=1e-12
-            )
+            assert octaves(a, b) + octaves(b, c) == pytest.approx(octaves(a, c), abs=1e-12)
+
+    @pytest.mark.parametrize("edges", [(10.0, 10.0), (20.5, 10.0)], ids=str)
+    def test_band_without_width_has_zero_octaves(self, edges):
+        band = EffectiveBand(*edges, 0.9)
+        assert band.octaves == 0.0
+        assert band.width == edges[1] - edges[0]
 
     @pytest.mark.parametrize(
         "args",
         [
-            (0.0, 10.0), (-1.0, 10.0), (10.0, 10.0), (20.0, 10.0),
+            (0.0, 10.0), (-1.0, 10.0), (10.0, 0.0), (10.0, -1.0),
             (math.nan, 10.0), (1.0, math.inf),
         ],
     )
     def test_invalid_inputs_rejected(self, args):
         with pytest.raises(ValueError):
-            octave_bands(*args)
+            EffectiveBand(*args, 0.9)
 
     @pytest.mark.parametrize(
         "args, refusal",
@@ -503,17 +511,19 @@ class TestOctaveBands:
             ((0.0, 10.0), "f_low must lie in (0, inf), got 0.0"),
             ((math.inf, 10.0), "f_low must lie in (0, inf), got inf"),
             ((math.nan, 10.0), "f_low must lie in (0, inf), got nan"),
-            ((10.0, 10.0), "f_high must lie in (10, inf), got 10.0"),
-            ((20.5, 10.0), "f_high must lie in (20.5, inf), got 10.0"),
-            ((1.0, math.inf), "f_high must lie in (1, inf), got inf"),
+            ((-1.0, 10.0), "f_low must lie in (0, inf), got -1.0"),
+            ((10.0, 0.0), "f_high must lie in (0, inf), got 0.0"),
+            ((10.0, -1.0), "f_high must lie in (0, inf), got -1.0"),
+            ((10.0, math.nan), "f_high must lie in (0, inf), got nan"),
+            ((1.0, math.inf), "f_high must lie in (0, inf), got inf"),
             ((10**400, 5.0), f"f_low must lie in (0, inf), got {10**400}"),
-            ((1.0, 10**400), f"f_high must lie in (1, inf), got {10**400}"),
+            ((1.0, 10**400), f"f_high must lie in (0, inf), got {10**400}"),
         ],
         ids=lambda item: str(item)[:20],
     )
     def test_each_argument_is_refused_in_the_one_wording(self, args, refusal):
-        # both used to be refused together as "require 0 < f_low < f_high < inf";
-        # an int past the largest double raised OverflowError as an f_high
+        # a band is refused when it is built, naming its field; an int past
+        # the largest double once raised OverflowError as an f_high
         with pytest.raises(ValueError) as excinfo:
-            octave_bands(*args)
-        assert str(excinfo.value) == refusal
+            EffectiveBand(*args, 0.9)
+        assert str(excinfo.value) == f"EffectiveBand.{refusal}"
