@@ -32,13 +32,11 @@ __all__ = [
     "ElementChain",
     "Medium",
     "MppPanel",
-    "SoundElement",
     "StraightPipe",
     "TransferMatrix",
     "absorption_at",
     "absorption_spectrum",
     "chain_matrix",
-    "circle_area",
     "cut_on_frequency",
     "mpp_normalized_impedance",
     "perforate_constant",
@@ -152,13 +150,9 @@ class ElementChain:
                 )
         check_fields(self)
 
-    @property
-    def main_duct_area(self) -> float:
-        return circle_area(self.main_duct_diameter)
-
     def characteristic_impedance(self, medium: Medium = AIR) -> float:
         """Z0 = rho0*c0 / S_m of the main duct (Pa*s/m^3)."""
-        return medium.characteristic_impedance / self.main_duct_area
+        return medium.characteristic_impedance / circle_area(self.main_duct_diameter)
 
 
 def cut_on_frequency(chain: ElementChain, medium: Medium = AIR) -> float:

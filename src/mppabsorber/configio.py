@@ -6,13 +6,13 @@ DesignVector, `mpps` a list of exactly three MppSpec panels) or, with
 `"type": "single_chamber"`, a SingleChamberStructure, both from
 `structure`; `medium` is a Medium, `grid` a FrequencyGrid and `schedule` an
 AnnealingSchedule. A field with no default is required, a missing or null
-optional field takes its default, and an unknown key is an error. A float
-field takes a finite number (no NaN, Infinity or boolean), as
-`spectrum.require` judges it, a JSON integer becoming a float. Every other
-value reaches its dataclass as parsed, and the dataclass applies its own
-rules: the interval each field declares (`spectrum.ranged`), for an int
-field that it is an integer, and for a structure that each hole is
-narrower than its duct.
+optional field takes its default, and an unknown key is an error. Decoding
+judges no number: a JSON integer within the double range becomes a float
+in a float field, and every other value reaches its dataclass as parsed.
+The dataclass is the one judge, refusing in the library's one wording: the
+interval each field declares (`spectrum.ranged`), which takes no NaN,
+infinity, boolean, string or list, for an int field that it is an
+integer, and for a structure that each hole is narrower than its duct.
 
 Files carry lengths in millimetres (matching the engineering tables);
 conversion to SI happens when chains are built. Emitted files re-parse to
@@ -24,14 +24,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
+import sys
 import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 from .acoustics import AIR, Medium
 from .annealing import AnnealingSchedule
-from .spectrum import DEFAULT_GRID, FrequencyGrid, require
+from .spectrum import DEFAULT_GRID, FrequencyGrid
 from .structure import MppSet, MppSpec, SingleChamberStructure, ThreeChamberStructure
 
 __all__ = [
@@ -68,14 +68,9 @@ def _decode(cls, data, context: str):
     options = [arg for arg in typing.get_args(cls) if arg is not type(None)]
     if len(options) == 1:  # X | None; a null is taken as absent before here
         cls = options[0]
-    if cls is float:
-        try:
-            require(context, data, -math.inf, math.inf)
-        except ValueError:
-            raise ConfigError(f"{context}: expected a finite number, got {data!r}") from None
-        return float(data)
-    if cls in (int, str):  # the owning dataclass checks these
-        return data
+    if cls in (float, int, str):  # the owning dataclass judges these
+        in_range = cls is float and type(data) is int and abs(data) <= sys.float_info.max
+        return float(data) if in_range else data
     if cls is MppSet:
         if not isinstance(data, list) or len(data) != 3:
             raise ConfigError(f"{context}: expected a list of exactly 3 panels")

@@ -23,10 +23,8 @@ __all__ = [
     "AbsorptionSpectrum",
     "EffectiveBand",
     "FrequencyGrid",
-    "check_fields",
     "effective_band",
     "effective_bands",
-    "ranged",
 ]
 
 # A grid takes fewer than this many steps, so at most 10**7 + 1 points: far
@@ -208,7 +206,7 @@ class EffectiveBand:
 
     f_low: float = ranged(0.0)
     f_high: float = ranged(0.0)
-    mean_alpha: float
+    mean_alpha: float = ranged(0.0, 1.0, closed="high")
 
     __post_init__ = check_fields
 

@@ -13,6 +13,7 @@ than the main duct `d_m`, as an aperture interval in millimetres.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -24,7 +25,6 @@ __all__ = [
     "BASELINE_DESIGN",
     "BOUNDS_MM",
     "DEFAULT_MPPS",
-    "DESIGN_FIELDS",
     "DesignVector",
     "MppSet",
     "MppSpec",
@@ -70,19 +70,18 @@ class DesignVector:
     __post_init__ = check_fields
 
     def as_array(self) -> np.ndarray:
-        """Values in the canonical DESIGN_FIELDS order."""
-        return np.array([getattr(self, name) for name in DESIGN_FIELDS], dtype=float)
+        """Values in field order, the order of BOUNDS_MM."""
+        return np.array([getattr(self, name) for name in BOUNDS_MM], dtype=float)
 
     def as_dict(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in DESIGN_FIELDS}
+        return {name: getattr(self, name) for name in BOUNDS_MM}
 
 
 # The box of the 12 design variables (mm), inclusive at both ends, in field
-# order: the order of DESIGN_FIELDS and of a positional DesignVector.
+# order: the order of a positional DesignVector.
 BOUNDS_MM: dict[str, tuple[float, float]] = {
     item.name: item.metadata["box"] for item in fields(DesignVector)
 }
-DESIGN_FIELDS = tuple(BOUNDS_MM)
 
 
 @dataclass(frozen=True)
@@ -187,11 +186,16 @@ def single_chamber_chain(
 
 def _check_hole(mpp: MppSpec, duct_mm: float, label: str) -> None:
     """MppPanel's refusal of a hole not narrower than its duct, stated as
-    the interval of `label`.aperture in the config's millimetres."""
+    the interval of `label`.aperture in the config's millimetres. Its edge
+    is the least aperture refused, which lies a few ulps below the duct
+    where the two round onto one double in metres."""
     try:
         mpp.panel(duct_mm)
     except ValueError:
-        refuse(f"{label}.aperture", MM_RANGE[0], duct_mm, False, mpp.aperture)
+        edge = duct_mm
+        while math.nextafter(edge, 0.0) * MM >= duct_mm * MM:
+            edge = math.nextafter(edge, 0.0)
+        refuse(f"{label}.aperture", MM_RANGE[0], edge, False, mpp.aperture)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 """Config serialization: mm-unit JSON files that round-trip bit-exactly."""
 
+import dataclasses
 import json
 import math
 import re
+import typing
 
 import pytest
 
@@ -97,21 +99,34 @@ def test_partial_medium_override(tmp_path):
     assert config.medium.sound_speed == 343.0  # default preserved
 
 
-# One field of each section, and values that are not finite floats.
+# One field of each section with its rule, and values that are not finite
+# floats, as a refusal shows them.
 SECTION_FIELDS = {
-    "structure.design": ("d_m", lambda c: c["structure"]["design"]),
-    "structure.mpps[1]": ("aperture", lambda c: c["structure"]["mpps"][1]),
-    "medium": ("density", lambda c: c.setdefault("medium", {})),
-    "grid": ("step", lambda c: c["grid"]),
-    "schedule": ("initial_temperature", lambda c: c["schedule"]),
+    "structure.design": (
+        "d_m", lambda c: c["structure"]["design"], "DesignVector.d_m must lie in (0.001, 1e+06)",
+    ),
+    "structure.mpps[1]": (
+        "aperture", lambda c: c["structure"]["mpps"][1],
+        "MppSpec.aperture must lie in (0.001, 1e+06)",
+    ),
+    "medium": (
+        "density", lambda c: c.setdefault("medium", {}),
+        "Medium.density must lie in (0.001, 100000)",
+    ),
+    "grid": ("step", lambda c: c["grid"], "FrequencyGrid.step must lie in (0, 1e+11)"),
+    "schedule": (
+        "initial_temperature", lambda c: c["schedule"],
+        "AnnealingSchedule.initial_temperature must lie in (0, inf)",
+    ),
 }
 NOT_FINITE_NUMBERS = {
-    "nan": math.nan, "inf": math.inf, "huge": 10**400, "true": True, "string": "x",
+    "nan": (math.nan, "nan"), "inf": (math.inf, "inf"), "huge": (10**400, str(10**400)),
+    "true": (True, "True"), "string": ("x", "'x'"),
 }
 
 
 def _setting(section, value):
-    field, locate = SECTION_FIELDS[section]
+    field, locate, _ = SECTION_FIELDS[section]
     return lambda config: locate(config).__setitem__(field, value)
 
 
@@ -163,12 +178,16 @@ def _setting(section, value):
             )
             for label, value in (("float", 2.5), ("string", "3"))
         ),
+        # decoding judges no number: the field's own rule refuses it, in
+        # the library's one wording
         *(
             pytest.param(
-                _setting(section, value), re.escape(f"{section}."), id=f"{label}-{section}",
+                _setting(section, value),
+                f"^{re.escape(f'{section}: {SECTION_FIELDS[section][2]}, got {shown}')}$",
+                id=f"{label}-{section}",
             )
             for section in SECTION_FIELDS
-            for label, value in NOT_FINITE_NUMBERS.items()
+            for label, (value, shown) in NOT_FINITE_NUMBERS.items()
         ),
     ],
 )
@@ -191,6 +210,39 @@ def test_malformed_configs_name_the_field(tmp_path, mutate, fragment):
     path.write_text(json.dumps(config))
     with pytest.raises(ConfigError, match=fragment):
         load_config(path)
+
+
+def test_every_number_of_a_config_is_judged_by_its_declared_rule():
+    # decoding judges no number, so each float and int field of the
+    # dataclasses a config is made of declares its rule. No float rule takes
+    # an infinity, and NaN fails every comparison; an edge that names a field
+    # names an earlier one, itself judged so.
+    classes, parts = set(), [RunConfig]
+    while parts:
+        cls = parts.pop()
+        classes.add(cls)
+        for hint in typing.get_type_hints(cls).values():
+            parts += [
+                part for part in typing.get_args(hint) or (hint,)
+                if dataclasses.is_dataclass(part) and part not in classes
+            ]
+    counts = {float: 0, int: 0}
+    for cls in classes:
+        hints, items = typing.get_type_hints(cls), dataclasses.fields(cls)
+        for index, item in enumerate(items):
+            kind = hints[item.name]
+            if kind not in counts:
+                continue
+            counts[kind] += 1
+            assert "range" in item.metadata, f"{cls.__name__}.{item.name}"
+            low, high, closed = item.metadata["range"]
+            for edge, taken in ((low, closed is True), (high, closed == "high")):
+                if isinstance(edge, str):
+                    assert edge in [earlier.name for earlier in items[:index]]
+                else:
+                    assert not math.isnan(edge), f"{cls.__name__}.{item.name}"
+                    assert math.isfinite(edge) or not taken, f"{cls.__name__}.{item.name}"
+    assert counts == {float: 29, int: 2}
 
 
 @pytest.mark.parametrize(

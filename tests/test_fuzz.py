@@ -254,6 +254,9 @@ ANY_NUMBER = st.one_of(
     st.builds(lambda sign, exponent: sign * 10.0**exponent,
               st.sampled_from([1.0, -1.0]), st.floats(-6.0, 9.0)),
 )
+# A value for such a field that is no finite number; null, which a config
+# reads as absent, is left out.
+NO_NUMBER = st.sampled_from([math.nan, math.inf, -math.inf, 10**400, True, "1", [1.0], {}])
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 BASELINE, SINGLE = "three_chamber_baseline.json", "single_chamber.json"
 
@@ -276,8 +279,9 @@ def config_files(draw):
     structure, its medium, a grid of fewer than 20,000 points and a schedule
     of at most 20 levels of at most 5 iterations, one on a grid of more than
     5,000 points, every field inside its rule; then, in half the draws, one
-    field replaced by a value that may break a rule. A replacement in the
-    grid or the schedule is refused, or leaves the work as small."""
+    field replaced by a value that may break a rule, a length or a medium
+    field by one that may be no number. A replacement in the grid or the
+    schedule is refused, or leaves the work as small."""
     def uniform(low, high):
         return draw(st.floats(low, high))
 
@@ -313,10 +317,11 @@ def config_files(draw):
         "step_fraction": uniform(0.0, 0.99),
         "seed": draw(st.integers(0, 2**32)),
     }
-    replacements = [(owner, name, ANY_NUMBER) for owner, name in lengths]
+    values = st.one_of(ANY_NUMBER, NO_NUMBER)
+    replacements = [(owner, name, values) for owner, name in lengths]
     porosities = st.sampled_from([0.0, 1.0, -0.1, 1.5])
     replacements += [(panel, "porosity", porosities) for panel in panels]
-    replacements += [(medium, name, ANY_NUMBER) for name in medium]
+    replacements += [(medium, name, values) for name in medium]
     replacements += [
         (grid, "f_min", st.sampled_from([0.0, -1.0, 1e11, 1e300, 2.0 * grid["f_max"] + 1.0])),
         (grid, "f_max", st.sampled_from([0.0, -1.0, 1e11, 1e300, f_min / 2.0])),
@@ -383,13 +388,18 @@ SIX_LEVELS["schedule"]["iterations_per_temperature"] = 16_666_680
 SUBNORMAL = bundled(BASELINE, "schedule", "termination_temperature", value=5e-324)
 SUBNORMAL["schedule"].update(initial_temperature=1e-300, cooling_rate=0.1,
                              iterations_per_temperature=1)
+# a hole one ulp narrower than its duct: the two round onto one double in
+# metres, and the refusal printed the duct as its edge, reading inside
+HOLE = bundled(SINGLE, "structure", "d_m", value=7.984536172925714)
+HOLE["structure"]["mpp"]["aperture"] = 7.984536172925713
 
 
 @settings(max_examples=60)
 @given(config=config_files(), first=st.booleans())
 # each rule that judges more than one value, a cap whose edge has more than
-# six digits, a schedule that cools to a subnormal, answered, and the
-# retired "multiplier" reading, refused
+# six digits, a schedule that cools to a subnormal, answered, the retired
+# "multiplier" reading, refused, a length that is no number and a hole that
+# rounds onto its duct
 @example(config=bundled(BASELINE, "schedule", "cooling_rate", value=1e-17), first=True)
 @example(config=bundled(BASELINE, "schedule", "iterations_per_temperature", value=10**12),
          first=True)
@@ -400,6 +410,8 @@ SUBNORMAL["schedule"].update(initial_temperature=1e-300, cooling_rate=0.1,
 @example(config=bundled(BASELINE, "grid", "step", value=1e-5), first=True)
 @example(config=SUBNORMAL, first=True)
 @example(config=bundled(BASELINE, "schedule", "cooling_reading", value="multiplier"), first=False)
+@example(config=bundled(BASELINE, "structure", "design", "d_m", value="ten"), first=True)
+@example(config=HOLE, first=False)
 def test_every_drawn_config_is_answered_or_refused_by_name(config, first):
     # the one wording reaches the console: a numeric refusal reads the same
     # after its `A: `/`B: `, section and search-reach prefixes
@@ -415,3 +427,18 @@ def test_every_drawn_config_is_answered_or_refused_by_name(config, first):
         answered_or_refused_by_the_cli("compare", *((path, single) if first else (single, path)))
         if config["structure"]["type"] == "three_chamber":
             answered_or_refused_by_the_cli("optimize", "--config", path, "--out", folder / "run")
+
+
+def test_a_hole_refusal_reads_outside_its_interval():
+    # a hole a few ulps narrower than its duct can round onto it in metres,
+    # and its refusal printed the duct as the edge; each must print an edge
+    # at or below the aperture. Ducts uniform over 0.01-20 mm, seeded.
+    ducts = [7.984536172925714, *np.random.default_rng(1).uniform(0.01, 20.0, 2000).tolist()]
+    for duct in ducts:
+        aperture = duct
+        for _ in range(4):
+            try:
+                SingleChamberStructure(duct, 100.0, 60.0, 10.0, MppSpec(0.6, aperture, 0.025))
+            except ValueError as exc:
+                assert reads_outside(str(exc)), str(exc)
+            aperture = math.nextafter(aperture, 0.0)

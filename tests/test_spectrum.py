@@ -527,3 +527,13 @@ class TestOctaveBands:
         with pytest.raises(ValueError) as excinfo:
             EffectiveBand(*args, 0.9)
         assert str(excinfo.value) == f"EffectiveBand.{refusal}"
+
+    @pytest.mark.parametrize("mean_alpha", [math.nan, -3.0])
+    def test_mean_alpha_outside_the_unit_interval_is_refused(self, mean_alpha):
+        # a band's alphas lie in [threshold, 1], so its mean does; NaN and
+        # -3.0 were taken
+        with pytest.raises(ValueError) as excinfo:
+            EffectiveBand(27.0, 1304.0, mean_alpha)
+        assert str(excinfo.value) == (
+            f"EffectiveBand.mean_alpha must lie in (0, 1], got {mean_alpha}"
+        )
