@@ -469,17 +469,47 @@ def absorption_spectrum(
         frequencies = ws.frequencies if first == 0 else grid.frequency(np.arange(lo, hi))
         impedances = _panel_impedances(chain, frequencies, medium, ws if first == 0 else None)
         [(p, u)] = _walk(chain, cos_kl, sin_kl, impedances, medium, ws)
-        z0_u, denominator, gamma = ws.reflection[:, : hi - lo]
-        magnitude = ws.magnitude[: hi - lo]
-        np.multiply(z0, u, out=z0_u)
-        np.add(p, z0_u, out=denominator)
-        np.subtract(p, z0_u, out=z0_u)
-        np.divide(z0_u, denominator, out=gamma)
-        np.abs(gamma, out=magnitude)
-        np.square(magnitude, out=magnitude)  # what |gamma| ** 2 computes
-        np.subtract(1.0, magnitude, out=magnitude)
-        np.clip(magnitude, 0.0, 1.0, out=alphas[lo:hi])
+        _alphas(p, u, z0, ws.reflection[:, : hi - lo], ws.magnitude[: hi - lo], alphas[lo:hi])
     return AbsorptionSpectrum(grid, alphas)
+
+
+def _alphas(p, u, z0: float, reflection, magnitude, out) -> None:
+    """alpha = 1 - |Gamma|^2 of the mouth states p and u, clamped to [0, 1],
+    into `out`, with Gamma = (p - Z0*u) / (p + Z0*u) formed in the three
+    complex rows `reflection` and 1 - |Gamma|^2 in `magnitude`, which may be
+    `out`: the Gamma-to-alpha steps of every solve."""
+    z0_u, denominator, gamma = reflection
+    np.multiply(z0, u, out=z0_u)
+    np.add(p, z0_u, out=denominator)
+    np.subtract(p, z0_u, out=z0_u)
+    np.divide(z0_u, denominator, out=gamma)
+    np.abs(gamma, out=magnitude)
+    np.square(magnitude, out=magnitude)  # what |gamma| ** 2 computes
+    np.subtract(1.0, magnitude, out=magnitude)
+    np.clip(magnitude, 0.0, 1.0, out=out)
+
+
+class PointSolver(_Walk):
+    """Alpha at a few `frequencies` (an array) for chains whose panels are
+    those of `chain`, whose impedances there it keeps: the walk in doubles
+    with direct cos/sin, as chain_matrix takes away from the kept grid, and
+    the steps of absorption_spectrum, with which it agrees at the same
+    points within a few ulp of the phase tables."""
+
+    def __init__(self, chain: ElementChain, frequencies: np.ndarray, medium: Medium):
+        super().__init__(1, frequencies.size, np.float64)
+        self.medium, self.k = medium, 2.0 * np.pi * frequencies / medium.sound_speed
+        self.impedances = _panel_impedances(chain, frequencies, medium)
+        self.reflection = np.empty((3, frequencies.size), complex)
+
+    def alphas(self, chain: ElementChain) -> np.ndarray:
+        lengths = [e.length for e in chain.elements if isinstance(e, StraightPipe)]
+        kl = np.multiply.outer(lengths, self.k)
+        [(p, u)] = _walk(chain, np.cos(kl), np.sin(kl), self.impedances, self.medium, self)
+        alphas = np.empty(self.points)
+        z0 = chain.characteristic_impedance(self.medium)
+        _alphas(p, u, z0, self.reflection, alphas, alphas)
+        return alphas
 
 
 def absorption_at(chain: ElementChain, frequency: float, medium: Medium = AIR) -> float:

@@ -11,19 +11,22 @@ fully deterministic for a given seed.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
-from .acoustics import AIR, Medium, absorption_spectrum
+from .acoustics import AIR, ElementChain, Medium, PointSolver, absorption_spectrum
 from .spectrum import (
     DEFAULT_GRID,
     AbsorptionSpectrum,
     FrequencyGrid,
     check_fields,
     effective_band,
+    longest_run,
     ranged,
     require,
 )
@@ -122,8 +125,56 @@ def objective(
 ) -> float:
     """Width of the longest effective band (Hz) of the design's spectrum on
     `grid`; 0.0 when no grid point qualifies."""
-    band = effective_band(absorption_spectrum(build_chain(design, mpps), grid, medium), threshold)
-    return band.width if band is not None else 0.0
+    return _evaluate(build_chain(design, mpps), medium, grid, threshold)[0]
+
+
+def _evaluate(chain, medium, grid, threshold) -> tuple[float, AbsorptionSpectrum]:
+    """The objective of the chain, with the spectrum it is read from: the
+    one full evaluation, of objective and of every anneal step that needs it."""
+    spectrum = absorption_spectrum(chain, grid, medium)
+    band = effective_band(spectrum, threshold)
+    return (band.width if band is not None else 0.0), spectrum
+
+
+# Grid offsets inward from each edge of the current band at which a probe
+# looks, where a proposal's band most often ends short of the current one.
+_EDGE_OFFSETS = np.array([0, 1, 2, 3, 4, 6, 8, 16])
+
+
+class _Probe:
+    """The weak points of the principal band [lo, hi] of an accepted
+    design's spectrum, whose objective is `width`: its 8 lowest interior
+    local minima of alpha, lo + d and hi - d for d in _EDGE_OFFSETS, and
+    lo - 1 and hi + 1, each on the grid. `bound` solves a proposal's chain
+    there alone (PointSolver). Its `solver` is None where the gaps from the
+    outermost points to the grid's ends already reach `width`, as no bound
+    can then fall below it."""
+
+    def __init__(self, chain, spectrum, width, threshold, medium):
+        grid, alphas = spectrum.grid, spectrum.alphas
+        lo, hi = longest_run(alphas, threshold) or (0, 0)  # no band: width 0, never probed
+        inner = alphas[lo : hi + 1]
+        minima = lo + 1 + np.flatnonzero((inner[1:-1] < inner[:-2]) & (inner[1:-1] <= inner[2:]))
+        weakest = minima[np.argsort(alphas[minima], kind="stable")[:8]]
+        points = np.concatenate((weakest, lo + _EDGE_OFFSETS, hi - _EDGE_OFFSETS, [lo - 1, hi + 1]))
+        f = grid.frequency(np.unique(np.clip(points, 0, grid.size - 1)))
+        self.frequencies = f.tolist()
+        self.first, self.last = grid.frequency(0), grid.frequency(grid.size - 1)
+        self.below, self.slack = threshold - 1e-9, 1e-9 * grid.f_max
+        least = max(f[0] - self.first, self.last - f[-1]) + self.slack
+        self.solver = PointSolver(chain, f, medium) if least < width else None
+
+    def bound(self, chain: ElementChain) -> float:
+        """A width (Hz) that the chain's objective cannot exceed: the widest
+        gap between consecutive points whose probed alpha is below the
+        threshold by more than 1e-9, the grid's two ends counted as such
+        points, plus a slack of 1e-9 * f_max. A probed alpha agrees with the
+        grid's within about 1e-13, so each such point is below the threshold
+        on the grid too, no band crosses it, and an interpolated band edge
+        lies between its two grid neighbours."""
+        alphas = self.solver.alphas(chain).tolist()
+        edges = [self.first, *(f for f, a in zip(self.frequencies, alphas) if a < self.below)]
+        return max(high - low for low, high in zip(edges, [*edges[1:], self.last])) + self.slack
 
 
 def neighbor(
@@ -161,22 +212,47 @@ def anneal(
     proposal afterwards is clamped inside). A panel whose hole the
     narrowest main duct of the search's reach cannot hold is refused before
     any evaluation (ThreeChamberStructure.reach).
+
+    A proposal is rejected without its full spectrum where that cannot
+    change the decision. After a rejection, the proposal's chain is first
+    solved at the weak points of the band of the design last taken, about
+    21 grid points (_Probe). Their gaps bound its objective. Where the bound
+    is below the current objective, the proposal is certainly worse, so the
+    uniform u that accept would draw is drawn now; where u >= exp((bound -
+    current) / T), it is rejected as accept would reject it, since
+    exp(delta / T) is no larger. Otherwise its full spectrum decides, on the
+    same u. So the decisions, the trace and the result are those of a run
+    that evaluates every proposal in full.
     """
     ThreeChamberStructure(initial, mpps).reach()
     rng = np.random.default_rng(schedule.seed)
-    current, current_objective = initial, objective(initial, mpps, medium, grid, threshold)
+    chain = build_chain(initial, mpps)
+    current, (current_objective, spectrum) = initial, _evaluate(chain, medium, grid, threshold)
     best, best_objective = current, current_objective
+    aim, probe, rejected = (chain, spectrum, current_objective), None, True
     trace: list[TraceRow] = []
 
     temperature = schedule.initial_temperature
     for _ in range(schedule.levels):
         for _ in range(schedule.iterations_per_temperature):
             candidate = neighbor(current, schedule, rng)
-            candidate_objective = objective(candidate, mpps, medium, grid, threshold)
-            if accept(candidate_objective - current_objective, temperature, rng):
-                current, current_objective = candidate, candidate_objective
-                if current_objective > best_objective:
-                    best, best_objective = current, current_objective
+            chain = build_chain(candidate, mpps)
+            # probed only after a rejection, and aimed then at the design last
+            # taken: where most proposals are taken, few bounds reject one
+            if rejected and probe is None:
+                probe = _Probe(*aim, threshold, medium)
+            bound = probe.bound(chain) if rejected and probe.solver else math.inf
+            rejected = True
+            # one uniform per step, drawn at most once: the bound and the
+            # candidate are judged on the u that accept alone would draw
+            u = SimpleNamespace(random=functools.cache(rng.random))
+            if bound >= current_objective or accept(bound - current_objective, temperature, u):
+                candidate_objective, spectrum = _evaluate(chain, medium, grid, threshold)
+                if accept(candidate_objective - current_objective, temperature, u):
+                    current, current_objective = candidate, candidate_objective
+                    aim, probe, rejected = (chain, spectrum, current_objective), None, False
+                    if current_objective > best_objective:
+                        best, best_objective = current, current_objective
             trace.append(
                 TraceRow(temperature, len(trace) + 1, current_objective, best_objective)
             )

@@ -264,15 +264,20 @@ def effective_bands(
     ]
 
 
+def longest_run(alphas: np.ndarray, threshold: float) -> tuple[int, int] | None:
+    """Start and inclusive end index of the longest run with alpha >=
+    threshold, the first of equals; None if no point qualifies."""
+    starts, ends = _runs(alphas, threshold)
+    if starts.size == 0:
+        return None
+    longest = np.argmax(ends - starts)  # the first of equals
+    return int(starts[longest]), int(ends[longest])
+
+
 def effective_band(
     spectrum: AbsorptionSpectrum, threshold: float = 0.8
 ) -> EffectiveBand | None:
     """The longest alpha >= threshold band, or None if no grid point
     qualifies. Length counts grid points; ties go to the lower frequency."""
-    starts, ends = _runs(spectrum.alphas, threshold)
-    if starts.size == 0:
-        return None
-    longest = np.argmax(ends - starts)  # the first of equals
-    return _interpolated_band(
-        spectrum.grid, spectrum.alphas, int(starts[longest]), int(ends[longest]), threshold
-    )
+    run = longest_run(spectrum.alphas, threshold)
+    return run and _interpolated_band(spectrum.grid, spectrum.alphas, *run, threshold)

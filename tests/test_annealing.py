@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from mppabsorber import (
     AnnealingSchedule,
     BASELINE_DESIGN,
     BOUNDS_MM,
+    DEFAULT_GRID,
     DEFAULT_MPPS,
     OPTIMIZED_DESIGN,
     FrequencyGrid,
@@ -373,9 +375,10 @@ def test_a_span_too_short_to_cool_still_refuses_a_factor_of_one():
 def test_every_taken_schedule_runs_its_level_count(ends, target, ulps, iterations):
     # a rate that cools the span in about `target` levels (more where it
     # rounds to 1 - 2**-53), a few ulps off, so the count and the
-    # temperatures may part by rounding; the objective is stubbed out, so the
-    # run is the loop, the moves and the Metropolis rule, which refuses a
-    # temperature that has fallen to 0
+    # temperatures may part by rounding; the loop's one full evaluation is
+    # stubbed out, a width of 0, and so is the probe, one that never solves,
+    # so the run is the loop, the moves and the Metropolis rule, which
+    # refuses a temperature that has fallen to 0
     initial, termination = ends
     rate = 1.0 - math.exp((math.log(termination) - math.log(initial)) / target)
     rate = ulps_from(rate, 1.0 if ulps > 0 else 0.0, abs(ulps))
@@ -387,7 +390,8 @@ def test_every_taken_schedule_runs_its_level_count(ends, target, ulps, iteration
     except ValueError:
         assume(False)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(annealing, "objective", lambda *args: 0.0)
+        patch.setattr(annealing, "_evaluate", lambda *args: (0.0, None))
+        patch.setattr(annealing, "_Probe", lambda *args: SimpleNamespace(solver=None))
         result = anneal(BASELINE_DESIGN, DEFAULT_MPPS, grid=TINY_GRID, schedule=schedule)
     assert result.evaluations == 1 + schedule.levels * iterations
 
@@ -479,14 +483,19 @@ class TestAnneal:
 def test_hole_the_search_cannot_hold_is_refused_before_any_evaluation(monkeypatch, seed):
     # an 8 mm hole fits the baseline's 10 mm duct, but not the 5 mm one the
     # search may reach: seeds 2 and 5 used to fail partway through the run,
-    # and seeds 1, 3, 4 and 6 to answer
+    # and seeds 1, 3, 4 and 6 to answer. Neither the loop's one full
+    # evaluation nor its probe may run.
     calls = []
 
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return objective(*args, **kwargs)
+    def spy(seam):
+        def spied(*args):
+            calls.append(args)
+            return seam(*args)
 
-    monkeypatch.setattr(annealing, "objective", spy)
+        return spied
+
+    monkeypatch.setattr(annealing, "_evaluate", spy(annealing._evaluate))
+    monkeypatch.setattr(annealing, "_Probe", spy(annealing._Probe))
     mpps = dataclasses.replace(DEFAULT_MPPS, mpp1=MppSpec(0.6, 8.0, 0.025))
     schedule = AnnealingSchedule(iterations_per_temperature=2, seed=seed)
     refusal = (
@@ -501,3 +510,43 @@ def test_hole_the_search_cannot_hold_is_refused_before_any_evaluation(monkeypatc
             run()
         assert str(excinfo.value) == refusal
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "threshold, grid, iterations, certifies",
+    [
+        (0.5, DEFAULT_GRID, 10, True),
+        (0.8, DEFAULT_GRID, 10, True),
+        (0.81, DEFAULT_GRID, 10, True),
+        # a band 294 Hz wide, and every gap that reaches a grid end is wider
+        (0.95, DEFAULT_GRID, 10, False),
+        (0.8, FrequencyGrid(1.0, 2000.0, 0.5), 5, True),
+        # 39,981 points, solved in several blocks
+        (0.8, FrequencyGrid(1.0, 2000.0, 0.05), 2, True),
+    ],
+    ids=["0.5", "0.8", "0.81", "0.95", "0.5Hz", "0.05Hz"],
+)
+def test_a_run_decides_as_it_does_with_every_spectrum_taken(
+    monkeypatch, threshold, grid, iterations, certifies
+):
+    # the probe's certified rejections against a run whose bound is forced
+    # to inf, so that every proposal takes its full spectrum
+    schedule = AnnealingSchedule(iterations_per_temperature=iterations, seed=1)
+    full = []
+    evaluate = annealing._evaluate
+
+    def counted(*args):
+        full.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(annealing, "_evaluate", counted)
+    probed = anneal(BASELINE_DESIGN, DEFAULT_MPPS, grid=grid, schedule=schedule, threshold=threshold)
+    probed_full = len(full)
+    monkeypatch.setattr(annealing._Probe, "bound", lambda self, chain: math.inf)
+    taken = anneal(BASELINE_DESIGN, DEFAULT_MPPS, grid=grid, schedule=schedule, threshold=threshold)
+    assert len(full) - probed_full == taken.evaluations == probed.evaluations
+    assert probed.objective_trace == taken.objective_trace
+    assert probed.best_design == taken.best_design
+    assert probed.best_objective.hex() == taken.best_objective.hex()
+    assert probed.best_spectrum.alphas.tobytes() == taken.best_spectrum.alphas.tobytes()
+    assert (probed_full < probed.evaluations) == certifies

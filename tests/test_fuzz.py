@@ -352,8 +352,11 @@ SECTIONS = {
 }
 # The one refusal of no number: a cooling reading other than "decrement".
 READING = r"schedule: AnnealingSchedule\.cooling_reading must be 'decrement', got .+"
+# A file the JSON parser refuses, named.
+UNREADABLE = r"\S+\.json: invalid JSON: .+"
 CLI_REFUSAL = "error: (?:[AB]: )?(?:{})".format("|".join(
-    [*(section + wording(OWNER.format(owner)) for section, owner in SECTIONS.items()), READING]
+    [*(section + wording(OWNER.format(owner)) for section, owner in SECTIONS.items()), READING,
+     UNREADABLE]
 ))
 # compare's notice on the first config, which a refusal of the second follows
 CUT_ON = (
@@ -392,6 +395,13 @@ SUBNORMAL["schedule"].update(initial_temperature=1e-300, cooling_rate=0.1,
 # metres, and the refusal printed the duct as its edge, reading inside
 HOLE = bundled(SINGLE, "structure", "d_m", value=7.984536172925714)
 HOLE["structure"]["mpp"]["aperture"] = 7.984536172925713
+# two files the JSON parser refuses, as text: an integer of 5,001 digits,
+# past Python's limit for converting one, which printed Python's own
+# message; and a structure nested 100,000 deep, which ended in a traceback
+HUGE_INT = json.dumps(bundled(BASELINE, "structure", "design", "d_m", value=0)).replace(
+    '"d_m": 0', '"d_m": 1' + "0" * 5000
+)
+DEEP = '{"structure": ' + "[" * 100_000 + "]" * 100_000 + "}"
 
 
 @settings(max_examples=60)
@@ -412,20 +422,23 @@ HOLE["structure"]["mpp"]["aperture"] = 7.984536172925713
 @example(config=bundled(BASELINE, "schedule", "cooling_reading", value="multiplier"), first=False)
 @example(config=bundled(BASELINE, "structure", "design", "d_m", value="ten"), first=True)
 @example(config=HOLE, first=False)
+@example(config=HUGE_INT, first=True)
+@example(config=DEEP, first=False)
 def test_every_drawn_config_is_answered_or_refused_by_name(config, first):
     # the one wording reaches the console: a numeric refusal reads the same
-    # after its `A: `/`B: `, section and search-reach prefixes
+    # after its `A: `/`B: `, section and search-reach prefixes; a config
+    # given as text is written as it is
     with tempfile.TemporaryDirectory() as folder:
         folder = Path(folder)
         path = folder / "drawn.json"
-        path.write_text(json.dumps(config), encoding="utf-8")
+        path.write_text(config if isinstance(config, str) else json.dumps(config), encoding="utf-8")
         out = folder / "spectrum.csv"
         if answered_or_refused_by_the_cli("simulate", "--config", path, "--out", out):
             alphas = np.loadtxt(out, delimiter=",", skiprows=1, usecols=1, ndmin=1)
             assert np.all((alphas >= 0.0) & (alphas <= 1.0)), alphas
         single = CONFIGS / SINGLE
         answered_or_refused_by_the_cli("compare", *((path, single) if first else (single, path)))
-        if config["structure"]["type"] == "three_chamber":
+        if isinstance(config, str) or config["structure"]["type"] == "three_chamber":
             answered_or_refused_by_the_cli("optimize", "--config", path, "--out", folder / "run")
 
 

@@ -37,13 +37,14 @@ from mppabsorber import (
     effective_band,
     load_config,
     mpp_normalized_impedance,
+    neighbor,
     objective,
     single_chamber_chain,
 )
-from mppabsorber import acoustics
-from mppabsorber.acoustics import _phase_trig, _Workspace
+from mppabsorber import acoustics, annealing
+from mppabsorber.acoustics import PointSolver, _phase_trig, _Workspace
 
-from four_pole import four_pole_product
+from four_pole import element_entries, four_pole_product
 
 MPP_RANGES = ((0.2, 1.0), (0.1, 0.8), (0.005, 0.05))  # thickness, aperture (mm), porosity
 SINGLE_RANGES = ((5.0, 11.0), (60.0, 120.0), (40.0, 100.0), (4.0, 40.0))  # mm
@@ -683,3 +684,66 @@ def test_threads_solve_concurrently_as_in_series():
     for worker, alphas in results.items():
         for a in alphas:
             assert np.array_equal(a, serial[worker % len(jobs)])
+
+
+# the default grid, and one of a step that is no integer (2,853 points)
+PROBE_GRIDS = (DEFAULT_GRID, FrequencyGrid(3.0, 1999.5, 0.7))
+
+
+def test_probed_alphas_agree_with_the_spectrum():
+    # alpha at 25 random points of a grid by direct cos/sin, against the
+    # solve of the whole grid by its phase tables
+    rng = np.random.default_rng(36)
+    for chain in random_chains(36, n_three=80, n_single=20):
+        for grid in PROBE_GRIDS:
+            points = np.unique(rng.integers(0, grid.size, 25))
+            probed = PointSolver(chain, grid.frequency(points), AIR).alphas(chain)
+            alphas = absorption_spectrum(chain, grid).alphas[points]
+            assert np.max(np.abs(probed - alphas)) <= 1e-12
+
+
+def test_a_probe_bound_is_never_below_the_objective():
+    # a random in-box design, with random or the bundled panels, a
+    # threshold and a grid, probed as anneal probes a design it accepts;
+    # then moves of 1-30 % of the box from it: wherever the probe solves,
+    # no move's objective exceeds its bound
+    rng = np.random.default_rng(3636)
+    below = 0
+    for design, mpps in random_designs(rng, 60):
+        mpps = mpps if rng.random() < 0.5 else DEFAULT_MPPS
+        grid = PROBE_GRIDS[rng.integers(2)]
+        threshold = float(rng.choice([0.5, 0.8, 0.81]))
+        chain = build_chain(design, mpps)
+        width, spectrum = annealing._evaluate(chain, AIR, grid, threshold)
+        probe = annealing._Probe(chain, spectrum, width, threshold, AIR)
+        for fraction in (0.01, 0.03, 0.1, 0.3) if probe.solver else ():
+            candidate = neighbor(design, AnnealingSchedule(step_fraction=fraction), rng)
+            bound = probe.bound(build_chain(candidate, mpps))
+            assert objective(candidate, mpps, grid=grid, threshold=threshold) <= bound
+            below += bound < width
+    assert below >= 20  # bounds that would certify a rejection
+
+
+def test_panels_dissipate_the_absorbed_power(baseline_chain, optimized_chain, single_chain):
+    # The pipes are lossless and an area change is the identity, so the
+    # panels dissipate all the power the mouth takes in: alpha = sum_i
+    # (1/2) Re(Z_i) |U_i|^2 / W_in, with Z_i panel i's series impedance, U_i
+    # the volume velocity through it and W_in = |p + Z0*u|^2 / (8*Z0) the
+    # incident power at the mouth (Munjal, Acoustics of Ducts and Mufflers,
+    # 2nd ed., ch. 2). The dissipation is walked from the wall on
+    # four_pole.py's element entries, with Z0 from the main duct's diameter;
+    # alpha is the solver's, whose clip these passive chains never reach.
+    frequencies = DEFAULT_GRID.frequencies()
+    chains = [baseline_chain, optimized_chain, single_chain, *random_chains(14, 80, 20)]
+    for chain in chains:
+        p, u = np.ones(frequencies.size, complex), np.zeros(frequencies.size, complex)
+        dissipated = np.zeros(frequencies.size)
+        for element in reversed(chain.elements):
+            a11, a12, a21, a22 = element_entries(element, frequencies)
+            if isinstance(element, MppPanel):
+                dissipated += 0.5 * a12.real * np.abs(u) ** 2
+            p, u = a11 * p + a12 * u, a21 * p + a22 * u
+        z0 = AIR.characteristic_impedance / (math.pi * chain.main_duct_diameter**2 / 4.0)
+        incident = np.abs(p + z0 * u) ** 2 / (8.0 * z0)
+        alphas = absorption_spectrum(chain, DEFAULT_GRID).alphas
+        assert np.max(np.abs(dissipated / incident - alphas)) <= 1e-12
