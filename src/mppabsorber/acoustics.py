@@ -5,11 +5,13 @@ panels, sound source first, ended by a rigid wall. One walk (`_walk`)
 carries wall states (p, u) to the mouth: (1, 0) in doubles for absorption,
 and (0, j) as well in extended precision for `chain_matrix`. The absorption
 solver takes a FrequencyGrid and forms the pipes' cos/sin by angle addition
-(`_phase_trig`), in blocks of table rows. A grid of one block and more than
-one point is solved in a workspace (`_Workspace`) the thread keeps while
-grid and medium repeat; any other in one that lives for the call.
-`chain_matrix` at that kept grid's points shares its phase tables and
-panel impedances; at any other frequencies it takes direct cos/sin.
+(`_phase_trig`), in blocks of table rows. A grid of one block is solved
+in a workspace (`_Workspace`) the thread keeps while grid and medium
+repeat; a longer one in one that lives for the call. `absorption_at` and
+the annealer's probes solve a few points with direct cos/sin in a
+`PointSolver`, which keeps nothing. `chain_matrix` at the kept grid's
+points shares its phase tables and panel impedances; at any other
+frequencies it takes direct cos/sin.
 MPP impedance follows Maa's model; pipes are lossless. Quantities are
 SI; the impedance formulas and chain_matrix take a frequency (Hz) as a
 scalar or an array, each in (0, 1e11) as a FrequencyGrid's fields are.
@@ -443,22 +445,21 @@ def absorption_spectrum(
     cos/sin.
 
     A grid of n points is solved in blocks of ceil(_BLOCK_POINTS / isqrt(n))
-    whole table rows, bit for bit as in one block. A grid of one block and
-    more than one point is solved in the calling thread's workspace, reused
-    while grid and medium repeat and it has a row for each pipe, else
-    replaced. It keeps the panel impedances while the chain's triples
-    repeat (_panel_impedances), so a repeated solve, such as each annealing
-    evaluation, computes no impedance and allocates no block-sized array but
-    the alphas, and a chain_matrix on the grid's points computes none. Any other
-    grid, a one-point one too, is solved in a workspace of its own, which
-    the call drops on return.
+    whole table rows, bit for bit as in one block. A grid of one block is
+    solved in the calling thread's workspace, reused while grid and medium
+    repeat and it has a row for each pipe, else replaced. It keeps the
+    panel impedances while the chain's triples repeat (_panel_impedances),
+    so a repeated solve, such as each annealing evaluation, computes no
+    impedance and allocates no block-sized array but the alphas, and a
+    chain_matrix on the grid's points computes none. A longer grid is
+    solved in a workspace of its own, which the call drops on return.
     """
     z0 = chain.characteristic_impedance(medium)
     lengths = [e.length for e in chain.elements if isinstance(e, StraightPipe)]
     ws = getattr(_local, "workspace", None)
     if ws is None or ws.key != (grid, medium) or len(ws.rotation) < len(lengths):
         ws = _Workspace(grid, medium, len(lengths))
-        if ws.rows == ws.n_rows > 1:
+        if ws.rows == ws.n_rows:
             _local.workspace = ws
     alphas = np.empty(grid.size)
     for first in range(0, ws.n_rows, ws.rows):
@@ -514,10 +515,14 @@ class PointSolver(_Walk):
 
 def absorption_at(chain: ElementChain, frequency: float, medium: Medium = AIR) -> float:
     """Normal-incidence absorption coefficient of the chain at one
-    frequency: the solve of the one-point grid FrequencyGrid(f, f, f), whose
-    phase table is direct cos/sin. Chains without an MPP return essentially
-    zero. A NaN alpha fails the spectrum's check with a ValueError.
+    frequency: the point of the one-point grid FrequencyGrid(f, f, f),
+    which takes only a number, solved by a PointSolver that lives for the
+    call. Its direct cos/sin are the grid's one phase-table row, so the
+    alpha is that grid's absorption_spectrum bit for bit. Chains without an
+    MPP return essentially zero. A NaN alpha fails the spectrum's check
+    with a ValueError.
     """
     check_frequency(frequency)
     grid = FrequencyGrid(frequency, frequency, frequency)
-    return float(absorption_spectrum(chain, grid, medium).alphas[0])
+    alphas = PointSolver(chain, grid.frequencies(), medium).alphas(chain)
+    return float(AbsorptionSpectrum(grid, alphas).alphas[0])

@@ -35,7 +35,6 @@ from .structure import BOUNDS_MM, DesignVector, MppSet, ThreeChamberStructure, b
 __all__ = [
     "AnnealingSchedule",
     "OptimizationResult",
-    "TraceRow",
     "accept",
     "anneal",
     "anneal_multi",
@@ -228,7 +227,7 @@ def anneal(
     rng = np.random.default_rng(schedule.seed)
     chain = build_chain(initial, mpps)
     current, (current_objective, spectrum) = initial, _evaluate(chain, medium, grid, threshold)
-    best, best_objective = current, current_objective
+    best, best_objective, best_spectrum = current, current_objective, spectrum
     aim, probe, rejected = (chain, spectrum, current_objective), None, True
     trace: list[TraceRow] = []
 
@@ -252,7 +251,7 @@ def anneal(
                     current, current_objective = candidate, candidate_objective
                     aim, probe, rejected = (chain, spectrum, current_objective), None, False
                     if current_objective > best_objective:
-                        best, best_objective = current, current_objective
+                        best, best_objective, best_spectrum = current, current_objective, spectrum
             trace.append(
                 TraceRow(temperature, len(trace) + 1, current_objective, best_objective)
             )
@@ -261,7 +260,7 @@ def anneal(
     return OptimizationResult(
         best_design=best,
         best_objective=best_objective,
-        best_spectrum=absorption_spectrum(build_chain(best, mpps), grid, medium),
+        best_spectrum=best_spectrum,
         objective_trace=trace,
         evaluations=len(trace) + 1,
         seed=schedule.seed,

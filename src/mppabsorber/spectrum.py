@@ -19,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "DEFAULT_GRID",
-    "MAX_GRID_POINTS",
     "AbsorptionSpectrum",
     "EffectiveBand",
     "FrequencyGrid",

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cli_cases import BASELINE, CASES, SINGLE, bundled
 from mppabsorber import (
     BASELINE_DESIGN,
     DEFAULT_MPPS,
@@ -23,9 +24,7 @@ from mppabsorber import (
 from mppabsorber.annealing import TraceRow
 from mppabsorber.cli import _CSV_CHUNK_ROWS, _csv, main, spectrum_csv, trace_csv
 
-BASELINE = "three_chamber_baseline.json"
 OPTIMIZED = "three_chamber_optimized.json"
-SINGLE = "single_chamber.json"
 
 
 def run_cli(capsys, *argv):
@@ -145,19 +144,10 @@ def csv_text(row_format, columns):
 
 
 @pytest.fixture
-def small_optimize_config(tmp_path, config_dir):
-    config = json.loads((config_dir / BASELINE).read_text())
-    config["schedule"] = {
-        "initial_temperature": 100.0,
-        "iterations_per_temperature": 5,
-        "cooling_rate": 0.2,
-        "termination_temperature": 50.0,
-        "step_fraction": 0.1,
-        "seed": 7,
-        "cooling_reading": "decrement",
-    }
+def small_optimize_config(tmp_path):
+    schedule = dict(iterations_per_temperature=5, termination_temperature=50.0, seed=7)
     path = tmp_path / "optimize_small.json"
-    path.write_text(json.dumps(config, indent=2))
+    bundled(BASELINE, {("schedule",): schedule}, path)
     return path
 
 
@@ -429,15 +419,8 @@ class TestCompare:
 
     def test_infeasible_config_reports_undefined(self, capsys, tmp_path, config_dir):
         # over-damped panel: resistance far above matching, never reaches 0.8
-        config = {
-            "structure": {
-                "type": "single_chamber",
-                "d_m": 10.0, "l_m": 100.0, "d_e": 60.0, "t_e": 10.0,
-                "mpp": {"thickness": 0.6, "aperture": 0.2, "porosity": 0.003},
-            }
-        }
         path = tmp_path / "deaf.json"
-        path.write_text(json.dumps(config))
+        bundled(SINGLE, {("structure", "mpp"): {"porosity": 0.003}}, path)
         code, stdout, _ = run_cli(capsys, "compare", config_dir / BASELINE, path)
         assert code == 0
         assert "none" in stdout
@@ -531,16 +514,11 @@ class TestOptimize:
         emitted = json.loads((out_dir / "best_design.json").read_text())
         assert emitted["schedule"]["seed"] == 3
 
-    def test_cooling_reading_from_config(self, capsys, tmp_path, small_optimize_config):
+    def test_cooling_reading_from_config(self, capsys, tmp_path):
         # "decrement" is the one reading; "multiplier", T <- rate * T, is
         # refused by name before any output is written
-        config = json.loads(small_optimize_config.read_text())
-        config["schedule"]["cooling_reading"] = "multiplier"
-        small_optimize_config.write_text(json.dumps(config))
-        out_dir = tmp_path / "mult"
-        code, _, stderr = run_cli(
-            capsys, "optimize", "--config", small_optimize_config, "--out", out_dir
-        )
+        path, out_dir = CASES["multiplier"].write(tmp_path), tmp_path / "mult"
+        code, _, stderr = run_cli(capsys, "optimize", "--config", path, "--out", out_dir)
         assert code == 1
         assert stderr == (
             "error: schedule: AnnealingSchedule.cooling_reading must be 'decrement',"
@@ -549,10 +527,8 @@ class TestOptimize:
         assert not out_dir.exists()
         # the config's schedule is the one way to name it
         with pytest.raises(SystemExit):
-            run_cli(
-                capsys, "optimize", "--config", small_optimize_config, "--out", out_dir,
-                "--cooling-reading", "multiplier",
-            )
+            run_cli(capsys, "optimize", "--config", path, "--out", out_dir,
+                    "--cooling-reading", "multiplier")
 
     def test_rejects_single_chamber_structure(self, capsys, tmp_path, config_dir):
         code, _, stderr = run_cli(
@@ -587,8 +563,8 @@ class TestOptimize:
 
 
 class TestErrors:
-    def test_missing_design_field_names_it(self, capsys, tmp_path, config_dir):
-        config = json.loads((config_dir / BASELINE).read_text())
+    def test_missing_design_field_names_it(self, capsys, tmp_path):
+        config = bundled(BASELINE)
         del config["structure"]["design"]["l_6"]
         path = tmp_path / "broken.json"
         path.write_text(json.dumps(config))
@@ -638,33 +614,27 @@ class TestErrors:
         assert stderr.startswith(f"error: {path}: 'utf-8' codec can't decode")
         assert stderr.count("\n") == 1
 
-    def test_unknown_design_field_rejected(self, capsys, tmp_path, config_dir):
-        config = json.loads((config_dir / BASELINE).read_text())
-        config["structure"]["design"]["l_9"] = 10.0
+    def test_unknown_design_field_rejected(self, capsys, tmp_path):
         path = tmp_path / "extra.json"
-        path.write_text(json.dumps(config))
+        bundled(BASELINE, {("structure", "design"): {"l_9": 10.0}}, path)
         code, _, stderr = run_cli(
             capsys, "simulate", "--config", path, "--out", tmp_path / "s.csv"
         )
         assert code == 1
         assert "l_9" in stderr
 
-    def test_nan_dimension_rejected(self, capsys, tmp_path, config_dir):
-        config = json.loads((config_dir / BASELINE).read_text())
-        config["structure"]["design"]["d_m"] = float("nan")
+    def test_nan_dimension_rejected(self, capsys, tmp_path):
         path = tmp_path / "nan.json"
-        path.write_text(json.dumps(config))
+        bundled(BASELINE, {("structure", "design"): {"d_m": float("nan")}}, path)
         code, _, stderr = run_cli(
             capsys, "simulate", "--config", path, "--out", tmp_path / "s.csv"
         )
         assert code == 1
         assert "d_m" in stderr
 
-    def test_nonpositive_dimension_rejected(self, capsys, tmp_path, config_dir):
-        config = json.loads((config_dir / BASELINE).read_text())
-        config["structure"]["design"]["l_2"] = -5.0
+    def test_nonpositive_dimension_rejected(self, capsys, tmp_path):
         path = tmp_path / "neg.json"
-        path.write_text(json.dumps(config))
+        bundled(BASELINE, {("structure", "design"): {"l_2": -5.0}}, path)
         code, _, stderr = run_cli(
             capsys, "simulate", "--config", path, "--out", tmp_path / "s.csv"
         )
@@ -700,14 +670,10 @@ class TestErrors:
         # (OverflowError in circle_area)
         [("aperture", 1e-300), ("d_m", 1e-300), ("d_e", 1e300)],
     )
-    def test_dimension_out_of_range_is_refused_by_name(
-        self, capsys, tmp_path, config_dir, field, value
-    ):
-        config = json.loads((config_dir / SINGLE).read_text())
-        structure = config["structure"]
-        (structure["mpp"] if field == "aperture" else structure)[field] = value
+    def test_dimension_out_of_range_is_refused_by_name(self, capsys, tmp_path, field, value):
         path = tmp_path / "extreme.json"
-        path.write_text(json.dumps(config))
+        owner = ("structure", "mpp") if field == "aperture" else ("structure",)
+        bundled(SINGLE, {owner: {field: value}}, path)
         out = tmp_path / "s.csv"
         code, stdout, stderr = run_cli(capsys, "simulate", "--config", path, "--out", out)
         assert code == 1
@@ -716,14 +682,9 @@ class TestErrors:
         assert f".{field} must lie in (0.001, 1e+06), got {value}" in stderr
         assert not out.exists()
 
-    def test_hole_wider_than_its_duct_is_refused(self, capsys, tmp_path, config_dir):
-        # a hole of about 1 km in the 10 mm duct: each length lies in its
-        # range, and simulate used to answer with a 1,248.3 Hz band. The
-        # refusal names the config's fields, in its millimetres
-        config = json.loads((config_dir / BASELINE).read_text())
-        config["structure"]["mpps"][2].update(aperture=9.99e5, thickness=1.0001e-3)
-        path = tmp_path / "wide_hole.json"
-        path.write_text(json.dumps(config))
+    def test_hole_wider_than_its_duct_is_refused(self, capsys, tmp_path):
+        # the refusal names the config's fields, in its millimetres
+        path = CASES["wide_hole"].write(tmp_path)
         out = tmp_path / "s.csv"
         code, stdout, stderr = run_cli(capsys, "simulate", "--config", path, "--out", out)
         assert code == 1
@@ -735,38 +696,24 @@ class TestErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "name, panel, message",
+        "case, message",
         [
-            (BASELINE, lambda s: s["mpps"][2], "ThreeChamberStructure.mpps[2].aperture"),
-            (SINGLE, lambda s: s["mpp"], "SingleChamberStructure.mpp.aperture"),
+            (CASES["wide_hole_12mm"], "ThreeChamberStructure.mpps[2].aperture"),
+            (CASES["wide_single_hole_12mm"], "SingleChamberStructure.mpp.aperture"),
         ],
         ids=["three_chamber", "single_chamber"],
     )
     def test_compare_names_the_config_with_a_hole_wider_than_its_duct(
-        self, capsys, tmp_path, config_dir, name, panel, message
+        self, capsys, tmp_path, config_dir, case, message
     ):
-        # a 12 mm hole in the 10 mm duct used to be refused in SI metres,
-        # naming neither the field nor which of the two configs holds it
-        config = json.loads((config_dir / name).read_text())
-        panel(config["structure"])["aperture"] = 12.0
-        path = tmp_path / "wide_hole.json"
-        path.write_text(json.dumps(config))
-        code, stdout, stderr = run_cli(capsys, "compare", config_dir / name, path)
+        path = case.write(tmp_path)
+        code, stdout, stderr = run_cli(capsys, "compare", config_dir / case.base, path)
         assert code == 1
         assert stdout == ""
         assert stderr == f"error: B: structure: {message} must lie in (0.001, 10), got 12.0\n"
 
-    def test_hole_wider_than_the_narrowest_reachable_duct_is_refused(
-        self, capsys, tmp_path, config_dir
-    ):
-        # an 8 mm hole fits the config's 10 mm duct, so simulate answers; the
-        # search may narrow d_m to 5 mm, and seeds 2 and 5 used to fail there
-        # partway through the run while seed 1 wrote its outputs
-        config = json.loads((config_dir / BASELINE).read_text())
-        config["structure"]["mpps"][0]["aperture"] = 8.0
-        config["schedule"]["iterations_per_temperature"] = 2
-        path = tmp_path / "narrow_reach.json"
-        path.write_text(json.dumps(config))
+    def test_hole_wider_than_the_narrowest_reachable_duct_is_refused(self, capsys, tmp_path):
+        path = CASES["narrow_reach"].write(tmp_path)
         code, _, _ = run_cli(capsys, "simulate", "--config", path, "--out", tmp_path / "s.csv")
         assert code == 0
         out_dir = tmp_path / "run"
@@ -784,17 +731,14 @@ class TestErrors:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "field, value",
-        # viscosity 1e300 used to overflow in the walk, a RuntimeWarning; a
+        # the viscous case overflowed in the walk, a RuntimeWarning; a
         # viscosity of 1e-300 or a density of 1e300 gave a meaningless answer
-        [("dynamic_viscosity", 1e300), ("dynamic_viscosity", 1e-300), ("density", 1e300)],
+        [*CASES["viscous"].patch[("medium",)].items(), ("dynamic_viscosity", 1e-300),
+         ("density", 1e300)],
     )
-    def test_medium_out_of_range_is_refused_by_name(
-        self, capsys, tmp_path, config_dir, field, value
-    ):
-        config = json.loads((config_dir / SINGLE).read_text())
-        config["medium"][field] = value
+    def test_medium_out_of_range_is_refused_by_name(self, capsys, tmp_path, field, value):
         path = tmp_path / "medium.json"
-        path.write_text(json.dumps(config))
+        bundled(SINGLE, {("medium",): {field: value}}, path)
         out = tmp_path / "s.csv"
         code, stdout, stderr = run_cli(capsys, "simulate", "--config", path, "--out", out)
         assert code == 1
@@ -830,10 +774,8 @@ class TestErrors:
     def test_negative_seed_is_refused_by_name(self, capsys, tmp_path, config_dir):
         # used to fail in numpy's default_rng ("expected non-negative
         # integer"), after the cut-on check, and a config seed of -1 loaded
-        config = json.loads((config_dir / BASELINE).read_text())
-        config["schedule"]["seed"] = -1
         path = tmp_path / "negative_seed.json"
-        path.write_text(json.dumps(config))
+        bundled(BASELINE, {("schedule",): {"seed": -1}}, path)
         out_dir = tmp_path / "run"
         for argv, message in (
             (
@@ -851,12 +793,8 @@ class TestErrors:
             assert stderr.startswith(message) and stderr.count("\n") == 1
             assert not out_dir.exists()
 
-    def test_schedule_that_never_cools_is_refused(self, capsys, tmp_path, config_dir):
-        # 1 - 1e-17 == 1.0: optimize used to run until it was killed
-        config = json.loads((config_dir / BASELINE).read_text())
-        config["schedule"]["cooling_rate"] = 1e-17
-        path = tmp_path / "never_cools.json"
-        path.write_text(json.dumps(config))
+    def test_schedule_that_never_cools_is_refused(self, capsys, tmp_path):
+        path = CASES["slow_cooling"].write(tmp_path)
         out_dir = tmp_path / "run"
         code, stdout, stderr = run_cli(capsys, "optimize", "--config", path, "--out", out_dir)
         assert code == 1

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cli_cases import CASES, CONFIGS, SINGLE
 from mppabsorber import (
     BASELINE_DESIGN,
     BOUNDS_MM,
@@ -257,20 +258,6 @@ ANY_NUMBER = st.one_of(
 # A value for such a field that is no finite number; null, which a config
 # reads as absent, is left out.
 NO_NUMBER = st.sampled_from([math.nan, math.inf, -math.inf, 10**400, True, "1", [1.0], {}])
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
-BASELINE, SINGLE = "three_chamber_baseline.json", "single_chamber.json"
-
-
-def bundled(name: str, *path, value) -> dict:
-    """The JSON data of a bundled config with the field at `path`, a key or
-    index per level, set to `value`."""
-    data = json.loads((CONFIGS / name).read_text(encoding="utf-8"))
-    *parents, last = path
-    owner = data
-    for key in parents:
-        owner = owner[key]
-    owner[last] = value
-    return data
 
 
 @st.composite
@@ -382,48 +369,18 @@ def answered_or_refused_by_the_cli(*argv) -> bool:
     return False
 
 
-# six levels, so at most 16,666,666 iterations each: 16,666,680 read as
-# inside the edge printed as 1.66667e+07
-SIX_LEVELS = bundled(BASELINE, "schedule", "termination_temperature", value=100 * 0.8**5.5)
-SIX_LEVELS["schedule"]["iterations_per_temperature"] = 16_666_680
-# 510 levels by the count; the temperature sticks at 2.5e-323, above the
-# subnormal termination, and a run that compared the two never ended
-SUBNORMAL = bundled(BASELINE, "schedule", "termination_temperature", value=5e-324)
-SUBNORMAL["schedule"].update(initial_temperature=1e-300, cooling_rate=0.1,
-                             iterations_per_temperature=1)
-# a hole one ulp narrower than its duct: the two round onto one double in
-# metres, and the refusal printed the duct as its edge, reading inside
-HOLE = bundled(SINGLE, "structure", "d_m", value=7.984536172925714)
-HOLE["structure"]["mpp"]["aperture"] = 7.984536172925713
-# two files the JSON parser refuses, as text: an integer of 5,001 digits,
-# past Python's limit for converting one, which printed Python's own
-# message; and a structure nested 100,000 deep, which ended in a traceback
-HUGE_INT = json.dumps(bundled(BASELINE, "structure", "design", "d_m", value=0)).replace(
-    '"d_m": 0', '"d_m": 1' + "0" * 5000
-)
-DEEP = '{"structure": ' + "[" * 100_000 + "]" * 100_000 + "}"
+def case_examples(test):
+    """`test` with an example of each config in cli_cases.CASES, the config
+    first in compare in every other one."""
+    configs = [config for case in CASES.values() if (config := case.config()) is not None]
+    for index, config in enumerate(configs):
+        test = example(config=config, first=index % 2 == 0)(test)
+    return test
 
 
 @settings(max_examples=60)
 @given(config=config_files(), first=st.booleans())
-# each rule that judges more than one value, a cap whose edge has more than
-# six digits, a schedule that cools to a subnormal, answered, the retired
-# "multiplier" reading, refused, a length that is no number and a hole that
-# rounds onto its duct
-@example(config=bundled(BASELINE, "schedule", "cooling_rate", value=1e-17), first=True)
-@example(config=bundled(BASELINE, "schedule", "iterations_per_temperature", value=10**12),
-         first=True)
-@example(config=bundled(BASELINE, "structure", "mpps", 2, "aperture", value=12.0), first=False)
-@example(config=bundled(BASELINE, "structure", "mpps", 0, "aperture", value=8.0), first=True)
-@example(config=bundled(SINGLE, "structure", "mpp", "aperture", value=12.0), first=False)
-@example(config=SIX_LEVELS, first=True)
-@example(config=bundled(BASELINE, "grid", "step", value=1e-5), first=True)
-@example(config=SUBNORMAL, first=True)
-@example(config=bundled(BASELINE, "schedule", "cooling_reading", value="multiplier"), first=False)
-@example(config=bundled(BASELINE, "structure", "design", "d_m", value="ten"), first=True)
-@example(config=HOLE, first=False)
-@example(config=HUGE_INT, first=True)
-@example(config=DEEP, first=False)
+@case_examples
 def test_every_drawn_config_is_answered_or_refused_by_name(config, first):
     # the one wording reaches the console: a numeric refusal reads the same
     # after its `A: `/`B: `, section and search-reach prefixes; a config

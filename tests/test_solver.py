@@ -338,13 +338,13 @@ def impedance_calls(monkeypatch):
 
 def test_one_point_solve_neither_keeps_nor_evicts_a_workspace(workspaces_built):
     # absorption_at between two evaluations leaves the annealer's workspace
-    # as it was, and keeps its own one-point workspace for no later call
+    # as it was, and builds none: its point solver lives for the call
     width = objective(BASELINE_DESIGN, DEFAULT_MPPS)
     kept = acoustics._local.workspace
     absorption_at(build_chain(BASELINE_DESIGN, DEFAULT_MPPS), 500.0)
     assert acoustics._local.workspace is kept
     assert objective(BASELINE_DESIGN, DEFAULT_MPPS) == width
-    assert [points for *_, points in workspaces_built] == [2000, 1]
+    assert [points for *_, points in workspaces_built] == [2000]
 
 
 def test_repeated_panels_reuse_their_impedances(impedance_calls, workspaces_built):
