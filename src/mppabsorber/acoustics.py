@@ -2,15 +2,17 @@
 
 A structure is a series chain of pipes, area changes and micro-perforated
 panels, sound source first, ended by a rigid wall. One walk (`_walk`)
-carries wall states (p, u) to the mouth: (1, 0) in doubles for absorption,
-and (0, j) as well in extended precision for `chain_matrix`. The absorption
-solver takes a FrequencyGrid and forms the pipes' cos/sin by angle addition
-(`_phase_trig`), in blocks of table rows. A grid of one block is solved
-in a workspace (`_Workspace`) the thread keeps while grid and medium
-repeat; a longer one in one that lives for the call. `absorption_at` and
-the annealer's probes solve a few points with direct cos/sin in a
-`PointSolver`, which keeps nothing. `chain_matrix` at the kept grid's
-points shares its phase tables and panel impedances; at any other
+carries wall states (p, u) to the mouth, reading the chain's template
+(`ElementChain.template`; the annealer fills the same template from an
+array): (1, 0) in doubles for absorption, and (0, j) as well in extended
+precision for `chain_matrix`. The absorption solver takes a FrequencyGrid
+and forms the pipes' cos/sin by angle addition (`_phase_trig`), in blocks
+of table rows. A grid of one block is solved in a workspace (`_Workspace`)
+the thread keeps while grid and medium repeat; a longer one in one that
+lives for the call. `absorption_at` and the annealer's probes solve a few
+points with direct cos/sin in a `PointSolver`, which keeps no thread state;
+a probe solves a batch of designs in one walk. `chain_matrix` at the kept
+grid's points shares its phase tables and panel impedances; at any other
 frequencies it takes direct cos/sin.
 MPP impedance follows Maa's model; pipes are lossless. Quantities are
 SI; the impedance formulas and chain_matrix take a frequency (Hz) as a
@@ -22,6 +24,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -156,6 +159,35 @@ class ElementChain:
         """Z0 = rho0*c0 / S_m of the main duct (Pa*s/m^3)."""
         return medium.characteristic_impedance / circle_area(self.main_duct_diameter)
 
+    def template(self, medium: Medium = AIR) -> _Template:
+        """The chain as the walk reads it in `medium`."""
+        rho_c = medium.characteristic_impedance
+        pipes = [e for e in self.elements if isinstance(e, StraightPipe)]
+        panels = tuple(e for e in self.elements if isinstance(e, MppPanel))
+        kept = [e for e in self.elements if not isinstance(e, AreaChange)]  # identities
+        kinds = tuple(isinstance(e, StraightPipe) for e in kept)
+        lengths = np.array([e.length for e in pipes], float)
+        z_c = np.array([rho_c / e.area for e in pipes])
+        factors = np.array([rho_c / e.duct_area for e in panels])
+        z0 = self.characteristic_impedance(medium)
+        return _Template(kinds, lengths, z_c, panels, factors, z0)
+
+
+class _Template(NamedTuple):
+    """A chain in a medium as the walk reads it, sound source first, area
+    changes (identities) left out: `kinds`, True for a pipe and False for a
+    panel; per pipe its length (m) and z_c = rho0*c0 / S; per panel the
+    MppPanel, whose impedance alone is read from it, and rho0*c0 / S of its
+    duct; and Z0 at the mouth. A number is one value, or one per point of a
+    walk or per design of a batch along a trailing axis."""
+
+    kinds: tuple[bool, ...]
+    lengths: np.ndarray
+    z_c: np.ndarray
+    panels: tuple[MppPanel, ...]
+    factors: np.ndarray
+    z0: float | np.ndarray
+
 
 def cut_on_frequency(chain: ElementChain, medium: Medium = AIR) -> float:
     """First cross-mode cut-on of the chain's widest duct (Hz),
@@ -237,11 +269,12 @@ class _Walk:
 _local = threading.local()  # this thread's chain_walk and workspace
 
 
-def _walk(chain: ElementChain, cos_kl, sin_kl, panel_impedances, medium: Medium, walk: _Walk):
+def _walk(template: _Template, cos_kl, sin_kl, panel_impedances, walk: _Walk):
     """Mouth states [p, u] of the wall states (1, 0) and, in a two-column
-    `walk`, (0, j), given the pipes' phase cos `cos_kl` and sin `sin_kl` and
-    the panels' normalised impedances (rows in chain order, in doubles):
-    views of `walk`'s buffers, in their precision, until its next walk.
+    `walk`, (0, j), given the template's pipes' phase cos `cos_kl` and sin
+    `sin_kl` and its panels' normalised impedances (rows in chain order, in
+    doubles): views of `walk`'s buffers, in their precision, until its next
+    walk.
 
     A pipe costs four multiply-adds per column and an MPP adds Z*u to p
     (Munjal, Acoustics of Ducts and Mufflers, 2nd ed., ch. 2-3). Up to the
@@ -252,18 +285,17 @@ def _walk(chain: ElementChain, cos_kl, sin_kl, panel_impedances, medium: Medium,
     product writes into its own operand, as numpy's loops for those round
     otherwise.
     """
-    rho_c = medium.characteristic_impedance
     # looked up once for the ~70 calls of a three-chamber walk; out positional
     multiply, add, subtract = np.multiply, np.add, np.subtract
     c_complex, zs, sz, product = walk.factor_rows
     cos_kl = np.asarray(cos_kl, walk.real.dtype)  # exact; the real segment mixes no precisions
     at_wall = True  # the real states (p, v) = (1, 0) and (0, 1), not yet written
     states = None  # from the first MPP on: complex_states
-    pipe_index, panel_index = len(cos_kl), len(panel_impedances)
-    for element in reversed(chain.elements):
-        if isinstance(element, StraightPipe):
+    pipe_index, panel_index = len(template.lengths), len(template.factors)
+    for is_pipe in reversed(template.kinds):
+        if is_pipe:
             pipe_index -= 1
-            z_c = rho_c / element.area
+            z_c = template.z_c[pipe_index]
             c, s = cos_kl[pipe_index], sin_kl[pipe_index]
             if states is not None:
                 np.copyto(c_complex.real, c)
@@ -299,11 +331,11 @@ def _walk(chain: ElementChain, cos_kl, sin_kl, panel_impedances, medium: Medium,
                     subtract(p, t, p)  # c*p - (z_c*s)*v
                     multiply(v, c, v)
                     add(v, w, v)  # ((1/z_c)*s)*p + c*v
-        elif isinstance(element, MppPanel):
+        else:
             if states is None:
                 states = walk.complex_states(at_wall)
             panel_index -= 1
-            multiply(panel_impedances[panel_index], rho_c / element.duct_area, product)
+            multiply(panel_impedances[panel_index], template.factors[panel_index], product)
             for p, u, _, u_next in states:
                 multiply(product, u, u_next)
                 add(p, u_next, p)  # p + z*u
@@ -328,7 +360,8 @@ def chain_matrix(chain: ElementChain, frequency, medium: Medium = AIR) -> Transf
     check_frequency(frequency)
     shape = np.shape(frequency)
     frequency = np.reshape(frequency, -1)  # a scalar's states are columns too
-    lengths = [e.length for e in chain.elements if isinstance(e, StraightPipe)]
+    template = chain.template(medium)
+    lengths = template.lengths
     ws = getattr(_local, "workspace", None)  # kept only for a grid of one block
     fits = ws is not None and ws.key[1] == medium and len(ws.rotation) >= len(lengths)
     if fits and np.array_equal(ws.frequencies, frequency):  # the kept grid's points
@@ -338,11 +371,11 @@ def chain_matrix(chain: ElementChain, frequency, medium: Medium = AIR) -> Transf
         ws = None
         kl = np.multiply.outer(lengths, 2.0 * np.pi * frequency / medium.sound_speed)
         cos_kl, sin_kl = np.cos(kl), np.sin(kl)
-    impedances = _panel_impedances(chain, frequency, medium, ws)
+    impedances = _panel_impedances(template.panels, frequency, medium, ws)
     walk = getattr(_local, "chain_walk", None)
     if walk is None or walk.points != frequency.size:
         walk = _local.chain_walk = _Walk(2, frequency.size, np.longdouble)
-    (a11, a21), (a12, a22) = _walk(chain, cos_kl, sin_kl, impedances, medium, walk)
+    (a11, a21), (a12, a22) = _walk(template, cos_kl, sin_kl, impedances, walk)
     for entry in (a12, a22):
         # times -j, exactly: the parts swapped, where a complex product's
         # 0*inf would turn an overflowed part into NaN; 0 - x leaves a zero +0
@@ -415,13 +448,12 @@ def _phase_trig(lengths, ws: _Workspace, first: int):
     return table[:, 0, : ws.points], table[:, 1, : ws.points]
 
 
-def _panel_impedances(chain: ElementChain, frequencies, medium: Medium, ws=None) -> list:
-    """Normalised Maa impedances of the chain's panels at `frequencies`, rows
-    in chain order, one evaluation per distinct (thickness, aperture,
+def _panel_impedances(panels, frequencies, medium: Medium, ws=None) -> list:
+    """Normalised Maa impedances of the `panels` at `frequencies`, rows in
+    chain order, one evaluation per distinct (thickness, aperture,
     porosity) triple, all the impedance reads: MPPs 1 and 2 share one. Given
     the workspace `ws` whose block 0 points `frequencies` are, the list is
     kept in it and reused while the triples repeat."""
-    panels = [e for e in chain.elements if isinstance(e, MppPanel)]
     keys = [(panel.thickness, panel.aperture, panel.porosity) for panel in panels]
     if ws is not None and ws.panels == keys:
         return ws.impedances
@@ -454,8 +486,13 @@ def absorption_spectrum(
     chain_matrix on the grid's points computes none. A longer grid is
     solved in a workspace of its own, which the call drops on return.
     """
-    z0 = chain.characteristic_impedance(medium)
-    lengths = [e.length for e in chain.elements if isinstance(e, StraightPipe)]
+    return template_spectrum(chain.template(medium), grid, medium)
+
+
+def template_spectrum(template: _Template, grid: FrequencyGrid, medium: Medium = AIR):
+    """absorption_spectrum (an AbsorptionSpectrum) of the chain whose
+    template in `medium` this is, one design's: the solve itself."""
+    lengths, panels, z0 = template.lengths, template.panels, template.z0
     ws = getattr(_local, "workspace", None)
     if ws is None or ws.key != (grid, medium) or len(ws.rotation) < len(lengths):
         ws = _Workspace(grid, medium, len(lengths))
@@ -468,8 +505,8 @@ def absorption_spectrum(
             ws.set_points(hi - lo)  # the last block: leading views of the same buffers
         cos_kl, sin_kl = _phase_trig(lengths, ws, first)
         frequencies = ws.frequencies if first == 0 else grid.frequency(np.arange(lo, hi))
-        impedances = _panel_impedances(chain, frequencies, medium, ws if first == 0 else None)
-        [(p, u)] = _walk(chain, cos_kl, sin_kl, impedances, medium, ws)
+        impedances = _panel_impedances(panels, frequencies, medium, ws if first == 0 else None)
+        [(p, u)] = _walk(template, cos_kl, sin_kl, impedances, ws)
         _alphas(p, u, z0, ws.reflection[:, : hi - lo], ws.magnitude[: hi - lo], alphas[lo:hi])
     return AbsorptionSpectrum(grid, alphas)
 
@@ -490,27 +527,38 @@ def _alphas(p, u, z0: float, reflection, magnitude, out) -> None:
     np.clip(magnitude, 0.0, 1.0, out=out)
 
 
-class PointSolver(_Walk):
-    """Alpha at a few `frequencies` (an array) for chains whose panels are
-    those of `chain`, whose impedances there it keeps: the walk in doubles
-    with direct cos/sin, as chain_matrix takes away from the kept grid, and
-    the steps of absorption_spectrum, with which it agrees at the same
-    points within a few ulp of the phase tables."""
+class PointSolver:
+    """Alpha at a few `frequencies` (an array) for templates whose panels
+    are those of `template`, whose impedances there it keeps: the walk in
+    doubles with direct cos/sin, as chain_matrix takes away from the kept
+    grid, and the steps of absorption_spectrum, with which it agrees at the
+    same points within a few ulp of the phase tables. A batch of K designs
+    is solved in one walk over K copies of the points, each number of a
+    design repeated over its copy, so that every point is solved as alone."""
 
-    def __init__(self, chain: ElementChain, frequencies: np.ndarray, medium: Medium):
-        super().__init__(1, frequencies.size, np.float64)
-        self.medium, self.k = medium, 2.0 * np.pi * frequencies / medium.sound_speed
-        self.impedances = _panel_impedances(chain, frequencies, medium)
-        self.reflection = np.empty((3, frequencies.size), complex)
+    def __init__(self, template: _Template, frequencies: np.ndarray, medium: Medium):
+        self.k = 2.0 * np.pi * frequencies / medium.sound_speed
+        self.impedances = _panel_impedances(template.panels, frequencies, medium)
+        self.copies = {}  # per batch size: the walk, and k and impedances over its copies
 
-    def alphas(self, chain: ElementChain) -> np.ndarray:
-        lengths = [e.length for e in chain.elements if isinstance(e, StraightPipe)]
-        kl = np.multiply.outer(lengths, self.k)
-        [(p, u)] = _walk(chain, np.cos(kl), np.sin(kl), self.impedances, self.medium, self)
-        alphas = np.empty(self.points)
-        z0 = chain.characteristic_impedance(self.medium)
-        _alphas(p, u, z0, self.reflection, alphas, alphas)
-        return alphas
+    def alphas(self, template: _Template) -> np.ndarray:
+        """The template's alphas at the points, a row per design of a batch."""
+        batch = np.shape(template.z0)
+        copies, n = math.prod(batch), self.k.size
+        if copies not in self.copies:
+            tiled = [np.tile(values, copies) for values in (self.k, *self.impedances)]
+            self.copies[copies] = _Walk(1, copies * n, np.float64), tiled[0], tiled[1:]
+        walk, k, impedances = self.copies[copies]
+        lengths, z_c, factors, z0 = (
+            np.repeat(np.reshape(v, (-1, copies)), n, axis=1)
+            for v in (template.lengths, template.z_c, template.factors, template.z0)
+        )
+        kl = lengths * k
+        rows = template._replace(z_c=z_c, factors=factors)
+        [(p, u)] = _walk(rows, np.cos(kl), np.sin(kl), impedances, walk)
+        alphas = np.empty(walk.points)
+        _alphas(p, u, z0[0], np.empty((3, walk.points), complex), alphas, alphas)
+        return alphas.reshape(*batch, n)
 
 
 def absorption_at(chain: ElementChain, frequency: float, medium: Medium = AIR) -> float:
@@ -524,5 +572,6 @@ def absorption_at(chain: ElementChain, frequency: float, medium: Medium = AIR) -
     """
     check_frequency(frequency)
     grid = FrequencyGrid(frequency, frequency, frequency)
-    alphas = PointSolver(chain, grid.frequencies(), medium).alphas(chain)
+    template = chain.template(medium)
+    alphas = PointSolver(template, grid.frequencies(), medium).alphas(template)
     return float(AbsorptionSpectrum(grid, alphas).alphas[0])

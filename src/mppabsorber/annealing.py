@@ -19,18 +19,20 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .acoustics import AIR, ElementChain, Medium, PointSolver, absorption_spectrum
+from .acoustics import AIR, Medium, PointSolver, template_spectrum
 from .spectrum import (
     DEFAULT_GRID,
     AbsorptionSpectrum,
     FrequencyGrid,
+    band_edges,
     check_fields,
-    effective_band,
+    check_rows,
     longest_run,
     ranged,
     require,
 )
 from .structure import BOUNDS_MM, DesignVector, MppSet, ThreeChamberStructure, build_chain
+from .structure import design_template
 
 __all__ = [
     "AnnealingSchedule",
@@ -124,56 +126,80 @@ def objective(
 ) -> float:
     """Width of the longest effective band (Hz) of the design's spectrum on
     `grid`; 0.0 when no grid point qualifies."""
-    return _evaluate(build_chain(design, mpps), medium, grid, threshold)[0]
+    return _evaluate(build_chain(design, mpps).template(medium), medium, grid, threshold)[0]
 
 
-def _evaluate(chain, medium, grid, threshold) -> tuple[float, AbsorptionSpectrum]:
-    """The objective of the chain, with the spectrum it is read from: the
-    one full evaluation, of objective and of every anneal step that needs it."""
-    spectrum = absorption_spectrum(chain, grid, medium)
-    band = effective_band(spectrum, threshold)
-    return (band.width if band is not None else 0.0), spectrum
+def _evaluate(template, medium, grid, threshold) -> tuple[float, AbsorptionSpectrum]:
+    """The objective of the chain whose template this is, with the spectrum
+    it is read from: the one full evaluation, of objective and of every
+    anneal step that needs it. The width is effective_band's, with no band
+    built."""
+    spectrum = template_spectrum(template, grid, medium)
+    run = longest_run(spectrum.alphas, threshold)
+    f_low, f_high = band_edges(grid, spectrum.alphas, *run, threshold) if run else (0.0, 0.0)
+    return f_high - f_low, spectrum
 
 
 # Grid offsets inward from each edge of the current band at which a probe
 # looks, where a proposal's band most often ends short of the current one.
 _EDGE_OFFSETS = np.array([0, 1, 2, 3, 4, 6, 8, 16])
+# The first and the largest size of a batch of probed proposals; and the
+# share of probed proposals rejected unsolved below which a probe costs
+# more than it saves, about its cost against a full evaluation's.
+_BATCH = (8, 16)
+_PAYS = 0.25
+# Levels without probes after one whose probes did not pay
+_REST = 2
 
 
 class _Probe:
     """The weak points of the principal band [lo, hi] of an accepted
-    design's spectrum, whose objective is `width`: its 8 lowest interior
-    local minima of alpha, lo + d and hi - d for d in _EDGE_OFFSETS, and
-    lo - 1 and hi + 1, each on the grid. `bound` solves a proposal's chain
-    there alone (PointSolver). Its `solver` is None where the gaps from the
-    outermost points to the grid's ends already reach `width`, as no bound
-    can then fall below it."""
+    design's spectrum, whose objective is `width` and whose template
+    (design_template) is `template`: its 8 lowest interior local minima of
+    alpha, lo + d and hi - d for d in _EDGE_OFFSETS, and lo - 1 and hi + 1,
+    each on the grid. `bound` solves proposals there alone (PointSolver).
+    Its `solver` is None where the gaps from the outermost points to the
+    grid's ends already reach `width`, as no bound can then fall below it."""
 
-    def __init__(self, chain, spectrum, width, threshold, medium):
+    def __init__(self, template, spectrum, width, threshold, medium):
         grid, alphas = spectrum.grid, spectrum.alphas
         lo, hi = longest_run(alphas, threshold) or (0, 0)  # no band: width 0, never probed
         inner = alphas[lo : hi + 1]
         minima = lo + 1 + np.flatnonzero((inner[1:-1] < inner[:-2]) & (inner[1:-1] <= inner[2:]))
         weakest = minima[np.argsort(alphas[minima], kind="stable")[:8]]
         points = np.concatenate((weakest, lo + _EDGE_OFFSETS, hi - _EDGE_OFFSETS, [lo - 1, hi + 1]))
-        f = grid.frequency(np.unique(np.clip(points, 0, grid.size - 1)))
-        self.frequencies = f.tolist()
-        self.first, self.last = grid.frequency(0), grid.frequency(grid.size - 1)
+        indices = np.unique(np.clip(points, 0, grid.size - 1))
+        # the points, between the grid's two ends, which count as below the threshold
+        self.edges = grid.frequency(np.concatenate(([0], indices, [grid.size - 1])))
         self.below, self.slack = threshold - 1e-9, 1e-9 * grid.f_max
-        least = max(f[0] - self.first, self.last - f[-1]) + self.slack
-        self.solver = PointSolver(chain, f, medium) if least < width else None
+        first, f, last = self.edges[0], self.edges[1:-1], self.edges[-1]
+        least = max(f[0] - first, last - f[-1]) + self.slack
+        self.solver = PointSolver(template, f, medium) if least < width else None
+        self.template, self.medium = template, medium
 
-    def bound(self, chain: ElementChain) -> float:
-        """A width (Hz) that the chain's objective cannot exceed: the widest
-        gap between consecutive points whose probed alpha is below the
-        threshold by more than 1e-9, the grid's two ends counted as such
-        points, plus a slack of 1e-9 * f_max. A probed alpha agrees with the
-        grid's within about 1e-13, so each such point is below the threshold
-        on the grid too, no band crosses it, and an interpolated band edge
-        lies between its two grid neighbours."""
-        alphas = self.solver.alphas(chain).tolist()
-        edges = [self.first, *(f for f, a in zip(self.frequencies, alphas) if a < self.below)]
-        return max(high - low for low, high in zip(edges, [*edges[1:], self.last])) + self.slack
+    def bound(self, designs: np.ndarray) -> list[float]:
+        """Per row of `designs` (mm, field order), in one walk, a width (Hz)
+        that its objective cannot exceed: the widest gap between consecutive
+        points whose probed alpha is below the threshold by more than 1e-9,
+        the grid's two ends counted as such points, plus a slack of 1e-9 *
+        f_max. A probed alpha agrees with the grid's within about 1e-13, so
+        each such point is below the threshold on the grid too, no band
+        crosses it, and an interpolated band edge lies between its two grid
+        neighbours. Each point is solved as alone, so a row's bound is the
+        same in any batch."""
+        alphas = self.solver.alphas(design_template(self.template, designs, self.medium))
+        below = np.ones((len(alphas), self.edges.size), bool)
+        below[:, 1:-1] = alphas < self.below
+        # at each point below, the gap back to the last point below before it
+        last = np.maximum.accumulate(np.where(below, self.edges, -np.inf), axis=1)
+        gaps = np.where(below[:, 1:], self.edges[1:] - last[:, :-1], 0.0)
+        return (gaps.max(axis=1) + self.slack).tolist()
+
+
+def _move(x: np.ndarray, steps: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """x moved by steps * scale and clamped into the box, for each row of
+    steps: the move of neighbor and of anneal."""
+    return np.clip(x + steps * scale, _LOWER, _UPPER)
 
 
 def neighbor(
@@ -181,8 +207,8 @@ def neighbor(
 ) -> DesignVector:
     """All coordinates perturbed by +/- step_fraction of their bound range,
     then clamped into the box; the output always satisfies the bounds."""
-    step = rng.uniform(-1.0, 1.0, size=_RANGE.size) * (schedule.step_fraction * _RANGE)
-    return DesignVector(*np.clip(design.as_array() + step, _LOWER, _UPPER).tolist())
+    steps = rng.uniform(-1.0, 1.0, size=_RANGE.size)
+    return DesignVector(*_move(design.as_array(), steps, schedule.step_fraction * _RANGE).tolist())
 
 
 def accept(delta_objective: float, temperature: float, rng: np.random.Generator) -> bool:
@@ -212,6 +238,11 @@ def anneal(
     narrowest main duct of the search's reach cannot hold is refused before
     any evaluation (ThreeChamberStructure.reach).
 
+    The search steps on designs as arrays in field order: a proposal is
+    checked against DesignVector's declared ranges (check_rows) and solved
+    through build_chain's template (design_template), and a DesignVector
+    is built for the initial design and the best one alone.
+
     A proposal is rejected without its full spectrum where that cannot
     change the decision. After a rejection, the proposal's chain is first
     solved at the weak points of the band of the design last taken, about
@@ -222,43 +253,81 @@ def anneal(
     exp(delta / T) is no larger. Otherwise its full spectrum decides, on the
     same u. So the decisions, the trace and the result are those of a run
     that evaluates every proposal in full.
+
+    Such rejections come in streaks, as a rejection leaves the current
+    design as it was. So the probe takes the next proposals of the level in
+    batches, drawn as the loop draws them where each is rejected so, 13
+    uniforms each, and bounds them in one walk; the batch doubles while all
+    of it is rejected so, up to _BATCH's second size, and starts again at
+    its first after a miss. At the first proposal that is not, the
+    generator is set back to where the loop would stand after its move, and
+    that proposal is decided as above. Where fewer than _PAYS of the
+    proposals probed lately were rejected so, the probe costs more than it
+    saves, and no probe is aimed or solved for the rest of the level and
+    the _REST levels after it. None of this changes a decision.
     """
     ThreeChamberStructure(initial, mpps).reach()
     rng = np.random.default_rng(schedule.seed)
-    chain = build_chain(initial, mpps)
-    current, (current_objective, spectrum) = initial, _evaluate(chain, medium, grid, threshold)
-    best, best_objective, best_spectrum = current, current_objective, spectrum
-    aim, probe, rejected = (chain, spectrum, current_objective), None, True
+    layout = build_chain(initial, mpps).template(medium)  # for every proposal's template
+    current_objective, spectrum = _evaluate(layout, medium, grid, threshold)
+    current = best = initial.as_array()
+    best_objective, best_spectrum = current_objective, spectrum
+    aim, probe, rejected = (layout, spectrum, current_objective), None, True
+    scale, size, probed, certified, rest = schedule.step_fraction * _RANGE, _BATCH[0], 0.0, 0.0, 0
     trace: list[TraceRow] = []
 
     temperature = schedule.initial_temperature
     for _ in range(schedule.levels):
-        for _ in range(schedule.iterations_per_temperature):
-            candidate = neighbor(current, schedule, rng)
-            chain = build_chain(candidate, mpps)
-            # probed only after a rejection, and aimed then at the design last
-            # taken: where most proposals are taken, few bounds reject one
-            if rejected and probe is None:
-                probe = _Probe(*aim, threshold, medium)
-            bound = probe.bound(chain) if rejected and probe.solver else math.inf
-            rejected = True
+        # a level probes unless it rests; what was probed before counts half
+        left, paying, rest = schedule.iterations_per_temperature, rest == 0, max(rest - 1, 0)
+        probed, certified = probed / 2, certified / 2
+        while left:
+            if rejected and paying:
+                probe = probe or _Probe(*aim, threshold, medium)
+            bound = math.inf
+            if rejected and paying and probe.solver:
+                saved = rng.bit_generator.state
+                draws = rng.random((min(size, left), 13))  # per proposal: its move's 12, its u
+                candidates = _move(current, -1.0 + 2.0 * draws[:, :12], scale)  # uniform(-1, 1)
+                check_rows(DesignVector, candidates)
+                bounds = probe.bound(candidates)
+                u = SimpleNamespace(random=iter(draws[:, 12].tolist()).__next__)
+                # the proposals rejected on their bounds, up to the first that is not
+                taken = next((i for i, b in enumerate(bounds)
+                              if accept(b - current_objective, temperature, u)), len(bounds))
+                trace += [TraceRow(temperature, n, current_objective, best_objective)
+                          for n in range(len(trace) + 1, len(trace) + 1 + taken)]
+                left, certified = left - taken, certified + taken
+                probed += min(taken + 1, len(bounds))  # the miss's bound was read too
+                paying = certified >= _PAYS * probed
+                rest = 0 if paying else _REST
+                if taken == len(bounds):
+                    size = min(2 * size, _BATCH[1])
+                    continue
+                size = _BATCH[0]
+                rng.bit_generator.state = saved  # as it stood after the miss's move
+                rng.bit_generator.advance(13 * taken + 12)
+                candidate, bound = candidates[taken], bounds[taken]
+            else:
+                candidate = _move(current, rng.uniform(-1.0, 1.0, _RANGE.size), scale)
+                check_rows(DesignVector, candidate)
+            left, rejected = left - 1, True
             # one uniform per step, drawn at most once: the bound and the
             # candidate are judged on the u that accept alone would draw
             u = SimpleNamespace(random=functools.cache(rng.random))
             if bound >= current_objective or accept(bound - current_objective, temperature, u):
-                candidate_objective, spectrum = _evaluate(chain, medium, grid, threshold)
+                template = design_template(layout, candidate, medium)
+                candidate_objective, spectrum = _evaluate(template, medium, grid, threshold)
                 if accept(candidate_objective - current_objective, temperature, u):
                     current, current_objective = candidate, candidate_objective
-                    aim, probe, rejected = (chain, spectrum, current_objective), None, False
+                    aim, probe, rejected = (template, spectrum, current_objective), None, False
                     if current_objective > best_objective:
                         best, best_objective, best_spectrum = current, current_objective, spectrum
-            trace.append(
-                TraceRow(temperature, len(trace) + 1, current_objective, best_objective)
-            )
+            trace.append(TraceRow(temperature, len(trace) + 1, current_objective, best_objective))
         temperature = schedule.next_temperature(temperature)
 
     return OptimizationResult(
-        best_design=best,
+        best_design=DesignVector(*best.tolist()),
         best_objective=best_objective,
         best_spectrum=best_spectrum,
         objective_trace=trace,

@@ -140,6 +140,16 @@ def check_fields(owner) -> None:
             require(f"{type(owner).__name__}.{name}", value, low, high, closed, integer)
 
 
+def check_rows(cls, values) -> None:
+    """check_fields on each row of `values`, one value per field of `cls`,
+    every field ranged, in field order: one comparison where each value lies
+    strictly inside plain edges, and else each row built as `cls`."""
+    _, low, high, _ = zip(*_rules(cls))
+    if not np.all((np.array(low) < values) & (values < np.array(high))):
+        for row in np.reshape(values, (-1, len(low))).tolist():
+            cls(*row)
+
+
 @dataclass(frozen=True)
 class FrequencyGrid:
     """Uniform frequency grid: f_min, f_min + step, ... up to f_max (Hz);
@@ -233,9 +243,9 @@ def _runs(alphas: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]
     return edges[::2], edges[1::2] - 1
 
 
-def _interpolated_band(
-    grid: FrequencyGrid, alphas: np.ndarray, start: int, end: int, threshold: float
-) -> EffectiveBand:
+def band_edges(grid: FrequencyGrid, alphas: np.ndarray, start: int, end: int, threshold: float):
+    """The edges (Hz), f_low and f_high, of the band of the run of alpha >=
+    threshold from `start` to `end`."""
     frequency, last = grid.frequency, grid.size - 1
 
     def crossing(i: int, j: int):
@@ -245,11 +255,14 @@ def _interpolated_band(
 
     f_low = crossing(start - 1, start) if start > 0 else frequency(0)
     f_high = crossing(end, end + 1) if end < last else frequency(last)
-    return EffectiveBand(
-        f_low=float(f_low),
-        f_high=float(f_high),
-        mean_alpha=float(np.mean(alphas[start : end + 1])),
-    )
+    return float(f_low), float(f_high)
+
+
+def _interpolated_band(
+    grid: FrequencyGrid, alphas: np.ndarray, start: int, end: int, threshold: float
+) -> EffectiveBand:
+    f_low, f_high = band_edges(grid, alphas, start, end, threshold)
+    return EffectiveBand(f_low, f_high, float(np.mean(alphas[start : end + 1])))
 
 
 def effective_bands(

@@ -3,7 +3,8 @@ search box.
 
 Maps the named geometric parameters of the three-chamber structure (all in
 millimetres, the unit of the engineering drawings and config files) to the
-canonical 16-element acoustic chain. Each DesignVector field declares its
+canonical 16-element acoustic chain, and, for the optimizer, an array of
+them to that chain's template. Each DesignVector field declares its
 inclusive box, gathered in BOUNDS_MM, which the optimizer searches; a
 ThreeChamberStructure answers which structures a search from its design
 reaches. The degenerate single-chamber structure (one MPP, one chamber) is
@@ -18,7 +19,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .acoustics import AreaChange, ElementChain, MppPanel, StraightPipe
+from .acoustics import AreaChange, ElementChain, Medium, MppPanel, StraightPipe, circle_area
 from .spectrum import check_fields, ranged, refuse
 
 __all__ = [
@@ -166,6 +167,26 @@ def build_chain(design: DesignVector, mpps: MppSet) -> ElementChain:
         StraightPipe(d.l_6 * MM, d.d_6 * MM),
     )
     return ElementChain(elements=elements, main_duct_diameter=d.d_m * MM)
+
+
+# the DesignVector field of the diameter of each of build_chain's pipes,
+# source first: d_m, d_m, d_2, d_m, d_m, d_4, d_m, d_6; their lengths are
+# fields l_1 to l_6, in order, and every panel sits in d_m
+_PIPE_DIAMETERS = np.array([0, 0, 1, 0, 0, 2, 0, 3])
+
+
+def design_template(template, designs: np.ndarray, medium: Medium):
+    """build_chain's ElementChain.template, bit for bit, of a design given
+    as an array in field order (mm), or of each row of a (K, 12) array as a
+    batch, each number then a row of K: `template`'s layout and panels, a
+    template of build_chain's, and the design's lengths and areas, each
+    area by circle_area's own arithmetic. Nothing is checked."""
+    columns = designs.T
+    diameters = columns[:4] * MM
+    areas = np.array(list(map(circle_area, diameters.ravel().tolist()))).reshape(diameters.shape)
+    z = medium.characteristic_impedance / areas
+    lengths, z_c, factors = columns[4:] * MM, z[_PIPE_DIAMETERS], z[[0, 0, 0]]
+    return template._replace(lengths=lengths, z_c=z_c, factors=factors, z0=z[0])
 
 
 def single_chamber_chain(

@@ -17,6 +17,7 @@ from mppabsorber import (
     DEFAULT_GRID,
     DEFAULT_MPPS,
     OPTIMIZED_DESIGN,
+    DesignVector,
     FrequencyGrid,
     MppSpec,
     accept,
@@ -513,24 +514,27 @@ def test_hole_the_search_cannot_hold_is_refused_before_any_evaluation(monkeypatc
 
 
 @pytest.mark.parametrize(
-    "threshold, grid, iterations, certifies",
+    "threshold, grid, iterations, certifies, batch",
     [
-        (0.5, DEFAULT_GRID, 10, True),
-        (0.8, DEFAULT_GRID, 10, True),
-        (0.81, DEFAULT_GRID, 10, True),
+        (0.5, DEFAULT_GRID, 10, True, annealing._BATCH),
+        (0.8, DEFAULT_GRID, 10, True, annealing._BATCH),
+        (0.81, DEFAULT_GRID, 10, True, annealing._BATCH),
         # a band 294 Hz wide, and every gap that reaches a grid end is wider
-        (0.95, DEFAULT_GRID, 10, False),
-        (0.8, FrequencyGrid(1.0, 2000.0, 0.5), 5, True),
+        (0.95, DEFAULT_GRID, 10, False, annealing._BATCH),
+        (0.8, FrequencyGrid(1.0, 2000.0, 0.5), 5, True, annealing._BATCH),
         # 39,981 points, solved in several blocks
-        (0.8, FrequencyGrid(1.0, 2000.0, 0.05), 2, True),
+        (0.8, FrequencyGrid(1.0, 2000.0, 0.05), 2, True, annealing._BATCH),
+        # one proposal per probe: every miss sets the generator back
+        (0.8, DEFAULT_GRID, 10, True, (1, 1)),
     ],
-    ids=["0.5", "0.8", "0.81", "0.95", "0.5Hz", "0.05Hz"],
+    ids=["0.5", "0.8", "0.81", "0.95", "0.5Hz", "0.05Hz", "0.8-batch1"],
 )
 def test_a_run_decides_as_it_does_with_every_spectrum_taken(
-    monkeypatch, threshold, grid, iterations, certifies
+    monkeypatch, threshold, grid, iterations, certifies, batch
 ):
-    # the probe's certified rejections against a run whose bound is forced
-    # to inf, so that every proposal takes its full spectrum
+    # the probe's certified rejections against a run whose bounds are
+    # forced to inf, so that every proposal takes its full spectrum
+    monkeypatch.setattr(annealing, "_BATCH", batch)
     schedule = AnnealingSchedule(iterations_per_temperature=iterations, seed=1)
     full = []
     evaluate = annealing._evaluate
@@ -542,7 +546,7 @@ def test_a_run_decides_as_it_does_with_every_spectrum_taken(
     monkeypatch.setattr(annealing, "_evaluate", counted)
     probed = anneal(BASELINE_DESIGN, DEFAULT_MPPS, grid=grid, schedule=schedule, threshold=threshold)
     probed_full = len(full)
-    monkeypatch.setattr(annealing._Probe, "bound", lambda self, chain: math.inf)
+    monkeypatch.setattr(annealing._Probe, "bound", lambda self, designs: [math.inf] * len(designs))
     taken = anneal(BASELINE_DESIGN, DEFAULT_MPPS, grid=grid, schedule=schedule, threshold=threshold)
     assert len(full) - probed_full == taken.evaluations == probed.evaluations
     assert probed.objective_trace == taken.objective_trace
@@ -550,3 +554,27 @@ def test_a_run_decides_as_it_does_with_every_spectrum_taken(
     assert probed.best_objective.hex() == taken.best_objective.hex()
     assert probed.best_spectrum.alphas.tobytes() == taken.best_spectrum.alphas.tobytes()
     assert (probed_full < probed.evaluations) == certifies
+
+
+def test_a_batch_draws_and_rewinds_as_the_loop_steps():
+    # a batch draws its K proposals as K certified-rejected steps draw them,
+    # 12 uniforms in [-1, 1) for the move and one for accept; set back to
+    # the batch's start and advanced by 13 * i + 12, the generator stands
+    # where the loop stands after proposal i's move, and neighbor, the
+    # library move, proposes what the loop's array move does
+    schedule = AnnealingSchedule(step_fraction=0.3)
+    scale = schedule.step_fraction * annealing._RANGE
+    for seed in range(20):
+        rng, stepped = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert rng.uniform(-1.0, 1.0, 12).tobytes() == (-1.0 + 2.0 * stepped.random(12)).tobytes()
+        saved = rng.bit_generator.state
+        draws = rng.random((16, 13))
+        design = BASELINE_DESIGN
+        for i, row in enumerate(annealing._move(design.as_array(), -1.0 + 2.0 * draws[:, :12], scale)):
+            rng.bit_generator.state = saved
+            rng.bit_generator.advance(13 * i + 12)
+            proposal = neighbor(design, schedule, stepped)
+            assert rng.bit_generator.state == stepped.bit_generator.state
+            assert proposal == DesignVector(*row.tolist())
+            assert proposal.as_array().tobytes() == row.tobytes()
+            assert stepped.random() == draws[i, 12]

@@ -41,7 +41,7 @@ from mppabsorber import (
     objective,
     single_chamber_chain,
 )
-from mppabsorber import acoustics, annealing
+from mppabsorber import acoustics, annealing, structure
 from mppabsorber.acoustics import PointSolver, _phase_trig, _Workspace
 
 from four_pole import element_entries, four_pole_product
@@ -697,7 +697,8 @@ def test_probed_alphas_agree_with_the_spectrum():
     for chain in random_chains(36, n_three=80, n_single=20):
         for grid in PROBE_GRIDS:
             points = np.unique(rng.integers(0, grid.size, 25))
-            probed = PointSolver(chain, grid.frequency(points), AIR).alphas(chain)
+            template = chain.template(AIR)
+            probed = PointSolver(template, grid.frequency(points), AIR).alphas(template)
             alphas = absorption_spectrum(chain, grid).alphas[points]
             assert np.max(np.abs(probed - alphas)) <= 1e-12
 
@@ -713,15 +714,53 @@ def test_a_probe_bound_is_never_below_the_objective():
         mpps = mpps if rng.random() < 0.5 else DEFAULT_MPPS
         grid = PROBE_GRIDS[rng.integers(2)]
         threshold = float(rng.choice([0.5, 0.8, 0.81]))
-        chain = build_chain(design, mpps)
-        width, spectrum = annealing._evaluate(chain, AIR, grid, threshold)
-        probe = annealing._Probe(chain, spectrum, width, threshold, AIR)
+        template = build_chain(design, mpps).template(AIR)
+        width, spectrum = annealing._evaluate(template, AIR, grid, threshold)
+        probe = annealing._Probe(template, spectrum, width, threshold, AIR)
         for fraction in (0.01, 0.03, 0.1, 0.3) if probe.solver else ():
             candidate = neighbor(design, AnnealingSchedule(step_fraction=fraction), rng)
-            bound = probe.bound(build_chain(candidate, mpps))
+            [bound] = probe.bound(candidate.as_array()[None])
             assert objective(candidate, mpps, grid=grid, threshold=threshold) <= bound
             below += bound < width
     assert below >= 20  # bounds that would certify a rejection
+
+
+@pytest.mark.parametrize(
+    "grid, count",
+    [(DEFAULT_GRID, 40), (FrequencyGrid(1.0, 2000.0, 0.05), 10)],  # the second in 5 blocks
+    ids=["1Hz", "0.05Hz"],
+)
+def test_the_search_template_solves_and_probes_as_the_chain(grid, count):
+    # random in-box designs, with random or the bundled panels: the template
+    # the search fills from an array is the chain's, and solves to its
+    # spectrum, bit for bit; probed as anneal probes a design it accepts,
+    # the bounds of 16 moves from it in one batch are each move's bound
+    # probed alone, and none is below the move's objective
+    rng = np.random.default_rng(41)
+    batched = below = 0
+    for design, mpps in random_designs(rng, count):
+        mpps = mpps if rng.random() < 0.5 else DEFAULT_MPPS
+        chain = build_chain(design, mpps)
+        base = build_chain(BASELINE_DESIGN, mpps).template(AIR)
+        template = structure.design_template(base, design.as_array(), AIR)
+        for name in ("kinds", "lengths", "z_c", "factors", "z0"):
+            expected = getattr(chain.template(AIR), name)
+            assert np.asarray(getattr(template, name)).tobytes() == np.asarray(expected).tobytes()
+        alphas = acoustics.template_spectrum(template, grid, AIR).alphas
+        assert alphas.tobytes() == absorption_spectrum(chain, grid).alphas.tobytes()
+        width, spectrum = annealing._evaluate(template, AIR, grid, 0.8)
+        assert width == objective(design, mpps, grid=grid)
+        probe = annealing._Probe(template, spectrum, width, 0.8, AIR)
+        if probe.solver is None:
+            continue
+        fractions = np.geomspace(0.003, 0.3, 16)[:, None] * annealing._RANGE
+        moves = annealing._move(design.as_array(), rng.uniform(-1.0, 1.0, (16, 12)), fractions)
+        bounds = probe.bound(moves)
+        assert bounds == [probe.bound(move[None])[0] for move in moves]
+        for move, bound in zip(moves, bounds):
+            assert objective(DesignVector(*move.tolist()), mpps, grid=grid) <= bound
+        batched, below = batched + len(bounds), below + sum(b < width for b in bounds)
+    assert batched >= 64 and below >= 10  # bounds that would certify a rejection
 
 
 def test_panels_dissipate_the_absorbed_power(baseline_chain, optimized_chain, single_chain):
