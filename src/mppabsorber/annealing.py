@@ -11,7 +11,6 @@ fully deterministic for a given seed.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -26,7 +25,6 @@ from .spectrum import (
     FrequencyGrid,
     band_edges,
     check_fields,
-    check_rows,
     longest_run,
     ranged,
     require,
@@ -143,10 +141,10 @@ def _evaluate(template, medium, grid, threshold) -> tuple[float, AbsorptionSpect
 # Grid offsets inward from each edge of the current band at which a probe
 # looks, where a proposal's band most often ends short of the current one.
 _EDGE_OFFSETS = np.array([0, 1, 2, 3, 4, 6, 8, 16])
-# The first and the largest size of a batch of probed proposals; and the
-# share of probed proposals rejected unsolved below which a probe costs
-# more than it saves, about its cost against a full evaluation's.
-_BATCH = (8, 16)
+# The size of a batch of probed proposals; and the share of probed
+# proposals rejected unsolved below which a probe costs more than it saves,
+# about its cost against a full evaluation's.
+_BATCH = 8
 _PAYS = 0.25
 # Levels without probes after one whose probes did not pay
 _REST = 2
@@ -239,32 +237,30 @@ def anneal(
     any evaluation (ThreeChamberStructure.reach).
 
     The search steps on designs as arrays in field order: a proposal is
-    checked against DesignVector's declared ranges (check_rows) and solved
-    through build_chain's template (design_template), and a DesignVector
-    is built for the initial design and the best one alone.
+    clamped into the box and solved through build_chain's template
+    (design_template), and a DesignVector is built for the initial design
+    and the best one alone.
 
     A proposal is rejected without its full spectrum where that cannot
-    change the decision. After a rejection, the proposal's chain is first
-    solved at the weak points of the band of the design last taken, about
-    21 grid points (_Probe). Their gaps bound its objective. Where the bound
-    is below the current objective, the proposal is certainly worse, so the
-    uniform u that accept would draw is drawn now; where u >= exp((bound -
-    current) / T), it is rejected as accept would reject it, since
-    exp(delta / T) is no larger. Otherwise its full spectrum decides, on the
-    same u. So the decisions, the trace and the result are those of a run
-    that evaluates every proposal in full.
+    change the decision. Its chain is first solved at the weak points of
+    the band of the design last taken, about 21 grid points (_Probe). Their
+    gaps bound its objective: where u >= exp((bound - current) / T) for the
+    uniform u that accept would draw, it is rejected as accept would reject
+    it, since exp(delta / T) is no larger. Otherwise its full spectrum
+    decides, on the same u. So the decisions, the trace and the result are
+    those of a run that evaluates every proposal in full.
 
     Such rejections come in streaks, as a rejection leaves the current
-    design as it was. So the probe takes the next proposals of the level in
-    batches, drawn as the loop draws them where each is rejected so, 13
-    uniforms each, and bounds them in one walk; the batch doubles while all
-    of it is rejected so, up to _BATCH's second size, and starts again at
-    its first after a miss. At the first proposal that is not, the
-    generator is set back to where the loop would stand after its move, and
-    that proposal is decided as above. Where fewer than _PAYS of the
-    proposals probed lately were rejected so, the probe costs more than it
-    saves, and no probe is aimed or solved for the rest of the level and
-    the _REST levels after it. None of this changes a decision.
+    design as it was. So every step draws the next proposals of the level
+    as the loop would if each were rejected so, 13 uniforms each (its
+    move's 12 and its u): _BATCH of them bounded in one walk, or one with
+    no bound where no probe is solved. At the first proposal that is not
+    rejected so, the generator is set back to where it stood after that
+    proposal's move, and its full spectrum decides as above. Where fewer
+    than _PAYS of the proposals probed lately were rejected so, the probe
+    costs more than it saves, and no probe is aimed or solved for the rest
+    of the level and the _REST levels after it. None of this changes a
+    decision.
     """
     ThreeChamberStructure(initial, mpps).reach()
     rng = np.random.default_rng(schedule.seed)
@@ -272,8 +268,8 @@ def anneal(
     current_objective, spectrum = _evaluate(layout, medium, grid, threshold)
     current = best = initial.as_array()
     best_objective, best_spectrum = current_objective, spectrum
-    aim, probe, rejected = (layout, spectrum, current_objective), None, True
-    scale, size, probed, certified, rest = schedule.step_fraction * _RANGE, _BATCH[0], 0.0, 0.0, 0
+    aim, probe = (layout, spectrum, current_objective), None
+    scale, probed, certified, rest = schedule.step_fraction * _RANGE, 0.0, 0.0, 0
     trace: list[TraceRow] = []
 
     temperature = schedule.initial_temperature
@@ -282,47 +278,38 @@ def anneal(
         left, paying, rest = schedule.iterations_per_temperature, rest == 0, max(rest - 1, 0)
         probed, certified = probed / 2, certified / 2
         while left:
-            if rejected and paying:
+            if paying:
                 probe = probe or _Probe(*aim, threshold, medium)
-            bound = math.inf
-            if rejected and paying and probe.solver:
-                saved = rng.bit_generator.state
-                draws = rng.random((min(size, left), 13))  # per proposal: its move's 12, its u
-                candidates = _move(current, -1.0 + 2.0 * draws[:, :12], scale)  # uniform(-1, 1)
-                check_rows(DesignVector, candidates)
-                bounds = probe.bound(candidates)
-                u = SimpleNamespace(random=iter(draws[:, 12].tolist()).__next__)
-                # the proposals rejected on their bounds, up to the first that is not
-                taken = next((i for i, b in enumerate(bounds)
-                              if accept(b - current_objective, temperature, u)), len(bounds))
-                trace += [TraceRow(temperature, n, current_objective, best_objective)
-                          for n in range(len(trace) + 1, len(trace) + 1 + taken)]
-                left, certified = left - taken, certified + taken
+            probing = paying and probe.solver is not None
+            saved = rng.bit_generator.state
+            draws = rng.random((min(_BATCH, left) if probing else 1, 13))  # a move's 12, its u
+            candidates = _move(current, -1.0 + 2.0 * draws[:, :12], scale)  # uniform(-1, 1)
+            bounds = probe.bound(candidates) if probing else [math.inf]
+            u = SimpleNamespace(random=iter(draws[:, 12].tolist()).__next__)
+            # the proposals rejected on their bounds, up to the first that is not
+            taken = next((i for i, b in enumerate(bounds)
+                          if accept(b - current_objective, temperature, u)), len(bounds))
+            trace += [TraceRow(temperature, n, current_objective, best_objective)
+                      for n in range(len(trace) + 1, len(trace) + 1 + taken)]
+            left -= taken
+            if probing:
+                certified += taken
                 probed += min(taken + 1, len(bounds))  # the miss's bound was read too
                 paying = certified >= _PAYS * probed
                 rest = 0 if paying else _REST
-                if taken == len(bounds):
-                    size = min(2 * size, _BATCH[1])
-                    continue
-                size = _BATCH[0]
-                rng.bit_generator.state = saved  # as it stood after the miss's move
-                rng.bit_generator.advance(13 * taken + 12)
-                candidate, bound = candidates[taken], bounds[taken]
-            else:
-                candidate = _move(current, rng.uniform(-1.0, 1.0, _RANGE.size), scale)
-                check_rows(DesignVector, candidate)
-            left, rejected = left - 1, True
-            # one uniform per step, drawn at most once: the bound and the
-            # candidate are judged on the u that accept alone would draw
-            u = SimpleNamespace(random=functools.cache(rng.random))
-            if bound >= current_objective or accept(bound - current_objective, temperature, u):
-                template = design_template(layout, candidate, medium)
-                candidate_objective, spectrum = _evaluate(template, medium, grid, threshold)
-                if accept(candidate_objective - current_objective, temperature, u):
-                    current, current_objective = candidate, candidate_objective
-                    aim, probe, rejected = (template, spectrum, current_objective), None, False
-                    if current_objective > best_objective:
-                        best, best_objective, best_spectrum = current, current_objective, spectrum
+            if taken == len(bounds):
+                continue
+            # as it stood after the miss's move, so accept draws the miss's u
+            rng.bit_generator.state = saved
+            rng.bit_generator.advance(13 * taken + 12)
+            left -= 1
+            template = design_template(layout, candidates[taken], medium)
+            candidate_objective, spectrum = _evaluate(template, medium, grid, threshold)
+            if accept(candidate_objective - current_objective, temperature, rng):
+                current, current_objective = candidates[taken], candidate_objective
+                aim, probe = (template, spectrum, current_objective), None
+                if current_objective > best_objective:
+                    best, best_objective, best_spectrum = current, current_objective, spectrum
             trace.append(TraceRow(temperature, len(trace) + 1, current_objective, best_objective))
         temperature = schedule.next_temperature(temperature)
 

@@ -133,21 +133,12 @@ def check_fields(owner) -> None:
     for name, low, high, rule in _rules(type(owner)):
         value = getattr(owner, name)
         # one type test and one chained comparison: this runs for every
-        # field of every design and chain element the annealer builds
+        # field of every design and chain element build_chain builds, as
+        # the design_sweep benchmark does for each structure it draws
         if type(value) is not float or not low < value < high:
             low, high, closed, integer = rule
             low, high = (vars(owner).get(edge, edge) for edge in (low, high))
             require(f"{type(owner).__name__}.{name}", value, low, high, closed, integer)
-
-
-def check_rows(cls, values) -> None:
-    """check_fields on each row of `values`, one value per field of `cls`,
-    every field ranged, in field order: one comparison where each value lies
-    strictly inside plain edges, and else each row built as `cls`."""
-    _, low, high, _ = zip(*_rules(cls))
-    if not np.all((np.array(low) < values) & (values < np.array(high))):
-        for row in np.reshape(values, (-1, len(low))).tolist():
-            cls(*row)
 
 
 @dataclass(frozen=True)

@@ -453,6 +453,26 @@ class TestAnneal:
         result = anneal(BASELINE_DESIGN, DEFAULT_MPPS, schedule=schedule)
         assert in_box(result.best_design)
 
+    def test_every_solved_proposal_lies_in_the_box(self, monkeypatch):
+        # the baseline sits outside the box in l_1 and l_1p, and the widest
+        # step the schedule takes, just under each coordinate's full range,
+        # clamps often: every row that the full evaluation or the probe
+        # solves lies in BOUNDS_MM, so within the ranges DesignVector declares
+        rows = []
+        template = annealing.design_template
+
+        def spied(layout, designs, medium):
+            rows.extend(np.atleast_2d(designs).tolist())
+            return template(layout, designs, medium)
+
+        monkeypatch.setattr(annealing, "design_template", spied)
+        widest = math.nextafter(1.0, 0.0)
+        schedule = AnnealingSchedule(iterations_per_temperature=4, step_fraction=widest, seed=3)
+        result = anneal(BASELINE_DESIGN, DEFAULT_MPPS, schedule=schedule)
+        assert len(rows) > result.evaluations  # the probes solved rows too
+        low, high = np.array(list(BOUNDS_MM.values())).T
+        assert np.all((low <= np.array(rows)) & (np.array(rows) <= high))
+
     def test_deterministic_given_seed(self):
         first = anneal(BASELINE_DESIGN, DEFAULT_MPPS, schedule=FAST_SCHEDULE)
         second = anneal(BASELINE_DESIGN, DEFAULT_MPPS, schedule=FAST_SCHEDULE)
@@ -525,7 +545,7 @@ def test_hole_the_search_cannot_hold_is_refused_before_any_evaluation(monkeypatc
         # 39,981 points, solved in several blocks
         (0.8, FrequencyGrid(1.0, 2000.0, 0.05), 2, True, annealing._BATCH),
         # one proposal per probe: every miss sets the generator back
-        (0.8, DEFAULT_GRID, 10, True, (1, 1)),
+        (0.8, DEFAULT_GRID, 10, True, 1),
     ],
     ids=["0.5", "0.8", "0.81", "0.95", "0.5Hz", "0.05Hz", "0.8-batch1"],
 )

@@ -145,6 +145,13 @@ class TestBounds:
         assert all(type(edge) is float for box in BOUNDS_MM.values() for edge in box)
         assert tuple(BOUNDS_MM) == tuple(BASELINE_DESIGN.as_dict())
 
+    def test_each_box_lies_strictly_inside_its_declared_range(self):
+        # so a design clamped into the box keeps every DesignVector rule
+        for item in dataclasses.fields(DesignVector):
+            low, high, closed = item.metadata["range"]
+            assert (closed, BOUNDS_MM[item.name]) == (False, item.metadata["box"])
+            assert low < item.metadata["box"][0] < item.metadata["box"][1] < high
+
     def test_optimized_design_is_inside_bounds(self):
         assert outside(OPTIMIZED_DESIGN) == {}
 
