@@ -38,7 +38,6 @@ __all__ = [
     "accept",
     "anneal",
     "anneal_multi",
-    "neighbor",
     "objective",
 ]
 
@@ -152,16 +151,14 @@ _REST = 2
 
 class _Probe:
     """The weak points of the principal band [lo, hi] of an accepted
-    design's spectrum, whose objective is `width` and whose template
-    (design_template) is `template`: its 8 lowest interior local minima of
-    alpha, lo + d and hi - d for d in _EDGE_OFFSETS, and lo - 1 and hi + 1,
-    each on the grid. `bound` solves proposals there alone (PointSolver).
-    Its `solver` is None where the gaps from the outermost points to the
-    grid's ends already reach `width`, as no bound can then fall below it."""
+    design's spectrum, whose template (design_template) is `template`: its
+    8 lowest interior local minima of alpha, lo + d and hi - d for d in
+    _EDGE_OFFSETS, and lo - 1 and hi + 1, each on the grid. `bound` solves
+    proposals there alone (PointSolver)."""
 
-    def __init__(self, template, spectrum, width, threshold, medium):
+    def __init__(self, template, spectrum, threshold, medium):
         grid, alphas = spectrum.grid, spectrum.alphas
-        lo, hi = longest_run(alphas, threshold) or (0, 0)  # no band: width 0, never probed
+        lo, hi = longest_run(alphas, threshold) or (0, 0)  # no band: width 0, probed till it rests
         inner = alphas[lo : hi + 1]
         minima = lo + 1 + np.flatnonzero((inner[1:-1] < inner[:-2]) & (inner[1:-1] <= inner[2:]))
         weakest = minima[np.argsort(alphas[minima], kind="stable")[:8]]
@@ -170,9 +167,7 @@ class _Probe:
         # the points, between the grid's two ends, which count as below the threshold
         self.edges = grid.frequency(np.concatenate(([0], indices, [grid.size - 1])))
         self.below, self.slack = threshold - 1e-9, 1e-9 * grid.f_max
-        first, f, last = self.edges[0], self.edges[1:-1], self.edges[-1]
-        least = max(f[0] - first, last - f[-1]) + self.slack
-        self.solver = PointSolver(template, f, medium) if least < width else None
+        self.solver = PointSolver(template, self.edges[1:-1], medium)
         self.template, self.medium = template, medium
 
     def bound(self, designs: np.ndarray) -> list[float]:
@@ -196,17 +191,8 @@ class _Probe:
 
 def _move(x: np.ndarray, steps: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """x moved by steps * scale and clamped into the box, for each row of
-    steps: the move of neighbor and of anneal."""
+    steps: anneal's move."""
     return np.clip(x + steps * scale, _LOWER, _UPPER)
-
-
-def neighbor(
-    design: DesignVector, schedule: AnnealingSchedule, rng: np.random.Generator
-) -> DesignVector:
-    """All coordinates perturbed by +/- step_fraction of their bound range,
-    then clamped into the box; the output always satisfies the bounds."""
-    steps = rng.uniform(-1.0, 1.0, size=_RANGE.size)
-    return DesignVector(*_move(design.as_array(), steps, schedule.step_fraction * _RANGE).tolist())
 
 
 def accept(delta_objective: float, temperature: float, rng: np.random.Generator) -> bool:
@@ -254,13 +240,15 @@ def anneal(
     design as it was. So every step draws the next proposals of the level
     as the loop would if each were rejected so, 13 uniforms each (its
     move's 12 and its u): _BATCH of them bounded in one walk, or one with
-    no bound where no probe is solved. At the first proposal that is not
+    no bound where the probe rests. At the first proposal that is not
     rejected so, the generator is set back to where it stood after that
     proposal's move, and its full spectrum decides as above. Where fewer
     than _PAYS of the proposals probed lately were rejected so, the probe
     costs more than it saves, and no probe is aimed or solved for the rest
-    of the level and the _REST levels after it. None of this changes a
-    decision.
+    of the level and the _REST levels after it: at threshold 0.5, whose
+    bands span nearly the whole grid, and at 0.95, whose band is narrower
+    than the gaps from it to the grid's ends, so that no bound falls below
+    it. None of this changes a decision.
     """
     ThreeChamberStructure(initial, mpps).reach()
     rng = np.random.default_rng(schedule.seed)
@@ -268,7 +256,7 @@ def anneal(
     current_objective, spectrum = _evaluate(layout, medium, grid, threshold)
     current = best = initial.as_array()
     best_objective, best_spectrum = current_objective, spectrum
-    aim, probe = (layout, spectrum, current_objective), None
+    aim, probe = (layout, spectrum), None
     scale, probed, certified, rest = schedule.step_fraction * _RANGE, 0.0, 0.0, 0
     trace: list[TraceRow] = []
 
@@ -280,11 +268,10 @@ def anneal(
         while left:
             if paying:
                 probe = probe or _Probe(*aim, threshold, medium)
-            probing = paying and probe.solver is not None
             saved = rng.bit_generator.state
-            draws = rng.random((min(_BATCH, left) if probing else 1, 13))  # a move's 12, its u
+            draws = rng.random((min(_BATCH, left) if paying else 1, 13))  # a move's 12, its u
             candidates = _move(current, -1.0 + 2.0 * draws[:, :12], scale)  # uniform(-1, 1)
-            bounds = probe.bound(candidates) if probing else [math.inf]
+            bounds = probe.bound(candidates) if paying else [math.inf]
             u = SimpleNamespace(random=iter(draws[:, 12].tolist()).__next__)
             # the proposals rejected on their bounds, up to the first that is not
             taken = next((i for i, b in enumerate(bounds)
@@ -292,7 +279,7 @@ def anneal(
             trace += [TraceRow(temperature, n, current_objective, best_objective)
                       for n in range(len(trace) + 1, len(trace) + 1 + taken)]
             left -= taken
-            if probing:
+            if paying:
                 certified += taken
                 probed += min(taken + 1, len(bounds))  # the miss's bound was read too
                 paying = certified >= _PAYS * probed
@@ -307,7 +294,7 @@ def anneal(
             candidate_objective, spectrum = _evaluate(template, medium, grid, threshold)
             if accept(candidate_objective - current_objective, temperature, rng):
                 current, current_objective = candidates[taken], candidate_objective
-                aim, probe = (template, spectrum, current_objective), None
+                aim, probe = (template, spectrum), None
                 if current_objective > best_objective:
                     best, best_objective, best_spectrum = current, current_objective, spectrum
             trace.append(TraceRow(temperature, len(trace) + 1, current_objective, best_objective))

@@ -42,7 +42,7 @@ from mppabsorber import (
 from mppabsorber.spectrum import FrequencyGrid
 
 from four_pole import element_entries, four_pole_product
-from test_solver import random_chains
+from test_solver import MPP_RANGES, random_chains
 
 # Frozen oracle values (independent scalar evaluation, air at 20 degC).
 K_AT_500HZ_02MM = 1.4456025058533009
@@ -481,9 +481,6 @@ class TestChainMatrix:
             assert np.shape(entry_a) == np.shape(frequency)
             assert np.array_equal(entry_a, entry_b)
 
-
-# Panel ranges of the random designs (thickness, aperture in mm; porosity).
-MPP_RANGES = ((0.2, 1.0), (0.1, 0.8), (0.005, 0.05))
 
 specs = st.builds(MppSpec, *(st.floats(lo, hi) for lo, hi in MPP_RANGES))
 panels = st.builds(MppSpec.panel, specs, st.floats(5.0, 20.0))

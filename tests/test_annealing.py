@@ -24,7 +24,6 @@ from mppabsorber import (
     anneal,
     anneal_multi,
     effective_band,
-    neighbor,
     objective,
 )
 from mppabsorber import annealing
@@ -72,11 +71,17 @@ class TestObjective:
                 objective(BASELINE_DESIGN, DEFAULT_MPPS)
 
 
-class TestNeighbor:
+def move(design, rng, fraction=FAST_SCHEDULE.step_fraction):
+    """`design` moved as anneal moves it, by uniform(-1, 1) steps of
+    `fraction` of each coordinate's range."""
+    steps = -1.0 + 2.0 * rng.random(annealing._RANGE.size)
+    moved = annealing._move(design.as_array(), steps, fraction * annealing._RANGE)
+    return DesignVector(*moved.tolist())
+
+
+class TestMove:
     def test_zero_step_clamps_input(self):
-        schedule = dataclasses.replace(FAST_SCHEDULE, step_fraction=0.0)
-        rng = np.random.default_rng(0)
-        moved = neighbor(BASELINE_DESIGN, schedule, rng)
+        moved = move(BASELINE_DESIGN, np.random.default_rng(0), fraction=0.0)
         assert moved.l_1 == 80.0
         assert moved.l_1p == 10.0
         assert moved.d_m == BASELINE_DESIGN.d_m
@@ -84,7 +89,7 @@ class TestNeighbor:
     def test_out_of_bounds_input_lands_inside(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
-            moved = neighbor(BASELINE_DESIGN, FAST_SCHEDULE, rng)
+            moved = move(BASELINE_DESIGN, rng)
             assert in_box(moved)
             assert 60.0 <= moved.l_1 <= 80.0
 
@@ -95,12 +100,7 @@ class TestNeighbor:
         )
         rng = np.random.default_rng(2)
         for _ in range(50):
-            assert in_box(neighbor(upper, FAST_SCHEDULE, rng))
-
-    def test_deterministic_given_rng_state(self):
-        a = neighbor(BASELINE_DESIGN, FAST_SCHEDULE, np.random.default_rng(9))
-        b = neighbor(BASELINE_DESIGN, FAST_SCHEDULE, np.random.default_rng(9))
-        assert a == b
+            assert in_box(move(upper, rng))
 
 
 class TestAccept:
@@ -377,9 +377,9 @@ def test_every_taken_schedule_runs_its_level_count(ends, target, ulps, iteration
     # a rate that cools the span in about `target` levels (more where it
     # rounds to 1 - 2**-53), a few ulps off, so the count and the
     # temperatures may part by rounding; the loop's one full evaluation is
-    # stubbed out, a width of 0, and so is the probe, one that never solves,
-    # so the run is the loop, the moves and the Metropolis rule, which
-    # refuses a temperature that has fallen to 0
+    # stubbed out, a width of 0, and so is the probe, one whose bound never
+    # certifies, so the run is the loop, the moves and the Metropolis rule,
+    # which refuses a temperature that has fallen to 0
     initial, termination = ends
     rate = 1.0 - math.exp((math.log(termination) - math.log(initial)) / target)
     rate = ulps_from(rate, 1.0 if ulps > 0 else 0.0, abs(ulps))
@@ -392,7 +392,8 @@ def test_every_taken_schedule_runs_its_level_count(ends, target, ulps, iteration
         assume(False)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(annealing, "_evaluate", lambda *args: (0.0, None))
-        patch.setattr(annealing, "_Probe", lambda *args: SimpleNamespace(solver=None))
+        never = SimpleNamespace(bound=lambda designs: [math.inf] * len(designs))
+        patch.setattr(annealing, "_Probe", lambda *args: never)
         result = anneal(BASELINE_DESIGN, DEFAULT_MPPS, grid=TINY_GRID, schedule=schedule)
     assert result.evaluations == 1 + schedule.levels * iterations
 
@@ -576,25 +577,37 @@ def test_a_run_decides_as_it_does_with_every_spectrum_taken(
     assert (probed_full < probed.evaluations) == certifies
 
 
+@pytest.mark.parametrize("threshold, stubbed", [(0.8, True), (0.95, False)], ids=["inf", "0.95"])
+def test_a_probe_that_never_certifies_rests_after_each_batch(monkeypatch, threshold, stubbed):
+    # a bound that never certifies, and the real one at threshold 0.95,
+    # whose bands are narrower than their gaps to the grid's ends: a level
+    # that probes bounds one batch, certifies none of it and rests the
+    # _REST levels after it, so bound is called once per 1 + _REST levels
+    calls = []
+    bound = (lambda self, designs: [math.inf] * len(designs)) if stubbed else annealing._Probe.bound
+
+    def counted(self, designs):
+        calls.append(designs)
+        return bound(self, designs)
+
+    monkeypatch.setattr(annealing._Probe, "bound", counted)
+    schedule = AnnealingSchedule(iterations_per_temperature=10, seed=1)
+    anneal(BASELINE_DESIGN, DEFAULT_MPPS, schedule=schedule, threshold=threshold)
+    assert len(calls) == math.ceil(schedule.levels / (1 + annealing._REST)) == 28
+
+
 def test_a_batch_draws_and_rewinds_as_the_loop_steps():
     # a batch draws its K proposals as K certified-rejected steps draw them,
-    # 12 uniforms in [-1, 1) for the move and one for accept; set back to
-    # the batch's start and advanced by 13 * i + 12, the generator stands
-    # where the loop stands after proposal i's move, and neighbor, the
-    # library move, proposes what the loop's array move does
-    schedule = AnnealingSchedule(step_fraction=0.3)
-    scale = schedule.step_fraction * annealing._RANGE
+    # 12 uniforms for the move and one for accept; set back to the batch's
+    # start and advanced by 13 * i + 12, the generator stands where the
+    # loop stands after proposal i's move, and draws proposal i's u next
     for seed in range(20):
         rng, stepped = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert rng.uniform(-1.0, 1.0, 12).tobytes() == (-1.0 + 2.0 * stepped.random(12)).tobytes()
         saved = rng.bit_generator.state
         draws = rng.random((16, 13))
-        design = BASELINE_DESIGN
-        for i, row in enumerate(annealing._move(design.as_array(), -1.0 + 2.0 * draws[:, :12], scale)):
+        for i in range(len(draws)):
             rng.bit_generator.state = saved
             rng.bit_generator.advance(13 * i + 12)
-            proposal = neighbor(design, schedule, stepped)
+            stepped.random(12)
             assert rng.bit_generator.state == stepped.bit_generator.state
-            assert proposal == DesignVector(*row.tolist())
-            assert proposal.as_array().tobytes() == row.tobytes()
             assert stepped.random() == draws[i, 12]

@@ -175,7 +175,7 @@ class TestDesignVectorArray:
             DesignVector(1.0, 2.0)
 
     def test_design_fields_follow_the_dataclass_order(self):
-        # neighbor builds a DesignVector positionally from BOUNDS_MM order
+        # anneal builds its best DesignVector positionally from BOUNDS_MM order
         assert tuple(BOUNDS_MM) == tuple(f.name for f in dataclasses.fields(DesignVector))
 
 
