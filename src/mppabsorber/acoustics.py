@@ -10,10 +10,11 @@ and forms the pipes' cos/sin by angle addition (`_phase_trig`), in blocks
 of table rows. A grid of one block is solved in a workspace (`_Workspace`)
 the thread keeps while grid and medium repeat; a longer one in one that
 lives for the call. `absorption_at` and the annealer's probes solve a few
-points with direct cos/sin in a `PointSolver`, which keeps no thread state;
-a probe solves a batch of designs in one walk. `chain_matrix` at the kept
-grid's points shares its phase tables and panel impedances; at any other
-frequencies it takes direct cos/sin.
+grid points with direct cos/sin in a `PointSolver`, which keeps no thread
+state but may read the kept grid's panel impedances; a probe solves a
+batch of designs in one walk. `chain_matrix` at the kept grid's points
+shares its phase tables and panel impedances; at any other frequencies it
+takes direct cos/sin.
 MPP impedance follows Maa's model; pipes are lossless. Quantities are
 SI; the impedance formulas and chain_matrix take a frequency (Hz) as a
 scalar or an array, each in (0, 1e11) as a FrequencyGrid's fields are.
@@ -448,13 +449,18 @@ def _phase_trig(lengths, ws: _Workspace, first: int):
     return table[:, 0, : ws.points], table[:, 1, : ws.points]
 
 
+def _triples(panels) -> list:
+    """The (thickness, aperture, porosity) of each panel, all its impedance reads."""
+    return [(panel.thickness, panel.aperture, panel.porosity) for panel in panels]
+
+
 def _panel_impedances(panels, frequencies, medium: Medium, ws=None) -> list:
     """Normalised Maa impedances of the `panels` at `frequencies`, rows in
     chain order, one evaluation per distinct (thickness, aperture,
     porosity) triple, all the impedance reads: MPPs 1 and 2 share one. Given
     the workspace `ws` whose block 0 points `frequencies` are, the list is
     kept in it and reused while the triples repeat."""
-    keys = [(panel.thickness, panel.aperture, panel.porosity) for panel in panels]
+    keys = _triples(panels)
     if ws is not None and ws.panels == keys:
         return ws.impedances
     distinct = dict(zip(keys, panels))
@@ -528,17 +534,25 @@ def _alphas(p, u, z0: float, reflection, magnitude, out) -> None:
 
 
 class PointSolver:
-    """Alpha at a few `frequencies` (an array) for templates whose panels
-    are those of `template`, whose impedances there it keeps: the walk in
-    doubles with direct cos/sin, as chain_matrix takes away from the kept
-    grid, and the steps of absorption_spectrum, with which it agrees at the
-    same points within a few ulp of the phase tables. A batch of K designs
-    is solved in one walk over K copies of the points, each number of a
-    design repeated over its copy, so that every point is solved as alone."""
+    """Alpha at a few `points` (an index array) of `grid` for templates
+    whose panels are those of `template`, whose impedances there it keeps:
+    gathered from the thread's workspace where it holds the grid, the
+    medium and the panels' triples (a kept workspace is one block's, the
+    whole grid's), else computed. The walk is in doubles with direct
+    cos/sin, as chain_matrix takes away from the kept grid, and the steps
+    of absorption_spectrum, with which it agrees at the same points within
+    a few ulp of the phase tables. A batch of K designs is solved in one
+    walk over K copies of the points, each number of a design repeated over
+    its copy, so that every point is solved as alone."""
 
-    def __init__(self, template: _Template, frequencies: np.ndarray, medium: Medium):
+    def __init__(self, template: _Template, grid: FrequencyGrid, points, medium: Medium):
+        frequencies = grid.frequency(points)
         self.k = 2.0 * np.pi * frequencies / medium.sound_speed
-        self.impedances = _panel_impedances(template.panels, frequencies, medium)
+        ws = getattr(_local, "workspace", None)
+        if ws is not None and ws.key == (grid, medium) and ws.panels == _triples(template.panels):
+            self.impedances = [impedance[points] for impedance in ws.impedances]
+        else:
+            self.impedances = _panel_impedances(template.panels, frequencies, medium)
         self.copies = {}  # per batch size: the walk, and k and impedances over its copies
 
     def alphas(self, template: _Template) -> np.ndarray:
@@ -573,5 +587,5 @@ def absorption_at(chain: ElementChain, frequency: float, medium: Medium = AIR) -
     check_frequency(frequency)
     grid = FrequencyGrid(frequency, frequency, frequency)
     template = chain.template(medium)
-    alphas = PointSolver(template, grid.frequencies(), medium).alphas(template)
+    alphas = PointSolver(template, grid, np.arange(1), medium).alphas(template)
     return float(AbsorptionSpectrum(grid, alphas).alphas[0])

@@ -137,9 +137,9 @@ def _evaluate(template, medium, grid, threshold) -> tuple[float, AbsorptionSpect
     return f_high - f_low, spectrum
 
 
-# Grid offsets inward from each edge of the current band at which a probe
-# looks, where a proposal's band most often ends short of the current one.
-_EDGE_OFFSETS = np.array([0, 1, 2, 3, 4, 6, 8, 16])
+# Grid points on each side of each edge of the current band that a probe
+# solves, where a proposal's band most often ends short of the current one.
+_WINDOW = 6
 # The size of a batch of probed proposals; and the share of probed
 # proposals rejected unsolved below which a probe costs more than it saves,
 # about its cost against a full evaluation's.
@@ -152,9 +152,9 @@ _REST = 2
 class _Probe:
     """The weak points of the principal band [lo, hi] of an accepted
     design's spectrum, whose template (design_template) is `template`: its
-    8 lowest interior local minima of alpha, lo + d and hi - d for d in
-    _EDGE_OFFSETS, and lo - 1 and hi + 1, each on the grid. `bound` solves
-    proposals there alone (PointSolver)."""
+    8 lowest interior local minima of alpha, and every grid point within
+    _WINDOW of lo and of hi. `bound` solves proposals there alone
+    (PointSolver)."""
 
     def __init__(self, template, spectrum, threshold, medium):
         grid, alphas = spectrum.grid, spectrum.alphas
@@ -162,30 +162,55 @@ class _Probe:
         inner = alphas[lo : hi + 1]
         minima = lo + 1 + np.flatnonzero((inner[1:-1] < inner[:-2]) & (inner[1:-1] <= inner[2:]))
         weakest = minima[np.argsort(alphas[minima], kind="stable")[:8]]
-        points = np.concatenate((weakest, lo + _EDGE_OFFSETS, hi - _EDGE_OFFSETS, [lo - 1, hi + 1]))
+        window = np.arange(-_WINDOW, _WINDOW + 1)
+        points = np.concatenate((weakest, lo + window, hi + window))
         indices = np.unique(np.clip(points, 0, grid.size - 1))
-        # the points, between the grid's two ends, which count as below the threshold
+        # the points, between the grid's two ends, which count as below the
+        # threshold; and the place of the first of each pair of grid
+        # neighbours among them
         self.edges = grid.frequency(np.concatenate(([0], indices, [grid.size - 1])))
-        self.below, self.slack = threshold - 1e-9, 1e-9 * grid.f_max
-        self.solver = PointSolver(template, self.edges[1:-1], medium)
+        self.pairs = np.flatnonzero(np.diff(indices) == 1)
+        self.threshold, self.below, self.slack = threshold, threshold - 1e-9, 1e-9 * grid.f_max
+        self.step, self.floor = grid.step, 6e-12 * grid.step / self.slack
+        self.solver = PointSolver(template, grid, indices, medium)
         self.template, self.medium = template, medium
 
     def bound(self, designs: np.ndarray) -> list[float]:
         """Per row of `designs` (mm, field order), in one walk, a width (Hz)
-        that its objective cannot exceed: the widest gap between consecutive
-        points whose probed alpha is below the threshold by more than 1e-9,
-        the grid's two ends counted as such points, plus a slack of 1e-9 *
-        f_max. A probed alpha agrees with the grid's within about 1e-13, so
-        each such point is below the threshold on the grid too, no band
-        crosses it, and an interpolated band edge lies between its two grid
-        neighbours. Each point is solved as alone, so a row's bound is the
-        same in any batch."""
+        that its objective cannot exceed: the widest span between
+        consecutive points whose probed alpha is below the threshold by more
+        than 1e-9, the grid's two ends counted as such points, plus a slack
+        s = 1e-9 * f_max. Each point is solved as alone, so a row's bound is
+        the same in any batch.
+
+        A probed alpha agrees with the grid's within e = 1e-12, so each such
+        point is below the threshold on the grid too, and no band crosses
+        it. A span from point i to point j starts at f_i, or, where i + 1 is
+        probed, at the crossing of the threshold by the line through the
+        pair's probed alphas, clipped to the pair; it ends at f_j, or at the
+        crossing of (j - 1, j), so clipped. A band in the span starts at or
+        above f_(i + 1) where i + 1 is below the threshold on the grid, and
+        else at the grid's crossing of (i, i + 1), band_edges'. That one is
+        within 3 * e * step / |da| of the probed one, da the pair's probed
+        difference; so a crossing is taken only where |da| >= 6e-12 * step
+        / s, which keeps it within s / 2, and the two edges within s. The
+        same holds for the end."""
         alphas = self.solver.alphas(design_template(self.template, designs, self.medium))
         below = np.ones((len(alphas), self.edges.size), bool)
         below[:, 1:-1] = alphas < self.below
-        # at each point below, the gap back to the last point below before it
-        last = np.maximum.accumulate(np.where(below, self.edges, -np.inf), axis=1)
-        gaps = np.where(below[:, 1:], self.edges[1:] - last[:, :-1], 0.0)
+        # a span's start after each point and its end before it: the point, or
+        # the crossing of the pair that it starts or ends where one is taken
+        first = alphas.take(self.pairs, axis=1)
+        rise = alphas.take(self.pairs + 1, axis=1) - first
+        crossable = np.abs(rise) >= self.floor
+        share = np.divide(self.threshold - first, rise, out=np.zeros_like(rise), where=crossable)
+        crossings = self.edges[self.pairs + 1] + share.clip(0.0, 1.0) * self.step
+        starts, ends = np.tile(self.edges, (2, len(alphas), 1))
+        starts[:, self.pairs + 1] = crossings
+        ends[:, self.pairs + 2] = np.where(crossable, crossings, self.edges[self.pairs + 2])
+        # at each point below, the span back to the last point below before it
+        last = np.maximum.accumulate(np.where(below, starts, -np.inf), axis=1)
+        gaps = np.where(below[:, 1:], ends[:, 1:] - last[:, :-1], 0.0)
         return (gaps.max(axis=1) + self.slack).tolist()
 
 
@@ -229,12 +254,16 @@ def anneal(
 
     A proposal is rejected without its full spectrum where that cannot
     change the decision. Its chain is first solved at the weak points of
-    the band of the design last taken, about 21 grid points (_Probe). Their
-    gaps bound its objective: where u >= exp((bound - current) / T) for the
-    uniform u that accept would draw, it is rejected as accept would reject
-    it, since exp(delta / T) is no larger. Otherwise its full spectrum
-    decides, on the same u. So the decisions, the trace and the result are
-    those of a run that evaluates every proposal in full.
+    the band of the design last taken: the grid points within _WINDOW of
+    each edge, and the lowest dips (_Probe). The spans between the points
+    below the threshold bound its objective, each end moved in to where
+    the line through it and its probed neighbour crosses the threshold,
+    where their alphas differ by at least a floor (_Probe.bound). Where u
+    >= exp((bound - current) / T) for the uniform u that accept would draw,
+    it is rejected as accept would reject it, since exp(delta / T) is no
+    larger. Otherwise its full spectrum decides, on the same u. So the
+    decisions, the trace and the result are those of a run that evaluates
+    every proposal in full.
 
     Such rejections come in streaks, as a rejection leaves the current
     design as it was. So every step draws the next proposals of the level

@@ -547,8 +547,10 @@ def test_hole_the_search_cannot_hold_is_refused_before_any_evaluation(monkeypatc
         (0.8, FrequencyGrid(1.0, 2000.0, 0.05), 2, True, annealing._BATCH),
         # one proposal per probe: every miss sets the generator back
         (0.8, DEFAULT_GRID, 10, True, 1),
+        # 9 points, where the floor on a pair's difference refuses the most crossings
+        (0.8, FrequencyGrid(1.0, 2001.0, 250.0), 10, True, annealing._BATCH),
     ],
-    ids=["0.5", "0.8", "0.81", "0.95", "0.5Hz", "0.05Hz", "0.8-batch1"],
+    ids=["0.5", "0.8", "0.81", "0.95", "0.5Hz", "0.05Hz", "0.8-batch1", "250Hz"],
 )
 def test_a_run_decides_as_it_does_with_every_spectrum_taken(
     monkeypatch, threshold, grid, iterations, certifies, batch

@@ -7,6 +7,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -42,6 +43,7 @@ from mppabsorber import (
 )
 from mppabsorber import acoustics, annealing, structure
 from mppabsorber.acoustics import PointSolver, _phase_trig, _Workspace
+from mppabsorber.spectrum import band_edges, longest_run
 
 from four_pole import element_entries, four_pole_product
 
@@ -685,33 +687,50 @@ def test_threads_solve_concurrently_as_in_series():
             assert np.array_equal(a, serial[worker % len(jobs)])
 
 
-# the default grid, and one of a step that is no integer (2,853 points)
-PROBE_GRIDS = (DEFAULT_GRID, FrequencyGrid(3.0, 1999.5, 0.7))
+# the default grid, one of a step that is no integer (2,853 points), and a
+# coarse one of 9 points, on which the floor on a pair's difference, 7.5e-4,
+# refuses the most crossings
+PROBE_GRIDS = (DEFAULT_GRID, FrequencyGrid(3.0, 1999.5, 0.7), FrequencyGrid(1.0, 2001.0, 250.0))
 
 
 def test_probed_alphas_agree_with_the_spectrum():
     # alpha at 25 random points of a grid by direct cos/sin, against the
-    # solve of the whole grid by its phase tables
+    # solve of the whole grid by its phase tables: with the panel
+    # impedances computed at the points, as the workspace the thread keeps
+    # holds the baseline's panels, and gathered from the one the solve keeps
     rng = np.random.default_rng(36)
+    baseline = build_chain(BASELINE_DESIGN, DEFAULT_MPPS)
     for chain in random_chains(36, n_three=80, n_single=20):
         for grid in PROBE_GRIDS:
             points = np.unique(rng.integers(0, grid.size, 25))
             template = chain.template(AIR)
-            probed = PointSolver(template, grid.frequency(points), AIR).alphas(template)
+            absorption_spectrum(baseline, grid)
+            computed = PointSolver(template, grid, points, AIR)
             alphas = absorption_spectrum(chain, grid).alphas[points]
-            assert np.max(np.abs(probed - alphas)) <= 1e-12
+            computes = mock.patch.object(acoustics, "mpp_normalized_impedance", side_effect=OSError)
+            with computes:  # it computes no impedance
+                gathered = PointSolver(template, grid, points, AIR)
+            for probe in (computed, gathered):
+                assert np.max(np.abs(probe.alphas(template) - alphas)) <= 1e-12
+
+
+def touches_an_end(alphas, threshold):
+    """Whether the longest band of `alphas` reaches the grid's first or last point."""
+    run = longest_run(alphas, threshold)
+    return run is not None and (run[0] == 0 or run[1] == alphas.size - 1)
 
 
 def test_a_probe_bound_is_never_below_the_objective():
     # a random in-box design, with random or the bundled panels, a
     # threshold and a grid, probed as anneal probes a design it accepts;
     # then moves of 1-30 % of the box from it, as anneal moves: no move's
-    # objective exceeds its bound
+    # objective exceeds its bound. Among them, bands that reach f_min or
+    # f_max, whose edge there is the grid's end, and the coarse grid's.
     rng = np.random.default_rng(3636)
-    below = 0
-    for design, mpps in random_designs(rng, 60):
+    below = tight = ends = coarse = 0
+    for design, mpps in random_designs(rng, 90):
         mpps = mpps if rng.random() < 0.5 else DEFAULT_MPPS
-        grid = PROBE_GRIDS[rng.integers(2)]
+        grid = PROBE_GRIDS[rng.integers(3)]
         threshold = float(rng.choice([0.5, 0.8, 0.81]))
         template = build_chain(design, mpps).template(AIR)
         width, spectrum = annealing._evaluate(template, AIR, grid, threshold)
@@ -721,9 +740,43 @@ def test_a_probe_bound_is_never_below_the_objective():
             move = annealing._move(design.as_array(), steps, fraction * annealing._RANGE)
             [bound] = probe.bound(move[None])
             candidate = DesignVector(*move.tolist())
-            assert objective(candidate, mpps, grid=grid, threshold=threshold) <= bound
+            value = objective(candidate, mpps, grid=grid, threshold=threshold)
+            assert value <= bound
             below += bound < width
-    assert below >= 20  # bounds that would certify a rejection
+            tight += bound - value <= 1e-3  # the grid's points resolve an edge to about 1 Hz
+            moved = absorption_spectrum(build_chain(candidate, mpps), grid)
+            ends += touches_an_end(moved.alphas, threshold)
+            coarse += grid.size == 9
+    assert below >= 20 and tight >= 20  # bounds that would certify a rejection; crossings
+    assert ends >= 20 and coarse >= 80
+
+
+@pytest.mark.parametrize("grid", [DEFAULT_GRID, PROBE_GRIDS[2]], ids=["1Hz", "250Hz"])
+def test_a_bound_holds_for_probed_alphas_as_far_off_as_they_may_be(grid):
+    # the baseline's spectrum with the pairs at its band's two edges set to
+    # straddle the threshold, by a difference from 3e-9 to 1e-2, across the
+    # floor on a pair's difference (7.5e-4 on the coarse grid), probed 1e-12
+    # off, the agreement a bound assumes, in four patterns of sign: no bound
+    # is below the objective, and where no pair is under the floor, both
+    # edges are crossings, within the slack
+    threshold, error = 0.8, 1e-12
+    chain = build_chain(BASELINE_DESIGN, DEFAULT_MPPS)
+    spectrum = absorption_spectrum(chain, grid)
+    lo, hi = longest_run(spectrum.alphas, threshold)
+    probe = annealing._Probe(chain.template(AIR), spectrum, threshold, AIR)
+    points = np.rint((probe.edges[1:-1] - grid.f_min) / grid.step).astype(int)
+    assert {lo - 1, lo, hi, hi + 1} <= set(points)
+    for rise in np.geomspace(3e-9, 1e-2, 40):
+        alphas = spectrum.alphas.copy()
+        alphas[[lo - 1, lo, hi, hi + 1]] = threshold + rise * np.array([-0.5, 0.5, 0.5, -0.5])
+        f_low, f_high = band_edges(grid, alphas, *longest_run(alphas, threshold), threshold)
+        for signs in ([-1], [1], [-1, 1], [1, -1]):
+            probed = alphas[points] + error * np.resize(signs, points.size)
+            probe.solver = SimpleNamespace(alphas=lambda template: probed[None])
+            [bound] = probe.bound(BASELINE_DESIGN.as_array()[None])
+            assert f_high - f_low <= bound
+            if rise - 2 * error >= probe.floor:
+                assert bound <= f_high - f_low + 2 * probe.slack
 
 
 @pytest.mark.parametrize(
