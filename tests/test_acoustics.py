@@ -112,28 +112,14 @@ class TestMedium:
         assert AIR.dynamic_viscosity == 1.81e-5
 
     @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"sound_speed": 0.0},
-            {"density": -1.0},
-            {"dynamic_viscosity": 0.0},
-            {"sound_speed": math.nan},
-            {"density": math.inf},
-        ],
-    )
-    def test_rejects_nonpositive_properties(self, kwargs):
-        with pytest.raises(ValueError):
-            Medium(**kwargs)
-
-    @pytest.mark.parametrize(
         "field, low, high",
         [("sound_speed", 1.0, 1e5), ("density", 1e-3, 1e5), ("dynamic_viscosity", 1e-8, 1e3)],
     )
     def test_properties_lie_in_their_open_ranges(self, field, low, high):
-        # the edges are refused, and so is anything past them; a value one
-        # ulp inside is a medium, and air lies far inside
+        # the edges are refused, and so is anything past them or no finite
+        # number; a value one ulp inside is a medium, and air lies far inside
         assert low * 10 < getattr(AIR, field) < high / 10
-        for value in (low, high, 1e-300, 1e300):
+        for value in (low, high, 1e-300, 1e300, 0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError) as excinfo:
                 Medium(**{field: value})
             assert str(excinfo.value) == (
@@ -467,10 +453,6 @@ class TestChainMatrix:
             f" got {type(element).__name__}"
         )
 
-    def test_chain_determinant_across_grid(self, baseline_chain):
-        det = chain_matrix(baseline_chain, DEFAULT_GRID.frequencies()).det()
-        assert np.max(np.abs(det - 1.0)) < 1e-9
-
     @pytest.mark.parametrize("element", [StraightPipe(0.1, 0.01), MPP1])
     @pytest.mark.parametrize("frequency", [300.0, np.array([1.0, 300.0, 1999.5])])
     def test_singleton_chain_equals_element_matrix(self, element, frequency):
@@ -721,10 +703,6 @@ class TestAbsorption:
             alpha = np.clip(1.0 - np.abs(gamma) ** 2, 0.0, 1.0).astype(float)
             solved = absorption_spectrum(chain, DEFAULT_GRID).alphas
             assert np.max(np.abs(alpha - solved)) <= 1e-12
-
-    def test_clamped_output_range(self, baseline_spectrum):
-        assert np.all(baseline_spectrum.alphas >= 0.0)
-        assert np.all(baseline_spectrum.alphas <= 1.0)
 
     def test_matches_brute_force_oracle(self, baseline_chain):
         rng = np.random.default_rng(53)

@@ -1,8 +1,9 @@
 """The fuzz contract. Every library entry point that takes a number answers
 it, or refuses it with a ValueError in the one wording, naming the value's
 label. Every CLI command answers a config file, or exits 1 with one error:
-line that reads in the same wording, or that refuses a cooling reading
-other than "decrement" by name. Any other exception, or a warning, fails."""
+line that reads in the same wording, that refuses a cooling reading other
+than "decrement" by name, or that names the file or the key at fault. Any
+other exception, or a warning, fails."""
 
 import contextlib
 import dataclasses
@@ -339,11 +340,13 @@ SECTIONS = {
 }
 # The one refusal of no number: a cooling reading other than "decrement".
 READING = r"schedule: AnnealingSchedule\.cooling_reading must be 'decrement', got .+"
-# A file the JSON parser refuses, named.
-UNREADABLE = r"\S+\.json: invalid JSON: .+"
+# A file the JSON parser refuses, or whose top level is no object, named;
+# and a key missing or unknown, by its path in the config.
+UNREADABLE = r"\S+\.json: (?:invalid JSON(?: at line \d+)?: .+|top level must be an object)"
+KEYS = r"[\w.\[\]]+: (?:missing required field|unknown field)"
 CLI_REFUSAL = "error: (?:[AB]: )?(?:{})".format("|".join(
     [*(section + wording(OWNER.format(owner)) for section, owner in SECTIONS.items()), READING,
-     UNREADABLE]
+     UNREADABLE, KEYS]
 ))
 # compare's notice on the first config, which a refusal of the second follows
 CUT_ON = (
@@ -370,10 +373,11 @@ def answered_or_refused_by_the_cli(*argv) -> bool:
 
 
 def case_examples(test):
-    """`test` with an example of each config in cli_cases.CASES, the config
-    first in compare in every other one."""
-    configs = [config for case in CASES.values() if (config := case.config()) is not None]
-    for index, config in enumerate(configs):
+    """`test` with an example of each distinct config in cli_cases.CASES, the
+    config first in compare in every other one."""
+    configs = {json.dumps(config): config for case in CASES.values()
+               if (config := case.config()) is not None}
+    for index, config in enumerate(configs.values()):
         test = example(config=config, first=index % 2 == 0)(test)
     return test
 

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from mppabsorber import (
     AIR,
-    AnnealingSchedule,
     BASELINE_DESIGN,
     BOUNDS_MM,
     DEFAULT_GRID,
@@ -32,7 +31,6 @@ from mppabsorber import (
     StraightPipe,
     absorption_at,
     absorption_spectrum,
-    anneal,
     build_chain,
     chain_matrix,
     effective_band,
@@ -438,13 +436,6 @@ def test_objective_equals_effective_band_of_spectrum():
     assert sum(w > 0 for w in widths) >= 10  # the sample is not all infeasible
 
 
-def test_objective_of_infeasible_design_is_zero():
-    # the baseline's alpha peaks at about 0.934
-    assert objective(BASELINE_DESIGN, DEFAULT_MPPS, threshold=0.95) == 0.0
-    spectrum = absorption_spectrum(build_chain(BASELINE_DESIGN, DEFAULT_MPPS), DEFAULT_GRID)
-    assert effective_band(spectrum, 0.95) is None
-
-
 @pytest.mark.parametrize(
     "grid, edges",
     [
@@ -460,20 +451,6 @@ def test_objective_of_band_reaching_grid_edge(grid, edges):
     f_low, f_high = edges
     assert band.f_high == f_high
     assert f_low is None or band.f_low == f_low
-
-
-def test_anneal_best_objective_is_objective_of_best_design():
-    schedule = AnnealingSchedule(
-        initial_temperature=100.0,
-        iterations_per_temperature=5,
-        termination_temperature=30.0,
-        seed=7,
-    )
-    result = anneal(BASELINE_DESIGN, DEFAULT_MPPS, schedule=schedule)
-    assert result.best_objective == objective(result.best_design, DEFAULT_MPPS)
-    assert effective_band(result.best_spectrum).width == result.best_objective
-    fresh = absorption_spectrum(build_chain(result.best_design, DEFAULT_MPPS), DEFAULT_GRID)
-    assert np.array_equal(result.best_spectrum.alphas, fresh.alphas)
 
 
 def test_objective_does_not_reuse_other_panels():

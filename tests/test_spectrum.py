@@ -366,13 +366,7 @@ class TestEffectiveBand:
         assert effective_band(spectrum, threshold=0.95) is not None
         assert effective_band(spectrum, threshold=0.97) is None
 
-    @pytest.mark.parametrize("threshold", [0.0, 1.0, -0.5, 2.0])
-    def test_invalid_threshold_rejected(self, threshold):
-        spectrum = spectrum_of(10, 10, [0.9, 0.9])
-        with pytest.raises(ValueError):
-            effective_band(spectrum, threshold)
-
-    @pytest.mark.parametrize("threshold", [0.0, 1.0, math.nan])
+    @pytest.mark.parametrize("threshold", [0.0, 1.0, math.nan, -0.5, 2.0])
     def test_invalid_threshold_is_refused_in_the_one_wording(self, threshold):
         # it read "threshold must be in (0, 1)", beside every other refusal's
         # "must lie in"
@@ -493,17 +487,6 @@ class TestOctaveBands:
         band = EffectiveBand(*edges, 0.9)
         assert band.octaves == 0.0
         assert band.width == edges[1] - edges[0]
-
-    @pytest.mark.parametrize(
-        "args",
-        [
-            (0.0, 10.0), (-1.0, 10.0), (10.0, 0.0), (10.0, -1.0),
-            (math.nan, 10.0), (1.0, math.inf),
-        ],
-    )
-    def test_invalid_inputs_rejected(self, args):
-        with pytest.raises(ValueError):
-            EffectiveBand(*args, 0.9)
 
     @pytest.mark.parametrize(
         "args, refusal",
