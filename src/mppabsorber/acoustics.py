@@ -210,7 +210,7 @@ def perforate_constant(frequency, aperture: float, medium: Medium = AIR):
     aperture is its limit, K = 0, and a K past the largest double is inf."""
     check_frequency(frequency)
     require("aperture", aperture, 0, math.inf, closed=True)
-    omega = 2.0 * np.pi * frequency
+    omega = 2.0 * np.pi * np.asarray(frequency)  # a list, too
     with np.errstate(over="ignore"):
         return aperture * np.sqrt(omega * medium.density / (4.0 * medium.dynamic_viscosity))
 
@@ -223,7 +223,7 @@ def mpp_normalized_impedance(panel: MppPanel, frequency, medium: Medium = AIR):
     """
     t, d, sigma = panel.thickness, panel.aperture, panel.porosity
     k_perf = perforate_constant(frequency, d, medium)  # first: it checks the frequency
-    omega = 2.0 * np.pi * frequency
+    omega = 2.0 * np.pi * np.asarray(frequency)
     resistance = (
         32.0 * medium.dynamic_viscosity * t
         / (sigma * medium.characteristic_impedance * d * d)

@@ -87,12 +87,16 @@ def check_frequency(frequency) -> None:
     an array, lies in FREQUENCY_RANGE, the range of a FrequencyGrid's
     fields. The array must hold ints or floats: a bool, a string, a complex
     or an int past the largest double (an object array) fails, and so do
-    NaN and a ragged nested list."""
+    NaN and a ragged nested list. A list is read as its array, a bool in it
+    too, where numpy would cast one among numbers."""
     low, high = FREQUENCY_RANGE
     try:
         values = np.asarray(frequency)
     except ValueError:  # a ragged nested list: no array, so no number
         values = np.asarray(None)
+    if values.ndim and not isinstance(frequency, np.ndarray):  # a list: scanned for a bool
+        if any(isinstance(v, bool) for v in np.asarray(frequency, dtype=object).flat):
+            values = np.asarray(None)
     if values.dtype.kind not in "iuf" or not np.all((values > low) & (values < high)):
         refuse("frequency", low, high, False, frequency)
 

@@ -286,16 +286,23 @@ class TestSimulate:
         assert out.read_text(encoding="utf-8") == per_row_spectrum_csv(spectrum)
         assert peak < out.stat().st_size
 
-    def test_grid_override_flags(self, tmp_path, capsys, config_dir):
+    @pytest.mark.parametrize(
+        "config, flags, frequencies",
+        [
+            (BASELINE, ("--fmin", 100, "--fmax", 200, "--step", 10), [*range(100, 201, 10)]),
+            (SINGLE, ("--fmin", 500, "--fmax", 500), [500]),  # the one-point grid
+        ],
+        ids=["step", "one_point"],
+    )
+    def test_grid_override_flags(self, tmp_path, capsys, config_dir, config, flags, frequencies):
+        # the header, then one row per grid point, each frequency as printed
         out = tmp_path / "spec.csv"
-        code, _, _ = run_cli(
-            capsys,
-            "simulate", "--config", config_dir / BASELINE, "--out", out,
-            "--fmin", 100, "--fmax", 200, "--step", 10,
-        )
+        code, _, _ = run_cli(capsys, "simulate", "--config", config_dir / config, "--out", out,
+                             *flags)
         assert code == 0
-        rows = read_csv_rows(out)
-        assert [f for f, _ in rows] == [100.0 + 10.0 * i for i in range(11)]
+        lines = out.read_text().splitlines()
+        assert lines[0] == "frequency_hz,alpha"
+        assert [line.split(",")[0] for line in lines[1:]] == [str(f) for f in frequencies]
 
 
 class TestCsvWriter:

@@ -1,15 +1,28 @@
-"""The fuzz contract. Every library entry point that takes a number answers
-it, or refuses it with a ValueError in the one wording, naming the value's
-label. Every CLI command answers a config file, or exits 1 with one error:
-line that reads in the same wording, that refuses a cooling reading other
-than "decrement" by name, or that names the file or the key at fault. Any
-other exception, or a warning, fails."""
+"""The fuzz contract, both ways, for every library entry point that takes
+a number. A value outside the interval its rule declares, or one that is no
+number, is refused with a ValueError that reads exactly `{label} must lie
+in {interval}, got {value}`, or, for an int field, `{label} must be an
+integer, got {value!r}`; absorption_at refuses a list or an array of valid
+frequencies as FrequencyGrid.f_min. A number inside is answered, and a
+field holds it. Eight rules judge a number with the owner's other values,
+and only they may refuse one inside, naming their own label in the one
+wording with a value outside the interval they print: a panel's hole
+narrower than its duct (MppPanel.aperture); f_min <= f_max (f_min) and at
+most 10**7 steps (f_max, step) of a FrequencyGrid; a single chamber's hole
+narrower than d_m; and a schedule's termination at most its initial
+temperature, and its caps on evaluations and on levels
+(AnnealingSchedule's initial_temperature, iterations_per_temperature and
+cooling_rate). Every CLI command answers a config file, or exits 1 with one
+error: line that reads in the same wording, that refuses a cooling reading
+other than "decrement" by name, or that names the file or the key at fault.
+Any other exception, or a warning, fails."""
 
 import contextlib
 import dataclasses
 import io
 import json
 import math
+import numbers
 import re
 import tempfile
 from pathlib import Path
@@ -40,45 +53,70 @@ from mppabsorber import (
     chain_matrix,
     effective_band,
     effective_bands,
+    mpp_normalized_impedance,
     perforate_constant,
 )
 from mppabsorber.cli import main
 
 MPP = MppSpec(0.6, 0.2, 0.025)
 CHAIN = SingleChamberStructure(10.0, 100.0, 60.0, 10.0, MPP).chain()
+# no panel: the entry point's own check is the only one a frequency meets
+PIPE = ElementChain((StraightPipe(0.1, 0.05),), 0.05)
+PANEL = MppPanel(6e-4, 2e-4, 0.025, 0.01)
 SPECTRUM = AbsorptionSpectrum(FrequencyGrid(1.0, 5.0, 1.0), np.array([0.1, 0.9, 0.95, 0.5, 0.85]))
 FREQUENCY = (0.0, 1e11)
 # The label of a field of the dataclass named {}: the field, or a path into
 # one of its parts.
 OWNER = r"{}\.[\w.\[\]]+"
 
-# Valid arguments of each dataclass with ranged fields, beside its defaults.
-BASES = {
-    Medium: {},
-    MppPanel: {"thickness": 6e-4, "aperture": 2e-4, "porosity": 0.025, "duct_diameter": 0.01},
-    StraightPipe: {"length": 0.1, "diameter": 0.01},
-    ElementChain: {"elements": (AreaChange(),), "main_duct_diameter": 0.01},
-    FrequencyGrid: {"f_min": 1.0, "f_max": 2000.0, "step": 1.0},
-    DesignVector: BASELINE_DESIGN.as_dict(),
-    MppSpec: {"thickness": 0.6, "aperture": 0.2, "porosity": 0.025},
-    SingleChamberStructure: {"d_m": 10.0, "l_m": 100.0, "d_e": 60.0, "t_e": 10.0, "mpp": MPP},
-    AnnealingSchedule: {},
-    EffectiveBand: {"f_low": 27.0, "f_high": 1304.0, "mean_alpha": 0.9},
+# Valid arguments of each dataclass with ranged fields, beside its defaults;
+# a second base of a class names its values in its targets.
+BASES = [
+    (Medium, {}),
+    (MppPanel, {"thickness": 6e-4, "aperture": 2e-4, "porosity": 0.025, "duct_diameter": 0.01}),
+    (StraightPipe, {"length": 0.1, "diameter": 0.01}),
+    (ElementChain, {"elements": (AreaChange(),), "main_duct_diameter": 0.01}),
+    (FrequencyGrid, {"f_min": 1.0, "f_max": 2000.0, "step": 1.0}),
+    (FrequencyGrid, {"f_min": 5.0, "f_max": 5.0, "step": 1.0}),  # f_max's edge is f_min
+    (DesignVector, BASELINE_DESIGN.as_dict()),
+    (MppSpec, {"thickness": 0.6, "aperture": 0.2, "porosity": 0.025}),
+    (SingleChamberStructure, {"d_m": 10.0, "l_m": 100.0, "d_e": 60.0, "t_e": 10.0, "mpp": MPP}),
+    (AnnealingSchedule, {}),
+    (EffectiveBand, {"f_low": 27.0, "f_high": 1304.0, "mean_alpha": 0.9}),
+]
+# The label of the rule of the owner's other values that may refuse a
+# number inside the interval of each field it judges.
+DEPENDENT = {
+    "MppPanel.aperture": "MppPanel.duct_diameter",
+    "FrequencyGrid.f_min": "FrequencyGrid.f_max",
+    "FrequencyGrid.f_max": "FrequencyGrid.step",
+    "FrequencyGrid.step": "FrequencyGrid.step",
+    "SingleChamberStructure.d_m": "SingleChamberStructure.mpp.aperture",
+    "AnnealingSchedule.initial_temperature": "AnnealingSchedule.termination_temperature",
+    "AnnealingSchedule.iterations_per_temperature": "AnnealingSchedule.iterations_per_temperature",
+    "AnnealingSchedule.cooling_rate": "AnnealingSchedule.cooling_rate",
 }
 
 
 @dataclasses.dataclass(frozen=True)
 class Target:
-    """One number of one entry point: `call` passes it a value, `valid` is
-    one it takes, `low` and `high` are its declared edges, and a refusal
-    fully matches `refusal`."""
+    """One number of one entry point: `call` passes it a value, and `valid`
+    is one it takes. It answers a number from `low` to `high`, with
+    `closed` as `ranged` reads it, an integer for an int field, and refuses
+    as `label`. An answer holds the value as its `field`; `arrays` is True
+    where a list or an array of numbers is taken as each of them, or the
+    label that refuses one."""
 
     name: str
     call: object
     valid: object
+    label: str
     low: float
     high: float
-    refusal: str
+    closed: object = False
+    integer: bool = False
+    field: str | None = None
+    arrays: object = False
 
 
 def wording(labels: str) -> str:
@@ -103,74 +141,151 @@ def reads_outside(refusal: str) -> bool:
 
 
 def field_targets():
-    """One target per ranged field, the rest of the owner from BASES; an
-    edge that names a field is that field's base value. A refusal may name
-    any field of the owner, or a field of one of its parts, such as
-    `SingleChamberStructure.mpp.aperture`: a changed field may break a rule
-    that judges more than one value."""
-    for cls, base in BASES.items():
+    """One target per ranged field of each base, the rest of the owner from
+    the base; an edge that names a field is that field's base value."""
+    seen = set()
+    for cls, base in BASES:
         values = {item.name: base.get(item.name, item.default) for item in dataclasses.fields(cls)}
-        refusal = wording(OWNER.format(cls.__name__))
+        owner = f"{cls.__name__}{tuple(base.values())}" if cls in seen else cls.__name__
+        seen.add(cls)
         for item in dataclasses.fields(cls):
             if "range" in item.metadata:
-                low, high, _ = item.metadata["range"]
+                low, high, closed = item.metadata["range"]
                 low, high = values.get(low, low), values.get(high, high)
 
                 def call(value, cls=cls, base=base, name=item.name):
                     return cls(**{**base, name: value})
 
-                name = f"{cls.__name__}.{item.name}"
-                yield Target(name, call, values[item.name], low, high, refusal)
+                yield Target(f"{owner}.{item.name}", call, values[item.name],
+                             f"{cls.__name__}.{item.name}", low, high, closed,
+                             item.type in (int, "int"), item.name)
 
 
 TARGETS = [
     *field_targets(),
-    Target("effective_band", lambda v: effective_band(SPECTRUM, v), 0.8, 0, 1,
-           wording("threshold")),
-    Target("effective_bands", lambda v: effective_bands(SPECTRUM, v), 0.8, 0, 1,
-           wording("threshold")),
-    Target("accept", lambda v: accept(-1.0, v, np.random.default_rng(0)), 37.0, 0, math.inf,
-           wording("temperature")),
-    Target("perforate_constant.frequency", lambda v: perforate_constant(v, 2e-4), 500.0,
-           *FREQUENCY, wording("frequency")),
-    Target("perforate_constant.aperture", lambda v: perforate_constant(500.0, v), 2e-4, 0,
-           math.inf, wording("aperture")),
-    # an array of more than zero dimensions passes the frequency check and
-    # is refused by the one-point grid
-    Target("absorption_at", lambda v: absorption_at(CHAIN, v), 500.0, *FREQUENCY,
-           wording(r"frequency|FrequencyGrid\.f_min")),
-    Target("chain_matrix", lambda v: chain_matrix(CHAIN, v), 500.0, *FREQUENCY,
-           wording("frequency")),
+    Target("effective_band", lambda v: effective_band(SPECTRUM, v), 0.8, "threshold", 0, 1),
+    Target("effective_bands", lambda v: effective_bands(SPECTRUM, v), 0.8, "threshold", 0, 1),
+    Target("accept", lambda v: accept(-1.0, v, np.random.default_rng(0)), 37.0, "temperature",
+           0, math.inf),
+    Target("perforate_constant.aperture", lambda v: perforate_constant(500.0, v), 2e-4,
+           "aperture", 0, math.inf, closed=True),
+    *(Target(name, call, 500.0, "frequency", *FREQUENCY, arrays=True) for name, call in [
+        ("perforate_constant.frequency", lambda v: perforate_constant(v, 2e-4)),
+        ("mpp_normalized_impedance", lambda v: mpp_normalized_impedance(PANEL, v)),
+        ("chain_matrix", lambda v: chain_matrix(CHAIN, v)),
+        ("chain_matrix.without_mpp", lambda v: chain_matrix(PIPE, v)),
+    ]),
+    # the one-point grid takes only a number
+    *(Target(name, lambda v, chain=chain: absorption_at(chain, v), 500.0, "frequency", *FREQUENCY,
+             arrays="FrequencyGrid.f_min")
+      for name, chain in [("absorption_at", CHAIN), ("absorption_at.without_mpp", PIPE)]),
 ]
 
-# Numbers no entry point takes, and values that are no number at all, a
-# ragged nested list among them.
+# Numbers no entry point takes or few do, values that are no number at all,
+# a ragged nested list among them, and arrays and a list of numbers: with
+# every value a hand-written refusal test once held.
 SPECIALS = [
-    math.nan, math.inf, -math.inf, 10**400, 10**5000, True, "1", None, 1 + 0j,
-    [500.0, [600.0, 700.0]],
+    math.nan, math.inf, -math.inf, 0.0, 1.0, -1.0, -0.1, -0.5, -2e-4, -3.0, -5.0, -10.0, 1.5, 2.0,
+    2.5, 3.0, 200.0, 6e10, 1e-300, 1e160, 1e300, 1e308, 10**400, 10**5000, -(10**5000), True,
+    None, 1 + 0j, "1", "0.8", "3", "500", "2e-4", [500.0, [600.0, 700.0]], [5.0],
+    *map(np.array, ([0.8], [0.8, 0.9], [5.0], [5.0, 6.0], [500.0, 600.0])),
 ]
+
+
+def shown(value) -> str:
+    """`value` as a refusal spells it: a string quoted, and an int of more
+    than 4300 digits, alone or in a list, named by its type."""
+    try:
+        return repr(value) if isinstance(value, str) else str(value)
+    except ValueError:
+        return f"{type(value).__name__} of more than 4300 digits"
+
+
+def taken(target: Target, value) -> bool:
+    """Whether `value` is a number inside the target's interval: an int
+    field's an integer, compared exactly; any other's a real number, or a
+    0-d array of one, that float() reads without overflow. A bool is no
+    number."""
+    kind = numbers.Integral if target.integer else numbers.Real
+    if isinstance(value, np.ndarray) and value.ndim == 0 and not target.integer:
+        value = value[()]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        return False
+    try:
+        number = value if target.integer else float(value)
+    except OverflowError:
+        return False
+    above = target.low <= number if target.closed is True else target.low < number
+    return above and (number <= target.high if target.closed == "high" else number < target.high)
+
+
+def refusal(target: Target, value) -> str | None:
+    """The exact refusal of `value`, or None for a number the target must
+    answer: one inside its interval, or, where it takes arrays, a list or
+    an array of such numbers."""
+    label = target.label
+    sequence = isinstance(value, list) or isinstance(value, np.ndarray) and value.ndim > 0
+    if target.arrays and sequence and all(
+        taken(target, entry) for entry in np.array(value, dtype=object).flat
+    ):
+        if target.arrays is True:
+            return None
+        label = target.arrays
+    elif taken(target, value):
+        return None
+    elif target.integer and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+        return f"{label} must be an integer, got {value!r}"
+    opening, closing = "[" if target.closed is True else "(", "]" if target.closed == "high" else ")"
+    interval = f"{opening}{target.low:g}, {target.high:g}{closing}"
+    return f"{label} must lie in {interval}, got {shown(value)}"
 
 
 def listed(target: Target) -> list:
-    """The target's declared edges and one ulp inside each, the specials,
-    and its valid value as a 0-d, a one- and a two-element array."""
+    """The target's declared edges, the value next to each on either side
+    (the next integer for an int field), the specials, its valid value as
+    a 0-d, a one- and a two-element array and a one-element list; for a
+    target that takes arrays, each of these it refuses amid valid ones."""
     low, high, valid = target.low, target.high, target.valid
-    edges = [low, high, math.nextafter(low, high), math.nextafter(high, low)]
-    return edges + SPECIALS + [np.array(valid), np.array([valid]), np.array([valid, valid])]
+
+    def beside(edge, toward):
+        if target.integer and math.isfinite(edge):
+            return edge + (1 if toward > edge else -1)
+        return math.nextafter(edge, toward)
+
+    edges = [low, high, *(beside(edge, toward) for edge in (low, high)
+                          for toward in (-math.inf, math.inf))]
+    values = edges + SPECIALS + [np.array(valid), np.array([valid]), np.array([valid, valid]),
+                                 [valid]]
+    if target.arrays:
+        refused = [value for value in edges + SPECIALS if refusal(target, value)]
+        values += [[valid, value, valid] for value in refused]
+        values += [np.array([valid, value, valid]) for value in refused if isinstance(value, float)]
+    return values
 
 
-def answered_or_refused(target: Target, value) -> None:
+def judged(target: Target, value) -> None:
+    """Refused in exactly the text `refusal` gives, or answered, a field
+    holding the value; a target with a rule in DEPENDENT may refuse a
+    number inside as that rule, reading outside the interval it prints."""
+    expected = refusal(target, value)
     try:
-        target.call(value)
+        answer = target.call(value)
     except ValueError as exc:
-        assert re.fullmatch(target.refusal, str(exc), re.S), str(exc)
-        assert reads_outside(str(exc)), str(exc)
+        if expected is None and target.label in DEPENDENT:
+            assert re.fullmatch(wording(re.escape(DEPENDENT[target.label])), str(exc), re.S), exc
+            assert reads_outside(str(exc)), exc
+        else:
+            assert str(exc) == expected, (shown(value), str(exc))
+        return
+    assert expected is None, f"answered {shown(value)}, which must be refused: {expected}"
+    if target.field:
+        assert getattr(answer, target.field) is value
 
 
 @pytest.mark.parametrize("target", TARGETS, ids=lambda target: target.name)
 def test_every_listed_value_is_answered_or_refused_by_name(target):
     for value in listed(target):
-        answered_or_refused(target, value)
+        judged(target, value)
 
 
 @settings(max_examples=500)
@@ -180,70 +295,7 @@ def test_every_listed_value_is_answered_or_refused_by_name(target):
     exponent=st.floats(-300.0, 300.0),
 )
 def test_every_log_uniform_number_is_answered_or_refused_by_name(target, sign, exponent):
-    answered_or_refused(target, sign * 10.0**exponent)
-
-
-@pytest.mark.parametrize(
-    "call, refusal",
-    [
-        (lambda: MppPanel(10**400, 2e-4, 0.025, 0.01), "MppPanel.thickness must lie in (0, 1000]"),
-        (lambda: StraightPipe(10**400, 0.01), "StraightPipe.length must lie in (0, 1000]"),
-        (
-            lambda: ElementChain((AreaChange(),), 10**400),
-            "ElementChain.main_duct_diameter must lie in (0, 1000]",
-        ),
-        (
-            lambda: AnnealingSchedule(initial_temperature=10**400),
-            "AnnealingSchedule.initial_temperature must lie in (0, inf)",
-        ),
-        (lambda: accept(-1.0, 10**400, np.random.default_rng(0)), "temperature must lie in (0, inf)"),
-    ],
-    ids=["panel", "pipe", "chain", "schedule", "accept"],
-)
-def test_int_past_the_largest_double_is_refused(call, refusal):
-    # each was answered, or accept raised OverflowError, and every solve or
-    # run of the answer raised OverflowError
-    with pytest.raises(ValueError) as excinfo:
-        call()
-    assert str(excinfo.value) == f"{refusal}, got {10**400}"
-
-
-@pytest.mark.parametrize(
-    "call, refusal",
-    [
-        (lambda v: MppPanel(v, 2e-4, 0.025, 0.01), "MppPanel.thickness must lie in (0, 1000]"),
-        (lambda v: Medium(density=v), "Medium.density must lie in (0.001, 100000)"),
-        (
-            lambda v: DesignVector(**{**BASELINE_DESIGN.as_dict(), "d_m": v}),
-            "DesignVector.d_m must lie in (0.001, 1e+06)",
-        ),
-        (lambda v: effective_band(SPECTRUM, v), "threshold must lie in (0, 1)"),
-    ],
-    ids=["panel", "medium", "design", "threshold"],
-)
-@pytest.mark.parametrize(
-    "value, shown",
-    [
-        ("0.8", "'0.8'"), (None, "None"), (1 + 0j, "(1+0j)"), (True, "True"),
-        (np.array([0.8]), "[0.8]"), (np.array([0.8, 0.9]), "[0.8 0.9]"),
-    ],
-    ids=["str", "None", "complex", "bool", "one", "two"],
-)
-def test_what_is_no_number_is_refused_by_name(call, refusal, value, shown):
-    # a str, None or complex raised TypeError, a one-element array was
-    # answered and a two-element one raised numpy's "truth value of an
-    # array is ambiguous"; a bool was taken as 1
-    with pytest.raises(ValueError) as excinfo:
-        call(value)
-    assert str(excinfo.value) == f"{refusal}, got {shown}"
-
-
-@pytest.mark.parametrize("value, shown", [("500", "'500'"), (True, "True")])
-def test_chain_matrix_refuses_a_frequency_that_is_no_number(value, shown):
-    # a string ended in numpy's UFuncTypeError, and a bool was taken as 1 Hz
-    with pytest.raises(ValueError) as excinfo:
-        chain_matrix(CHAIN, value)
-    assert str(excinfo.value) == f"frequency must lie in (0, 1e+11), got {shown}"
+    judged(target, sign * 10.0**exponent)
 
 
 # The CLI half: a config file, drawn whole, through simulate, compare and

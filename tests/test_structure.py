@@ -74,29 +74,14 @@ class TestBuildChain:
             assert panel.aperture == pytest.approx(spec.aperture * MM)
             assert panel.porosity == spec.porosity
 
-    def test_rejects_nonpositive_dimension(self):
-        with pytest.raises(ValueError, match="l_4"):
-            DesignVector(
-                d_m=10, d_2=60, d_4=60, d_6=60,
-                l_1=98, l_1p=2, l_2=10, l_3=10, l_3p=10, l_4=0.0, l_5=20, l_6=30,
-            )
-
     def test_lengths_lie_in_their_open_mm_range(self):
-        # the edges are refused, and so is anything past them; a value one
-        # ulp inside is a design that builds a chain, and a panel. A hole one
-        # ulp below 1 km is wider than any duct, so its chain is refused.
+        # a value one ulp inside is a design that builds a chain, and a hole
+        # of a single chamber. A hole one ulp below 1 km is wider than any
+        # duct, so its chain is refused.
         low, high = 1e-3, 1e6
-        for value in (low, high, 1e-300, 1e300):
-            message = re.escape(f"DesignVector.d_2 must lie in (0.001, 1e+06), got {value}")
-            with pytest.raises(ValueError, match=message):
-                dataclasses.replace(BASELINE_DESIGN, d_2=value)
-            message = re.escape(f"MppSpec.aperture must lie in (0.001, 1e+06), got {value}")
-            with pytest.raises(ValueError, match=message):
-                MppSpec(0.6, value, 0.025)
         above, below = math.nextafter(low, high), math.nextafter(high, low)
         for value in (above, below):
             build_chain(dataclasses.replace(BASELINE_DESIGN, d_2=value), DEFAULT_MPPS)
-            assert MppSpec(0.6, value, 0.025).aperture == value
         single_chamber_chain(MppSpec(0.6, above, 0.025), 10.0, 100.0, 60.0, 10.0)
         # the hole, 1e6 mm less one ulp, read as 1000 m to the "g" format,
         # an interval that held no number
