@@ -8,8 +8,8 @@ inline so it shares no code with the implementation under test.
 """
 
 import cmath
-import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -110,9 +110,23 @@ class TestMedium:
         assert AIR.sound_speed == 343.0
         assert AIR.density == 1.204
         assert AIR.dynamic_viscosity == 1.81e-5
-        for item in dataclasses.fields(Medium):  # air lies far inside each open range
-            low, high, _ = item.metadata["range"]
-            assert low * 10 < getattr(AIR, item.name) < high / 10
+
+    @pytest.mark.parametrize(
+        "field, low, high",
+        [("sound_speed", 1.0, 1e5), ("density", 1e-3, 1e5), ("dynamic_viscosity", 1e-8, 1e3)],
+    )
+    def test_properties_lie_in_their_open_ranges(self, field, low, high):
+        # the edges are refused, and so is anything past them or no finite
+        # number; a value one ulp inside is a medium, and air lies far inside
+        assert low * 10 < getattr(AIR, field) < high / 10
+        for value in (low, high, 1e-300, 1e300, 0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError) as excinfo:
+                Medium(**{field: value})
+            assert str(excinfo.value) == (
+                f"Medium.{field} must lie in ({low:g}, {high:g}), got {value}"
+            )
+        for value in (math.nextafter(low, high), math.nextafter(high, low)):
+            assert getattr(Medium(**{field: value}), field) == value
 
 
 class TestCutOn:
@@ -141,12 +155,31 @@ class TestPerforateConstant:
     def test_zero_aperture_gives_zero(self):
         assert perforate_constant(500.0, 0.0) == 0.0
 
+    @pytest.mark.parametrize(
+        "aperture, shown",
+        [(-2e-4, "-0.0002"), (math.nan, "nan"), (math.inf, "inf"), ("2e-4", "'2e-4'"),
+         (10**400, str(10**400))],
+        ids=["negative", "nan", "inf", "str", "int"],
+    )
+    def test_aperture_is_refused_in_the_one_wording(self, aperture, shown):
+        # only the frequency was checked: -2e-4 gave K = -1.4456, NaN and inf
+        # were answered, a string raised TypeError and 10**400 OverflowError
+        with pytest.raises(ValueError) as excinfo:
+            perforate_constant(500.0, aperture)
+        assert str(excinfo.value) == f"aperture must lie in [0, inf), got {shown}"
+
     def test_monotone_in_frequency_and_aperture(self):
         rng = np.random.default_rng(3)
         freqs = np.sort(rng.uniform(1.0, 2000.0, 20))
         ks = perforate_constant(freqs, 0.2e-3)
         assert np.all(np.diff(ks) > 0)
         assert perforate_constant(500.0, 0.4e-3) > perforate_constant(500.0, 0.2e-3)
+
+    def test_rejects_nonpositive_frequency(self):
+        with pytest.raises(ValueError):
+            perforate_constant(0.0, 0.2e-3)
+        with pytest.raises(ValueError):
+            perforate_constant(-10.0, 0.2e-3)
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(11)
@@ -199,6 +232,11 @@ class TestMppImpedance:
                 complex(r, x), rel=1e-12
             )
 
+    @pytest.mark.parametrize("porosity", [0.0, 1.0, 1.5, -0.1, math.nan])
+    def test_rejects_bad_porosity(self, porosity):
+        with pytest.raises(ValueError):
+            MppPanel(0.6e-3, 0.2e-3, porosity, 10e-3)
+
     def test_a_list_of_frequencies_is_answered_as_its_array(self):
         # a list raised TypeError: it was multiplied by a float
         listed, array = [500.0, 600.0], np.array([500.0, 600.0])
@@ -249,16 +287,102 @@ class TestElementMatrix:
                 det = one_element_matrix(element, float(f)).det()
                 assert abs(det - 1.0) < 1e-10
 
+    def test_rejects_nonpositive_frequency(self):
+        with pytest.raises(ValueError):
+            one_element_matrix(StraightPipe(0.1, 0.01), 0.0)
+        with pytest.raises(ValueError):
+            one_element_matrix(StraightPipe(0.1, 0.01), math.nan)
 
-def test_a_hole_stops_one_ulp_below_one_kilometre():
+
+FREQUENCY_ENTRY_POINTS = {
+    "chain_matrix": lambda f: chain_matrix(
+        ElementChain((MPP1, StraightPipe(0.1, 0.01)), 0.01), f
+    ),
+    "perforate_constant": lambda f: perforate_constant(f, 0.2e-3),
+    "mpp_normalized_impedance": lambda f: mpp_normalized_impedance(MPP1, f),
+}
+
+
+@pytest.mark.filterwarnings("error")  # refused before any arithmetic warns
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 1e11, 1e300])
+@pytest.mark.parametrize("entry_point", sorted(FREQUENCY_ENTRY_POINTS))
+def test_non_finite_frequency_rejected(entry_point, value):
+    # infinities used to pass the check and come back as NaN with a
+    # RuntimeWarning; 1e11 and 1e300, which no grid takes, were answered
+    call = FREQUENCY_ENTRY_POINTS[entry_point]
+    with pytest.raises(ValueError) as excinfo:
+        call(value)
+    assert str(excinfo.value) == f"frequency must lie in (0, 1e+11), got {value}"
+    with pytest.raises(ValueError, match=re.escape("frequency must lie in (0, 1e+11), got [")):
+        call(np.array([100.0, value, 200.0]))
+
+
+@pytest.mark.parametrize("entry_point", sorted(FREQUENCY_ENTRY_POINTS))
+def test_int_past_the_largest_double_is_refused(entry_point):
+    # converted before any range test, 10**400 raised OverflowError
+    call = FREQUENCY_ENTRY_POINTS[entry_point]
+    with pytest.raises(ValueError) as excinfo:
+        call(10**400)
+    assert str(excinfo.value) == f"frequency must lie in (0, 1e+11), got {10**400}"
+    refusal = re.escape("frequency must lie in (0, 1e+11), got [100.0, 1000")
+    with pytest.raises(ValueError, match=refusal):
+        call([100.0, 10**400])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: chain_matrix(ElementChain((MPP1, StraightPipe(0.1, 0.01)), 0.01), f),
+        lambda f: perforate_constant(f, 0.2e-3),
+        lambda f: absorption_at(ElementChain((MPP1, StraightPipe(0.1, 0.01)), 0.01), f),
+    ],
+    ids=["chain_matrix", "perforate_constant", "absorption_at"],
+)
+def test_int_too_long_to_spell_is_refused_in_the_one_wording(call):
+    # str() of an int of more than 4,300 digits raises, so the refusal came
+    # out as Python's own "Exceeds the limit (4300 digits)" error
+    for value, shown in ((10**5000, "int"), ([100.0, -(10**5000)], "list")):
+        with pytest.raises(ValueError) as excinfo:
+            call(value)
+        refusal = f"frequency must lie in (0, 1e+11), got {shown} of more than 4300 digits"
+        assert str(excinfo.value) == refusal
+
+
+@pytest.mark.parametrize("entry_point", sorted(FREQUENCY_ENTRY_POINTS))
+def test_ragged_frequency_list_is_refused_by_name(entry_point):
+    # numpy's own "inhomogeneous shape" ValueError named no argument
+    with pytest.raises(ValueError) as excinfo:
+        FREQUENCY_ENTRY_POINTS[entry_point]([500.0, [600.0, 700.0]])
+    assert str(excinfo.value) == "frequency must lie in (0, 1e+11), got [500.0, [600.0, 700.0]]"
+
+
+# Every SI length of a chain element: a call that builds the element with
+# that one value, the interval it lies in and the widest value it takes, the
+# edge itself but for a hole, which must stay narrower than its duct.
+SI_LENGTHS = {
+    "MppPanel.thickness": (lambda v: MppPanel(v, 2e-4, 0.025, 0.01), "(0, 1000]", 1e3),
+    "MppPanel.aperture": (
+        lambda v: MppPanel(6e-4, v, 0.025, 1e3), "(0, 1000]", math.nextafter(1e3, 0.0)
+    ),
+    "MppPanel.duct_diameter": (lambda v: MppPanel(6e-4, 2e-4, 0.025, v), "(0.0002, 1000]", 1e3),
+    "StraightPipe.length": (lambda v: StraightPipe(v, 0.01), "(0, 1000]", 1e3),
+    "StraightPipe.diameter": (lambda v: StraightPipe(0.1, v), "(0, 1000]", 1e3),
+    "ElementChain.main_duct_diameter": (
+        lambda v: ElementChain((AreaChange(),), v), "(0, 1000]", 1e3
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(SI_LENGTHS))
+def test_si_lengths_stop_at_one_kilometre(label):
     # lengths were unbounded above: a duct of 1e160 m was built, and its
-    # solve raised OverflowError from circle_area. A hole must stay narrower
-    # than its duct, here the widest, 1 km
-    assert MppPanel(6e-4, math.nextafter(1e3, 0.0), 0.025, 1e3) is not None
+    # solve raised OverflowError from circle_area
+    build, interval, widest = SI_LENGTHS[label]
+    assert build(widest) is not None
     for value in (math.nextafter(1e3, math.inf), 1e160):
         with pytest.raises(ValueError) as excinfo:
-            MppPanel(6e-4, value, 0.025, 1e3)
-        assert str(excinfo.value) == f"MppPanel.aperture must lie in (0, 1000], got {value}"
+            build(value)
+        assert str(excinfo.value) == f"{label} must lie in {interval}, got {value}"
 
 
 @pytest.mark.filterwarnings("error")
@@ -614,16 +738,64 @@ class TestAbsorption:
                 absorption_at(split, float(f)) - absorption_at(baseline_chain, float(f))
             ) < 1e-10
 
+    def test_negative_step_rejected_without_an_mpp(self):
+        # used to return alphas at negative frequencies: nothing on this
+        # chain's path checks a frequency. A step now reaches the solver only
+        # in a FrequencyGrid, which checks it.
+        chain = ElementChain((StraightPipe(0.1, 0.05),), 0.05)
+        with pytest.raises(ValueError, match=re.escape("step must lie in (0, 1e+11), got -1")):
+            absorption_spectrum(chain, FrequencyGrid(100.0, 300.0, -1.0))
+
+    @pytest.mark.parametrize("frequency", [0.0, -5.0, math.nan, math.inf])
+    def test_absorption_at_refuses_a_bad_frequency_without_an_mpp(self, frequency):
+        # nothing else on this chain's path checks a frequency: before the
+        # check, a negative one gave alphas at negative frequencies
+        chain = ElementChain((StraightPipe(0.1, 0.05),), 0.05)
+        with pytest.raises(ValueError) as excinfo:
+            absorption_at(chain, frequency)
+        assert str(excinfo.value) == f"frequency must lie in (0, 1e+11), got {frequency}"
+
     def test_absorption_at_refuses_a_nan_alpha(self, baseline_chain, nan_walk):
         # a walk that overflowed to NaN gives a NaN alpha; the one-point
         # answer passes the spectrum's check, which refuses it
         with np.errstate(all="ignore"), pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
             absorption_at(baseline_chain, 500.0)
 
+    def test_absorption_at_answers_every_frequency_a_grid_can_start_at(self, baseline_chain):
+        # the one-point grid (f, 2f, 2f) refused 6e10 Hz by naming 1.2e11 Hz,
+        # and (f, nextafter(f), f) refused the double below 1e11
+        for frequency in (6e10, math.nextafter(1e11, 0.0)):
+            assert 0.0 <= absorption_at(baseline_chain, frequency) <= 1.0
+        # refused by the rule of chain_matrix and perforate_constant
+        for frequency in (1e11, 1e300):
+            with pytest.raises(ValueError) as excinfo:
+                absorption_at(baseline_chain, frequency)
+            assert str(excinfo.value) == f"frequency must lie in (0, 1e+11), got {frequency}"
+
+    @pytest.mark.parametrize("frequency", [np.array([500.0]), np.array([500.0, 600.0])])
+    def test_absorption_at_refuses_an_array(self, single_chain, frequency):
+        # a one-element array passed the grid's range check and failed as a
+        # TypeError when the grid's size was read
+        with pytest.raises(ValueError) as excinfo:
+            absorption_at(single_chain, frequency)
+        refusal = f"FrequencyGrid.f_min must lie in (0, 1e+11), got {frequency}"
+        assert str(excinfo.value) == refusal
+
     def test_absorption_at_takes_a_zero_dimensional_array(self, baseline_chain):
         # a 0-d array is a number: the grid's check takes it as one
         at_array = absorption_at(baseline_chain, np.array(500.0))
         assert at_array == absorption_at(baseline_chain, 500.0)
+
+    def test_bad_progression_message_names_the_argument_not_the_grid(self, baseline_chain):
+        # used to print every frequency of the grid from the panel impedance;
+        # a progression reaches the solver only as a FrequencyGrid, or as
+        # absorption_at's frequency
+        with pytest.raises(ValueError) as excinfo:
+            absorption_spectrum(baseline_chain, FrequencyGrid(100.0, 2000.0, -1.0))
+        assert str(excinfo.value) == "FrequencyGrid.step must lie in (0, 1e+11), got -1.0"
+        with pytest.raises(ValueError) as excinfo:
+            absorption_at(baseline_chain, -1.0)
+        assert str(excinfo.value) == "frequency must lie in (0, 1e+11), got -1.0"
 
     def test_step_of_a_single_point_is_not_used(self, baseline_chain):
         # absorption_at solves the one-point grid (f, f, f); another f_max and

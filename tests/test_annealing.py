@@ -94,6 +94,13 @@ class TestAccept:
         rng = np.random.default_rng(3)
         assert not any(accept(-1.0, 1e-4, rng) for _ in range(1000))
 
+    @pytest.mark.parametrize("temperature", [0.0, -1.0, math.nan, math.inf])
+    def test_temperature_is_refused_in_the_one_wording(self, temperature):
+        # it read "temperature must be positive", and infinity was taken
+        with pytest.raises(ValueError) as excinfo:
+            accept(-1.0, temperature, np.random.default_rng(0))
+        assert str(excinfo.value) == f"temperature must lie in (0, inf), got {temperature}"
+
 
 class TestSchedule:
     def test_cooling_level_counts(self):
@@ -180,6 +187,14 @@ class TestSchedule:
             "AnnealingSchedule.iterations_per_temperature must lie in [1, 1.20482e+06),"
             " got int of more than 4300 digits"
         )
+
+    @pytest.mark.parametrize("field", ["iterations_per_temperature", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
+    def test_non_integer_counts_rejected(self, field, value):
+        # iterations_per_temperature=2.5 used to be accepted, and anneal died
+        # with TypeError after its first evaluation; True passed as 1
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            AnnealingSchedule(**{field: value})
 
     def test_any_integral_count_accepted(self):
         schedule = AnnealingSchedule(iterations_per_temperature=np.int64(3), seed=np.uint8(7))

@@ -13,12 +13,16 @@ from hypothesis import strategies as st
 from mppabsorber import (
     AbsorptionSpectrum,
     AnnealingSchedule,
+    AreaChange,
+    BASELINE_DESIGN,
     DEFAULT_GRID,
+    DesignVector,
     EffectiveBand,
     ElementChain,
     FrequencyGrid,
     Medium,
     MppPanel,
+    MppSpec,
     StraightPipe,
     absorption_spectrum,
     cut_on_frequency,
@@ -49,6 +53,30 @@ class TestFrequencyGrid:
 
     def test_endpoint_excluded_when_off_step(self):
         assert FrequencyGrid(10.0, 11.2, 0.5).frequencies().tolist() == [10.0, 10.5, 11.0]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (0.0, 100.0, 1.0), (50.0, math.nextafter(50.0, 0.0), 1.0), (10.0, 5.0, 1.0),
+            (1.0, 10.0, 0.0),
+            (1.0, math.inf, 1.0), (math.nan, 10.0, 1.0), (1.0, math.nan, 1.0),
+            (1.0, 10.0, math.nan), (1.0, 2000.0, 5e-324), (1.0, 10.0, -1.0),
+        ],
+    )
+    def test_invalid_grids_rejected(self, args):
+        with pytest.raises(ValueError):
+            FrequencyGrid(*args)
+
+    @pytest.mark.parametrize("field", ["f_min", "f_max", "step"])
+    @pytest.mark.parametrize("value", [np.array([5.0]), np.array([5.0, 6.0]), [5.0]])
+    def test_array_field_is_refused_by_name(self, field, value):
+        # one comparison passes a one-element array, whose grid then had no size
+        args = {"f_min": 5.0, "f_max": 5.0, "step": 1.0, field: value}
+        with pytest.raises(ValueError) as excinfo:
+            FrequencyGrid(**args)
+        interval = "[5, 1e+11)" if field == "f_max" else "(0, 1e+11)"
+        refusal = f"FrequencyGrid.{field} must lie in {interval}, got {value}"
+        assert str(excinfo.value) == refusal
 
     def test_fields_are_refused_in_declaration_order(self):
         # f_max's rule is broken before step's array is reached
@@ -82,12 +110,23 @@ class TestFrequencyGrid:
 
     def test_frequencies_lie_below_1e11(self):
         # the smallest duct a config can describe, 1 um, in the fastest
-        # medium cuts on below the edge, so no grid past it is plane-wave;
-        # a grid one ulp below it is taken
+        # medium cuts on below the edge, so no grid past it is plane-wave
         fastest = Medium(sound_speed=math.nextafter(1e5, 0.0))
         chain = ElementChain((StraightPipe(1e-6, 1e-6),), 1e-6)
         assert cut_on_frequency(chain, fastest) < 1e11
         below = math.nextafter(1e11, 0.0)
+        grids = [
+            ("f_min", "(0", lambda v: FrequencyGrid(v, 2.0 * v, 1.0)),
+            ("f_max", "[1", lambda v: FrequencyGrid(1.0, v, 1e9)),
+            ("step", "(0", lambda v: FrequencyGrid(1.0, 2.0, v)),
+        ]
+        for field, low, build in grids:
+            for value in (1e11, 1e300):
+                with pytest.raises(ValueError) as excinfo:
+                    build(value)
+                assert str(excinfo.value) == (
+                    f"FrequencyGrid.{field} must lie in {low}, 1e+11), got {value}"
+                )
         FrequencyGrid(math.nextafter(below, 0.0), below, below)
         FrequencyGrid(1.0, below, 1e9)
 
@@ -136,6 +175,39 @@ class TestRequirePositive:
     def test_accepts_finite_positive(self):
         for value in (5e-324, 1.7e308):
             assert Ranged(positive=value).positive == value
+
+    @pytest.mark.parametrize(
+        "build, rule",
+        [
+            (lambda v: Medium(density=v), "Medium.density must lie in (0.001, 100000)"),
+            (
+                lambda v: MppPanel(0.6e-3, 0.2e-3, 0.025, v),
+                "MppPanel.duct_diameter must lie in (0.0002, 1000]",
+            ),
+            (lambda v: StraightPipe(v, 0.01), "StraightPipe.length must lie in (0, 1000]"),
+            (
+                lambda v: ElementChain((AreaChange(),), v),
+                "ElementChain.main_duct_diameter must lie in (0, 1000]",
+            ),
+            (
+                lambda v: DesignVector(**{**BASELINE_DESIGN.as_dict(), "l_4": v}),
+                "DesignVector.l_4 must lie in (0.001, 1e+06)",
+            ),
+            (lambda v: MppSpec(0.6, v, 0.025), "MppSpec.aperture must lie in (0.001, 1e+06)"),
+            (lambda v: FrequencyGrid(1.0, 2000.0, v), "FrequencyGrid.step must lie in (0, 1e+11)"),
+            (
+                lambda v: AnnealingSchedule(termination_temperature=v),
+                "AnnealingSchedule.termination_temperature must lie in (0, 100]",
+            ),
+        ],
+        ids=["medium", "panel", "pipe", "chain", "design", "mpp", "grid", "schedule"],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_every_validated_dataclass_refuses_non_finite(self, build, rule, value):
+        # the one wording of every field: its interval, then the value
+        with pytest.raises(ValueError) as excinfo:
+            build(value)
+        assert str(excinfo.value) == f"{rule}, got {value}"
 
 
 class TestCheckFields:
@@ -199,8 +271,8 @@ def floats(*values) -> bool:
 
 
 def refused_inputs(test):
-    """`test` with each grid a per-field test once refused, whose other
-    values differ from the fuzz's bases, and the schedule it refused."""
+    """`test` with each grid a hand-written test refuses whose other values
+    differ from the fuzz's bases, and a schedule of two refused temperatures."""
     below_50 = math.nextafter(50.0, 0.0)
     for *ends, step in [
         (0.0, 100.0, 1.0), (50.0, below_50, 1.0), (10.0, 5.0, 1.0), (math.nan, 10.0, 1.0),
@@ -309,6 +381,16 @@ class TestEffectiveBand:
         spectrum = spectrum_of(10, 10, [0.5, 0.96, 0.5])
         assert effective_band(spectrum, threshold=0.95) is not None
         assert effective_band(spectrum, threshold=0.97) is None
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.0, math.nan, -0.5, 2.0])
+    def test_invalid_threshold_is_refused_in_the_one_wording(self, threshold):
+        # it read "threshold must be in (0, 1)", beside every other refusal's
+        # "must lie in"
+        spectrum = spectrum_of(10, 10, [0.9, 0.9])
+        for extract in (effective_band, effective_bands):
+            with pytest.raises(ValueError) as excinfo:
+                extract(spectrum, threshold)
+            assert str(excinfo.value) == f"threshold must lie in (0, 1), got {threshold}"
 
     def test_band_mean_at_least_threshold(self, baseline_spectrum):
         assert effective_band(baseline_spectrum).mean_alpha >= 0.8
@@ -421,3 +503,36 @@ class TestOctaveBands:
         band = EffectiveBand(*edges, 0.9)
         assert band.octaves == 0.0
         assert band.width == edges[1] - edges[0]
+
+    @pytest.mark.parametrize(
+        "args, refusal",
+        [
+            ((0.0, 10.0), "f_low must lie in (0, inf), got 0.0"),
+            ((math.inf, 10.0), "f_low must lie in (0, inf), got inf"),
+            ((math.nan, 10.0), "f_low must lie in (0, inf), got nan"),
+            ((-1.0, 10.0), "f_low must lie in (0, inf), got -1.0"),
+            ((10.0, 0.0), "f_high must lie in (0, inf), got 0.0"),
+            ((10.0, -1.0), "f_high must lie in (0, inf), got -1.0"),
+            ((10.0, math.nan), "f_high must lie in (0, inf), got nan"),
+            ((1.0, math.inf), "f_high must lie in (0, inf), got inf"),
+            ((10**400, 5.0), f"f_low must lie in (0, inf), got {10**400}"),
+            ((1.0, 10**400), f"f_high must lie in (0, inf), got {10**400}"),
+        ],
+        ids=lambda item: str(item)[:20],
+    )
+    def test_each_argument_is_refused_in_the_one_wording(self, args, refusal):
+        # a band is refused when it is built, naming its field; an int past
+        # the largest double once raised OverflowError as an f_high
+        with pytest.raises(ValueError) as excinfo:
+            EffectiveBand(*args, 0.9)
+        assert str(excinfo.value) == f"EffectiveBand.{refusal}"
+
+    @pytest.mark.parametrize("mean_alpha", [math.nan, -3.0])
+    def test_mean_alpha_outside_the_unit_interval_is_refused(self, mean_alpha):
+        # a band's alphas lie in [threshold, 1], so its mean does; NaN and
+        # -3.0 were taken
+        with pytest.raises(ValueError) as excinfo:
+            EffectiveBand(27.0, 1304.0, mean_alpha)
+        assert str(excinfo.value) == (
+            f"EffectiveBand.mean_alpha must lie in (0, 1], got {mean_alpha}"
+        )

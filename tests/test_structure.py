@@ -74,6 +74,13 @@ class TestBuildChain:
             assert panel.aperture == pytest.approx(spec.aperture * MM)
             assert panel.porosity == spec.porosity
 
+    def test_rejects_nonpositive_dimension(self):
+        with pytest.raises(ValueError, match="l_4"):
+            DesignVector(
+                d_m=10, d_2=60, d_4=60, d_6=60,
+                l_1=98, l_1p=2, l_2=10, l_3=10, l_3p=10, l_4=0.0, l_5=20, l_6=30,
+            )
+
     def test_lengths_lie_in_their_open_mm_range(self):
         # a value one ulp inside is a design that builds a chain, and a hole
         # of a single chamber. A hole one ulp below 1 km is wider than any
